@@ -5,8 +5,9 @@ Exact literals only: points as "(x, y, z)", lines as "[u, v, w]", conics as
 six rationals "a b c d e f", involution couples as "{t1, t2}" with "inf".
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 bad input (parse errors,
-unknown references, geometric preconditions).  DESARGUES_SEED, when set,
-overrides --seed.
+unknown references, geometric preconditions, unreadable or directory paths,
+a width below 1, a case count below 1).  DESARGUES_SEED, when set, overrides
+--seed.
 """
 
 from __future__ import annotations
@@ -41,23 +42,10 @@ def _parse_conic(text: str) -> Conic:
     return Conic.from_coefficients(*coeffs)
 
 
-def _parse_point(text: str) -> PPoint:
+def _parse_literal(parse, text: str):
+    """``parse(text)`` with a malformed literal reported as bad input."""
     try:
-        return PPoint.parse(text)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from None
-
-
-def _parse_line(text: str) -> PLine:
-    try:
-        return PLine.parse(text)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from None
-
-
-def _parse_pair(text: str) -> PointPair:
-    try:
-        return PointPair.parse(text)
+        return parse(text)
     except ValueError as exc:
         raise _InputError(str(exc)) from None
 
@@ -135,18 +123,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_polar(args) -> int:
-    print(str(polar(_parse_conic(args.conic), _parse_point(args.point))))
+    print(str(polar(_parse_conic(args.conic), _parse_literal(PPoint.parse, args.point))))
     return 0
 
 
 def _cmd_pole(args) -> int:
-    print(str(pole(_parse_conic(args.conic), _parse_line(args.line))))
+    print(str(pole(_parse_conic(args.conic), _parse_literal(PLine.parse, args.line))))
     return 0
 
 
 def _cmd_traversale(args) -> int:
     conic = _parse_conic(args.conic)
-    point = _parse_point(args.point)
+    point = _parse_literal(PPoint.parse, args.point)
     constructed = traversale_from_quadrangle(conic, point)
     algebraic = polar(conic, point)
     agree = constructed == algebraic
@@ -164,7 +152,8 @@ def _cmd_involution(args) -> int:
     if len(args.pair) != 2:
         raise _InputError("exactly two --pair couples determine an involution")
     chart = canonical_chart(PLine(0, 1, 0))
-    inv = involution_from_two_pairs(_parse_pair(args.pair[0]), _parse_pair(args.pair[1]), chart)
+    first, second = (_parse_literal(PointPair.parse, text) for text in args.pair)
+    inv = involution_from_two_pairs(first, second, chart)
     kind, fixed = classify_and_fixed_points(inv)
     print(f"matrix {inv.matrix}")
     print(f"kind {kind.value}")
@@ -237,7 +226,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (_InputError, SceneError, GeometryError, FileNotFoundError) as exc:
+    except (_InputError, SceneError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

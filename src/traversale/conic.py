@@ -13,7 +13,7 @@ approximating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -30,11 +30,12 @@ from .errors import (
     ZeroForm,
 )
 from .involution import InvolutionOnLine, involution_from_action
-from .linalg import adjugate, det3, dot, mat_mul, mat_vec, nullspace, primitive, transpose
-from .numbers import ExtRat, is_square, small_extended, small_rationals, sqrt_exact
+from .linalg import Mat3, adjugate, cross, det3, dot, mat_mul, mat_vec, nullspace, primitive, transpose
+from .numbers import ExtRat, is_square, small_rationals, sqrt_exact
 from .projective import (
     LINE_AT_INFINITY,
     Homography,
+    LineChart,
     PLine,
     PPoint,
     canonical_chart,
@@ -43,6 +44,7 @@ from .projective import (
 )
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Conic:
     """A conic, i.e. a nonzero symmetric rational 3x3 form up to scale.
 
@@ -54,7 +56,8 @@ class Conic:
     searches; it is a cache, ignored by equality and hashing.
     """
 
-    __slots__ = ("matrix", "witness")
+    matrix: Mat3
+    witness: PPoint | None = field(compare=False)
 
     def __init__(self, rows, witness: PPoint | None = None):
         flat = [Fraction(x) for row in rows for x in row]
@@ -73,15 +76,6 @@ class Conic:
             raise BasePointNotOnConic(f"witness {witness} is not on the conic")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "witness", witness)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Conic is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Conic) and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(("Conic", self.matrix))
 
     def __repr__(self):
         return f"Conic{self.matrix}"
@@ -142,6 +136,8 @@ class AffineKind(Enum):
 
 @dataclass(frozen=True)
 class Classification:
+    """Class, normalized signature and rank of a conic, with its singular part."""
+
     kind: ConicClass
     signature: tuple[int, int]
     rank: int
@@ -151,6 +147,8 @@ class Classification:
 
 @dataclass(frozen=True)
 class AffineFeatures:
+    """Affine kind, center, points at infinity and asymptotes of a conic."""
+
     kind: AffineKind
     center: PPoint
     points_at_infinity: tuple[PPoint, ...]
@@ -209,24 +207,11 @@ def is_tangent_line(c: Conic, l: PLine) -> bool:
 
 def _line_points(l: PLine):
     """Two independent integer representatives of points on l."""
-    coeffs = l.coeffs
     basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    candidates = []
-    for e in basis:
-        v = (
-            coeffs[1] * e[2] - coeffs[2] * e[1],
-            coeffs[2] * e[0] - coeffs[0] * e[2],
-            coeffs[0] * e[1] - coeffs[1] * e[0],
-        )
-        if any(v):
-            candidates.append(v)
+    candidates = [v for v in (cross(l.coeffs, e) for e in basis) if any(v)]
     p0 = candidates[0]
     for v in candidates[1:]:
-        if any(
-            p0[i] * v[j] - p0[j] * v[i] != 0
-            for i in range(3)
-            for j in range(i + 1, 3)
-        ):
+        if any(cross(p0, v)):
             return p0, v
     raise AssertionError("a line always carries two independent points")
 
@@ -408,6 +393,7 @@ def transform(c: Conic, h: Homography) -> Conic:
     return Conic(rows, witness=witness)
 
 
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class RationalParametrization:
     """All rational points of a conic from one of them, by the chord trick.
 
@@ -418,7 +404,9 @@ class RationalParametrization:
     from it the map is injective.
     """
 
-    __slots__ = ("conic", "base", "_chart")
+    conic: Conic
+    base: PPoint
+    _chart: LineChart
 
     def __init__(self, conic: Conic, base: PPoint):
         if not conic.is_nondegenerate:
@@ -433,9 +421,6 @@ class RationalParametrization:
         object.__setattr__(self, "conic", conic)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "_chart", canonical_chart(ref))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalParametrization is immutable")
 
     def direction(self, t: ExtRat) -> PPoint:
         return self._chart.point_at(t)
@@ -501,27 +486,3 @@ def find_rational_point(c: Conic, budget: int = 120) -> PPoint | None:
             if pts:
                 return pts[0]
     return None
-
-
-def secant_slopes(c: Conic, f: PPoint):
-    """Deterministic sweep of directions, yielding rational chords through f.
-
-    Yields (line, (p1, p2)) for every swept direction whose chord through f
-    meets the conic in two distinct rational points.  The directions run
-    over a reference line not through f, so every line of the pencil at f
-    appears exactly once.
-    """
-    ref = next(
-        l
-        for l in (LINE_AT_INFINITY, PLine(1, 0, 0), PLine(0, 1, 0))
-        if not l.contains(f)
-    )
-    chart = canonical_chart(ref)
-    for t in small_extended():
-        l = join(f, chart.point_at(t))
-        try:
-            pts = line_intersect(c, l)
-        except (IrrationalIntersection, LineOnConic):
-            continue
-        if len(pts) == 2:
-            yield l, pts

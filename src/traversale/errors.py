@@ -164,5 +164,9 @@ class UnknownSuite(SceneError):
     """verify was asked for a suite id it does not know."""
 
 
+class InvalidCaseCount(SceneError):
+    """verify was asked for fewer than one case per property."""
+
+
 class EmptyViewport(SceneError):
     """Rendering viewport has zero or negative area."""

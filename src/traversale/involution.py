@@ -12,11 +12,12 @@ theorem, and the test suite treats it as one rather than assuming it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .errors import CenterOnLine, InfiniteNode, InvalidSouche, UnderdeterminedInvolution
-from .linalg import det2, mat2_vec, primitive_mat2
+from .linalg import Mat2, adjugate2, cross, det2, mat2_mul, mat2_vec, primitive_mat2
 from .numbers import (
     INF,
     ExtRat,
@@ -32,6 +33,7 @@ from .numbers import (
 from .projective import LineChart, PPoint, join, meet
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class PointPair:
     """An unordered couple of nodes on a line, in chart coordinates.
 
@@ -39,25 +41,13 @@ class PointPair:
     moyen double").  Coordinates may be INF.
     """
 
-    __slots__ = ("first", "second")
+    first: ExtRat
+    second: ExtRat
 
     def __init__(self, first: ExtRat, second: ExtRat):
         a, b = sorted((_as_ext(first), _as_ext(second)), key=_ext_key)
         object.__setattr__(self, "first", a)
         object.__setattr__(self, "second", b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PointPair is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PointPair)
-            and self.first == other.first
-            and self.second == other.second
-        )
-
-    def __hash__(self):
-        return hash(("PointPair", self.first, self.second))
 
     def __repr__(self):
         return f"PointPair({self.first!r}, {self.second!r})"
@@ -97,6 +87,7 @@ class InvolutionKind(Enum):
     ELLIPTIC = "elliptic"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class InvolutionOnLine:
     """An involutive homography of a line, in a fixed chart.
 
@@ -106,7 +97,8 @@ class InvolutionOnLine:
     no parabolic involution.
     """
 
-    __slots__ = ("chart", "matrix")
+    chart: LineChart
+    matrix: Mat2
 
     def __init__(self, chart: LineChart, matrix):
         m = primitive_mat2(matrix)
@@ -116,19 +108,6 @@ class InvolutionOnLine:
             raise UnderdeterminedInvolution(f"matrix {m} is degenerate, not an involution")
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "matrix", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InvolutionOnLine is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, InvolutionOnLine)
-            and self.chart == other.chart
-            and self.matrix == other.matrix
-        )
-
-    def __hash__(self):
-        return hash(("InvolutionOnLine", self.chart, self.matrix))
 
     def __repr__(self):
         return f"InvolutionOnLine(matrix={self.matrix}, line={self.chart.line})"
@@ -155,10 +134,7 @@ def involution_from_two_pairs(p1: PointPair, p2: PointPair, chart: LineChart) ->
     solution.  Raises UnderdeterminedInvolution when the couples share too
     many nodes to determine a unique invertible involution.
     """
-    rows = [_pair_row(p) for p in (p1, p2)]
-    a = rows[0][1] * rows[1][2] - rows[0][2] * rows[1][1]
-    b = rows[0][2] * rows[1][0] - rows[0][0] * rows[1][2]
-    c = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    a, b, c = cross(_pair_row(p1), _pair_row(p2))
     if a == 0 and b == 0 and c == 0:
         raise UnderdeterminedInvolution(f"{p1} and {p2} impose dependent conditions")
     return InvolutionOnLine(chart, ((a, b), (c, -a)))
@@ -312,12 +288,7 @@ def in_single_involution(pairs, chart: LineChart) -> bool:
             continue
         return all(contains_pair(inv, p) for p in pairs)
     rows = [_pair_row(p) for p in pairs]
-    return all(
-        rows[i][a] * rows[j][b] - rows[i][b] * rows[j][a] == 0
-        for i, j in ((0, 1), (0, 2), (1, 2))
-        for a in range(3)
-        for b in range(a + 1, 3)
-    )
+    return not any(any(cross(rows[i], rows[j])) for i, j in ((0, 1), (0, 2), (1, 2)))
 
 
 def arbre_check(souche: ExtRat, pairs, *, return_product: bool = False):
@@ -366,18 +337,8 @@ def mobius_from_three(src: tuple[Pair, Pair, Pair], dst: tuple[Pair, Pair, Pair]
     # columns: d0 * (ga / al), d1 * (de / be), rescaled by al * be
     c0 = (d0[0] * ga * be, d0[1] * ga * be)
     c1 = (d1[0] * de * al, d1[1] * de * al)
-    sinv = ((s1[1], -s1[0]), (-s0[1], s0[0]))  # adjugate of [s0 s1]
     m = ((c0[0], c1[0]), (c0[1], c1[1]))
-    return (
-        (
-            m[0][0] * sinv[0][0] + m[0][1] * sinv[1][0],
-            m[0][0] * sinv[0][1] + m[0][1] * sinv[1][1],
-        ),
-        (
-            m[1][0] * sinv[0][0] + m[1][1] * sinv[1][0],
-            m[1][0] * sinv[0][1] + m[1][1] * sinv[1][1],
-        ),
-    )
+    return mat2_mul(m, adjugate2(((s0[0], s1[0]), (s0[1], s1[1]))))
 
 
 def _chart_transfer_matrix(source: LineChart, map_point, target: LineChart):
@@ -409,29 +370,7 @@ def ramee_project(inv: InvolutionOnLine, center: PPoint, target: LineChart) -> I
     preserved; this is the ramee theorem.
     """
     t = perspectivity(inv.chart, center, target)
-    tadj = ((t[1][1], -t[0][1]), (-t[1][0], t[0][0]))
-    m = inv.matrix
-    rows = (
-        (
-            t[0][0] * m[0][0] + t[0][1] * m[1][0],
-            t[0][0] * m[0][1] + t[0][1] * m[1][1],
-        ),
-        (
-            t[1][0] * m[0][0] + t[1][1] * m[1][0],
-            t[1][0] * m[0][1] + t[1][1] * m[1][1],
-        ),
-    )
-    conjugated = (
-        (
-            rows[0][0] * tadj[0][0] + rows[0][1] * tadj[1][0],
-            rows[0][0] * tadj[0][1] + rows[0][1] * tadj[1][1],
-        ),
-        (
-            rows[1][0] * tadj[0][0] + rows[1][1] * tadj[1][0],
-            rows[1][0] * tadj[0][1] + rows[1][1] * tadj[1][1],
-        ),
-    )
-    return InvolutionOnLine(target, conjugated)
+    return InvolutionOnLine(target, mat2_mul(mat2_mul(t, inv.matrix), adjugate2(t)))
 
 
 def involution_from_action(chart: LineChart, action) -> InvolutionOnLine:

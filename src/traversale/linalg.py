@@ -2,9 +2,11 @@
 
 Projective objects are stored as primitive integer vectors and matrices
 (coprime entries, first nonzero entry positive), which makes equality up to
-scale a plain tuple comparison and keeps the arithmetic in fast machine/`int`
-territory.  Anything returned to callers that is genuinely rational uses
-Fraction.
+scale a plain tuple comparison.  The stored entries are `int`, but
+:func:`primitive` reaches them through `Fraction`: every entry is lifted to a
+Fraction, scaled by the common denominator and divided by the gcd, even when
+the input is already integral.  Anything returned to callers that is
+genuinely rational uses Fraction.
 """
 
 from __future__ import annotations
@@ -114,8 +116,20 @@ def mat2_vec(m, v):
     return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
 
 
+def mat2_mul(a, b):
+    return (
+        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
+        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
+    )
+
+
 def det2(m):
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def adjugate2(m):
+    """Adjugate of a 2x2 matrix: adjugate2(m) @ m = det2(m) * I."""
+    return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
 
 
 def solve2(a, b, rhs):

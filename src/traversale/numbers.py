@@ -104,15 +104,11 @@ def pair_cross(p: Pair, q: Pair) -> Fraction:
     return p[0] * q[1] - p[1] * q[0]
 
 
-def pairs_equal(p: Pair, q: Pair) -> bool:
-    return pair_cross(p, q) == 0
-
-
 def small_rationals():
     """Yield all rationals ordered by height max(|num|, den): 0, 1, -1, 2, ...
 
-    Deterministic; used by the bounded searches (secant slopes, points on a
-    line) so that repeated runs pick identical witnesses.
+    Deterministic; used by the bounded searches (rational points on a conic,
+    points on a line) so that repeated runs pick identical witnesses.
     """
     yield Fraction(0)
     height = 1

@@ -10,6 +10,7 @@ operation is a pure function.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -20,14 +21,38 @@ from .errors import (
     NotOnLine,
     SingularMatrix,
 )
-from .linalg import adjugate, cross, det3, dot, mat_mul, mat_vec, primitive, primitive_mat3, solve2, transpose
+from .linalg import Mat3, Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, primitive, primitive_mat3, solve2, transpose
 from .numbers import INF, ExtRat, Pair, format_rational, from_pair, pair_cross, parse_rational, to_pair
 
 
+def _canonical(triple: Vec3) -> tuple[Fraction, Fraction, Fraction]:
+    """Representative scaled so the first nonzero entry is 1."""
+    x, y, z = triple
+    lead = x or y or z
+    return (Fraction(x, lead), Fraction(y, lead), Fraction(z, lead))
+
+
+def _format_triple(triple: Vec3, brackets: str) -> str:
+    x, y, z = _canonical(triple)
+    return f"{brackets[0]}{format_rational(x)}, {format_rational(y)}, {format_rational(z)}{brackets[1]}"
+
+
+def _parse_triple(text: str, kind: str, shape: str, entries: str) -> list[Fraction]:
+    """The three rationals of a literal such as ``(x, y, z)`` or ``[u, v, w]``."""
+    inner = text.strip()
+    if not (inner.startswith(shape[0]) and inner.endswith(shape[-1])):
+        raise ValueError(f"{kind} literal must look like {shape}: {text!r}")
+    parts = inner[1:-1].split(",")
+    if len(parts) != 3:
+        raise ValueError(f"{kind} literal needs three {entries}: {text!r}")
+    return [parse_rational(p) for p in parts]
+
+
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class PPoint:
     """A point of the projective plane, equal up to nonzero scale."""
 
-    __slots__ = ("coords",)
+    coords: Vec3
 
     def __init__(self, x, y, z):
         try:
@@ -35,28 +60,15 @@ class PPoint:
         except ValueError:
             raise CoincidentPoints("(0, 0, 0) is not a projective point") from None
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PPoint is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, PPoint) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(("PPoint", self.coords))
-
     def __repr__(self):
         return f"PPoint{self.coords}"
 
     def __str__(self):
-        x, y, z = self.canonical()
-        return f"({format_rational(x)}, {format_rational(y)}, {format_rational(z)})"
+        return _format_triple(self.coords, "()")
 
     def canonical(self) -> tuple[Fraction, Fraction, Fraction]:
         """Representative scaled so the first nonzero coordinate is 1."""
-        for c in self.coords:
-            if c != 0:
-                return tuple(Fraction(v, c) for v in self.coords)
-        raise AssertionError("unreachable: zero point")
+        return _canonical(self.coords)
 
     @property
     def is_infinite(self) -> bool:
@@ -79,19 +91,14 @@ class PPoint:
     @classmethod
     def parse(cls, text: str) -> "PPoint":
         """Inverse of str(): ``(x, y, z)`` with rational entries."""
-        inner = text.strip()
-        if not (inner.startswith("(") and inner.endswith(")")):
-            raise ValueError(f"point literal must look like (x, y, z): {text!r}")
-        parts = inner[1:-1].split(",")
-        if len(parts) != 3:
-            raise ValueError(f"point literal needs three coordinates: {text!r}")
-        return cls(*(parse_rational(p) for p in parts))
+        return cls(*_parse_triple(text, "point", "(x, y, z)", "coordinates"))
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class PLine:
     """A line ux + vy + wz = 0, equal up to nonzero scale."""
 
-    __slots__ = ("coeffs",)
+    coeffs: Vec3
 
     def __init__(self, u, v, w):
         try:
@@ -99,40 +106,21 @@ class PLine:
         except ValueError:
             raise CoincidentLines("[0, 0, 0] is not a line") from None
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PLine is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, PLine) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("PLine", self.coeffs))
-
     def __repr__(self):
         return f"PLine{self.coeffs}"
 
     def __str__(self):
-        u, v, w = self.canonical()
-        return f"[{format_rational(u)}, {format_rational(v)}, {format_rational(w)}]"
+        return _format_triple(self.coeffs, "[]")
 
     def canonical(self) -> tuple[Fraction, Fraction, Fraction]:
-        for c in self.coeffs:
-            if c != 0:
-                return tuple(Fraction(v, c) for v in self.coeffs)
-        raise AssertionError("unreachable: zero line")
+        return _canonical(self.coeffs)
 
     def contains(self, point: PPoint) -> bool:
         return dot(self.coeffs, point.coords) == 0
 
     @classmethod
     def parse(cls, text: str) -> "PLine":
-        inner = text.strip()
-        if not (inner.startswith("[") and inner.endswith("]")):
-            raise ValueError(f"line literal must look like [u, v, w]: {text!r}")
-        parts = inner[1:-1].split(",")
-        if len(parts) != 3:
-            raise ValueError(f"line literal needs three coefficients: {text!r}")
-        return cls(*(parse_rational(p) for p in parts))
+        return cls(*_parse_triple(text, "line", "[u, v, w]", "coefficients"))
 
 
 LINE_AT_INFINITY = PLine(0, 0, 1)
@@ -175,6 +163,7 @@ def concurrent(*lines: PLine) -> bool:
     )
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class LineChart:
     """A projective coordinate on a line.
 
@@ -185,7 +174,13 @@ class LineChart:
     chart coordinate is t/s, kept as a homogeneous pair for totality.
     """
 
-    __slots__ = ("line", "origin", "unit", "infinity_point", "_rep_o", "_rep_i", "_rows")
+    line: PLine
+    origin: PPoint
+    unit: PPoint
+    infinity_point: PPoint
+    _rep_o: tuple = field(compare=False)
+    _rep_i: tuple = field(compare=False)
+    _rows: tuple[int, int] = field(compare=False)
 
     def __init__(self, line: PLine, origin: PPoint, unit: PPoint, infinity_point: PPoint):
         refs = (origin, unit, infinity_point)
@@ -208,21 +203,6 @@ class LineChart:
         object.__setattr__(self, "_rep_o", tuple(lam * c for c in o))
         object.__setattr__(self, "_rep_i", tuple(mu * c for c in i))
         object.__setattr__(self, "_rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LineChart is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LineChart)
-            and self.line == other.line
-            and self.origin == other.origin
-            and self.unit == other.unit
-            and self.infinity_point == other.infinity_point
-        )
-
-    def __hash__(self):
-        return hash(("LineChart", self.line, self.origin, self.unit, self.infinity_point))
 
     def __repr__(self):
         return f"LineChart(line={self.line}, origin={self.origin}, unit={self.unit}, inf={self.infinity_point})"
@@ -311,6 +291,7 @@ def harmonic_conjugate(c: PPoint, a: PPoint, b: PPoint, chart: LineChart) -> PPo
     return chart.point_from_pair(d)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Homography:
     """An invertible projective map, stored as a primitive integer matrix.
 
@@ -318,22 +299,13 @@ class Homography:
     (realized with the adjugate so everything stays integral).
     """
 
-    __slots__ = ("matrix",)
+    matrix: Mat3
 
     def __init__(self, rows):
         m = primitive_mat3(rows)
         if det3(m) == 0:
             raise SingularMatrix(f"matrix {m} is singular")
         object.__setattr__(self, "matrix", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Homography is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Homography) and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(("Homography", self.matrix))
 
     def __repr__(self):
         return f"Homography{self.matrix}"

@@ -16,7 +16,7 @@ from .conic import Conic, find_rational_point, polar, rational_parametrize, tang
 from .errors import EmptyViewport, UnknownReference
 from .numbers import INF
 from .projective import LINE_AT_INFINITY, PLine, PPoint, join, meet
-from .synthetic import InscribedQuadrangle
+from .synthetic import worked_quadrangle
 
 Viewport = tuple[Fraction, Fraction, Fraction, Fraction]  # xmin, ymin, xmax, ymax
 
@@ -29,6 +29,8 @@ _TEXT_STYLE = 'font-family="serif" font-size="13"'
 
 @dataclass(frozen=True)
 class Drawable:
+    """One exact object to draw, with its style kind and an optional label."""
+
     kind: str  # "conic" | "line" | "accent-line" | "point"
     obj: object
     label: str = ""
@@ -45,6 +47,8 @@ class _Frame:
         xmin, ymin, xmax, ymax = (Fraction(v) for v in viewport)
         if xmax <= xmin or ymax <= ymin:
             raise EmptyViewport(f"viewport {viewport} has no area")
+        if width < 1:
+            raise EmptyViewport(f"width {width} must be at least 1 pixel")
         self.xmin, self.ymin, self.xmax, self.ymax = xmin, ymin, xmax, ymax
         self.scale = Fraction(width) / (xmax - xmin)
         self.width = width
@@ -66,10 +70,8 @@ class _Frame:
 
 
 def _affine(p: PPoint) -> tuple[Fraction, Fraction] | None:
-    x, y, z = p.coords
-    if z == 0:
-        return None
-    return (Fraction(x, z), Fraction(y, z))
+    """Affine (x, y) of a finite point; None for a point at infinity."""
+    return None if p.is_infinite else p.affine()
 
 
 def _clip_line(l: PLine, frame: _Frame) -> tuple | None:
@@ -219,20 +221,9 @@ def render_svg(drawables, viewport: Viewport, width: int = 640) -> str:
 # The classical figure configurations
 # ---------------------------------------------------------------------------
 
-def _worked_quadrangle() -> InscribedQuadrangle:
-    circle = Conic.unit_circle()
-    return InscribedQuadrangle(
-        circle,
-        PPoint(1, 0, 1),
-        PPoint(-1, 0, 1),
-        PPoint(Fraction(3, 5), Fraction(4, 5), 1),
-        PPoint(Fraction(5, 13), Fraction(12, 13), 1),
-    )
-
-
 def _fig_quadrangle_harmonic():
     """Quadrangle, diagonal triangle and the harmonic range F, X, G, Y."""
-    quad = _worked_quadrangle()
+    quad = worked_quadrangle()
     b, c, d, e = quad.bornes
     f, n, g = quad.diagonal_points()
     fg = join(f, g)
@@ -249,7 +240,7 @@ def _fig_quadrangle_harmonic():
 
 def _fig_involutions_on_ordonnee():
     """The chain of involutions on a line through F."""
-    quad = _worked_quadrangle()
+    quad = worked_quadrangle()
     b, c, d, e = quad.bornes
     f, n, g = quad.diagonal_points()
     gn = join(g, n)

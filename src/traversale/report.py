@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class PropertyResult:
+    """Pass count of one property, with the first counterexample if any failed."""
+
     name: str
     passed_cases: int
     total_cases: int
@@ -29,6 +31,8 @@ class PropertyResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """The results of one suite run, rendered by :meth:`to_text`."""
+
     suite: str
     seed: int
     cases: int

@@ -43,12 +43,16 @@ _CLASS_NAMES = {"nondegenerate-real", "empty", "two-lines", "double-line"}
 
 @dataclass(frozen=True)
 class _Token:
+    """A whitespace-separated word of a scene line and its 1-based column."""
+
     text: str
     column: int
 
 
 @dataclass(frozen=True)
 class _Command:
+    """The tokens of one non-empty scene line."""
+
     line_no: int
     tokens: tuple[_Token, ...]
 
@@ -272,7 +276,12 @@ class Scene:
                     raise ParseError(cmd.line_no, tok.column, "viewport=xmin,ymin,xmax,ymax")
                 viewport = tuple(self._rat(cmd, _Token(p, tok.column)) for p in parts)
             elif tok.text.startswith("width="):
-                width = int(tok.text[6:])
+                try:
+                    width = int(tok.text[6:])
+                except ValueError:
+                    raise ParseError(
+                        cmd.line_no, tok.column, f"width must be an integer, got {tok.text[6:]!r}"
+                    ) from None
             else:
                 raise ParseError(cmd.line_no, tok.column, f"unknown render option {tok.text!r}")
         if out is None:

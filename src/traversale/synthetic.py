@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .conic import (
     Conic,
@@ -45,6 +46,7 @@ from .errors import (
     VertexOnTransversal,
 )
 from .involution import InvolutionOnLine, PointPair, involution_from_two_pairs
+from .linalg import solve2
 from .numbers import format_rational, small_extended
 from .projective import (
     LINE_AT_INFINITY,
@@ -60,6 +62,17 @@ from .projective import (
 )
 
 
+def _check_general_position(pts: tuple[PPoint, ...], noun: str) -> None:
+    """Four points pairwise distinct with no three collinear."""
+    if len(set(pts)) != 4:
+        raise DegenerateQuadrangle(f"{noun} must be pairwise distinct")
+    for skip in range(4):
+        trio = [p for i, p in enumerate(pts) if i != skip]
+        if collinear(*trio):
+            raise DegenerateQuadrangle(f"three {noun} are collinear: {trio}")
+
+
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class InscribedQuadrangle:
     """Four bornes on a conic with their bornale couples and diagonal points.
 
@@ -69,27 +82,23 @@ class InscribedQuadrangle:
     triangle, any vertex of which may be at infinity.
     """
 
-    __slots__ = ("conic", "b", "c", "d", "e")
+    conic: Conic
+    b: PPoint
+    c: PPoint
+    d: PPoint
+    e: PPoint
 
     def __init__(self, conic: Conic, b: PPoint, c: PPoint, d: PPoint, e: PPoint):
         pts = (b, c, d, e)
         for p in pts:
             if not conic.contains(p):
                 raise NotOnConic(f"borne {p} is not on the conic")
-        if len(set(pts)) != 4:
-            raise DegenerateQuadrangle("bornes must be pairwise distinct")
-        for skip in range(4):
-            trio = [p for i, p in enumerate(pts) if i != skip]
-            if collinear(*trio):
-                raise DegenerateQuadrangle(f"three bornes are collinear: {trio}")
+        _check_general_position(pts, "bornes")
         object.__setattr__(self, "conic", conic)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "e", e)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InscribedQuadrangle is immutable")
 
     def __repr__(self):
         return f"InscribedQuadrangle({self.b}, {self.c}, {self.d}, {self.e})"
@@ -113,6 +122,21 @@ class InscribedQuadrangle:
         return tuple(meet(l1, l2) for l1, l2 in couples)
 
 
+def worked_quadrangle() -> InscribedQuadrangle:
+    """The worked configuration: B, C, D, E on the unit circle.
+
+    B = (1, 0), C = (-1, 0), D = (3/5, 4/5), E = (5/13, 12/13); the bornale
+    couple {BC, DE} crosses at F = (2, 0), whose traversale is x = 1/2.
+    """
+    return InscribedQuadrangle(
+        Conic.unit_circle(),
+        PPoint(1, 0, 1),
+        PPoint(-1, 0, 1),
+        PPoint(Fraction(3, 5), Fraction(4, 5), 1),
+        PPoint(Fraction(5, 13), Fraction(12, 13), 1),
+    )
+
+
 def diagonal_triangle(q: InscribedQuadrangle) -> tuple[PPoint, PPoint, PPoint]:
     """The diagonal points (F, N, G) of an inscribed quadrangle."""
     return q.diagonal_points()
@@ -130,15 +154,9 @@ class PencilBase:
     member: Conic | None = None
 
     def __post_init__(self):
-        pts = self.points
-        if len(set(pts)) != 4:
-            raise DegenerateQuadrangle("base points must be pairwise distinct")
-        for skip in range(4):
-            trio = [p for i, p in enumerate(pts) if i != skip]
-            if collinear(*trio):
-                raise DegenerateQuadrangle(f"three base points are collinear: {trio}")
+        _check_general_position(self.points, "base points")
         if self.member is not None:
-            for p in pts:
+            for p in self.points:
                 if not self.member.contains(p):
                     raise NotOnConic(f"member conic misses base point {p}")
 
@@ -251,7 +269,7 @@ def pole_by_construction(c: Conic, l: PLine) -> PPoint:
         raise TangentLine(f"{l} is tangent; its pole lies on it and the construction degenerates")
     chart = canonical_chart(l)
     lines: list[PLine] = []
-    for t in _bounded(small_extended(), 64):
+    for t in islice(small_extended(), 64):
         g = chart.point_at(t)
         if c.contains(g):
             continue
@@ -261,11 +279,6 @@ def pole_by_construction(c: Conic, l: PLine) -> PPoint:
         if len(lines) == 2:
             return meet(lines[0], lines[1])
     raise NoRationalSecants(f"could not find two constructible points on {l}")
-
-
-def _bounded(iterator, n):
-    for _ in range(n):
-        yield next(iterator)
 
 
 def incidence_lemma_check(c: Conic, f: PPoint, n: PPoint, d: PPoint, c_pt: PPoint) -> bool:
@@ -382,29 +395,18 @@ def conjugate_diameters(c: Conic, infinity: PLine, d: PLine) -> PLine:
     return join(center, pole(c, d))
 
 
-def _affine(p: PPoint) -> tuple[Fraction, Fraction, Fraction]:
-    x, y = p.affine()
-    return (x, y, Fraction(1))
-
-
 def _section_ratio(p: PPoint, x: PPoint, q: PPoint) -> Fraction:
     """Signed ratio px/xq for collinear p, x, q with p, q finite.
 
     Decomposes x = alpha*p + beta*q on normalized representatives; the
     ratio is beta/alpha, and it is -1 exactly when x is at infinity.
     """
-    pa, qa = _affine(p), _affine(q)
-    rows = [
-        (i, j)
-        for i in range(3)
-        for j in range(i + 1, 3)
-        if pa[i] * qa[j] - pa[j] * qa[i] != 0
-    ]
-    i, j = rows[0]
-    xc = x.coords
-    det = pa[i] * qa[j] - pa[j] * qa[i]
-    alpha = Fraction(xc[i] * qa[j] - xc[j] * qa[i], 1) / det
-    beta = Fraction(pa[i] * xc[j] - pa[j] * xc[i], 1) / det
+    pa, qa, xc = (*p.affine(), 1), (*q.affine(), 1), x.coords
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        alpha_beta = solve2((pa[i], pa[j]), (qa[i], qa[j]), (xc[i], xc[j]))
+        if alpha_beta is not None:
+            break
+    alpha, beta = alpha_beta
     if alpha == 0:
         raise VertexOnTransversal(f"section point coincides with {q}")
     if beta == 0:

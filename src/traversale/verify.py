@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .conic import (
     Conic,
+    affine_features,
     classify,
     is_tangent_line,
     line_intersect,
@@ -30,11 +31,14 @@ from .conic import (
     polarity_involution_on_line,
     pole,
     rational_parametrize,
+    second_intersection,
     tangent_at,
     transform,
 )
 from .errors import (
+    EmptyViewport,
     GeometryError,
+    InvalidCaseCount,
     SingularMatrix,
     TangentLine,
     UnknownSuite,
@@ -64,7 +68,7 @@ from .projective import (
     join,
     meet,
 )
-from .render import FIGURES, build_figure, render_figure
+from .render import FIGURES, build_figure, render_figure, render_svg
 from .report import PropertyResult, VerificationReport
 from .synthetic import (
     InscribedQuadrangle,
@@ -80,6 +84,7 @@ from .synthetic import (
     tangent_via_harmonic,
     traversale_from_quadrangle,
     two_involutions,
+    worked_quadrangle,
 )
 
 X_AXIS = PLine(0, 1, 0)
@@ -148,7 +153,7 @@ def _run_property(suite: str, prop: str, seed: int, cases: int, case_fn) -> Prop
             ok, transcript = case_fn(draws)
         except _CaseUnbuildable:
             ok, transcript = True, []  # vacuous case; keep the count honest but green
-        except GeometryError as exc:
+        except Exception as exc:  # any crash is a failing case, not an aborted suite
             ok, transcript = False, [f"unexpected {type(exc).__name__}: {exc}"]
         if not ok:
             failures += 1
@@ -435,7 +440,7 @@ def _suite_incidence_duality(seed, cases):
             if q == apex:
                 continue
             l = join(apex, q)
-            if l not in lines and pole(c, l) is not None:
+            if l not in lines:
                 lines.append(l)
             if len(lines) == 3:
                 break
@@ -657,20 +662,9 @@ def _fixed_property(name: str, fn) -> PropertyResult:
     return PropertyResult(name, 1 if ok else 0, 1, None if ok else detail)
 
 
-def _worked_objects():
-    circle = Conic.unit_circle()
-    quad = InscribedQuadrangle(
-        circle,
-        PPoint(1, 0, 1),
-        PPoint(-1, 0, 1),
-        PPoint(Fraction(3, 5), Fraction(4, 5), 1),
-        PPoint(Fraction(5, 13), Fraction(12, 13), 1),
-    )
-    return circle, quad
-
-
 def _suite_worked_example(seed, cases):
-    circle, quad = _worked_objects()
+    quad = worked_quadrangle()
+    circle = quad.conic
     f = PPoint(2, 0, 1)
 
     def diagonal():
@@ -686,8 +680,6 @@ def _suite_worked_example(seed, cases):
         n = PPoint(Fraction(1, 2), 1, 1)
         d = PPoint(Fraction(3, 5), Fraction(4, 5), 1)
         b = PPoint(1, 0, 1)
-        from .conic import second_intersection
-
         e = second_intersection(circle, d, f)
         p = meet(join(n, e), join(f, b))
         ok = (
@@ -773,8 +765,6 @@ def _suite_worked_example(seed, cases):
 def _suite_affine_diameters(seed, cases):
     def asymptotes():
         hyp = Conic(((1, 0, 0), (0, -1, 0), (0, 0, -1)))
-        from .conic import affine_features
-
         feats = affine_features(hyp)
         want = {PLine(1, 1, 0), PLine(1, -1, 0)}
         ok = (
@@ -805,8 +795,6 @@ def _suite_affine_diameters(seed, cases):
 
     def center_from_diametrales(d: Draws):
         c = _draw_conic(d)
-        from .conic import affine_features
-
         feats = affine_features(c, LINE_AT_INFINITY)
         if feats.kind.value == "parabola":
             raise _CaseUnbuildable()
@@ -924,9 +912,6 @@ def _suite_rendering(seed, cases):
         return ok, "; ".join(details)
 
     def empty_viewport():
-        from .errors import EmptyViewport
-        from .render import render_svg
-
         try:
             render_svg([], (Fraction(0), Fraction(0), Fraction(0), Fraction(1)))
         except EmptyViewport:
@@ -991,6 +976,8 @@ def verify_suite(name: str, seed: int = 1, cases: int | None = None) -> Verifica
     if name not in _SUITE_FNS:
         raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(ALL_SUITES)}")
     n = cases if cases is not None else DEFAULT_CASES.get(name, 100)
+    if n < 1:
+        raise InvalidCaseCount(f"case count must be at least 1, got {n}")
     props = _SUITE_FNS[name](seed, n)
     return VerificationReport(suite=name, seed=seed, cases=n, properties=tuple(props))
 

@@ -1,9 +1,7 @@
-from fractions import Fraction
-
 import pytest
 
-from traversale import Conic, PLine, PPoint, canonical_chart
-from traversale.synthetic import InscribedQuadrangle
+from traversale import Conic, PLine, canonical_chart
+from traversale.synthetic import worked_quadrangle as _worked_quadrangle
 
 
 @pytest.fixture
@@ -17,12 +15,6 @@ def x_axis_chart():
 
 
 @pytest.fixture
-def worked_quadrangle(circle):
+def worked_quadrangle():
     """B=(1,0), C=(-1,0), D=(3/5,4/5), E=(5/13,12/13) on the unit circle."""
-    return InscribedQuadrangle(
-        circle,
-        PPoint(1, 0, 1),
-        PPoint(-1, 0, 1),
-        PPoint(Fraction(3, 5), Fraction(4, 5), 1),
-        PPoint(Fraction(5, 13), Fraction(12, 13), 1),
-    )
+    return _worked_quadrangle()

@@ -29,6 +29,8 @@ def test_empty_viewport_rejected():
         render_svg([], (Fraction(0), Fraction(0), Fraction(0), Fraction(1)))
     with pytest.raises(EmptyViewport):
         render_svg([], (Fraction(1), Fraction(0), Fraction(0), Fraction(1)))
+    with pytest.raises(EmptyViewport):
+        render_svg([], (Fraction(0), Fraction(0), Fraction(1), Fraction(1)), width=0)
 
 
 def _sine_residual(p, a, b):

@@ -53,9 +53,13 @@ def test_scene_parse_error_zero_denominator():
 
 
 def test_scene_parse_error_bad_token_column():
-    with pytest.raises(ParseError) as exc:
-        run_scene_text("conic c 1 1 -1 0 0 oops\n")
-    assert exc.value.line == 1 and exc.value.column == 20
+    for text, line, column in (
+        ("conic c 1 1 -1 0 0 oops\n", 1, 20),
+        ("point F 2 0 1\nrender scene out=s.svg width=abc\n", 2, 24),
+    ):
+        with pytest.raises(ParseError) as exc:
+            run_scene_text(text)
+        assert exc.value.line == line and exc.value.column == column
 
 
 def test_scene_unknown_reference():
@@ -141,11 +145,14 @@ def test_cli_classify(capsys):
     assert "class two-lines" in out and "point-double (0, 1, 0)" in out
 
 
-def test_cli_bad_input_exit_2(capsys):
+def test_cli_bad_input_exit_2(tmp_path, capsys):
     assert main(["polar", "--conic", "1 1", "--point", "(2, 0, 1)"]) == 2
     assert main(["polar", "--conic", "1 1 -1 0 0 0", "--point", "(0, 0, 0)"]) == 2
     assert main(["verify", "not-a-suite"]) == 2
-    capsys.readouterr()
+    assert main(["verify", "biduality", "--cases", "-3"]) == 2
+    assert main(["render", "fig8", "--width", "0", "--out", str(tmp_path / "f.svg")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 5 and len(err.splitlines()) == 5
 
 
 def test_cli_run_exit_codes(tmp_path, capsys):
@@ -158,7 +165,15 @@ def test_cli_run_exit_codes(tmp_path, capsys):
     malformed = tmp_path / "broken.scene"
     malformed.write_text("point P 1/0 0 1\n")
     assert main(["run", str(malformed)]) == 2
-    capsys.readouterr()
+    zero_width = tmp_path / "zero-width.scene"
+    zero_width.write_text("point F 2 0 1\nrender scene out=s.svg width=0\n")
+    assert main(["run", str(zero_width)]) == 2
+    bad_width = tmp_path / "bad-width.scene"
+    bad_width.write_text("point F 2 0 1\nrender scene out=s.svg width=abc\n")
+    assert main(["run", str(bad_width)]) == 2
+    assert main(["run", str(tmp_path)]) == 2  # a directory, not a scene file
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 4 and len(err.splitlines()) == 4
 
 
 def test_cli_render_writes(tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from traversale.errors import UnknownSuite
+from traversale.errors import InvalidCaseCount, UnknownSuite
 from traversale.verify import (
     ALL_SUITES,
     DEFAULT_CASES,
@@ -33,6 +33,8 @@ def test_registry_contains_the_named_suites():
 def test_unknown_suite_raises():
     with pytest.raises(UnknownSuite):
         verify_suite("knot-theory")
+    with pytest.raises(InvalidCaseCount):
+        verify_suite("biduality", cases=0)
 
 
 def test_reports_are_byte_identical():
@@ -88,3 +90,13 @@ def test_failure_produces_shrunk_counterexample():
     assert res.counterexample.endswith("a=1")
     line = res.line()
     assert line.startswith("FAIL broken ")
+
+
+def test_unexpected_exception_is_a_failing_case():
+    def crashes(d):
+        a = d.draw_int(0, 3)
+        return 1 // a > 0, [f"a={a}"]  # ZeroDivisionError whenever a == 0
+
+    res = _run_property("demo", "crashes", seed=1, cases=40, case_fn=crashes)
+    assert 0 < res.passed_cases < res.total_cases == 40
+    assert "unexpected ZeroDivisionError: integer division or modulo by zero" in res.counterexample
