@@ -13,6 +13,7 @@ approximating.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -30,8 +31,8 @@ from .errors import (
     ZeroForm,
 )
 from .involution import InvolutionOnLine, involution_from_action
-from .linalg import Mat3, adjugate, cross, det3, dot, mat_mul, mat_vec, nullspace, primitive, transpose
-from .numbers import ExtRat, is_square, small_rationals, sqrt_exact
+from .linalg import Mat3, adjugate, cross, det3, dot, mat_mul, mat_vec, nullspace, primitive, primitive_rows, transpose
+from .numbers import ExtRat, small_rationals
 from .projective import (
     LINE_AT_INFINITY,
     Homography,
@@ -60,18 +61,14 @@ class Conic:
     witness: PPoint | None = field(compare=False)
 
     def __init__(self, rows, witness: PPoint | None = None):
-        flat = [Fraction(x) for row in rows for x in row]
-        if len(flat) != 9:
+        if len(rows) != 3 or any(len(row) != 3 for row in rows):
             raise ValueError("conic needs a 3x3 matrix")
-        if all(x == 0 for x in flat):
-            raise ZeroForm("the zero form defines no conic")
-        m = (tuple(flat[0:3]), tuple(flat[3:6]), tuple(flat[6:9]))
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if m[i][j] != m[j][i]:
-                    raise ValueError(f"conic matrix must be symmetric, got {m}")
-        p = primitive(flat)
-        mat = (tuple(p[0:3]), tuple(p[3:6]), tuple(p[6:9]))
+        try:
+            mat = primitive_rows(rows)
+        except ValueError:
+            raise ZeroForm("the zero form defines no conic") from None
+        if mat[0][1] != mat[1][0] or mat[0][2] != mat[2][0] or mat[1][2] != mat[2][1]:
+            raise ValueError(f"conic matrix must be symmetric, got {mat}")
         if witness is not None and dot(mat_vec(mat, witness.coords), witness.coords) != 0:
             raise BasePointNotOnConic(f"witness {witness} is not on the conic")
         object.__setattr__(self, "matrix", mat)
@@ -101,7 +98,7 @@ class Conic:
         """(a, b, c, d, e, f) with a x^2 + b y^2 + c z^2 + d xy + e xz + f yz = 0."""
         m = self.matrix
         raw = (m[0][0], m[1][1], m[2][2], 2 * m[0][1], 2 * m[0][2], 2 * m[1][2])
-        return tuple(int(x) for x in primitive(raw))
+        return primitive(raw)
 
     def with_witness(self, witness: PPoint) -> "Conic":
         return Conic(self.matrix, witness=witness)
@@ -166,7 +163,7 @@ def conic_from_five_points(p1: PPoint, p2: PPoint, p3: PPoint, p4: PPoint, p5: P
     rows = []
     for p in pts:
         x, y, z = p.coords
-        rows.append([Fraction(v) for v in (x * x, y * y, z * z, x * y, x * z, y * z)])
+        rows.append((x * x, y * y, z * z, x * y, x * z, y * z))
     basis = nullspace(rows, 6)
     if len(basis) != 1:
         raise DegeneratePointSet(f"the five points admit a {len(basis)}-dimensional family of conics")
@@ -245,9 +242,9 @@ def line_intersect(c: Conic, l: PLine) -> tuple[PPoint, ...]:
         elif disc == 0:
             points = [PPoint(*(2 * alpha * a - beta * b for a, b in zip(p0, p1)))]
         else:
-            if not is_square(Fraction(disc)):
-                raise IrrationalIntersection(Fraction(disc))
-            root = int(sqrt_exact(Fraction(disc)))
+            root = math.isqrt(disc)
+            if root * root != disc:
+                raise IrrationalIntersection(disc)
             points = [
                 PPoint(*(2 * alpha * a + (-beta + root) * b for a, b in zip(p0, p1))),
                 PPoint(*(2 * alpha * a + (-beta - root) * b for a, b in zip(p0, p1))),
@@ -296,8 +293,12 @@ def tangents_from(c: Conic, f: PPoint) -> tuple[tuple[PLine, PPoint], ...]:
 
 
 def _inertia(mat) -> tuple[int, int]:
-    """Exact Sylvester inertia by rational symmetric congruence reduction."""
-    a = [[Fraction(mat[i][j]) for j in range(3)] for i in range(3)]
+    """Exact Sylvester inertia by fraction-free symmetric congruence reduction.
+
+    After each pivot d the remaining block becomes |d| times its Schur
+    complement, a positive multiple, so the inertia is unchanged.
+    """
+    a = [list(row) for row in mat]
     active = [0, 1, 2]
     npos = nneg = 0
     while active:
@@ -323,9 +324,10 @@ def _inertia(mat) -> tuple[int, int]:
             nneg += 1
         active.remove(pivot)
         col = {i: a[i][pivot] for i in active}
+        scale, sign = abs(d), (1 if d > 0 else -1)
         for i in active:
             for j in active:
-                a[i][j] -= col[i] * col[j] / d
+                a[i][j] = scale * a[i][j] - sign * col[i] * col[j]
     return npos, nneg
 
 
@@ -345,10 +347,8 @@ def classify(c: Conic) -> Classification:
         kind = ConicClass.EMPTY if signature == (3, 0) else ConicClass.NONDEGENERATE_REAL
         return Classification(kind, signature, rank)
     if rank == 2:
-        rows = [[Fraction(x) for x in row] for row in c.matrix]
-        kernel = nullspace(rows, 3)
-        assert len(kernel) == 1
-        double = PPoint(*kernel[0])
+        # adj(M) of a rank-2 symmetric M is a multiple of k k^T, k spanning the kernel
+        double = PPoint(*next(r for r in adjugate(c.matrix) if any(r)))
         return Classification(ConicClass.DEGENERATE_TWO_LINES, signature, rank, point_double=double)
     row = next(r for r in c.matrix if any(r))
     return Classification(
@@ -474,7 +474,7 @@ def find_rational_point(c: Conic, budget: int = 120) -> PPoint | None:
         for l in (
             PLine(1, 0, -r),  # x = r
             PLine(0, 1, -r),  # y = r
-            PLine(Fraction(r), -1, 0),  # y = r x
+            PLine(r, -1, 0),  # y = r x
         ):
             tried += 1
             if tried > budget:

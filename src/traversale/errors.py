@@ -39,6 +39,14 @@ class SingularMatrix(GeometryError):
     """A homography matrix must be invertible."""
 
 
+class DegenerateChart(GeometryError, ValueError):
+    """A line chart needs three pairwise distinct reference points.
+
+    Also a ValueError, since a repeated reference point is a bad argument
+    value to the chart constructor.
+    """
+
+
 # involutions ---------------------------------------------------------------
 
 class UnderdeterminedInvolution(GeometryError):

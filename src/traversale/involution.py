@@ -12,24 +12,14 @@ theorem, and the test suite treats it as one rather than assuming it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .errors import CenterOnLine, InfiniteNode, InvalidSouche, UnderdeterminedInvolution
-from .linalg import Mat2, adjugate2, cross, det2, mat2_mul, mat2_vec, primitive_mat2
-from .numbers import (
-    INF,
-    ExtRat,
-    Pair,
-    format_extended,
-    from_pair,
-    is_square,
-    pair_cross,
-    parse_extended,
-    sqrt_exact,
-    to_pair,
-)
+from .linalg import Mat2, adjugate2, cross, det2, mat2_mul, mat2_vec, primitive_rows
+from .numbers import INF, ExtRat, Pair, format_extended, from_pair, pair_cross, parse_extended, to_pair
 from .projective import LineChart, PPoint, join, meet
 
 
@@ -78,7 +68,7 @@ def _as_ext(v) -> ExtRat:
 
 
 def _ext_key(v: ExtRat):
-    return (1, Fraction(0)) if v is INF else (0, v)
+    return (1, 0) if v is INF else (0, v)
 
 
 class InvolutionKind(Enum):
@@ -101,7 +91,7 @@ class InvolutionOnLine:
     matrix: Mat2
 
     def __init__(self, chart: LineChart, matrix):
-        m = primitive_mat2(matrix)
+        m = primitive_rows(matrix)
         if m[0][0] + m[1][1] != 0:
             raise UnderdeterminedInvolution(f"matrix {m} is not involutive (trace != 0)")
         if det2(m) == 0:
@@ -140,7 +130,7 @@ def involution_from_two_pairs(p1: PointPair, p2: PointPair, chart: LineChart) ->
     return InvolutionOnLine(chart, ((a, b), (c, -a)))
 
 
-def _pair_row(p: PointPair) -> tuple[Fraction, Fraction, Fraction]:
+def _pair_row(p: PointPair) -> tuple[int, int, int]:
     (x, y), (x2, y2) = p.as_pairs()
     return (x * y2 + x2 * y, y * y2, -x * x2)
 
@@ -166,12 +156,12 @@ def classify_and_fixed_points(
     if c == 0:
         # infinity is fixed; the finite fixed point solves 2a*t + b = 0
         return (InvolutionKind.HYPERBOLIC, tuple(sorted((Fraction(-b, 2 * a), INF), key=_ext_key)))
-    disc = Fraction(a * a + b * c)
+    disc = a * a + b * c
     if disc < 0:
         return (InvolutionKind.ELLIPTIC, None)
-    if not is_square(disc):
+    s = math.isqrt(disc)
+    if s * s != disc:
         return (InvolutionKind.HYPERBOLIC_IRRATIONAL, None)
-    s = sqrt_exact(disc)
     t1 = Fraction(a + s, c)
     t2 = Fraction(a - s, c)
     return (InvolutionKind.HYPERBOLIC, tuple(sorted((t1, t2))))
@@ -343,10 +333,9 @@ def mobius_from_three(src: tuple[Pair, Pair, Pair], dst: tuple[Pair, Pair, Pair]
 
 def _chart_transfer_matrix(source: LineChart, map_point, target: LineChart):
     """Matrix of a projective point map in chart coordinates."""
-    refs = (Fraction(0), Fraction(1), INF)
-    src_pairs = tuple(to_pair(t) for t in refs)
+    src_pairs = ((0, 1), (1, 1), (1, 0))  # the chart coordinates 0, 1 and INF
     dst_pairs = tuple(
-        target.pair_of(map_point(source.point_at(t))) for t in refs
+        target.pair_of(map_point(source.point_from_pair(p))) for p in src_pairs
     )
     return mobius_from_three(src_pairs, dst_pairs)
 

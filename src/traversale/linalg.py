@@ -1,18 +1,20 @@
-"""Small exact linear algebra over the integers and rationals.
+"""Small exact linear algebra on integer homogeneous vectors and matrices.
 
 Projective objects are stored as primitive integer vectors and matrices
 (coprime entries, first nonzero entry positive), which makes equality up to
-scale a plain tuple comparison.  The stored entries are `int`, but
-:func:`primitive` reaches them through `Fraction`: every entry is lifted to a
-Fraction, scaled by the common denominator and divided by the gcd, even when
-the input is already integral.  Anything returned to callers that is
-genuinely rational uses Fraction.
+scale a plain tuple comparison.  Every entry the kernel computes with is an
+`int`.  Rational input becomes integer in one place, :func:`primitive`, which
+reads the numerator and denominator of each `int` or `Fraction` entry and
+clears denominators with integer lcm/gcd.  `Fraction` appears only at the
+boundary: in :func:`nullspace`, the one rational solver, and in values that
+are rational by nature and handed back to callers.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 Vec3 = tuple[int, int, int]
 Mat3 = tuple[Vec3, Vec3, Vec3]
@@ -20,27 +22,20 @@ Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
 
 def primitive(values) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers, first nonzero positive.
+    """Scale a sequence of ints and Fractions to coprime integers, first nonzero positive.
 
+    Reads each entry's numerator and denominator; builds no Fraction.
     Raises ValueError on the zero vector.
     """
-    fracs = [Fraction(v) for v in values]
-    if all(f == 0 for f in fracs):
+    dens = [v.denominator for v in values]
+    den = math.lcm(*dens)
+    ints = [v.numerator * (den // d) for v, d in zip(values, dens)]
+    g = math.gcd(*ints)
+    if g == 0:
         raise ValueError("zero vector has no primitive form")
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fracs]
-    g = 0
-    for n in ints:
-        g = math.gcd(g, n)
-    ints = [n // g for n in ints]
-    for n in ints:
-        if n != 0:
-            if n < 0:
-                ints = [-m for m in ints]
-            break
-    return tuple(ints)
+    if next(filter(None, ints)) < 0:
+        g = -g
+    return tuple([n // g for n in ints])
 
 
 def cross(a, b) -> Vec3:
@@ -100,16 +95,10 @@ def adjugate(m) -> Mat3:
     )
 
 
-def primitive_mat3(rows) -> Mat3:
-    flat = [x for row in rows for x in row]
-    p = primitive(flat)
-    return (tuple(p[0:3]), tuple(p[3:6]), tuple(p[6:9]))
-
-
-def primitive_mat2(rows) -> Mat2:
-    flat = [x for row in rows for x in row]
-    p = primitive(flat)
-    return (tuple(p[0:2]), tuple(p[2:4]))
+def primitive_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """:func:`primitive` applied to a whole matrix, keeping its row shape."""
+    flat = iter(primitive([x for row in rows for x in row]))
+    return tuple(tuple(islice(flat, len(row))) for row in rows)
 
 
 def mat2_vec(m, v):
@@ -133,19 +122,18 @@ def adjugate2(m):
 
 
 def solve2(a, b, rhs):
-    """Solve [a b] x = rhs for 2-vectors a, b (columns); exact Fractions.
+    """Solve [a b] (x, y) = rhs for 2-vectors a, b (columns), by Cramer's rule.
 
-    Returns None when the columns are dependent.
+    Returns integers (x, y, d) meaning the solution (x/d, y/d), d nonzero,
+    or None when the columns are dependent.
     """
     d = a[0] * b[1] - a[1] * b[0]
     if d == 0:
         return None
-    x = Fraction(rhs[0] * b[1] - rhs[1] * b[0], d)
-    y = Fraction(a[0] * rhs[1] - a[1] * rhs[0], d)
-    return (x, y)
+    return (rhs[0] * b[1] - rhs[1] * b[0], a[0] * rhs[1] - a[1] * rhs[0], d)
 
 
-def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+def nullspace(rows, ncols: int) -> list[list[Fraction]]:
     """Basis of the nullspace of a rational matrix, by Gaussian elimination."""
     mat = [list(map(Fraction, row)) for row in rows]
     nrows = len(mat)

@@ -1,11 +1,12 @@
 """Exact scalar arithmetic: rationals, the extended rational line, text forms.
 
-The carrier field everywhere is ``fractions.Fraction`` (arbitrary-precision,
-always in lowest terms, positive denominator).  A projective line needs one
-extra value, the point at infinity, represented by the singleton :data:`INF`.
-Extended rationals are handled as homogeneous integer pairs ``(num, den)``
-with ``t = num/den`` and ``INF = (1, 0)`` whenever a computation must stay
-total.
+The kernel computes on integers; ``fractions.Fraction`` appears only at the
+boundary, for values parsed from text, printed, or handed back to callers
+as rational coordinates.  A projective line needs one extra value, the point
+at infinity, represented by the singleton :data:`INF`.  Inside the kernel a
+point of a line is a homogeneous integer pair ``(num, den)`` with
+``t = num/den`` and ``INF = (1, 0)``, so computations stay total;
+:func:`to_pair` and :func:`from_pair` convert at the boundary.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ INF = _Infinity()
 # A coordinate on a projective line: a rational number or INF.
 ExtRat = Fraction | _Infinity
 
-# Homogeneous pair (num, den) for a point of the projective line.
-Pair = tuple[Fraction, Fraction]
+# Homogeneous integer pair (num, den) for a point of the projective line.
+Pair = tuple[int, int]
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -86,8 +87,8 @@ def format_extended(value: ExtRat) -> str:
 def to_pair(value: ExtRat) -> Pair:
     """Homogeneous pair of an extended rational; INF becomes (1, 0)."""
     if value is INF:
-        return (Fraction(1), Fraction(0))
-    return (Fraction(value), Fraction(1))
+        return (1, 0)
+    return (value.numerator, value.denominator)
 
 
 def from_pair(pair: Pair) -> ExtRat:
@@ -99,7 +100,7 @@ def from_pair(pair: Pair) -> ExtRat:
     return Fraction(num, den)
 
 
-def pair_cross(p: Pair, q: Pair) -> Fraction:
+def pair_cross(p: Pair, q: Pair) -> int:
     """Determinant |p q|; zero iff the pairs name the same point."""
     return p[0] * q[1] - p[1] * q[0]
 
@@ -136,15 +137,3 @@ def small_extended():
     next(src)  # drop the duplicate 0
     yield from src
 
-
-def is_square(value: Fraction) -> bool:
-    """Exact test: is a nonnegative rational the square of a rational?"""
-    if value < 0:
-        return False
-    num, den = value.numerator, value.denominator
-    return math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
-
-
-def sqrt_exact(value: Fraction) -> Fraction:
-    """Exact square root of a rational square (caller checks is_square)."""
-    return Fraction(math.isqrt(value.numerator), math.isqrt(value.denominator))

@@ -1,11 +1,14 @@
 """Exact projective plane over the rationals.
 
-Points and lines are homogeneous triples of rationals, stored in primitive
-integer form (coprime entries, first nonzero entry positive) so that equality
-up to scale is plain tuple equality and hashing is free.  Points with third
-coordinate zero are the points at infinity; the line ``[0, 0, 1]`` is the
-default line at infinity.  Everything here is an immutable value and every
-operation is a pure function.
+Points and lines are homogeneous triples, built from ints or Fractions and
+stored in primitive integer form (coprime entries, first nonzero entry
+positive) so that equality up to scale is plain tuple equality and hashing
+is free.  All computation is on those integers; `Fraction` appears only at
+the boundary, in parsed literals, printed forms, affine coordinates and
+chart coordinates handed back to callers.  Points with third coordinate
+zero are the points at infinity; the line ``[0, 0, 1]`` is the default line
+at infinity.  Everything here is an immutable value and every operation is
+a pure function.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ from .errors import (
     CoincidentLines,
     CoincidentPoints,
     ConjugateUndefined,
+    DegenerateChart,
     DegenerateQuadruple,
     NotOnLine,
     SingularMatrix,
 )
-from .linalg import Mat3, Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, primitive, primitive_mat3, solve2, transpose
+from .linalg import Mat3, Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, primitive, primitive_rows, solve2, transpose
 from .numbers import INF, ExtRat, Pair, format_rational, from_pair, pair_cross, parse_rational, to_pair
 
 
@@ -83,10 +87,6 @@ class PPoint:
 
     def on(self, line: "PLine") -> bool:
         return dot(self.coords, line.coeffs) == 0
-
-    @classmethod
-    def affine_point(cls, x, y) -> "PPoint":
-        return cls(Fraction(x), Fraction(y), 1)
 
     @classmethod
     def parse(cls, text: str) -> "PPoint":
@@ -170,22 +170,23 @@ class LineChart:
     The chart is fixed by three pairwise distinct reference points on the
     line: ``origin`` gets coordinate 0, ``unit`` coordinate 1 and
     ``infinity_point`` the value INF.  Internally the points of the line are
-    written s*O + t*I against representatives chosen so unit = O + I; the
-    chart coordinate is t/s, kept as a homogeneous pair for totality.
+    written s*O + t*I against integer representatives O, I whose sum
+    represents unit; the chart coordinate is t/s, kept as a homogeneous
+    integer pair for totality.
     """
 
     line: PLine
     origin: PPoint
     unit: PPoint
     infinity_point: PPoint
-    _rep_o: tuple = field(compare=False)
-    _rep_i: tuple = field(compare=False)
+    _rep_o: Vec3 = field(compare=False)
+    _rep_i: Vec3 = field(compare=False)
     _rows: tuple[int, int] = field(compare=False)
 
     def __init__(self, line: PLine, origin: PPoint, unit: PPoint, infinity_point: PPoint):
         refs = (origin, unit, infinity_point)
         if len({origin, unit, infinity_point}) != 3:
-            raise ValueError("chart reference points must be pairwise distinct")
+            raise DegenerateChart("chart reference points must be pairwise distinct")
         for p in refs:
             if not line.contains(p):
                 raise NotOnLine(f"chart reference {p} is not on {line}")
@@ -195,7 +196,7 @@ class LineChart:
             (o[rows[0]], o[rows[1]]), (i[rows[0]], i[rows[1]]), (u[rows[0]], u[rows[1]])
         )
         assert lam_mu is not None, "collinear references always decompose"
-        lam, mu = lam_mu
+        lam, mu, _ = lam_mu  # unit = (lam*o + mu*i)/d, and the common 1/d is dropped
         object.__setattr__(self, "line", line)
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "unit", unit)
@@ -215,7 +216,7 @@ class LineChart:
         o, i, p = self._rep_o, self._rep_i, point.coords
         st = solve2((o[r0], o[r1]), (i[r0], i[r1]), (p[r0], p[r1]))
         assert st is not None
-        s, t = st
+        s, t, _ = st
         return (t, s)
 
     def coordinate(self, point: PPoint) -> ExtRat:
@@ -252,11 +253,11 @@ def canonical_chart(line: PLine) -> LineChart:
     if line == LINE_AT_INFINITY:
         return LineChart(line, PPoint(1, 0, 0), PPoint(1, 1, 0), PPoint(0, 1, 0))
     if v != 0:
-        origin = PPoint(0, Fraction(-w, v), 1)
-        unit = PPoint(1, Fraction(-(w + u), v), 1)
+        origin = PPoint(0, -w, v)
+        unit = PPoint(v, -(w + u), v)
         return LineChart(line, origin, unit, PPoint(v, -u, 0))
-    origin = PPoint(Fraction(-w, u), 0, 1)
-    unit = PPoint(Fraction(-w, u), 1, 1)
+    origin = PPoint(-w, 0, u)
+    unit = PPoint(-w, u, u)
     return LineChart(line, origin, unit, PPoint(0, 1, 0))
 
 
@@ -275,7 +276,7 @@ def cross_ratio(a: PPoint, b: PPoint, c: PPoint, d: PPoint, chart: LineChart) ->
     den = pair_cross(pa, pd) * pair_cross(pb, pc)
     if den == 0:
         return INF
-    return num / den
+    return Fraction(num, den)
 
 
 def harmonic_conjugate(c: PPoint, a: PPoint, b: PPoint, chart: LineChart) -> PPoint:
@@ -302,7 +303,7 @@ class Homography:
     matrix: Mat3
 
     def __init__(self, rows):
-        m = primitive_mat3(rows)
+        m = primitive_rows(rows)
         if det3(m) == 0:
             raise SingularMatrix(f"matrix {m} is singular")
         object.__setattr__(self, "matrix", m)
@@ -329,7 +330,7 @@ class Homography:
 
     @classmethod
     def scaling(cls, sx, sy) -> "Homography":
-        return cls(((Fraction(sx), 0, 0), (0, Fraction(sy), 0), (0, 0, 1)))
+        return cls(((sx, 0, 0), (0, sy, 0), (0, 0, 1)))
 
 
 def apply_homography(h: Homography, obj):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .conic import Conic, find_rational_point, polar, rational_parametrize, tangents_from
-from .errors import EmptyViewport, UnknownReference
+from .errors import EmptyViewport, NoRationalSecants, UnknownReference
 from .numbers import INF
 from .projective import LINE_AT_INFINITY, PLine, PPoint, join, meet
 from .synthetic import worked_quadrangle
@@ -108,7 +108,7 @@ def _conic_samples(c: Conic, frame: "_Frame") -> list[tuple[Fraction, Fraction] 
     """
     base = find_rational_point(c)
     if base is None:
-        raise UnknownReference("cannot render a conic without a rational point")
+        raise NoRationalSecants("cannot render a conic without a rational point")
     par = rational_parametrize(c, base)
     params: list = [Fraction(k, 4) for k in range(-4 * 24, 4 * 24 + 1)]
     params += [Fraction(96, k) for k in range(-23, 24) if k != 0]

@@ -398,20 +398,24 @@ def conjugate_diameters(c: Conic, infinity: PLine, d: PLine) -> PLine:
 def _section_ratio(p: PPoint, x: PPoint, q: PPoint) -> Fraction:
     """Signed ratio px/xq for collinear p, x, q with p, q finite.
 
-    Decomposes x = alpha*p + beta*q on normalized representatives; the
-    ratio is beta/alpha, and it is -1 exactly when x is at infinity.
+    Decomposes x = alpha*p + beta*q on the integer representatives; on the
+    representatives with last coordinate 1 the ratio is (beta*qz)/(alpha*pz),
+    and it is -1 exactly when x is at infinity.
     """
-    pa, qa, xc = (*p.affine(), 1), (*q.affine(), 1), x.coords
+    for v in (p, q):
+        if v.is_infinite:
+            raise ValueError(f"{v} is at infinity")
+    pc, qc, xc = p.coords, q.coords, x.coords
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        alpha_beta = solve2((pa[i], pa[j]), (qa[i], qa[j]), (xc[i], xc[j]))
+        alpha_beta = solve2((pc[i], pc[j]), (qc[i], qc[j]), (xc[i], xc[j]))
         if alpha_beta is not None:
             break
-    alpha, beta = alpha_beta
+    alpha, beta, _ = alpha_beta
     if alpha == 0:
         raise VertexOnTransversal(f"section point coincides with {q}")
     if beta == 0:
         raise VertexOnTransversal(f"section point coincides with {p}")
-    return beta / alpha
+    return Fraction(beta * qc[2], alpha * pc[2])
 
 
 def menelaus_check(

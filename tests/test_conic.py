@@ -286,6 +286,11 @@ def test_classify_circle(circle):
     r = classify(circle)
     assert r.kind == ConicClass.NONDEGENERATE_REAL
     assert r.signature == (2, 1) and r.rank == 3
+    # zero diagonals: the reduction must pivot on an off-diagonal entry
+    for rows in (((0, 1, 0), (1, 0, 0), (0, 0, -2)), ((0, 1, 1), (1, 0, 1), (1, 1, 0))):
+        r = classify(Conic(rows))
+        assert r.kind == ConicClass.NONDEGENERATE_REAL
+        assert r.signature == (2, 1) and r.rank == 3
 
 
 def test_classify_empty():
@@ -297,6 +302,10 @@ def test_classify_two_lines():
     r = classify(Conic(((1, 0, 0), (0, 0, 0), (0, 0, -1))))
     assert r.kind == ConicClass.DEGENERATE_TWO_LINES
     assert r.signature == (1, 1) and r.point_double == PPoint(0, 1, 0)
+    # 2x(y - z) = 0: the kernel is off the coordinate axes
+    r = classify(Conic(((0, 1, -1), (1, 0, 0), (-1, 0, 0))))
+    assert r.kind == ConicClass.DEGENERATE_TWO_LINES
+    assert r.signature == (1, 1) and r.rank == 2 and r.point_double == PPoint(0, 1, 1)
 
 
 def test_classify_two_conjugate_lines():

@@ -1,0 +1,163 @@
+"""Seeded fuzzing of the CLI boundary: every input ends in exit 0, 1 or 2.
+
+Random argv for every verb and random scene text are fed to ``cli.main``
+in-process.  No exception may escape, and an exit code of 2 (bad input)
+must come with exactly one ``error:`` line on stderr.  The literals mix
+valid rationals with the edge cases of the parser: ``3/-4``, ``1/0``,
+``-0``, ``+5``, 25-digit integers and non-numbers.
+"""
+
+import random
+
+import pytest
+
+from traversale.cli import main
+from traversale.render import FIGURES
+from traversale.verify import ALL_SUITES
+
+RATIONALS = (
+    "0", "1", "-1", "2", "-2", "3", "1/2", "-3/4", "5/13", "12/13", "+5", "-0", "0/7",
+    "3/-4", "1/0", "1234567890123456789012345", "-9999999999999999999999999",
+    "1/1000000000000000000000007", "1.5", "abc", "", "inf",
+)
+PAIR_VALUES = RATIONALS + ("inf",) * 3
+# defines k, F, tau and four points of k, so that later random lines can refer to them
+PREAMBLE = (
+    "conic k 1 1 -1 0 0 0\npoint F 2 0 1\nline tau 2 0 -1\n"
+    "point a 1 0 1\npoint b -1 0 1\npoint c 3/5 4/5 1\npoint d 5/13 12/13 1\n"
+)
+# "rendering" renders every figure, even at one case, so it is left out to keep the run short
+SUITES = tuple(s for s in ALL_SUITES if s != "rendering") + ("nope",)
+CLASSES = ("nondegenerate-real", "empty", "two-lines", "double-line", "circle")
+
+
+def _rat(rng):
+    # small valid values most of the time, so that constructions get exercised
+    if rng.random() < 0.75:
+        return str(rng.randint(-3, 3))
+    return rng.choice(RATIONALS)
+
+
+def _triple(rng, brackets):
+    n = rng.choice((3, 3, 3, 2, 4))
+    text = brackets[0] + ", ".join(_rat(rng) for _ in range(n)) + brackets[1]
+    return text if rng.random() < 0.9 else text[1:]
+
+
+def _conic(rng):
+    n = rng.choice((6, 6, 6, 6, 5, 7))
+    if rng.random() < 0.3:
+        base = ["1", "1", "-1", "0", "0", "0"]  # the unit circle, perturbed below
+        base[rng.randrange(6)] = _rat(rng)
+        return " ".join(base[:n])
+    return rng.choice((" ", ", ")).join(_rat(rng) for _ in range(n))
+
+
+def _pair(rng):
+    n = rng.choice((2, 2, 2, 1, 3))
+    return "{" + ", ".join(rng.choice(PAIR_VALUES) for _ in range(n)) + "}"
+
+
+def _argv(rng, tmp_path, scene_path):
+    verb = rng.choice(("polar", "pole", "traversale", "involution", "classify", "run", "render", "verify"))
+    if verb == "polar" or verb == "traversale":
+        argv = [verb, "--conic", _conic(rng), "--point", _triple(rng, "()")]
+        if verb == "traversale" and rng.random() < 0.3:
+            argv += ["--transcript", str(rng.choice((tmp_path / "t.scene", tmp_path)))]
+    elif verb == "pole":
+        argv = [verb, "--conic", _conic(rng), "--line", _triple(rng, "[]")]
+    elif verb == "involution":
+        argv = [verb]
+        for _ in range(rng.choice((2, 2, 2, 1, 3))):
+            argv += ["--pair", _pair(rng)]
+    elif verb == "classify":
+        argv = [verb, "--conic", _conic(rng)]
+    elif verb == "run":
+        argv = [verb, str(rng.choice((scene_path, scene_path, tmp_path, tmp_path / "missing.scene")))]
+    elif verb == "render":
+        argv = [verb, rng.choice(sorted(FIGURES) + ["fig99"]), "--out", str(tmp_path / "f.svg")]
+        if rng.random() < 0.5:
+            argv += ["--viewport", ",".join(_rat(rng) for _ in range(rng.choice((4, 4, 3))))]
+        argv += ["--width", rng.choice(("0", "-3", "1", "abc", "2.5"))]
+    else:
+        argv = [verb, rng.choice(SUITES), "--cases", rng.choice(("1", "0", "-2", "x"))]
+        argv += ["--seed", rng.choice(("1", "7", "-3", "1234567890123456789012345"))]
+    return argv
+
+
+def _scene(rng):
+    """A scene that mostly refers to defined names of the right type, sometimes corrupted."""
+    points, lines, conics = ["F", "a", "b", "c", "d"], ["tau"], ["k"]
+    pick = rng.choice
+    out = PREAMBLE.splitlines() if rng.random() < 0.8 else []
+    for i in range(rng.randint(1, 6)):
+        new = f"n{i}"
+        p, l, k = pick(points), pick(lines), pick(conics)
+        kind = rng.randrange(10)
+        if kind == 0:
+            out.append(f"point {new} {_rat(rng)} {_rat(rng)} {_rat(rng)}")
+            points.append(new)
+        elif kind == 1:
+            out.append(f"line {new} {_rat(rng)} {_rat(rng)} {_rat(rng)}")
+            lines.append(new)
+        elif kind == 2:
+            out.append(f"conic {new} " + _conic(rng).replace(",", ""))
+            conics.append(new)
+        elif kind == 3:
+            op, args, pool = pick((
+                ("join", (p, pick(points)), lines), ("meet", (l, pick(lines)), points),
+                ("polar", (k, p), lines), ("pole", (k, l), points), ("traversale", (k, p), lines),
+            ))
+            out.append(f"construct {op} {new} {args[0]} {args[1]}")
+            pool.append(new)
+        elif kind == 4:
+            out.append(pick((
+                f"check polar {k} {p} = {l}", f"check pole {k} {l} = {p}",
+                f"check traversale {k} {p} = {l}", f"check classify {k} = {pick(CLASSES)}",
+            )))
+        elif kind == 5:
+            out.append(pick((f"check incident {p} {l}", f"check on {k} {p}", f"check equal {p} {pick(points)}")))
+        elif kind == 6:
+            out.append(f"quadrangle {new} conic={k} " + " ".join(pick(points) for _ in range(4)))
+        elif kind == 7:
+            out.append(f"chart {new} line={l} " + " ".join(f"{key}={pick(points)}" for key in ("origin", "unit", "infinity")))
+        elif kind == 8 and rng.random() < 0.3:  # rendering is the slow command
+            vp = ",".join(_rat(rng) for _ in range(pick((4, 4, 2))))
+            width = pick(("32", "0", "-1", "abc"))
+            out.append(f"render {pick(('scene', 'fig99'))} out=s.svg viewport={vp} width={width}")
+        else:
+            out.append(f"# comment {new}")
+    if rng.random() < 0.3:  # corrupt one token
+        i = rng.randrange(len(out))
+        tokens = out[i].split() or ["#"]
+        tokens[rng.randrange(len(tokens))] = pick(("", "zz", "1/0", "=", "conic=", "3/-4", "frobnicate"))
+        out[i] = " ".join(tokens)
+    return "\n".join(out) + "\n"
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the argv shape with exit 2
+        code = exc.code
+    err = capsys.readouterr().err
+    return code, err
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_fuzz_cli_and_scenes_end_in_a_named_exit(seed, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("DESARGUES_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(seed)
+    scene_path = tmp_path / "fuzz.scene"
+    for case in range(300):
+        if case % 2:
+            scene_path.write_text(_scene(rng))
+            argv = ["run", str(scene_path)]
+        else:
+            argv = _argv(rng, tmp_path, scene_path)
+        code, err = _outcome(capsys, argv)
+        assert code in (0, 1, 2), (argv, code, err)
+        if code == 2:
+            error_lines = [line for line in err.splitlines() if "error:" in line]
+            assert len(error_lines) == 1, (argv, err)

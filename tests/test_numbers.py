@@ -1,4 +1,4 @@
-"""Scalar layer: exact parsing/formatting, square detection, enumerations."""
+"""Scalar layer: exact parsing/formatting, enumerations, primitive vectors."""
 
 from fractions import Fraction
 from itertools import islice
@@ -10,12 +10,10 @@ from traversale.numbers import (
     INF,
     format_extended,
     format_rational,
-    is_square,
     parse_extended,
     parse_rational,
     small_extended,
     small_rationals,
-    sqrt_exact,
     to_pair,
 )
 
@@ -39,15 +37,7 @@ def test_extended_round_trip():
     assert format_extended(INF) == "inf"
     assert parse_extended("5/3") == Fraction(5, 3)
     assert to_pair(INF) == (1, 0)
-
-
-def test_is_square_and_sqrt():
-    assert is_square(Fraction(16, 25)) and sqrt_exact(Fraction(16, 25)) == Fraction(4, 5)
-    assert is_square(Fraction(0))
-    assert not is_square(Fraction(3, 4))
-    assert not is_square(Fraction(-1))
-    big = Fraction(10**40)
-    assert is_square(big) and sqrt_exact(big) == 10**20
+    assert to_pair(Fraction(-6, 8)) == (-3, 4) and to_pair(Fraction(5)) == (5, 1)
 
 
 def test_small_rationals_order_is_deterministic_by_height():
@@ -70,5 +60,8 @@ def test_primitive_normalization():
     assert primitive((Fraction(1, 2), Fraction(-3, 4), 0)) == (2, -3, 0)
     assert primitive((-2, -4, -6)) == (1, 2, 3)
     assert primitive((0, Fraction(-5), 0)) == (0, 1, 0)
+    assert primitive((2**1000 * 3, 2**1000 * 6, 0)) == (1, 2, 0)
+    assert primitive((Fraction(1, 3), 2, Fraction(-1, 6))) == (2, 12, -1)
+    assert primitive((0, Fraction(-2, 9), Fraction(4, 3))) == (0, 1, -6)
     with pytest.raises(ValueError):
         primitive((0, 0, 0))

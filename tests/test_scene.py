@@ -72,10 +72,17 @@ def test_scene_duplicate_name():
         run_scene_text("point P 1 0 1\npoint P 2 0 1\n")
 
 
-def test_scene_domain_error_names_command():
-    with pytest.raises(CommandError) as exc:
-        run_scene_text("point P 1 0 1\npoint Q 2 0 2\nconstruct join l P Q\n")
-    assert "line 3" in str(exc.value)
+def test_scene_domain_error_names_command(tmp_path):
+    for text, line in (
+        ("point P 1 0 1\npoint Q 2 0 2\nconstruct join l P Q\n", "line 3"),
+        # x^2 + y^2 = 3 z^2 has no rational point, so the conic cannot be drawn
+        ("conic k 1 1 -3 0 0 0\nrender scene out=x.svg\n", "line 2"),
+        ("point P 1 0 1\nline l 0 1 0\nchart c line=l origin=P unit=P infinity=P\n", "line 3"),
+    ):
+        with pytest.raises(CommandError) as exc:
+            run_scene_text(text, base_dir=str(tmp_path))
+        assert line in str(exc.value)
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_scene_construct_commands():
