@@ -31,8 +31,8 @@ from .errors import (
     ZeroForm,
 )
 from .involution import InvolutionOnLine, involution_from_action
-from .linalg import Mat3, adjugate, cross, det3, dot, mat_mul, mat_vec, nullspace, primitive, primitive_rows, transpose
-from .numbers import ExtRat, small_rationals
+from .linalg import Mat3, Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, nullspace, primitive, primitive_rows, transpose
+from .numbers import ExtRat, Pair, small_rationals, to_pair
 from .projective import (
     LINE_AT_INFINITY,
     Homography,
@@ -402,11 +402,17 @@ class RationalParametrization:
     value is the chord's second intersection, always rational by Vieta.  The
     tangent direction at the base maps back to the base point itself; away
     from it the map is injective.
+
+    With chart representatives o, i the direction of the pair (num, den) is
+    d = den*o + num*i, and its second intersection q(d)*base - 2*phi(base, d)*d
+    is the quadratic form A*num^2 + B*num*den + C*den^2 in the pair, whose
+    integer vectors A, B, C are computed once here.
     """
 
     conic: Conic
     base: PPoint
     _chart: LineChart
+    _quadratic: tuple[Vec3, Vec3, Vec3]
 
     def __init__(self, conic: Conic, base: PPoint):
         if not conic.is_nondegenerate:
@@ -418,19 +424,35 @@ class RationalParametrization:
             for l in (LINE_AT_INFINITY, PLine(1, 0, 0), PLine(0, 1, 0))
             if not l.contains(base)
         )
+        chart = canonical_chart(ref)
+        m, b, o, i = conic.matrix, base.coords, chart._rep_o, chart._rep_i
+        mo, mi = mat_vec(m, o), mat_vec(m, i)
+        qo, qi, phi_oi = dot(mo, o), dot(mi, i), dot(mo, i)
+        phi_bo, phi_bi = dot(mo, b), dot(mi, b)
+        quadratic = (
+            tuple(qi * bk - 2 * phi_bi * ik for bk, ik in zip(b, i)),
+            tuple(2 * (phi_oi * bk - phi_bi * ok - phi_bo * ik) for bk, ok, ik in zip(b, o, i)),
+            tuple(qo * bk - 2 * phi_bo * ok for bk, ok in zip(b, o)),
+        )
         object.__setattr__(self, "conic", conic)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "_chart", canonical_chart(ref))
+        object.__setattr__(self, "_chart", chart)
+        object.__setattr__(self, "_quadratic", quadratic)
 
     def direction(self, t: ExtRat) -> PPoint:
         return self._chart.point_at(t)
 
     def point(self, t: ExtRat) -> PPoint:
-        d = self._chart.point_at(t)
-        return second_intersection(self.conic, self.base, d)
+        return self.point_from_pair(to_pair(t))
 
-    def points(self, params) -> list[PPoint]:
-        return [self.point(t) for t in params]
+    def point_from_pair(self, pair: Pair) -> PPoint:
+        """The point of the homogeneous chart pair (num, den), t = num/den."""
+        num, den = pair
+        if num == 0 and den == 0:
+            raise ValueError("zero pair")
+        nn, nd, dd = num * num, num * den, den * den
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = self._quadratic
+        return PPoint(a0 * nn + b0 * nd + c0 * dd, a1 * nn + b1 * nd + c1 * dd, a2 * nn + b2 * nd + c2 * dd)
 
 
 def second_intersection(c: Conic, base: PPoint, other: PPoint) -> PPoint:

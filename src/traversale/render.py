@@ -1,24 +1,33 @@
 """Deterministic SVG rendering of exact configurations.
 
-All geometry stays rational until the final coordinate emission: conics are
-sampled through their rational parametrization, lines are clipped against
-the viewport exactly, and only the emitted attribute values are floats.
-Identical input yields byte-identical SVG.  The five classical figure
-configurations shipped with the package are built here as well.
+All geometry stays exact until the final coordinate emission.  A conic
+sample is an integer homogeneous triple (X, Y, Z) with Z > 0, taken from the
+conic's precomputed quadratic parametrization at integer parameter pairs;
+the viewport is held as integer bounds over one common denominator, so a
+containment test is a few integer comparisons and lines are clipped
+exactly.  Each emitted value is one correctly rounded ``int / int``
+division, the same float that the exact rational would round to; the sag
+test of the adaptive refinement uses such floats too.  Identical input
+yields byte-identical SVG.  The five classical figure configurations
+shipped with the package are built here as well.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .conic import Conic, find_rational_point, polar, rational_parametrize, tangents_from
 from .errors import EmptyViewport, NoRationalSecants, UnknownReference
-from .numbers import INF
+from .linalg import Vec3
+from .numbers import Pair
 from .projective import LINE_AT_INFINITY, PLine, PPoint, join, meet
 from .synthetic import worked_quadrangle
 
 Viewport = tuple[Fraction, Fraction, Fraction, Fraction]  # xmin, ymin, xmax, ymax
+Box = tuple[int, int, int, int]  # xmin, ymin, xmax, ymax, each times the frame's denominator
 
 _CONIC_STYLE = 'fill="none" stroke="#000000" stroke-width="1.6"'
 _LINE_STYLE = 'stroke="#606060" stroke-width="1"'
@@ -42,64 +51,84 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _sample(p: PPoint) -> Vec3 | None:
+    """The representative (X, Y, Z) of p with Z > 0; None for a point at infinity."""
+    x, y, z = p.coords
+    if z == 0:
+        return None
+    return (x, y, z) if z > 0 else (-x, -y, -z)
+
+
 class _Frame:
+    """The viewport as integer bounds a/D <= x <= c/D, b/D <= y <= e/D.
+
+    ``box`` holds (a, b, c, e) and ``margin_box`` the same for the viewport
+    grown by twice its size on every side, the region where conic samples
+    are kept.  A sample (X, Y, Z), Z > 0, maps to the SVG point
+    ((X*D - a*Z) * width / (Z*(c - a)), (e*Z - Y*D) * width / (Z*(c - a))).
+    """
+
     def __init__(self, viewport: Viewport, width: int):
-        xmin, ymin, xmax, ymax = (Fraction(v) for v in viewport)
+        bounds = [Fraction(v) for v in viewport]
+        xmin, ymin, xmax, ymax = bounds
         if xmax <= xmin or ymax <= ymin:
             raise EmptyViewport(f"viewport {viewport} has no area")
         if width < 1:
             raise EmptyViewport(f"width {width} must be at least 1 pixel")
-        self.xmin, self.ymin, self.xmax, self.ymax = xmin, ymin, xmax, ymax
-        self.scale = Fraction(width) / (xmax - xmin)
+        den = math.lcm(*(v.denominator for v in bounds))
+        a, b, c, e = (v.numerator * (den // v.denominator) for v in bounds)
+        self.den = den
         self.width = width
-        self.height = float((ymax - ymin) * self.scale)
+        self.box: Box = (a, b, c, e)
+        self.margin_box: Box = (3 * a - 2 * c, 3 * b - 2 * e, 3 * c - 2 * a, 3 * e - 2 * b)
+        self.height = (e - b) * width / (c - a)
+        self.pixel = (c - a) / den / width  # world units per pixel
+        self.borders = (PLine(den, 0, -a), PLine(den, 0, -c), PLine(0, den, -b), PLine(0, den, -e))
 
-    def to_svg(self, x: Fraction, y: Fraction) -> tuple[float, float]:
-        return (
-            float((x - self.xmin) * self.scale),
-            float((self.ymax - y) * self.scale),
-        )
+    def inside(self, s: Vec3, box: Box) -> bool:
+        x, y, z = s
+        xmin, ymin, xmax, ymax = box
+        xd, yd = x * self.den, y * self.den
+        return xmin * z <= xd <= xmax * z and ymin * z <= yd <= ymax * z
 
-    def contains(self, x: Fraction, y: Fraction, margin: int = 0) -> bool:
-        mx = (self.xmax - self.xmin) * margin
-        my = (self.ymax - self.ymin) * margin
-        return (
-            self.xmin - mx <= x <= self.xmax + mx
-            and self.ymin - my <= y <= self.ymax + my
-        )
-
-
-def _affine(p: PPoint) -> tuple[Fraction, Fraction] | None:
-    """Affine (x, y) of a finite point; None for a point at infinity."""
-    return None if p.is_infinite else p.affine()
+    def to_svg(self, s: Vec3) -> tuple[float, float]:
+        x, y, z = s
+        a, _, c, e = self.box
+        width, den = self.width, self.den
+        span = z * (c - a)
+        return ((x * den - a * z) * width / span, (e * z - y * den) * width / span)
 
 
-def _clip_line(l: PLine, frame: _Frame) -> tuple | None:
+def _clip_line(l: PLine, frame: _Frame) -> tuple[Vec3, Vec3] | None:
     """Exact clip of a projective line against the viewport rectangle."""
     if l == LINE_AT_INFINITY:
         return None
-    borders = (
-        PLine(1, 0, -frame.xmin),
-        PLine(1, 0, -frame.xmax),
-        PLine(0, 1, -frame.ymin),
-        PLine(0, 1, -frame.ymax),
-    )
     hits = []
-    for b in borders:
+    for b in frame.borders:
         if b == l:
             continue
-        pt = meet(l, b)
-        aff = _affine(pt)
-        if aff is not None and frame.contains(*aff) and aff not in hits:
-            hits.append(aff)
+        s = _sample(meet(l, b))
+        if s is not None and frame.inside(s, frame.box) and s not in hits:
+            hits.append(s)
     if len(hits) < 2:
         return None
-    hits.sort()
-    return (hits[0], hits[-1])
+    # at most two distinct ends: a border line itself meets the other borders in two corners
+    p, q = hits
+    if (p[0] * q[2], p[1] * q[2]) > (q[0] * p[2], q[1] * p[2]):  # order by (x, y)
+        p, q = q, p
+    return (p, q)
 
 
-def _conic_samples(c: Conic, frame: "_Frame") -> list[tuple[Fraction, Fraction] | None]:
-    """Affine sample points around the whole conic, None marking breaks.
+@cache
+def _sweep() -> tuple[Pair, ...]:
+    """The fixed parameter sweep as sorted integer pairs (num, den), den > 0."""
+    params = {Fraction(k, 4) for k in range(-4 * 24, 4 * 24 + 1)}
+    params |= {Fraction(96, k) for k in range(-23, 24) if k != 0}
+    return tuple((t.numerator, t.denominator) for t in sorted(params))
+
+
+def _conic_samples(c: Conic, frame: _Frame) -> list[Vec3 | None]:
+    """Samples around the whole conic, None marking breaks.
 
     A fixed parameter sweep (dense in the chord-slope parameter, wrapping
     through the slope at infinity) is refined adaptively: between any two
@@ -110,32 +139,30 @@ def _conic_samples(c: Conic, frame: "_Frame") -> list[tuple[Fraction, Fraction] 
     if base is None:
         raise NoRationalSecants("cannot render a conic without a rational point")
     par = rational_parametrize(c, base)
-    params: list = [Fraction(k, 4) for k in range(-4 * 24, 4 * 24 + 1)]
-    params += [Fraction(96, k) for k in range(-23, 24) if k != 0]
-    params = sorted(set(params))
-    tol = float(frame.xmax - frame.xmin) / frame.width * 0.75  # world units per 3/4 px
-    out: list[tuple[Fraction, Fraction] | None] = []
+    tol = frame.pixel * 0.75
+    out: list[Vec3 | None] = []
     prev_t = None
     prev_pt = None
-    for t in params:
-        pt = _affine(par.point(t))
+    for t in _sweep():
+        pt = _sample(par.point_from_pair(t))
         if prev_t is not None:
             out.extend(_refine(par, prev_t, t, prev_pt, pt, frame, tol, depth=6))
         out.append(pt)
         prev_t, prev_pt = t, pt
-    out.append(_affine(par.point(INF)))  # the wrap point of the sweep
+    out.append(_sample(par.point_from_pair((1, 0))))  # the wrap point of the sweep
     out.append(out[0])  # close the loop
     return out
 
 
 def _refine(par, t1, t2, p1, p2, frame, tol, depth):
-    """Extra samples strictly between t1 and t2 where the chord is too flat."""
+    """Extra samples strictly between the pairs t1 and t2 where the chord is too flat."""
     if depth == 0 or p1 is None or p2 is None:
         return []
-    if not (frame.contains(*p1, margin=2) or frame.contains(*p2, margin=2)):
+    if not (frame.inside(p1, frame.margin_box) or frame.inside(p2, frame.margin_box)):
         return []
-    tm = (t1 + t2) / 2
-    pm = _affine(par.point(tm))
+    (n1, d1), (n2, d2) = t1, t2
+    tm = (n1 * d2 + n2 * d1, 2 * d1 * d2)
+    pm = _sample(par.point_from_pair(tm))
     if pm is None:
         return [None]
     sag = _point_segment_distance(pm, p1, p2)
@@ -147,9 +174,9 @@ def _refine(par, t1, t2, p1, p2, frame, tol, depth):
 
 
 def _point_segment_distance(p, a, b) -> float:
-    px, py = float(p[0]), float(p[1])
-    ax, ay = float(a[0]), float(a[1])
-    bx, by = float(b[0]), float(b[1])
+    px, py = p[0] / p[2], p[1] / p[2]
+    ax, ay = a[0] / a[2], a[1] / a[2]
+    bx, by = b[0] / b[2], b[1] / b[2]
     dx, dy = bx - ax, by - ay
     length2 = dx * dx + dy * dy
     if length2 == 0:
@@ -163,9 +190,8 @@ def _polyline_runs(samples, frame: _Frame) -> list[list[tuple[float, float]]]:
     runs: list[list[tuple[float, float]]] = []
     current: list[tuple[float, float]] = []
     for s in samples:
-        ok = s is not None and frame.contains(*s, margin=2)
-        if ok:
-            current.append(frame.to_svg(*s))
+        if s is not None and frame.inside(s, frame.margin_box):
+            current.append(frame.to_svg(s))
         elif current:
             if len(current) >= 2:
                 runs.append(current)
@@ -194,16 +220,16 @@ def render_svg(drawables, viewport: Viewport, width: int = 640) -> str:
             seg = _clip_line(d.obj, frame)
             if seg is None:
                 continue
-            (x1, y1), (x2, y2) = (frame.to_svg(*seg[0]), frame.to_svg(*seg[1]))
+            (x1, y1), (x2, y2) = (frame.to_svg(seg[0]), frame.to_svg(seg[1]))
             style = _ACCENT_STYLE if d.kind == "accent-line" else _LINE_STYLE
             parts.append(
                 f'<line {style} x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>'
             )
         elif d.kind == "point":
-            aff = _affine(d.obj)
-            if aff is None or not frame.contains(*aff):
+            s = _sample(d.obj)
+            if s is None or not frame.inside(s, frame.box):
                 continue
-            cx, cy = frame.to_svg(*aff)
+            cx, cy = frame.to_svg(s)
             parts.append(f'<circle {_POINT_STYLE} cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="2.5"/>')
             if d.label:
                 labels.append((cx, cy, d.label))

@@ -25,6 +25,7 @@ from traversale import (
     TotallyIsotropicPoint,
     ZeroForm,
     affine_features,
+    canonical_chart,
     classify,
     classify_and_fixed_points,
     collinear,
@@ -33,6 +34,7 @@ from traversale import (
     find_rational_point,
     join,
     line_intersect,
+    meet,
     polar,
     polarity_involution_on_line,
     pole,
@@ -416,6 +418,48 @@ def test_parametrization_slope_formula(circle):
         assert circle.contains(p)
     assert par.point(F(1, 2)) == PPoint(F(3, 5), F(4, 5), 1)
     assert par.point(INF) == PPoint(-1, 0, 1)  # the tangent direction
+
+
+def _deep_circle_image(seed, steps):
+    """The unit circle (witness included) under `steps` seeded random homographies."""
+    rng = random.Random(seed)
+    c = Conic.unit_circle()
+    for _ in range(steps):
+        c = transform(c, _random_circle_image(rng)[1])
+    return c
+
+
+@pytest.mark.parametrize(
+    "conic, base",
+    [
+        (Conic.unit_circle(), PPoint(-1, 0, 1)),
+        # matrix entries of about 6, 35 and 300 bits
+        *((c, c.witness) for c in (_deep_circle_image(s, k) for s, k in ((61, 1), (62, 6), (63, 60)))),
+        (Conic(((1, 0, 0), (0, -1, 0), (0, 0, -1)), witness=PPoint(1, 0, 1)), PPoint(1, 0, 1)),
+        (Conic(((0, 1, 0), (1, 0, 0), (0, 0, -2))), PPoint(1, 0, 0)),  # xy = z^2, base at infinity
+        (Conic(((2, 0, 0), (0, 0, -1), (0, -1, 0))), PPoint(0, 0, 1)),  # parabola x^2 = yz
+        (Conic(((2, 0, 0), (0, 0, -1), (0, -1, 0))), PPoint(0, 1, 0)),  # its point at infinity
+    ],
+)
+def test_parametrization_matches_second_intersection(conic, base):
+    # the precomputed quadratic map against the chord construction it replaces
+    par = rational_parametrize(conic, base)
+    ref = join(par.direction(F(0)), par.direction(F(1)))
+    tangent_direction = meet(polar(conic, base), ref)
+    t_tangent = canonical_chart(ref).coordinate(tangent_direction)
+    assert par.direction(t_tangent) == tangent_direction
+    assert par.point(t_tangent) == base
+    rng = random.Random(sum(base.coords))
+    params = [INF, F(0), t_tangent]
+    params += [F(rng.randint(-10**k, 10**k), rng.randint(1, 10**k)) for k in (1, 3, 30) for _ in range(4)]
+    for t in params:
+        expect = second_intersection(conic, base, par.direction(t))
+        assert par.point(t) == expect
+        assert conic.contains(expect)
+        num, den = (1, 0) if t is INF else (t.numerator, t.denominator)
+        assert par.point_from_pair((-3 * num, -3 * den)) == expect
+    with pytest.raises(ValueError):
+        par.point_from_pair((0, 0))
 
 
 def test_parametrization_base_must_be_on_conic(circle):

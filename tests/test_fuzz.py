@@ -26,8 +26,7 @@ PREAMBLE = (
     "conic k 1 1 -1 0 0 0\npoint F 2 0 1\nline tau 2 0 -1\n"
     "point a 1 0 1\npoint b -1 0 1\npoint c 3/5 4/5 1\npoint d 5/13 12/13 1\n"
 )
-# "rendering" renders every figure, even at one case, so it is left out to keep the run short
-SUITES = tuple(s for s in ALL_SUITES if s != "rendering") + ("nope",)
+SUITES = ALL_SUITES + ("nope",)
 CLASSES = ("nondegenerate-real", "empty", "two-lines", "double-line", "circle")
 
 

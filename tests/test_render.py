@@ -1,12 +1,15 @@
 """SVG output: determinism, exact-to-float incidence, viewport handling."""
 
+import random
 import re
 from fractions import Fraction
 
 import pytest
 
 from traversale import Conic, EmptyViewport, PLine, PPoint
-from traversale.render import FIGURES, Drawable, build_figure, render_figure, render_svg
+from traversale.render import FIGURES, Drawable, _Frame, _sample, build_figure, render_figure, render_svg
+
+F = Fraction
 
 CIRCLE_RE = re.compile(r'<circle [^>]*cx="([^"]+)" cy="([^"]+)"')
 LINE_RE = re.compile(r'<line [^>]*x1="([^"]+)" y1="([^"]+)" x2="([^"]+)" y2="([^"]+)"')
@@ -99,3 +102,58 @@ def test_lines_clipped_exactly():
     )
     ((x1, y1, x2, y2),) = [tuple(map(float, m)) for m in LINE_RE.findall(svg)]
     assert {(x1, y1), (x2, y2)} == {(0.0, 100.0), (100.0, 0.0)}
+
+
+def _exact_svg(x, y, viewport, width):
+    xmin, _, xmax, ymax = viewport
+    scale = Fraction(width) / (xmax - xmin)
+    return (float((x - xmin) * scale), float((ymax - y) * scale))
+
+
+def _exact_inside(x, y, viewport, margin):
+    xmin, ymin, xmax, ymax = viewport
+    mx, my = (xmax - xmin) * margin, (ymax - ymin) * margin
+    return xmin - mx <= x <= xmax + mx and ymin - my <= y <= ymax + my
+
+
+def test_integer_frame_matches_exact_fractions():
+    # the integer frame against the rational formulas it replaces, including
+    # points on both box edges, points at infinity and ~1,000-bit coordinates
+    rng = random.Random(71)
+    viewport = (F(-7, 3), F(-5, 4), F(11, 6), F(9, 7))
+    width = 333
+    frame = _Frame(viewport, width)
+    xmin, ymin, xmax, ymax = viewport
+    dx, dy = xmax - xmin, ymax - ymin
+    xs = [xmin, xmax, 3 * xmin - 2 * xmax, 3 * xmax - 2 * xmin, F(0), F(1, 3)]
+    ys = [ymin, ymax, 3 * ymin - 2 * ymax, 3 * ymax - 2 * ymin, F(0), F(-2, 9)]
+    big = 2**1000
+    for _ in range(10):
+        xs.append(xmin + dx * F(rng.randrange(-3 * big, 4 * big), big))
+        ys.append(ymin + dy * F(rng.randrange(-3 * big, 4 * big), big))
+    for vs in (xs, ys):
+        vs += [edge + sign * F(1, big) for edge in vs[:4] for sign in (1, -1)]
+    checked = {True: 0, False: 0}
+    for x in xs:
+        for y in ys:
+            for sign in (1, -1):
+                # PPoint keeps the first nonzero entry positive, so negative x gives a negative Z
+                s = _sample(PPoint(sign * x, sign * y, sign))
+                assert s[2] > 0 and F(s[0], s[2]) == x and F(s[1], s[2]) == y
+                assert frame.to_svg(s) == _exact_svg(x, y, viewport, width)
+                for margin, box in ((0, frame.box), (2, frame.margin_box)):
+                    inside = frame.inside(s, box)
+                    assert inside == _exact_inside(x, y, viewport, margin)
+                    checked[inside] += 1
+    assert min(checked.values()) > 100
+    assert frame.height == float(dy * width / dx)
+    assert _sample(PPoint(3, -4, 0)) is None
+
+
+def test_points_render_at_exact_positions():
+    viewport = (F(-7, 3), F(-5, 4), F(11, 6), F(9, 7))
+    pts = [PPoint(F(-7, 3), F(9, 7), 1), PPoint(-1, 1, -3), PPoint(2**1000 + 1, 3, 2**1000), PPoint(1, 1, 0)]
+    svg = render_svg([Drawable("point", p) for p in pts], viewport, width=333)
+    got = [(float(a), float(b)) for a, b in CIRCLE_RE.findall(svg)]
+    expect = [_exact_svg(*p.affine(), viewport, 333) for p in pts[:3]]
+    assert got == expect
