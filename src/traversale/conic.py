@@ -31,7 +31,7 @@ from .errors import (
     ZeroForm,
 )
 from .involution import InvolutionOnLine, involution_from_action
-from .linalg import Mat3, Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, nullspace, primitive, primitive_rows, transpose
+from .linalg import Mat3, Vec3, adjugate, cross, det3, dot, generalized_cross, mat_mul, mat_vec, primitive, primitive_rows, transpose
 from .numbers import ExtRat, Pair, small_rationals, to_pair
 from .projective import (
     LINE_AT_INFINITY,
@@ -54,11 +54,15 @@ class Conic:
     :meth:`bilinear`; only their zero-or-sign pattern is meaningful since the
     matrix is stored up to scale.  A conic may carry a ``witness`` point,
     a known rational point on the curve used to seed rational secant
-    searches; it is a cache, ignored by equality and hashing.
+    searches; it is a cache, ignored by equality and hashing.  The chord
+    parametrization that :func:`chord_parametrization` builds from the
+    conic's first rational point is memoized on the object; it too is a
+    cache, ignored by equality and hashing.
     """
 
     matrix: Mat3
     witness: PPoint | None = field(compare=False)
+    _parametrization: RationalParametrization | None = field(compare=False)
 
     def __init__(self, rows, witness: PPoint | None = None):
         if len(rows) != 3 or any(len(row) != 3 for row in rows):
@@ -73,6 +77,7 @@ class Conic:
             raise BasePointNotOnConic(f"witness {witness} is not on the conic")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "_parametrization", None)
 
     def __repr__(self):
         return f"Conic{self.matrix}"
@@ -155,20 +160,18 @@ class AffineFeatures:
 def conic_from_five_points(p1: PPoint, p2: PPoint, p3: PPoint, p4: PPoint, p5: PPoint) -> Conic:
     """The conic through five points, unique when they are in general position.
 
-    Solved as the nullspace of the 5x6 coefficient system; a solution space
-    of dimension above one (four collinear points, repeats) raises
-    DegeneratePointSet.
+    The coefficients are the signed 5x5 minors of the integer 5x6 system;
+    when they all vanish (four collinear points, repeats) the points lie on
+    more than one conic and DegeneratePointSet is raised.
     """
-    pts = (p1, p2, p3, p4, p5)
     rows = []
-    for p in pts:
+    for p in (p1, p2, p3, p4, p5):
         x, y, z = p.coords
         rows.append((x * x, y * y, z * z, x * y, x * z, y * z))
-    basis = nullspace(rows, 6)
-    if len(basis) != 1:
-        raise DegeneratePointSet(f"the five points admit a {len(basis)}-dimensional family of conics")
-    a, b, c, d, e, f = basis[0]
-    return Conic.from_coefficients(a, b, c, d, e, f, witness=p1)
+    a, b, c, d, e, f = generalized_cross(rows)
+    if not any((a, b, c, d, e, f)):
+        raise DegeneratePointSet("the five points lie on more than one conic")
+    return Conic(((2 * a, d, e), (d, 2 * b, f), (e, f, 2 * c)), witness=p1)
 
 
 def polar(c: Conic, m: PPoint) -> PLine:
@@ -479,6 +482,23 @@ def second_intersection(c: Conic, base: PPoint, other: PPoint) -> PPoint:
 
 def rational_parametrize(c: Conic, base: PPoint) -> RationalParametrization:
     return RationalParametrization(c, base)
+
+
+def chord_parametrization(c: Conic) -> RationalParametrization | None:
+    """The parametrization from :func:`find_rational_point`, built once per Conic object.
+
+    Returns None when no rational point is found.  The memo lives on the
+    object, not in a cache keyed on the conic: equal conics may carry
+    different witnesses, and so different bases.
+    """
+    par = c._parametrization
+    if par is None:
+        base = find_rational_point(c)
+        if base is None:
+            return None
+        par = RationalParametrization(c, base)
+        object.__setattr__(c, "_parametrization", par)
+    return par
 
 
 def find_rational_point(c: Conic, budget: int = 120) -> PPoint | None:

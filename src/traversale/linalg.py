@@ -3,17 +3,18 @@
 Projective objects are stored as primitive integer vectors and matrices
 (coprime entries, first nonzero entry positive), which makes equality up to
 scale a plain tuple comparison.  Every entry the kernel computes with is an
-`int`.  Rational input becomes integer in one place, :func:`primitive`, which
-reads the numerator and denominator of each `int` or `Fraction` entry and
-clears denominators with integer lcm/gcd.  `Fraction` appears only at the
-boundary: in :func:`nullspace`, the one rational solver, and in values that
-are rational by nature and handed back to callers.
+`int`, and this module builds no `Fraction`.  Rational input becomes integer
+in one place, :func:`primitive`: an all-`int` vector costs one gcd, and only
+a vector holding a `Fraction` (on which `math.gcd` raises TypeError) has its
+denominators cleared with integer lcm/gcd.  Linear systems are solved by
+integer determinants: Cramer's rule in :func:`solve2`, and signed maximal
+minors in :func:`generalized_cross`, each minor computed fraction-free by
+:func:`det`.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import islice
 
 Vec3 = tuple[int, int, int]
@@ -24,13 +25,18 @@ Mat2 = tuple[tuple[int, int], tuple[int, int]]
 def primitive(values) -> tuple[int, ...]:
     """Scale a sequence of ints and Fractions to coprime integers, first nonzero positive.
 
-    Reads each entry's numerator and denominator; builds no Fraction.
-    Raises ValueError on the zero vector.
+    All-int input takes one gcd; otherwise each entry's numerator and
+    denominator are read, and no Fraction is built.  Raises ValueError on
+    the zero vector.
     """
-    dens = [v.denominator for v in values]
-    den = math.lcm(*dens)
-    ints = [v.numerator * (den // d) for v, d in zip(values, dens)]
-    g = math.gcd(*ints)
+    try:
+        g = math.gcd(*values)
+        ints = values
+    except TypeError:
+        dens = [v.denominator for v in values]
+        den = math.lcm(*dens)
+        ints = [v.numerator * (den // d) for v, d in zip(values, dens)]
+        g = math.gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     if next(filter(None, ints)) < 0:
@@ -51,7 +57,7 @@ def dot(a, b):
 
 
 def mat_vec(m, v):
-    return tuple(dot(row, v) for row in m)
+    return (dot(m[0], v), dot(m[1], v), dot(m[2], v))
 
 
 def mat_mul(a, b):
@@ -133,37 +139,39 @@ def solve2(a, b, rhs):
     return (rhs[0] * b[1] - rhs[1] * b[0], a[0] * rhs[1] - a[1] * rhs[0], d)
 
 
-def nullspace(rows, ncols: int) -> list[list[Fraction]]:
-    """Basis of the nullspace of a rational matrix, by Gaussian elimination."""
-    mat = [list(map(Fraction, row)) for row in rows]
-    nrows = len(mat)
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
-        basis.append(vec)
-    return basis
+def det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination.
+
+    Every division is exact: after step k each remaining entry is a
+    (k+1)x(k+1) minor of the input.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+        prev = pivot
+    return sign * a[-1][-1]
+
+
+def generalized_cross(rows) -> tuple[int, ...]:
+    """The signed maximal minors of an n x (n+1) integer matrix.
+
+    Entry j is (-1)^j times the determinant with column j deleted, so the
+    vector is orthogonal to every row (Laplace expansion of a matrix with a
+    repeated row).  It spans the nullspace when the rows are independent and
+    is zero otherwise; :func:`cross` is the case n = 2.
+    """
+    ncols = len(rows[0])
+    return tuple(
+        (-1) ** j * det([row[:j] + row[j + 1 :] for row in rows]) for j in range(ncols)
+    )

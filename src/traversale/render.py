@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .conic import Conic, find_rational_point, polar, rational_parametrize, tangents_from
+from .conic import Conic, chord_parametrization, polar, tangents_from
 from .errors import EmptyViewport, NoRationalSecants, UnknownReference
 from .linalg import Vec3
 from .numbers import Pair
@@ -135,10 +135,9 @@ def _conic_samples(c: Conic, frame: _Frame) -> list[Vec3 | None]:
     consecutive samples whose chord sags more than a fraction of a pixel,
     the parameter interval is bisected, exactly.
     """
-    base = find_rational_point(c)
-    if base is None:
+    par = chord_parametrization(c)
+    if par is None:
         raise NoRationalSecants("cannot render a conic without a rational point")
-    par = rational_parametrize(c, base)
     tol = frame.pixel * 0.75
     out: list[Vec3 | None] = []
     prev_t = None

@@ -22,7 +22,7 @@ from .conic import (
     Conic,
     RationalParametrization,
     affine_features,
-    find_rational_point,
+    chord_parametrization,
     is_tangent_line,
     line_intersect,
     polar,
@@ -46,7 +46,7 @@ from .errors import (
     VertexOnTransversal,
 )
 from .involution import InvolutionOnLine, PointPair, involution_from_two_pairs
-from .linalg import solve2
+from .linalg import det3, solve2
 from .numbers import format_rational, small_extended
 from .projective import (
     LINE_AT_INFINITY,
@@ -54,7 +54,6 @@ from .projective import (
     PLine,
     PPoint,
     canonical_chart,
-    collinear,
     cross_ratio,
     harmonic_conjugate,
     join,
@@ -63,12 +62,16 @@ from .projective import (
 
 
 def _check_general_position(pts: tuple[PPoint, ...], noun: str) -> None:
-    """Four points pairwise distinct with no three collinear."""
+    """Four points pairwise distinct with no three collinear.
+
+    Three distinct points are collinear exactly when the determinant of
+    their coordinates vanishes.
+    """
     if len(set(pts)) != 4:
         raise DegenerateQuadrangle(f"{noun} must be pairwise distinct")
     for skip in range(4):
         trio = [p for i, p in enumerate(pts) if i != skip]
-        if collinear(*trio):
+        if det3([p.coords for p in trio]) == 0:
             raise DegenerateQuadrangle(f"three {noun} are collinear: {trio}")
 
 
@@ -170,10 +173,10 @@ class PencilBase:
 
 
 def _secant_source(c: Conic) -> RationalParametrization:
-    base = find_rational_point(c)
-    if base is None:
+    par = chord_parametrization(c)
+    if par is None:
         raise NoRationalSecants("no rational point found on the conic within the search budget")
-    return RationalParametrization(c, base)
+    return par
 
 
 def inscribed_quadrangle_through(

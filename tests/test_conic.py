@@ -89,9 +89,14 @@ def test_conic_from_five_points_second_example():
 
 
 def test_conic_from_five_points_degenerate():
-    pts = [PPoint(t, 0, 1) for t in (0, 1, 2, 3)] + [PPoint(0, 1, 1)]
-    with pytest.raises(DegeneratePointSet):
-        conic_from_five_points(*pts)
+    four_collinear = [PPoint(t, 0, 1) for t in (0, 1, 2, 3)] + [PPoint(0, 1, 1)]
+    repeated = [PPoint(1, 0, 1), PPoint(0, 1, 1), PPoint(-1, 0, 1), PPoint(0, 1, 1), PPoint(2, 3, 1)]
+    for pts in (four_collinear, repeated):
+        with pytest.raises(DegeneratePointSet, match="^the five points lie on more than one conic$"):
+            conic_from_five_points(*pts)
+    # three collinear points still give one conic: the line pair through them
+    pair = conic_from_five_points(PPoint(0, 0, 1), PPoint(1, 0, 1), PPoint(2, 0, 1), PPoint(0, 1, 1), PPoint(0, 2, 1))
+    assert pair == Conic(((0, 1, 0), (1, 0, 0), (0, 0, 0)))
 
 
 def test_conic_coefficient_round_trip(circle):

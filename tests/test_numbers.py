@@ -1,11 +1,13 @@
 """Scalar layer: exact parsing/formatting, enumerations, primitive vectors."""
 
+import math
+import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, permutations
 
 import pytest
 
-from traversale.linalg import primitive
+from traversale.linalg import det, generalized_cross, primitive
 from traversale.numbers import (
     INF,
     format_extended,
@@ -65,3 +67,73 @@ def test_primitive_normalization():
     assert primitive((0, Fraction(-2, 9), Fraction(4, 3))) == (0, 1, -6)
     with pytest.raises(ValueError):
         primitive((0, 0, 0))
+
+
+def _primitive_reference(values):
+    """Clear denominators with their lcm, divide by the gcd, make the first nonzero positive."""
+    fracs = [Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    ints = [int(f * den) for f in fracs]
+    g = math.gcd(*ints)
+    lead = next(n for n in ints if n != 0)
+    return tuple(n // g if lead > 0 else -n // g for n in ints)
+
+
+def test_primitive_matches_lcm_gcd_formula():
+    # the all-int gcd path and the Fraction fallback against the formula written out;
+    # the fallback must still run if math.gcd ever accepts a Fraction
+    rng = random.Random(29)
+    entry = {
+        "int": lambda: rng.randint(-50, 50),
+        "zero": lambda: 0,
+        "fraction": lambda: Fraction(rng.randint(-50, 50), rng.randint(1, 40)),
+        "huge": lambda: rng.randint(-9, 9) * 2**1000,
+    }
+    kinds = list(entry)
+    checked = 0
+    for _ in range(2000):
+        size = rng.choice((2, 3, 6, 9))
+        values = [entry[rng.choice(kinds)]() for _ in range(size)]
+        if rng.random() < 0.3:
+            values = [v * -(2**1000) for v in values]  # a negative multiple of a 2^1000 scale
+        if not any(values):
+            with pytest.raises(ValueError):
+                primitive(values)
+            continue
+        got = primitive(values)
+        assert got == _primitive_reference(values)
+        assert all(type(n) is int for n in got)
+        checked += 1
+    assert checked > 1500
+
+
+def _det_reference(m):
+    """Leibniz formula: sum over permutations of sign times the product of entries."""
+    n, total = len(m), 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def test_bareiss_det_matches_leibniz():
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        # sparse entries force zero pivots and row swaps, and singular matrices
+        m = [[rng.choice((0, 0, 1, -1, rng.randint(-10**6, 10**6))) for _ in range(n)] for _ in range(n)]
+        assert det(m) == _det_reference(m)
+
+
+def test_generalized_cross_is_orthogonal_to_rows():
+    rng = random.Random(37)
+    assert generalized_cross(((1, 2, 3), (4, 5, 6))) == (-3, 6, -3)  # the 3D cross product
+    for _ in range(100):
+        rows = [tuple(rng.randint(-9, 9) for _ in range(6)) for _ in range(5)]
+        v = generalized_cross(rows)
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+    dependent = rows[:4] + [tuple(a + b for a, b in zip(rows[0], rows[1]))]
+    assert generalized_cross(dependent) == (0,) * 6

@@ -14,6 +14,7 @@ from traversale import (
     InvolutionKind,
     LINE_AT_INFINITY,
     LineMissesConic,
+    NoRationalSecants,
     NotADiameter,
     OnConic,
     PLine,
@@ -32,6 +33,8 @@ from traversale import (
     tangent_at,
     transform,
 )
+from traversale.conic import chord_parametrization
+from traversale.render import Drawable, render_svg
 from traversale.synthetic import (
     InscribedQuadrangle,
     PencilBase,
@@ -114,6 +117,37 @@ def test_quadrangle_rejects_collinear(circle):
         )
 
 
+# on the two-line conic xy = 0, three bornes on the x-axis and one on the y-axis
+_AXIS = [PPoint(1, 0, 1), PPoint(2, 0, 1), PPoint(3, 0, 1)]
+_OFF_AXIS = PPoint(0, 1, 1)
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_general_position_names_the_collinear_trio(position):
+    pts = list(_AXIS)
+    pts.insert(position, _OFF_AXIS)
+    trio = "[PPoint(1, 0, 1), PPoint(2, 0, 1), PPoint(3, 0, 1)]"
+    two_lines = Conic(((0, 1, 0), (1, 0, 0), (0, 0, 0)))
+    with pytest.raises(DegenerateQuadrangle) as bornes:
+        InscribedQuadrangle(two_lines, *pts)
+    assert str(bornes.value) == f"three bornes are collinear: {trio}"
+    with pytest.raises(DegenerateQuadrangle) as base:
+        PencilBase(tuple(pts))
+    assert str(base.value) == f"three base points are collinear: {trio}"
+
+
+def test_general_position_reports_first_trio_of_a_collinear_four():
+    pts = (*_AXIS, PPoint(4, 0, 1))
+    with pytest.raises(DegenerateQuadrangle) as info:
+        PencilBase(pts)
+    assert str(info.value) == (
+        "three base points are collinear: [PPoint(2, 0, 1), PPoint(3, 0, 1), PPoint(4, 0, 1)]"
+    )
+    with pytest.raises(DegenerateQuadrangle) as info:
+        PencilBase((_AXIS[0], _AXIS[0], _AXIS[1], _OFF_AXIS))
+    assert str(info.value) == "base points must be pairwise distinct"
+
+
 # -- traversale --------------------------------------------------------------
 
 def test_traversale_worked_example(circle):
@@ -131,6 +165,46 @@ def test_traversale_at_infinity_is_diametrale(circle):
 def test_traversale_rejects_point_on_conic(circle):
     with pytest.raises(OnConic):
         traversale_from_quadrangle(circle, PPoint(1, 0, 1))
+
+
+def test_chord_parametrization_is_built_once_per_conic(circle):
+    par = chord_parametrization(circle)
+    assert par.base == circle.witness
+    assert chord_parametrization(circle) is par
+    inscribed_quadrangle_through(circle, PPoint(2, 0, 1))
+    assert chord_parametrization(circle) is par
+
+
+def test_equal_conics_with_other_witnesses_keep_their_own_base():
+    # equal conics, different witnesses: a memo keyed on equality would
+    # hand the second conic the first one's base
+    circle = Conic.unit_circle()
+    twin = circle.with_witness(PPoint(1, 0, 1))
+    assert twin == circle
+    f = PPoint(3, 1, 1)
+    quads = {}
+    for c in (circle, twin, circle, twin):
+        assert chord_parametrization(c).base == c.witness
+        quad = inscribed_quadrangle_through(c, f)
+        expected_first = rational_parametrize(c, c.witness).point(0)
+        assert quad.b == expected_first
+        assert traversale_from_quadrangle(c, f) == polar(c, f)
+        quads.setdefault(id(c), quad.bornes)
+        assert quads[id(c)] == quad.bornes
+    assert quads[id(circle)] != quads[id(twin)]
+
+
+def test_no_rational_point_keeps_each_callers_message():
+    no_point = Conic.from_coefficients(1, 1, -3, 0, 0, 0)  # x^2 + y^2 = 3 z^2
+    viewport = (Fraction(-2), Fraction(-2), Fraction(2), Fraction(2))
+    for _ in range(2):  # a failed search leaves no memo behind
+        assert chord_parametrization(no_point) is None
+        with pytest.raises(NoRationalSecants) as synthetic:
+            traversale_from_quadrangle(no_point, PPoint(2, 0, 1))
+        assert str(synthetic.value) == "no rational point found on the conic within the search budget"
+        with pytest.raises(NoRationalSecants) as render:
+            render_svg([Drawable("conic", no_point)], viewport)
+        assert str(render.value) == "cannot render a conic without a rational point"
 
 
 def test_traversale_quadrangle_independence_randomized():
