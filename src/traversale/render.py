@@ -292,10 +292,10 @@ def _fig_involutions_on_ordonnee():
 
 def _fig_pole_construction():
     """The pole of a line as the meet of two traversales."""
-    circle = Conic.unit_circle()
-    tau = PLine(2, 0, -1)
-    n = PPoint(Fraction(1, 2), Fraction(3, 4), 1)
-    g = PPoint(Fraction(1, 2), 1, 1)
+    quad = worked_quadrangle()
+    circle = quad.conic
+    _, n, g = quad.diagonal_points()
+    tau = join(g, n)
     mu = polar(circle, n)
     nu = polar(circle, g)
     f = meet(mu, nu)
@@ -327,14 +327,12 @@ def _fig_tangents():
 
 def _fig_polarity_involution():
     """Couples of the polarity involution on a traversale, drawn from a conic point."""
-    circle = Conic.unit_circle()
-    f = PPoint(2, 0, 1)
+    quad = worked_quadrangle()
+    circle = quad.conic
+    b, c, d, e = quad.bornes
+    f = quad.diagonal_points()[0]
     tau = polar(circle, f)
     a = PPoint(0, 1, 1)
-    b = PPoint(1, 0, 1)
-    c = PPoint(-1, 0, 1)
-    d = PPoint(Fraction(3, 5), Fraction(4, 5), 1)
-    e = PPoint(Fraction(5, 13), Fraction(12, 13), 1)
     g1 = meet(join(a, b), tau)
     n1 = meet(join(a, c), tau)
     g2 = meet(join(a, d), tau)

@@ -25,15 +25,14 @@ from traversale import (
 from traversale.cli import main
 from traversale.render import FIGURES, render_figure
 from traversale.synthetic import InscribedQuadrangle, worked_quadrangle
-from traversale.verify import verify_all
 
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def test_verify_all_seed_1_report_digest():
-    text = "\n".join(r.to_text() for r in verify_all(1))
+def test_verify_all_seed_1_report_digest(seed_1_reports):
+    text = "\n".join(r.to_text() for r in seed_1_reports)
     assert _sha256(text) == "974bbfff446e69e17b25d661357b3ffc2ab3430baa232f7b4909e295790f1976"
 
 

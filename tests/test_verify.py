@@ -5,9 +5,8 @@ import pytest
 from traversale.errors import InvalidCaseCount, UnknownSuite
 from traversale.verify import (
     ALL_SUITES,
-    DEFAULT_CASES,
     Draws,
-    CORE_SUITES,
+    _CaseUnbuildable,
     _run_property,
     verify_all,
     verify_suite,
@@ -15,7 +14,7 @@ from traversale.verify import (
 
 
 def test_registry_contains_the_named_suites():
-    assert CORE_SUITES == (
+    assert ALL_SUITES == (
         "involution-equivalence",
         "ramee",
         "biduality",
@@ -26,8 +25,11 @@ def test_registry_contains_the_named_suites():
         "harmonic-FGXY",
         "transport",
         "classification",
+        "worked-example",
+        "affine-diameters",
+        "self-polar",
+        "rendering",
     )
-    assert set(CORE_SUITES) < set(ALL_SUITES)
 
 
 def test_unknown_suite_raises():
@@ -60,11 +62,10 @@ def test_every_suite_passes_at_small_scale():
         assert r.passed, r.to_text()
 
 
-def test_default_case_counts():
-    assert DEFAULT_CASES["involution-equivalence"] == 200
-    assert DEFAULT_CASES["self-polar"] == 50
-    r = verify_suite("self-polar", seed=1)
-    assert r.cases == 50
+def test_default_case_counts(seed_1_reports):
+    expected = dict.fromkeys(ALL_SUITES, 100)
+    expected.update({"involution-equivalence": 200, "self-polar": 50, "worked-example": 1, "rendering": 1})
+    assert {r.suite: r.cases for r in seed_1_reports} == expected
 
 
 def test_verify_all_covers_everything():
@@ -100,3 +101,23 @@ def test_unexpected_exception_is_a_failing_case():
     res = _run_property("demo", "crashes", seed=1, cases=40, case_fn=crashes)
     assert 0 < res.passed_cases < res.total_cases == 40
     assert "unexpected ZeroDivisionError: integer division or modulo by zero" in res.counterexample
+
+
+def test_unbuildable_case_is_a_failing_case():
+    def never_builds(d):
+        d.draw_int(0, 9)
+        raise _CaseUnbuildable("no draw accepted in 30 tries")
+
+    res = _run_property("demo", "never-builds", seed=1, cases=12, case_fn=never_builds)
+    assert res.line() == "FAIL never-builds 0/12"
+    assert res.counterexample == "case 0\nunbuildable: no draw accepted in 30 tries"
+
+
+def test_retry_helpers_redraw_then_give_up():
+    d = Draws(replay=[0, 0, 3, 5])
+    assert d.until(lambda d: d.draw_int(0, 9), lambda v: v > 0) == 3
+    with pytest.raises(_CaseUnbuildable):
+        Draws(replay=[1] * 10).distinct(2, lambda d: d.draw_int(0, 9), tries=10)
+    with pytest.raises(_CaseUnbuildable):
+        Draws(replay=[0] * 5).until(lambda d: 1 // d.draw_int(0, 9), tries=5, catch=ZeroDivisionError)
+    assert Draws(replay=[4, 4, 7]).distinct(2, lambda d: d.draw_int(0, 9)) == [4, 7]
