@@ -34,7 +34,6 @@ from .involution import (
     contains_pair,
     desargues_condition_check,
     interleaved,
-    involution_from_action,
     involution_from_two_pairs,
     ramee_project,
     souche_of,

@@ -3,7 +3,8 @@
 A conic is a symmetric 3x3 matrix up to scale; its zero set in the projective
 plane is the curve.  The polar of a point, the pole of a line, tangency,
 classification by exact Sylvester inertia, the polarity involution induced on
-every non-tangent line, affine features (center, asymptotes, the
+every non-tangent line (read off the line's chart representatives through
+the bilinear form), affine features (center, asymptotes, the
 ellipse/hyperbola/parabola trichotomy) and transport under homographies are
 all computed without ever leaving the rationals.  When an intersection exists
 over the reals but not over Q the operation says so exactly
@@ -30,7 +31,7 @@ from .errors import (
     TotallyIsotropicPoint,
     ZeroForm,
 )
-from .involution import InvolutionOnLine, involution_from_action
+from .involution import InvolutionOnLine
 from .linalg import Mat3, Vec3, adjugate, cross, det3, dot, generalized_cross, mat_mul, mat_vec, primitive, primitive_rows, transpose
 from .numbers import ExtRat, Pair, small_rationals, to_pair
 from .projective import (
@@ -41,7 +42,6 @@ from .projective import (
     PPoint,
     canonical_chart,
     join,
-    meet,
 )
 
 
@@ -263,17 +263,21 @@ def polarity_involution_on_line(c: Conic, l: PLine) -> InvolutionOnLine:
     line, elliptic on a line missing the conic; on a tangent line the map
     degenerates and TangentLine is raised instead.  The chart is the
     canonical chart of l.
+
+    With chart representatives o, i the image of den*o + num*i is the point
+    of l conjugate to it, phi(den*o + num*i, den'*o + num'*i) = 0, which is
+    linear in (num, den): the matrix is [[phi(o,i), phi(o,o)], [-phi(i,i),
+    -phi(o,i)]], and its vanishing determinant is tangency.
     """
     if not c.is_nondegenerate:
         raise DegenerateConic("the polarity involution needs a nondegenerate conic")
-    if is_tangent_line(c, l):
-        raise TangentLine(f"{l} is tangent; the polarity involution degenerates")
     chart = canonical_chart(l)
-
-    def action(p: PPoint) -> PPoint:
-        return meet(polar(c, p), l)
-
-    return involution_from_action(chart, action)
+    o, i = chart.representatives
+    mo = mat_vec(c.matrix, o)
+    qo, qi, phi_oi = dot(mo, o), dot(mat_vec(c.matrix, i), i), dot(mo, i)
+    if qo * qi == phi_oi * phi_oi:
+        raise TangentLine(f"{l} is tangent; the polarity involution degenerates")
+    return InvolutionOnLine(chart, ((phi_oi, qo), (-qi, -phi_oi)))
 
 
 def tangents_from(c: Conic, f: PPoint) -> tuple[tuple[PLine, PPoint], ...]:
@@ -428,7 +432,7 @@ class RationalParametrization:
             if not l.contains(base)
         )
         chart = canonical_chart(ref)
-        m, b, o, i = conic.matrix, base.coords, chart._rep_o, chart._rep_i
+        m, b, (o, i) = conic.matrix, base.coords, chart.representatives
         mo, mi = mat_vec(m, o), mat_vec(m, i)
         qo, qi, phi_oi = dot(mo, o), dot(mi, i), dot(mo, i)
         phi_bo, phi_bi = dot(mo, b), dot(mi, b)

@@ -2,7 +2,9 @@
 
 An involution is carried by a trace-zero invertible 2x2 matrix acting on the
 homogeneous chart pairs of a :class:`~traversale.projective.LineChart`; that
-is the modern "involutive homography" view.  The classical characterisations
+is the modern "involutive homography" view.  Couples are stored as integer
+chart pairs, and the perspectivity of the ramee is read off the chart
+representatives in closed form.  The classical characterisations
 are implemented independently alongside it: the three rectangle-ratio
 identities on signed segment products together with the interleaving clause
 (:func:`desargues_condition_check`), and the equal-products arbre form with
@@ -20,7 +22,7 @@ from fractions import Fraction
 from .errors import CenterOnLine, InfiniteNode, InvalidSouche, UnderdeterminedInvolution
 from .linalg import Mat2, adjugate2, cross, det2, mat2_mul, mat2_vec, primitive_rows
 from .numbers import INF, ExtRat, Pair, format_extended, from_pair, pair_cross, parse_extended, to_pair
-from .projective import LineChart, PPoint, join, meet
+from .projective import LineChart, PPoint
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -28,16 +30,19 @@ class PointPair:
     """An unordered couple of nodes on a line, in chart coordinates.
 
     A repeated coordinate is allowed and represents a fixed node (a "noeud
-    moyen double").  Coordinates may be INF.
+    moyen double").  Coordinates may be INF.  Each node is stored as its
+    homogeneous integer pair in lowest terms with den >= 0 (INF is (1, 0)),
+    the smaller node first and INF last; ``first`` and ``second`` give them
+    back as extended rationals.
     """
 
-    first: ExtRat
-    second: ExtRat
+    pairs: tuple[Pair, Pair]
 
     def __init__(self, first: ExtRat, second: ExtRat):
-        a, b = sorted((_as_ext(first), _as_ext(second)), key=_ext_key)
-        object.__setattr__(self, "first", a)
-        object.__setattr__(self, "second", b)
+        u, v = to_pair(first), to_pair(second)
+        if pair_cross(u, v) > 0:  # with den >= 0 the sign orders them, INF last
+            u, v = v, u
+        object.__setattr__(self, "pairs", (u, v))
 
     def __repr__(self):
         return f"PointPair({self.first!r}, {self.second!r})"
@@ -46,11 +51,16 @@ class PointPair:
         return "{" + format_extended(self.first) + ", " + format_extended(self.second) + "}"
 
     @property
-    def is_degenerate(self) -> bool:
-        return self.first == self.second
+    def first(self) -> ExtRat:
+        return from_pair(self.pairs[0])
 
-    def as_pairs(self) -> tuple[Pair, Pair]:
-        return (to_pair(self.first), to_pair(self.second))
+    @property
+    def second(self) -> ExtRat:
+        return from_pair(self.pairs[1])
+
+    @property
+    def is_degenerate(self) -> bool:
+        return self.pairs[0] == self.pairs[1]
 
     @classmethod
     def parse(cls, text: str) -> "PointPair":
@@ -61,14 +71,6 @@ class PointPair:
         if len(parts) != 2:
             raise ValueError(f"pair literal needs two coordinates: {text!r}")
         return cls(parse_extended(parts[0]), parse_extended(parts[1]))
-
-
-def _as_ext(v) -> ExtRat:
-    return v if v is INF else Fraction(v)
-
-
-def _ext_key(v: ExtRat):
-    return (1, 0) if v is INF else (0, v)
 
 
 class InvolutionKind(Enum):
@@ -131,13 +133,13 @@ def involution_from_two_pairs(p1: PointPair, p2: PointPair, chart: LineChart) ->
 
 
 def _pair_row(p: PointPair) -> tuple[int, int, int]:
-    (x, y), (x2, y2) = p.as_pairs()
+    (x, y), (x2, y2) = p.pairs
     return (x * y2 + x2 * y, y * y2, -x * x2)
 
 
 def contains_pair(inv: InvolutionOnLine, p: PointPair) -> bool:
     """Does the involution exchange the two nodes of the couple (exactly)?"""
-    u, v = p.as_pairs()
+    u, v = p.pairs
     return pair_cross(inv.apply_pair(u), v) == 0
 
 
@@ -155,7 +157,7 @@ def classify_and_fixed_points(
     (a, b), (c, _) = inv.matrix
     if c == 0:
         # infinity is fixed; the finite fixed point solves 2a*t + b = 0
-        return (InvolutionKind.HYPERBOLIC, tuple(sorted((Fraction(-b, 2 * a), INF), key=_ext_key)))
+        return (InvolutionKind.HYPERBOLIC, (Fraction(-b, 2 * a), INF))
     disc = a * a + b * c
     if disc < 0:
         return (InvolutionKind.ELLIPTIC, None)
@@ -226,10 +228,8 @@ def desargues_condition_check(
 
     for i in range(3):
         for j in range(i + 1, 3):
-            if pairs[i] != pairs[j]:
-                shared = {pairs[i].first, pairs[i].second} & {pairs[j].first, pairs[j].second}
-                if shared:
-                    return False
+            if pairs[i] != pairs[j] and set(pairs[i].pairs) & set(pairs[j].pairs):
+                return False
     if (
         p_bh.is_degenerate
         and p_cg.is_degenerate
@@ -314,41 +314,20 @@ def souche_of(inv: InvolutionOnLine) -> ExtRat:
 # Ramee: involutions are invariant under perspectivities
 # ---------------------------------------------------------------------------
 
-def mobius_from_three(src: tuple[Pair, Pair, Pair], dst: tuple[Pair, Pair, Pair]):
-    """The 2x2 matrix sending three distinct pairs to three distinct pairs."""
-    s0, s1, s2 = src
-    d0, d1, d2 = dst
-    al = pair_cross(s2, s1)
-    be = pair_cross(s0, s2)
-    ga = pair_cross(d2, d1)
-    de = pair_cross(d0, d2)
-    if al == 0 or be == 0 or ga == 0 or de == 0:
-        raise ValueError("mobius_from_three needs pairwise distinct pairs")
-    # columns: d0 * (ga / al), d1 * (de / be), rescaled by al * be
-    c0 = (d0[0] * ga * be, d0[1] * ga * be)
-    c1 = (d1[0] * de * al, d1[1] * de * al)
-    m = ((c0[0], c1[0]), (c0[1], c1[1]))
-    return mat2_mul(m, adjugate2(((s0[0], s1[0]), (s0[1], s1[1]))))
+def perspectivity(source: LineChart, center: PPoint, target: LineChart) -> Mat2:
+    """The chart matrix of projection from `center`, source line to target.
 
-
-def _chart_transfer_matrix(source: LineChart, map_point, target: LineChart):
-    """Matrix of a projective point map in chart coordinates."""
-    src_pairs = ((0, 1), (1, 1), (1, 0))  # the chart coordinates 0, 1 and INF
-    dst_pairs = tuple(
-        target.pair_of(map_point(source.point_from_pair(p))) for p in src_pairs
-    )
-    return mobius_from_three(src_pairs, dst_pairs)
-
-
-def perspectivity(source: LineChart, center: PPoint, target: LineChart):
-    """The chart matrix of projection from `center`, source line to target."""
+    The map v -> (center x v) x target.line is linear in v, so its columns
+    are the target pairs of the images of the source representatives I and
+    O, the points with source pairs (1, 0) and (0, 1).
+    """
     if source.line.contains(center) or target.line.contains(center):
         raise CenterOnLine(f"center {center} lies on one of the lines")
-
-    def map_point(p: PPoint) -> PPoint:
-        return meet(join(center, p), target.line)
-
-    return _chart_transfer_matrix(source, map_point, target)
+    o, i = source.representatives
+    (a, c), (b, d) = (
+        target.vector_pair(cross(cross(center.coords, v), target.line.coeffs)) for v in (i, o)
+    )
+    return ((a, b), (c, d))
 
 
 def ramee_project(inv: InvolutionOnLine, center: PPoint, target: LineChart) -> InvolutionOnLine:
@@ -360,14 +339,3 @@ def ramee_project(inv: InvolutionOnLine, center: PPoint, target: LineChart) -> I
     """
     t = perspectivity(inv.chart, center, target)
     return InvolutionOnLine(target, mat2_mul(mat2_mul(t, inv.matrix), adjugate2(t)))
-
-
-def involution_from_action(chart: LineChart, action) -> InvolutionOnLine:
-    """Build the involution matrix of an involutive point map on a line.
-
-    `action` maps points of the chart's line to points of the same line; it
-    is sampled at the three chart reference points.  The constructor rejects
-    the result if the sampled map is not involutive.
-    """
-    m = _chart_transfer_matrix(chart, action, chart)
-    return InvolutionOnLine(chart, m)

@@ -169,18 +169,19 @@ class LineChart:
 
     The chart is fixed by three pairwise distinct reference points on the
     line: ``origin`` gets coordinate 0, ``unit`` coordinate 1 and
-    ``infinity_point`` the value INF.  Internally the points of the line are
-    written s*O + t*I against integer representatives O, I whose sum
-    represents unit; the chart coordinate is t/s, kept as a homogeneous
-    integer pair for totality.
+    ``infinity_point`` the value INF.  The points of the line are written
+    s*O + t*I against ``representatives`` = (O, I), integer vectors of
+    origin and infinity_point scaled so that O + I represents unit; the
+    chart coordinate is t/s, kept as the homogeneous integer pair (t, s).
+    A map of the line that is linear in the point's vector has its chart
+    matrix read off O and I.
     """
 
     line: PLine
     origin: PPoint
     unit: PPoint
     infinity_point: PPoint
-    _rep_o: Vec3 = field(compare=False)
-    _rep_i: Vec3 = field(compare=False)
+    representatives: tuple[Vec3, Vec3] = field(compare=False)
     _rows: tuple[int, int] = field(compare=False)
 
     def __init__(self, line: PLine, origin: PPoint, unit: PPoint, infinity_point: PPoint):
@@ -201,8 +202,7 @@ class LineChart:
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "infinity_point", infinity_point)
-        object.__setattr__(self, "_rep_o", tuple(lam * c for c in o))
-        object.__setattr__(self, "_rep_i", tuple(mu * c for c in i))
+        object.__setattr__(self, "representatives", (tuple(lam * c for c in o), tuple(mu * c for c in i)))
         object.__setattr__(self, "_rows", rows)
 
     def __repr__(self):
@@ -212,12 +212,18 @@ class LineChart:
         """Homogeneous chart pair (num, den), coordinate = num/den."""
         if not self.line.contains(point):
             raise NotOnLine(f"{point} is not on {self.line}")
+        return self.vector_pair(point.coords)
+
+    def vector_pair(self, v: Vec3) -> Pair:
+        """The pair (t, s) with d*v = s*O + t*I, for a vector v on the line.
+
+        Cramer's numerators on two independent coordinate rows; d is a
+        fixed nonzero determinant of the chart, so the pair is linear in v.
+        Nothing is rescaled and v is not checked against the line.
+        """
         r0, r1 = self._rows
-        o, i, p = self._rep_o, self._rep_i, point.coords
-        st = solve2((o[r0], o[r1]), (i[r0], i[r1]), (p[r0], p[r1]))
-        assert st is not None
-        s, t, _ = st
-        return (t, s)
+        o, i = self.representatives
+        return (o[r0] * v[r1] - o[r1] * v[r0], v[r0] * i[r1] - v[r1] * i[r0])
 
     def coordinate(self, point: PPoint) -> ExtRat:
         return from_pair(self.pair_of(point))
@@ -226,8 +232,8 @@ class LineChart:
         num, den = pair
         if num == 0 and den == 0:
             raise ValueError("zero pair")
-        coords = tuple(den * o + num * i for o, i in zip(self._rep_o, self._rep_i))
-        return PPoint(*coords)
+        o, i = self.representatives
+        return PPoint(*(den * a + num * b for a, b in zip(o, i)))
 
     def point_at(self, t: ExtRat) -> PPoint:
         return self.point_from_pair(to_pair(t))
@@ -267,7 +273,7 @@ def cross_ratio(a: PPoint, b: PPoint, c: PPoint, d: PPoint, chart: LineChart) ->
     Extended projectively through the chart's homogeneous pairs, so any of
     the points may sit at the chart's infinity.  The value is independent of
     the chart chosen on the same line.  Requires a, b, c pairwise distinct;
-    d is free (d = c gives 1, d = b gives INF, d = a gives 0).
+    d is free (d = c gives 1, d = a gives INF, d = b gives 0).
     """
     pa, pb, pc, pd = (chart.pair_of(p) for p in (a, b, c, d))
     if pair_cross(pa, pb) == 0 or pair_cross(pa, pc) == 0 or pair_cross(pb, pc) == 0:

@@ -75,6 +75,15 @@ def _check_general_position(pts: tuple[PPoint, ...], noun: str) -> None:
             raise DegenerateQuadrangle(f"three {noun} are collinear: {trio}")
 
 
+def _opposite_sides(a: PPoint, b: PPoint, c: PPoint, d: PPoint) -> tuple[tuple[PLine, PLine], ...]:
+    """The opposite-side couples ({ab, cd}, {bc, ad}, {ac, bd}) of the quadrangle abcd."""
+    return (
+        (join(a, b), join(c, d)),
+        (join(b, c), join(a, d)),
+        (join(a, c), join(b, d)),
+    )
+
+
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class InscribedQuadrangle:
     """Four bornes on a conic with their bornale couples and diagonal points.
@@ -113,12 +122,7 @@ class InscribedQuadrangle:
     @property
     def bornale_couples(self) -> tuple[tuple[PLine, PLine], ...]:
         """The three couples ({BC, DE}, {CD, BE}, {BD, CE})."""
-        b, c, d, e = self.bornes
-        return (
-            (join(b, c), join(d, e)),
-            (join(c, d), join(b, e)),
-            (join(b, d), join(c, e)),
-        )
+        return _opposite_sides(*self.bornes)
 
     def diagonal_points(self) -> tuple[PPoint, PPoint, PPoint]:
         couples = self.bornale_couples
@@ -164,12 +168,7 @@ class PencilBase:
                     raise NotOnConic(f"member conic misses base point {p}")
 
     def degenerate_members(self) -> tuple[tuple[PLine, PLine], ...]:
-        a, b, c, d = self.points
-        return (
-            (join(a, b), join(c, d)),
-            (join(b, c), join(a, d)),
-            (join(a, c), join(b, d)),
-        )
+        return _opposite_sides(*self.points)
 
 
 def _secant_source(c: Conic) -> RationalParametrization:

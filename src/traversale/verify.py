@@ -631,10 +631,8 @@ def _classification(d: Draws):
     inv = polarity_involution_on_line(c, secant)
     kind, fixed = classify_and_fixed_points(inv)
     chart = inv.chart
-    expected_fixed = tuple(sorted(
-        (chart.coordinate(p1), chart.coordinate(p2)),
-        key=lambda v: (1, Fraction(0)) if v is INF else (0, v),
-    ))
+    ends = PointPair(chart.coordinate(p1), chart.coordinate(p2))
+    expected_fixed = (ends.first, ends.second)
     ok_secant = kind == InvolutionKind.HYPERBOLIC and fixed == expected_fixed
     # a line missing the conic: the polar of an interior point
     a, b, dd = d.until(

@@ -32,6 +32,7 @@ from traversale import (
     concurrent,
     conic_from_five_points,
     find_rational_point,
+    is_tangent_line,
     join,
     line_intersect,
     meet,
@@ -40,6 +41,7 @@ from traversale import (
     pole,
     rational_parametrize,
     second_intersection,
+    tangent_at,
     tangents_from,
     transform,
 )
@@ -261,6 +263,56 @@ def test_polarity_harmonic_section(circle):
             continue
         h = inv.apply_point(f)
         assert cross_ratio(lpt, mpt, f, h, chart) == -1
+
+
+def _circle_image_chain(seed, steps):
+    """The unit circle under `steps` seeded random homographies, with their composite."""
+    rng = random.Random(seed)
+    h = Homography.identity()
+    for _ in range(steps):
+        h = _random_circle_image(rng)[1].compose(h)
+    return transform(Conic.unit_circle(), h), h
+
+
+@pytest.mark.parametrize(
+    "seed, steps",
+    # the circle itself, small images, and images with entries of about 300 bits
+    [(0, 0), (71, 1), (72, 1), (73, 2), (74, 60), (75, 60)],
+)
+def test_polarity_involution_matches_polar_meet(seed, steps):
+    # the closed-form matrix against the geometric definition m -> polar(m) /\ l
+    c, h = _circle_image_chain(seed, steps)
+    rng = random.Random(seed)
+    par = rational_parametrize(c, c.witness)
+    on_conic = [par.point(t) for t in (F(1, 3), F(-2), F(5, 7))]
+    lines = {
+        "secant": join(on_conic[0], on_conic[1]),
+        "missing": polar(c, h.apply(PPoint(0, 0, 1))),  # polar of an interior point
+        "vertical": PLine(1, 0, -3),
+        "x-axis": PLine(0, 1, 0),
+        "infinity": LINE_AT_INFINITY,
+    }
+    for n in range(8):
+        lines[f"random-{n}"] = PLine(*(rng.randint(-5, 5) for _ in range(2)), rng.randint(1, 5))
+    for name, l in lines.items():
+        if is_tangent_line(c, l):
+            with pytest.raises(TangentLine):
+                polarity_involution_on_line(c, l)
+            continue
+        inv = polarity_involution_on_line(c, l)
+        assert inv.chart == canonical_chart(l)
+        params = [INF, F(0), F(1), F(-1)]
+        params += [F(rng.randint(-10**k, 10**k), rng.randint(1, 10**k)) for k in (1, 3, 30) for _ in range(3)]
+        for t in params:
+            p = inv.chart.point_at(t)
+            assert inv.apply_point(p) == meet(polar(c, p), l), (name, t)
+    kinds = {
+        name: classify_and_fixed_points(polarity_involution_on_line(c, lines[name]))[0]
+        for name in ("secant", "missing")
+    }
+    assert kinds == {"secant": InvolutionKind.HYPERBOLIC, "missing": InvolutionKind.ELLIPTIC}
+    with pytest.raises(TangentLine):
+        polarity_involution_on_line(c, tangent_at(c, on_conic[2]))
 
 
 # -- tangents ---------------------------------------------------------------

@@ -8,10 +8,12 @@ import pytest
 from traversale import (
     INF,
     CenterOnLine,
+    GeometryError,
     InfiniteNode,
     InvalidSouche,
     InvolutionKind,
     InvolutionOnLine,
+    LineChart,
     PLine,
     PPoint,
     PointPair,
@@ -24,6 +26,8 @@ from traversale import (
     desargues_condition_check,
     interleaved,
     involution_from_two_pairs,
+    join,
+    meet,
     ramee_project,
     souche_of,
 )
@@ -45,6 +49,17 @@ def test_pair_is_unordered_and_parses():
     p = PointPair.parse("{3/5, inf}")
     assert p.first == F(3, 5) and p.second is INF
     assert PointPair.parse(str(p)) == p
+    # INF given first, negatives, equal nodes and int nodes
+    q = PointPair(INF, F(-4, 6))
+    assert q == PointPair(F(-2, 3), INF) and q.pairs == ((-2, 3), (1, 0))
+    assert (q.first, q.second) == (F(-2, 3), INF) and str(q) == "{-2/3, inf}"
+    r = PointPair(F(-1, 2), F(-7, 3))
+    assert (r.first, r.second) == (F(-7, 3), F(-1, 2)) and r.pairs == ((-7, 3), (-1, 2))
+    assert PointPair(-3, 2) == PointPair(F(2), F(-3)) and str(PointPair(-3, 2)) == "{-3, 2}"
+    assert hash(PointPair(-3, 2)) == hash(PointPair(F(2), F(-3)))
+    assert PointPair(0, F(0)).pairs == ((0, 1), (0, 1)) and PointPair(0, F(0)).is_degenerate
+    assert PointPair(INF, INF).is_degenerate and PointPair(INF, INF).first is INF
+    assert not PointPair(F(5), INF).is_degenerate
 
 
 def test_from_two_pairs_swap_pair_and_fixed_pair(x_axis_chart):
@@ -243,6 +258,52 @@ def test_ramee_projection_example(x_axis_chart):
         assert contains_pair(projected, pair)
     kind, fixed = classify_and_fixed_points(projected)
     assert kind == InvolutionKind.HYPERBOLIC and fixed == (F(0), INF)
+
+
+def _random_point(rng, bound):
+    while True:
+        try:
+            return PPoint(*(rng.randint(-bound, bound) for _ in range(3)))
+        except GeometryError:
+            continue
+
+
+def _random_chart(rng, bound):
+    """A chart on a random line, with random reference points on it."""
+    while True:
+        try:
+            o, i = _random_point(rng, bound), _random_point(rng, bound)
+            a, b = rng.randint(1, bound), rng.choice((-1, 1)) * rng.randint(1, bound)
+            unit = PPoint(*(a * x + b * y for x, y in zip(o.coords, i.coords)))
+            return LineChart(join(o, i), o, unit, i)
+        except GeometryError:
+            continue
+
+
+@pytest.mark.parametrize("bound", [3, 2**300], ids=["small", "300-bit"])
+def test_ramee_carries_each_couple_by_projection(bound):
+    # the closed-form perspectivity against the geometric one, p -> (center p) /\ target
+    rng = random.Random(bound)
+    checked = 0
+    while checked < 60:
+        source, target = _random_chart(rng, bound), _random_chart(rng, bound)
+        if rng.random() < 0.25:
+            target = canonical_chart(target.line)
+        center = _random_point(rng, bound)
+        a, b, c = (rng.randint(-bound, bound) for _ in range(3))
+        if source.line.contains(center) or target.line.contains(center) or a * a + b * c == 0:
+            continue
+        inv = InvolutionOnLine(source, ((a, b), (c, -a)))
+        projected = ramee_project(inv, center, target)
+        assert projected.chart == target
+
+        def image(p):
+            return meet(join(center, p), target.line)
+
+        for t in (INF, F(0), F(1), F(rng.randint(-bound, bound), rng.randint(1, bound))):
+            p = source.point_at(t)
+            assert projected.apply_point(image(p)) == image(inv.apply_point(p))
+        checked += 1
 
 
 def test_ramee_center_on_line_rejected(x_axis_chart):

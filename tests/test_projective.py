@@ -120,6 +120,13 @@ def test_cross_ratio_normalization(x_axis_chart):
     for t in (Fraction(5, 3), Fraction(-7, 2), Fraction(4)):
         d = x_axis_chart.point_at(t)
         assert cross_ratio(a, b, c, d, x_axis_chart) == 1 / t
+    # d free: d = c gives 1, d = a gives INF, d = b gives 0
+    assert cross_ratio(a, b, c, c, x_axis_chart) == 1
+    assert cross_ratio(a, b, c, a, x_axis_chart) is INF
+    assert cross_ratio(a, b, c, b, x_axis_chart) == 0
+    finite = [x_axis_chart.point_at(Fraction(t)) for t in (2, -1, 5)]
+    assert cross_ratio(*finite, finite[0], x_axis_chart) is INF
+    assert cross_ratio(*finite, finite[1], x_axis_chart) == 0
 
 
 def test_cross_ratio_degenerate_quadruple(x_axis_chart):
