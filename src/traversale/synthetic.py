@@ -46,8 +46,8 @@ from .errors import (
     VertexOnTransversal,
 )
 from .involution import InvolutionOnLine, PointPair, involution_from_two_pairs
-from .linalg import det3, solve2
-from .numbers import format_rational, small_extended
+from .linalg import det3, dot, mat_vec, solve2
+from .numbers import format_rational, small_extended, to_pair
 from .projective import (
     LINE_AT_INFINITY,
     Homography,
@@ -61,14 +61,19 @@ from .projective import (
 )
 
 
-def _check_general_position(pts: tuple[PPoint, ...], noun: str) -> None:
+def _check_general_position(pts: tuple[PPoint, ...], noun: str, *, trios: bool = True) -> None:
     """Four points pairwise distinct with no three collinear.
 
     Three distinct points are collinear exactly when the determinant of
-    their coordinates vanishes.
+    their coordinates vanishes.  A caller whose points are known to lie on
+    one nondegenerate conic passes ``trios=False``: a line meets such a
+    conic in at most two points, so three distinct points on it are never
+    collinear and the determinants could not fire.
     """
     if len(set(pts)) != 4:
         raise DegenerateQuadrangle(f"{noun} must be pairwise distinct")
+    if not trios:
+        return
     for skip in range(4):
         trio = [p for i, p in enumerate(pts) if i != skip]
         if det3([p.coords for p in trio]) == 0:
@@ -91,7 +96,9 @@ class InscribedQuadrangle:
     Labels follow the fixed convention: F is the meet of the couple
     {BC, DE}, N of {CD, BE} and G of {BD, CE}.  The bornes must be distinct
     with no three collinear; the diagonal points then form a genuine
-    triangle, any vertex of which may be at infinity.
+    triangle, any vertex of which may be at infinity.  On a nondegenerate
+    conic distinct bornes are never collinear, so only their distinctness
+    is tested there.
     """
 
     conic: Conic
@@ -105,7 +112,7 @@ class InscribedQuadrangle:
         for p in pts:
             if not conic.contains(p):
                 raise NotOnConic(f"borne {p} is not on the conic")
-        _check_general_position(pts, "bornes")
+        _check_general_position(pts, "bornes", trios=not conic.is_nondegenerate)
         object.__setattr__(self, "conic", conic)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -171,6 +178,11 @@ class PencilBase:
         return _opposite_sides(*self.points)
 
 
+# The first 64 parameters of small_extended() as chart pairs: the fixed
+# sweep of secant directions and of points on a line.
+_SWEEP_PAIRS = tuple(to_pair(t) for t in islice(small_extended(), 64))
+
+
 def _secant_source(c: Conic) -> RationalParametrization:
     par = chord_parametrization(c)
     if par is None:
@@ -178,29 +190,37 @@ def _secant_source(c: Conic) -> RationalParametrization:
     return par
 
 
-def inscribed_quadrangle_through(
-    c: Conic, f: PPoint, *, offset: int = 0, budget: int = 64
-) -> InscribedQuadrangle:
+def inscribed_quadrangle_through(c: Conic, f: PPoint, *, offset: int = 0) -> InscribedQuadrangle:
     """An inscribed quadrangle with one bornale couple crossing at f.
 
     Two distinct rational secants through f are produced by joining f to
-    points of the conic's rational parametrization (the second intersection
-    is rational by Vieta).  `offset` skips that many usable secants first,
-    which is how independent quadrangles for the same point are generated.
+    points p of the conic's rational parametrization; by Vieta the second
+    intersection is q(f)*p - 2*phi(f, p)*f, rational, and the line is
+    tangent at p exactly when phi(f, p) = 0.  `offset` skips that many
+    usable secants first, which is how independent quadrangles for the
+    same point are generated.
+
+    q(f) and M f are computed once, before the sweep.  The sweep neither
+    tests p on the conic (the parametrization only yields conic points)
+    nor tests f against p (f is off the conic); the four chosen bornes are
+    still checked by the InscribedQuadrangle constructor.
     """
-    if c.contains(f):
+    mf = mat_vec(c.matrix, f.coords)
+    qf = dot(mf, f.coords)
+    if qf == 0:
         raise OnConic(f"{f} lies on the conic; no traversale quadrangle exists")
     par = _secant_source(c)
     seen: set[PPoint] = set()
     secants: list[tuple[PPoint, PPoint]] = []
-    params = small_extended()
-    for _ in range(budget):
-        t = next(params)
-        p = par.point(t)
+    for pair in _SWEEP_PAIRS:
+        p = par.point_from_pair(pair)
         if p in seen:
             continue  # a chord already swept, revisited from its far end
-        q = second_intersection(c, p, f)
-        if q == p or q in seen:
+        phi = dot(mf, p.coords)
+        if phi == 0:
+            continue  # fp is tangent at p
+        q = PPoint(*(qf * pk - 2 * phi * fk for pk, fk in zip(p.coords, f.coords)))
+        if q in seen:
             continue
         seen.update((p, q))
         secants.append((p, q))
@@ -216,12 +236,15 @@ def traversale_from_quadrangle(c: Conic, f: PPoint, *, offset: int = 0) -> PLine
     """The traversale of f, built with ruler alone from an inscribed quadrangle.
 
     A quadrangle B, C, D, E on the conic is chosen with BC and DE crossing
-    at f; the returned line joins the two other diagonal points G and N.
-    The independence of this line from the quadrangle, and its equality with
-    the algebraic polar of f, are the theorems the test suites drive.
+    at f; the returned line joins the two other diagonal points
+    N = CD /\\ BE and G = BD /\\ CE.  The third diagonal point, BC /\\ DE,
+    is f itself, so it is not built.  The independence of this line from
+    the quadrangle, and its equality with the algebraic polar of f, are
+    the theorems the test suites drive.
     """
-    quad = inscribed_quadrangle_through(c, f, offset=offset)
-    _, n, g = quad.diagonal_points()
+    b, c2, d, e = inscribed_quadrangle_through(c, f, offset=offset).bornes
+    n = meet(join(c2, d), join(b, e))
+    g = meet(join(b, d), join(c2, e))
     return join(g, n)
 
 
@@ -271,8 +294,8 @@ def pole_by_construction(c: Conic, l: PLine) -> PPoint:
         raise TangentLine(f"{l} is tangent; its pole lies on it and the construction degenerates")
     chart = canonical_chart(l)
     lines: list[PLine] = []
-    for t in islice(small_extended(), 64):
-        g = chart.point_at(t)
+    for pair in _SWEEP_PAIRS:
+        g = chart.point_from_pair(pair)
         if c.contains(g):
             continue
         tau = traversale_from_quadrangle(c, g)

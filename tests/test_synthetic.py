@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, islice
 
 import pytest
 
@@ -16,6 +17,7 @@ from traversale import (
     LineMissesConic,
     NoRationalSecants,
     NotADiameter,
+    NotOnConic,
     OnConic,
     PLine,
     PPoint,
@@ -30,10 +32,13 @@ from traversale import (
     polar,
     pole,
     rational_parametrize,
+    second_intersection,
     tangent_at,
     transform,
 )
 from traversale.conic import chord_parametrization
+from traversale.linalg import det3
+from traversale.numbers import small_extended
 from traversale.render import Drawable, render_svg
 from traversale.synthetic import (
     InscribedQuadrangle,
@@ -115,6 +120,87 @@ def test_quadrangle_rejects_collinear(circle):
         InscribedQuadrangle(
             circle, PPoint(1, 0, 1), PPoint(1, 0, 1), PPoint(0, 1, 1), PPoint(0, -1, 1)
         )
+
+
+def _circle_image(seed, steps):
+    """The unit circle (witness included) under `steps` seeded random homographies, with their composite."""
+    rng = random.Random(seed)
+    h = Homography.identity()
+    for _ in range(steps):
+        h = _random_conic(rng)[1].compose(h)
+    return transform(Conic.unit_circle(), h), h
+
+
+_SWEEP_CONICS = {
+    "circle": (Conic.unit_circle(), Homography.identity()),
+    "twin": (Conic.unit_circle().with_witness(PPoint(1, 0, 1)), Homography.identity()),
+    **{f"small-{seed}": _circle_image(seed, steps) for seed, steps in ((81, 1), (82, 1), (83, 2))},
+    # matrix entries of about 300 bits
+    **{f"deep-{seed}": _circle_image(seed, 60) for seed in (84, 85)},
+}
+
+
+@pytest.mark.parametrize("name", list(_SWEEP_CONICS))
+def test_quadrangle_sweep_matches_second_intersection_reference(name):
+    # the hoisted Vieta sweep against the chord construction it replaces
+    c, h = _SWEEP_CONICS[name]
+    par = chord_parametrization(c)
+
+    def reference_bornes(f, offset):
+        seen, secants = set(), []
+        for t in islice(small_extended(), 64):
+            p = par.point(t)
+            if p in seen:
+                continue
+            q = second_intersection(c, p, f)
+            if q == p or q in seen:
+                continue
+            seen.update((p, q))
+            secants.append((p, q))
+            if len(secants) == offset + 2:
+                return (*secants[offset], *secants[offset + 1])
+        raise AssertionError(f"reference sweep found {len(secants)} secants through {f}")
+
+    contacts = (par.point(F(0)), par.point(F(1)))  # swept points, so the sweep meets both tangents from f
+    points = {
+        "exterior": meet(*(tangent_at(c, p) for p in contacts)),
+        "interior": h.apply(PPoint(0, 0, 1)),
+        "infinity": next(f for f in (PPoint(1, k, 0) for k in range(2, 9)) if not c.contains(f)),
+    }
+    for kind, f in points.items():
+        assert not c.contains(f)
+        for offset in range(4):
+            quad = inscribed_quadrangle_through(c, f, offset=offset)
+            assert quad.bornes == reference_bornes(f, offset), (kind, offset)
+
+
+@pytest.mark.parametrize("seed, steps", [(0, 0), (91, 1), (92, 2), (93, 60)])
+def test_distinct_points_on_a_nondegenerate_conic_are_never_collinear(seed, steps):
+    # the theorem that lets InscribedQuadrangle skip the trio determinants
+    c, _ = _circle_image(seed, steps)
+    assert c.is_nondegenerate
+    par = chord_parametrization(c)
+    rng = random.Random(seed)
+    for _ in range(10):
+        pts = set()
+        while len(pts) < 4:
+            pts.add(par.point(F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))))
+        for trio in combinations(pts, 3):
+            assert det3([p.coords for p in trio]) != 0
+        InscribedQuadrangle(c, *pts)
+
+
+def test_inscribed_quadrangle_checks_bornes_then_distinctness(circle):
+    on = (PPoint(1, 0, 1), PPoint(0, 1, 1), PPoint(-1, 0, 1))
+    off = PPoint(3, 0, 1)  # off the circle, and collinear with (1, 0) and (-1, 0)
+    for pts in ((off, *on), (on[0], on[0], on[1], off), (on[0], on[1], on[1], off)):
+        with pytest.raises(NotOnConic) as info:
+            InscribedQuadrangle(circle, *pts)
+        assert str(info.value) == f"borne {off} is not on the conic"
+    for pts in ((on[0], on[0], on[1], on[2]), (*on, on[2])):
+        with pytest.raises(DegenerateQuadrangle) as info:
+            InscribedQuadrangle(circle, *pts)
+        assert str(info.value) == "bornes must be pairwise distinct"
 
 
 # on the two-line conic xy = 0, three bornes on the x-axis and one on the y-axis
