@@ -1,13 +1,20 @@
 """Command-line interface.
 
-Verbs: polar, pole, traversale, involution, classify, run, render, verify.
+Each verb takes only the options its handler reads:
+
+    polar --conic --point          pole --conic --line
+    traversale --conic --point [--transcript PATH]
+    involution --pair --pair       classify --conic
+    run SCENE [--out PATH]         render FIGURE [--viewport] [--width] [--out PATH]
+    verify [SUITE ...] [--all] [--seed N] [--cases N] [--out PATH]
+
 Exact literals only: points as "(x, y, z)", lines as "[u, v, w]", conics as
 six rationals "a b c d e f", involution couples as "{t1, t2}" with "inf".
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 bad input (parse errors,
-unknown references, geometric preconditions, unreadable or directory paths,
-a width below 1, a case count below 1).  DESARGUES_SEED, when set, overrides
---seed.
+Exit codes: 0 all checks pass, 1 a check failed, 2 bad input (an unknown
+option, parse errors, unknown references, geometric preconditions,
+unreadable or directory paths, a width below 1, a case count below 1).
+DESARGUES_SEED, when set, overrides verify's --seed.
 """
 
 from __future__ import annotations
@@ -68,58 +75,6 @@ def _effective_seed(args) -> int:
         except ValueError:
             raise _InputError(f"DESARGUES_SEED must be an integer, got {env!r}") from None
     return args.seed
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=1, help="PRNG seed (DESARGUES_SEED overrides)")
-    common.add_argument("--cases", type=int, default=None, help="cases per randomized property")
-    common.add_argument("--out", default=None, help="output file path")
-
-    parser = argparse.ArgumentParser(
-        prog="traversale",
-        description="Exact projective polarity: Desargues constructions vs quadratic forms.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("polar", parents=[common], help="polar line of a point")
-    p.add_argument("--conic", required=True)
-    p.add_argument("--point", required=True)
-
-    p = sub.add_parser("pole", parents=[common], help="pole point of a line")
-    p.add_argument("--conic", required=True)
-    p.add_argument("--line", required=True)
-
-    p = sub.add_parser(
-        "traversale", parents=[common],
-        help="ruler-built traversale of a point, checked against the polar",
-    )
-    p.add_argument("--conic", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument(
-        "--transcript", default=None, metavar="PATH",
-        help="also write the construction as a runnable scene transcript",
-    )
-
-    p = sub.add_parser("involution", parents=[common], help="involution from two couples")
-    p.add_argument("--pair", action="append", required=True, help='couple "{t1, t2}", twice')
-
-    p = sub.add_parser("classify", parents=[common], help="exact class and inertia of a conic")
-    p.add_argument("--conic", required=True)
-
-    p = sub.add_parser("run", parents=[common], help="execute a scene file")
-    p.add_argument("scene")
-
-    p = sub.add_parser("render", parents=[common], help="render a built-in figure to SVG")
-    p.add_argument("figure", choices=sorted(FIGURES))
-    p.add_argument("--viewport", default=None, help="xmin,ymin,xmax,ymax (rationals)")
-    p.add_argument("--width", type=int, default=640)
-
-    p = sub.add_parser("verify", parents=[common], help="run verification suites")
-    p.add_argument("suites", nargs="*", help=f"suite ids ({', '.join(ALL_SUITES)})")
-    p.add_argument("--all", action="store_true", help="run every suite")
-
-    return parser
 
 
 def _cmd_polar(args) -> int:
@@ -209,23 +164,65 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-_HANDLERS = {
-    "polar": _cmd_polar,
-    "pole": _cmd_pole,
-    "traversale": _cmd_traversale,
-    "involution": _cmd_involution,
-    "classify": _cmd_classify,
-    "run": _cmd_run,
-    "render": _cmd_render,
-    "verify": _cmd_verify,
-}
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="traversale",
+        description="Exact projective polarity: Desargues constructions vs quadratic forms.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def verb(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = verb("polar", _cmd_polar, "polar line of a point")
+    p.add_argument("--conic", required=True)
+    p.add_argument("--point", required=True)
+
+    p = verb("pole", _cmd_pole, "pole point of a line")
+    p.add_argument("--conic", required=True)
+    p.add_argument("--line", required=True)
+
+    p = verb("traversale", _cmd_traversale, "ruler-built traversale of a point, checked against the polar")
+    p.add_argument("--conic", required=True)
+    p.add_argument("--point", required=True)
+    p.add_argument(
+        "--transcript", default=None, metavar="PATH",
+        help="also write the construction as a runnable scene transcript",
+    )
+
+    p = verb("involution", _cmd_involution, "involution from two couples")
+    p.add_argument("--pair", action="append", required=True, help='couple "{t1, t2}", twice')
+
+    p = verb("classify", _cmd_classify, "exact class and inertia of a conic")
+    p.add_argument("--conic", required=True)
+
+    p = verb("run", _cmd_run, "execute a scene file")
+    p.add_argument("scene")
+    p.add_argument("--out", default=None, metavar="PATH", help="also write the report to PATH")
+
+    p = verb("render", _cmd_render, "render a built-in figure to SVG")
+    p.add_argument("figure", choices=sorted(FIGURES))
+    p.add_argument("--viewport", default=None, help="xmin,ymin,xmax,ymax (rationals)")
+    p.add_argument("--width", type=int, default=640)
+    p.add_argument("--out", default=None, metavar="PATH", help="SVG path (default FIGURE.svg)")
+
+    p = verb("verify", _cmd_verify, "run verification suites")
+    p.add_argument("suites", nargs="*", help=f"suite ids ({', '.join(ALL_SUITES)})")
+    p.add_argument("--all", action="store_true", help="run every suite")
+    p.add_argument("--seed", type=int, default=1, help="PRNG seed (DESARGUES_SEED overrides)")
+    p.add_argument("--cases", type=int, default=None, help="cases per randomized property")
+    p.add_argument("--out", default=None, metavar="PATH", help="also write the report to PATH")
+
+    return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (_InputError, SceneError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

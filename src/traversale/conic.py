@@ -57,11 +57,13 @@ class Conic:
     searches; it is a cache, ignored by equality and hashing.  The chord
     parametrization that :func:`chord_parametrization` builds from the
     conic's first rational point is memoized on the object; it too is a
-    cache, ignored by equality and hashing.
+    cache, ignored by equality and hashing.  ``is_nondegenerate`` (a
+    nonzero determinant) is computed once, when the conic is built.
     """
 
     matrix: Mat3
     witness: PPoint | None = field(compare=False)
+    is_nondegenerate: bool = field(compare=False)
     _parametrization: RationalParametrization | None = field(compare=False)
 
     def __init__(self, rows, witness: PPoint | None = None):
@@ -77,6 +79,7 @@ class Conic:
             raise BasePointNotOnConic(f"witness {witness} is not on the conic")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "is_nondegenerate", det3(mat) != 0)
         object.__setattr__(self, "_parametrization", None)
 
     def __repr__(self):
@@ -94,10 +97,6 @@ class Conic:
 
     def contains(self, p: PPoint) -> bool:
         return self.evaluate(p) == 0
-
-    @property
-    def is_nondegenerate(self) -> bool:
-        return det3(self.matrix) != 0
 
     def coefficients(self) -> tuple[int, ...]:
         """(a, b, c, d, e, f) with a x^2 + b y^2 + c z^2 + d xy + e xz + f yz = 0."""
@@ -505,12 +504,15 @@ def chord_parametrization(c: Conic) -> RationalParametrization | None:
     return par
 
 
-def find_rational_point(c: Conic, budget: int = 120) -> PPoint | None:
+_SEARCH_LINES = 120  # lines find_rational_point sweeps before giving up
+
+
+def find_rational_point(c: Conic) -> PPoint | None:
     """Bounded deterministic search for a rational point on the conic.
 
     Checks the carried witness first, then sweeps small-height vertical,
     horizontal and through-origin lines, testing each restricted
-    discriminant exactly.  Returns None when the budget is exhausted; this
+    discriminant exactly.  Returns None after ``_SEARCH_LINES`` lines; this
     is a search, not a decision procedure.
     """
     if c.witness is not None and c.contains(c.witness):
@@ -523,7 +525,7 @@ def find_rational_point(c: Conic, budget: int = 120) -> PPoint | None:
             PLine(r, -1, 0),  # y = r x
         ):
             tried += 1
-            if tried > budget:
+            if tried > _SEARCH_LINES:
                 return None
             try:
                 pts = line_intersect(c, l)

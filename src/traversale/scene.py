@@ -12,12 +12,18 @@ come first in reading order and later commands refer to them by name:
     construct polar tau2 unit F
     check polar unit F = tau
     check traversale unit F = tau
+    check join B C = bc
     check classify unit = nondegenerate-real
     check incident F tau
     check on unit B
     check equal tau tau2
     render fig8 out=fig8.svg
     render scene out=all.svg viewport=-2,-2,2,2
+
+``construct OP NAME A B`` defines NAME as OP(A, B), and ``check OP A B = NAME``
+checks that OP(A, B) equals NAME, for the same five operations: join (two
+points), meet (two lines), polar and traversale (a conic and a point), pole
+(a conic and a line).
 
 Parsing reports 1-based line and column; executing reports unknown names and
 failed checks.  Checks never abort the run; their verdicts are collected
@@ -39,6 +45,21 @@ from .report import PropertyResult, VerificationReport
 from .synthetic import InscribedQuadrangle, traversale_from_quadrangle
 
 _CLASS_NAMES = {"nondegenerate-real", "empty", "two-lines", "double-line"}
+
+
+def _operations() -> dict[str, tuple]:
+    """OP -> (function, argument types, result type), read by ``construct`` and ``check``.
+
+    Built on each call, so each command uses the functions bound to this
+    module's names when it runs, including names rebound after import.
+    """
+    return {
+        "join": (join, (PPoint, PPoint), PLine),
+        "meet": (meet, (PLine, PLine), PPoint),
+        "polar": (polar, (Conic, PPoint), PLine),
+        "pole": (pole, (Conic, PLine), PPoint),
+        "traversale": (traversale_from_quadrangle, (Conic, PPoint), PLine),
+    }
 
 
 @dataclass(frozen=True)
@@ -181,53 +202,28 @@ class Scene:
         if len(cmd.tokens) < 2:
             raise ParseError(cmd.line_no, cmd.tokens[0].column, "construct needs an operation")
         op = cmd.tokens[1].text
-        if op == "join":
-            self._arity(cmd, 5)
-            p = self._lookup(cmd, cmd.tokens[3], (PPoint,))
-            q = self._lookup(cmd, cmd.tokens[4], (PPoint,))
-            self._define(cmd, cmd.tokens[2], join(p, q))
-        elif op == "meet":
-            self._arity(cmd, 5)
-            l = self._lookup(cmd, cmd.tokens[3], (PLine,))
-            m = self._lookup(cmd, cmd.tokens[4], (PLine,))
-            self._define(cmd, cmd.tokens[2], meet(l, m))
-        elif op == "polar":
-            self._arity(cmd, 5)
-            conic = self._lookup(cmd, cmd.tokens[3], (Conic,))
-            point = self._lookup(cmd, cmd.tokens[4], (PPoint,))
-            self._define(cmd, cmd.tokens[2], polar(conic, point))
-        elif op == "pole":
-            self._arity(cmd, 5)
-            conic = self._lookup(cmd, cmd.tokens[3], (Conic,))
-            line = self._lookup(cmd, cmd.tokens[4], (PLine,))
-            self._define(cmd, cmd.tokens[2], pole(conic, line))
-        elif op == "traversale":
-            self._arity(cmd, 5)
-            conic = self._lookup(cmd, cmd.tokens[3], (Conic,))
-            point = self._lookup(cmd, cmd.tokens[4], (PPoint,))
-            self._define(cmd, cmd.tokens[2], traversale_from_quadrangle(conic, point))
-        else:
+        ops = _operations()
+        if op not in ops:
             raise ParseError(cmd.line_no, cmd.tokens[1].column, f"unknown construct op {op!r}")
+        fn, arg_types, _ = ops[op]
+        self._arity(cmd, 5)
+        args = [self._lookup(cmd, t, (typ,)) for t, typ in zip(cmd.tokens[3:5], arg_types)]
+        self._define(cmd, cmd.tokens[2], fn(*args))
 
     def _cmd_check(self, cmd: _Command, base_dir: str) -> None:
         if len(cmd.tokens) < 2:
             raise ParseError(cmd.line_no, cmd.tokens[0].column, "check needs an operation")
         op = cmd.tokens[1].text
         label = f"L{cmd.line_no} check {' '.join(t.text for t in cmd.tokens[1:])}"
-        if op in ("polar", "pole", "traversale"):
+        ops = _operations()
+        if op in ops:
+            fn, arg_types, result_type = ops[op]
             self._arity(cmd, 6)
             if cmd.tokens[4].text != "=":
                 raise ParseError(cmd.line_no, cmd.tokens[4].column, "expected '='")
-            conic = self._lookup(cmd, cmd.tokens[2], (Conic,))
-            if op == "pole":
-                given = self._lookup(cmd, cmd.tokens[3], (PLine,))
-                expected = self._lookup(cmd, cmd.tokens[5], (PPoint,))
-                actual = pole(conic, given)
-            else:
-                given = self._lookup(cmd, cmd.tokens[3], (PPoint,))
-                expected = self._lookup(cmd, cmd.tokens[5], (PLine,))
-                fn = polar if op == "polar" else traversale_from_quadrangle
-                actual = fn(conic, given)
+            args = [self._lookup(cmd, t, (typ,)) for t, typ in zip(cmd.tokens[2:4], arg_types)]
+            expected = self._lookup(cmd, cmd.tokens[5], (result_type,))
+            actual = fn(*args)
             self._record(label, actual == expected, f"expected {expected}, got {actual}")
         elif op == "classify":
             self._arity(cmd, 5)

@@ -61,18 +61,18 @@ from .projective import (
 )
 
 
-def _check_general_position(pts: tuple[PPoint, ...], noun: str, *, trios: bool = True) -> None:
+def _check_general_position(pts: tuple[PPoint, ...], noun: str, conic: Conic | None = None) -> None:
     """Four points pairwise distinct with no three collinear.
 
     Three distinct points are collinear exactly when the determinant of
-    their coordinates vanishes.  A caller whose points are known to lie on
-    one nondegenerate conic passes ``trios=False``: a line meets such a
+    their coordinates vanishes.  Points known to lie on ``conic`` skip the
+    determinants when that conic is nondegenerate: a line meets such a
     conic in at most two points, so three distinct points on it are never
     collinear and the determinants could not fire.
     """
     if len(set(pts)) != 4:
         raise DegenerateQuadrangle(f"{noun} must be pairwise distinct")
-    if not trios:
+    if conic is not None and conic.is_nondegenerate:
         return
     for skip in range(4):
         trio = [p for i, p in enumerate(pts) if i != skip]
@@ -112,7 +112,7 @@ class InscribedQuadrangle:
         for p in pts:
             if not conic.contains(p):
                 raise NotOnConic(f"borne {p} is not on the conic")
-        _check_general_position(pts, "bornes", trios=not conic.is_nondegenerate)
+        _check_general_position(pts, "bornes", conic)
         object.__setattr__(self, "conic", conic)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -248,7 +248,7 @@ def traversale_from_quadrangle(c: Conic, f: PPoint, *, offset: int = 0) -> PLine
     return join(g, n)
 
 
-def traversale_construction_transcript(c: Conic, f: PPoint, *, offset: int = 0) -> str:
+def traversale_construction_transcript(c: Conic, f: PPoint) -> str:
     """The traversale construction as a structured, auditable scene text.
 
     Every join and meet of the quadrangle construction appears as one line
@@ -256,7 +256,7 @@ def traversale_construction_transcript(c: Conic, f: PPoint, *, offset: int = 0) 
     (which re-checks the construction against the algebraic polar) and
     consumable by the renderer through its ``render scene`` command.
     """
-    quad = inscribed_quadrangle_through(c, f, offset=offset)
+    quad = inscribed_quadrangle_through(c, f)
     coeffs = " ".join(str(x) for x in c.coefficients())
 
     def coords(p: PPoint) -> str:

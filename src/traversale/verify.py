@@ -32,13 +32,13 @@ from functools import cache, partial
 from .conic import (
     Conic,
     affine_features,
+    chord_parametrization,
     classify,
     is_tangent_line,
     line_intersect,
     polar,
     polarity_involution_on_line,
     pole,
-    rational_parametrize,
     second_intersection,
     tangent_at,
     transform,
@@ -271,7 +271,7 @@ def _draw_conic(d: Draws) -> Conic:
 
 
 def _draw_conic_points(d: Draws, c: Conic, n: int) -> list[PPoint]:
-    par = rational_parametrize(c, c.witness)
+    par = chord_parametrization(c)
     return d.distinct(n, lambda d: par.point(d.fraction(-8, 8, 6)), tries=60)
 
 
@@ -562,7 +562,7 @@ def _pencil_theorem(d: Draws):
 def _two_involutions(d: Draws):
     c = _draw_conic(d)
     f = _draw_exterior_point(d, c)
-    par = rational_parametrize(c, c.witness)
+    par = chord_parametrization(c)
 
     def through_f(d):
         p = par.point(d.fraction(-8, 8, 6))

@@ -541,4 +541,4 @@ def test_find_rational_point_search():
     p = find_rational_point(c)
     assert p is not None and c.contains(p)
     empty = Conic(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    assert find_rational_point(empty, budget=30) is None
+    assert find_rational_point(empty) is None

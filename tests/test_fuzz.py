@@ -113,6 +113,7 @@ def _scene(rng):
             out.append(pick((
                 f"check polar {k} {p} = {l}", f"check pole {k} {l} = {p}",
                 f"check traversale {k} {p} = {l}", f"check classify {k} = {pick(CLASSES)}",
+                f"check join {p} {pick(points)} = {l}", f"check meet {l} {pick(lines)} = {p}",
             )))
         elif kind == 5:
             out.append(pick((f"check incident {p} {l}", f"check on {k} {p}", f"check equal {p} {pick(points)}")))

@@ -1,8 +1,11 @@
 """Scene files and the CLI: parsing, checks, exit codes, determinism."""
 
+import argparse
+
 import pytest
 
-from traversale.cli import main
+from traversale import scene
+from traversale.cli import _build_parser, main
 from traversale.errors import ParseError, UnknownReference
 from traversale.scene import CommandError, run_scene_text
 
@@ -100,6 +103,44 @@ def test_scene_construct_commands():
     )
     report = run_scene_text(text)
     assert report.passed and report.cases == 2
+
+
+def test_scene_check_join_and_meet():
+    text = (
+        "point P 1 1 1\npoint Q -1 1 1\nline l 0 1 -1\nline m 1 0 0\n"
+        "point Y 0 1 1\npoint O 0 0 1\n"
+        "check join P Q = l\n"
+        "check meet l m = Y\n"
+        "check join P O = l\n"  # PO is y = x, not y = 1
+        "check meet l m = O\n"
+    )
+    report = run_scene_text(text)
+    verdicts = [p.passed for p in report.properties]
+    assert verdicts == [True, True, False, False]
+    assert report.properties[2].name == "L9 check join P O = l"
+    assert report.properties[3].counterexample == "expected (0, 0, 1), got (0, 1, 1)"
+    with pytest.raises(UnknownReference):  # join takes points, not lines
+        run_scene_text("line l 0 1 -1\nline m 1 0 0\npoint X 0 1 1\ncheck join l m = X\n")
+
+
+def test_scene_operations_read_rebound_names(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(scene, "join", counting("join", scene.join))
+    monkeypatch.setattr(scene, "polar", counting("polar", scene.polar))
+    text = (
+        "point P 1 1 1\npoint Q -1 1 1\nconic unit 1 1 -1 0 0 0\npoint F 2 0 1\n"
+        "construct join l P Q\ncheck join P Q = l\n"
+        "construct polar tau unit F\ncheck polar unit F = tau\n"
+    )
+    assert run_scene_text(text).passed
+    assert calls == ["join", "join", "polar", "polar"]
 
 
 def test_scene_chart_and_pole_check():
@@ -203,3 +244,36 @@ def test_cli_env_seed_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DESARGUES_SEED", "123")
     assert main(["verify", "biduality", "--seed", "5", "--cases", "5"]) == 0
     assert "seed: 123" in capsys.readouterr().out
+
+
+def test_cli_each_verb_takes_only_the_options_it_reads():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        verb: {a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)}
+        for verb, p in sub.choices.items()
+    }
+    assert options == {
+        "polar": {"conic", "point"},
+        "pole": {"conic", "line"},
+        "traversale": {"conic", "point", "transcript"},
+        "involution": {"pair"},
+        "classify": {"conic"},
+        "run": {"scene", "out"},
+        "render": {"figure", "viewport", "width", "out"},
+        "verify": {"suites", "all", "seed", "cases", "out"},
+    }
+
+
+def test_cli_rejects_options_a_verb_does_not_read(tmp_path, capsys):
+    out = tmp_path / "p.txt"
+    for argv in (
+        ["polar", "--conic", "1 1 -1 0 0 0", "--point", "(2, 0, 1)", "--out", str(out)],
+        ["classify", "--conic", "1 0 -1 0 0 0", "--seed", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+    assert not out.exists()
