@@ -39,8 +39,8 @@ print()
 print("== the arbre view: equal products from a souche ==")
 souche = souche_of(inv)
 print("souche (the node coupled with infinity):", souche)
-ok, product = arbre_check(souche, couples, return_product=True)
-print(f"equal signed products from {souche}: {ok}, common value {product}")
+product = (souche - couples[0].first) * (souche - couples[0].second)
+print(f"equal signed products from {souche}: {arbre_check(souche, couples)}, common value {product}")
 
 print()
 print("== an elliptic involution has no fixed node ==")

@@ -16,7 +16,6 @@ from .projective import (
     LineChart,
     PLine,
     PPoint,
-    apply_homography,
     canonical_chart,
     collinear,
     concurrent,

@@ -5,11 +5,14 @@ Each verb takes only the options its handler reads:
     polar --conic --point          pole --conic --line
     traversale --conic --point [--transcript PATH]
     involution --pair --pair       classify --conic
-    run SCENE [--out PATH]         render FIGURE [--viewport] [--width] [--out PATH]
+    run SCENE [--out PATH]
+    render FIGURE [--viewport=XMIN,YMIN,XMAX,YMAX] [--width] [--out PATH]
     verify [SUITE ...] [--all] [--seed N] [--cases N] [--out PATH]
 
 Exact literals only: points as "(x, y, z)", lines as "[u, v, w]", conics as
-six rationals "a b c d e f", involution couples as "{t1, t2}" with "inf".
+six rationals "a b c d e f", involution couples as "{t1, t2}" with "inf",
+viewports as "--viewport=-2,-2,2,2" (in the spaced form "--viewport
+-2,-2,2,2" argparse takes the value for an option and exits 2).
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 bad input (an unknown
 option, parse errors, unknown references, geometric preconditions,
@@ -28,7 +31,7 @@ from .errors import GeometryError, SceneError
 from .involution import PointPair, classify_and_fixed_points, involution_from_two_pairs, souche_of
 from .numbers import format_extended, parse_rational
 from .projective import PLine, PPoint, canonical_chart
-from .render import FIGURES, render_figure
+from .render import FIGURES, parse_viewport, render_figure
 from .scene import run_scene
 from .synthetic import traversale_construction_transcript, traversale_from_quadrangle
 from .verify import ALL_SUITES, verify_all, verify_suite
@@ -53,16 +56,6 @@ def _parse_literal(parse, text: str):
     """``parse(text)`` with a malformed literal reported as bad input."""
     try:
         return parse(text)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from None
-
-
-def _parse_viewport(text: str):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise _InputError("viewport must be xmin,ymin,xmax,ymax")
-    try:
-        return tuple(parse_rational(p) for p in parts)
     except ValueError as exc:
         raise _InputError(str(exc)) from None
 
@@ -141,7 +134,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    viewport = _parse_viewport(args.viewport) if args.viewport else None
+    viewport = _parse_literal(parse_viewport, args.viewport) if args.viewport else None
     svg = render_figure(args.figure, viewport=viewport, width=args.width)
     out = args.out or f"{args.figure}.svg"
     with open(out, "w", encoding="utf-8") as fh:
@@ -204,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = verb("render", _cmd_render, "render a built-in figure to SVG")
     p.add_argument("figure", choices=sorted(FIGURES))
-    p.add_argument("--viewport", default=None, help="xmin,ymin,xmax,ymax (rationals)")
+    p.add_argument("--viewport", metavar="XMIN,YMIN,XMAX,YMAX", help="four rationals: --viewport=-2,-2,2,2")
     p.add_argument("--width", type=int, default=640)
     p.add_argument("--out", default=None, metavar="PATH", help="SVG path (default FIGURE.svg)")
 

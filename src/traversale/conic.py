@@ -27,6 +27,7 @@ from .errors import (
     InteriorPoint,
     IrrationalIntersection,
     LineOnConic,
+    NoRationalSecants,
     TangentLine,
     TotallyIsotropicPoint,
     ZeroForm,
@@ -103,9 +104,6 @@ class Conic:
         m = self.matrix
         raw = (m[0][0], m[1][1], m[2][2], 2 * m[0][1], 2 * m[0][2], 2 * m[1][2])
         return primitive(raw)
-
-    def with_witness(self, witness: PPoint) -> "Conic":
-        return Conic(self.matrix, witness=witness)
 
     @classmethod
     def from_coefficients(cls, a, b, c, d, e, f, witness: PPoint | None = None) -> "Conic":
@@ -487,18 +485,19 @@ def rational_parametrize(c: Conic, base: PPoint) -> RationalParametrization:
     return RationalParametrization(c, base)
 
 
-def chord_parametrization(c: Conic) -> RationalParametrization | None:
+def chord_parametrization(c: Conic) -> RationalParametrization:
     """The parametrization from :func:`find_rational_point`, built once per Conic object.
 
-    Returns None when no rational point is found.  The memo lives on the
-    object, not in a cache keyed on the conic: equal conics may carry
-    different witnesses, and so different bases.
+    Raises NoRationalSecants when the search finds no rational point, and
+    then memoizes nothing.  The memo lives on the object, not in a cache
+    keyed on the conic: equal conics may carry different witnesses, and so
+    different bases.
     """
     par = c._parametrization
     if par is None:
         base = find_rational_point(c)
         if base is None:
-            return None
+            raise NoRationalSecants("no rational point found on the conic within the search budget")
         par = RationalParametrization(c, base)
         object.__setattr__(c, "_parametrization", par)
     return par
@@ -510,12 +509,13 @@ _SEARCH_LINES = 120  # lines find_rational_point sweeps before giving up
 def find_rational_point(c: Conic) -> PPoint | None:
     """Bounded deterministic search for a rational point on the conic.
 
-    Checks the carried witness first, then sweeps small-height vertical,
-    horizontal and through-origin lines, testing each restricted
+    Returns the carried witness if there is one (the Conic constructor
+    has already checked it is on the curve), else sweeps small-height
+    vertical, horizontal and through-origin lines, testing each restricted
     discriminant exactly.  Returns None after ``_SEARCH_LINES`` lines; this
     is a search, not a decision procedure.
     """
-    if c.witness is not None and c.contains(c.witness):
+    if c.witness is not None:
         return c.witness
     tried = 0
     for r in small_rationals():

@@ -123,14 +123,14 @@ class BasePointNotOnConic(GeometryError):
     """Rational parametrization needs its base point on the conic."""
 
 
+class NoRationalSecants(GeometryError):
+    """A bounded search found no rational point, or too few rational secants."""
+
+
 # synthetic constructions ---------------------------------------------------
 
 class DegenerateQuadrangle(GeometryError):
     """Four bornes must be distinct with no three collinear."""
-
-
-class NoRationalSecants(GeometryError):
-    """The bounded search found fewer than two usable rational secants."""
 
 
 class BasePointOnLine(GeometryError):
@@ -139,10 +139,6 @@ class BasePointOnLine(GeometryError):
 
 class VertexOnTransversal(GeometryError):
     """A Menelaus transversal may not pass through a vertex."""
-
-
-class HarmonicUndefined(GeometryError):
-    """The harmonic conjugate is taken of a base point itself."""
 
 
 class NotADiameter(GeometryError):

@@ -281,7 +281,7 @@ def in_single_involution(pairs, chart: LineChart) -> bool:
     return not any(any(cross(rows[i], rows[j])) for i, j in ((0, 1), (0, 2), (1, 2)))
 
 
-def arbre_check(souche: ExtRat, pairs, *, return_product: bool = False):
+def arbre_check(souche: ExtRat, pairs) -> bool:
     """The arbre test: equal signed products from the souche.
 
     A souche A and couples B,H; C,G; D,F form an arbre when the signed
@@ -299,10 +299,7 @@ def arbre_check(souche: ExtRat, pairs, *, return_product: bool = False):
         products.append((a - x) * (a - y))
     equal = products[0] == products[1] == products[2]
     engaged = {prod < 0 for prod in products}
-    ok = equal and len(engaged) == 1
-    if return_product:
-        return (ok, products[0] if ok else None)
-    return ok
+    return equal and len(engaged) == 1
 
 
 def souche_of(inv: InvolutionOnLine) -> ExtRat:

@@ -85,9 +85,6 @@ class PPoint:
             raise ValueError(f"{self} is at infinity")
         return (Fraction(x, z), Fraction(y, z))
 
-    def on(self, line: "PLine") -> bool:
-        return dot(self.coords, line.coeffs) == 0
-
     @classmethod
     def parse(cls, text: str) -> "PPoint":
         """Inverse of str(): ``(x, y, z)`` with rational entries."""
@@ -111,9 +108,6 @@ class PLine:
 
     def __str__(self):
         return _format_triple(self.coeffs, "[]")
-
-    def canonical(self) -> tuple[Fraction, Fraction, Fraction]:
-        return _canonical(self.coeffs)
 
     def contains(self, point: PPoint) -> bool:
         return dot(self.coeffs, point.coords) == 0
@@ -337,12 +331,3 @@ class Homography:
     @classmethod
     def scaling(cls, sx, sy) -> "Homography":
         return cls(((sx, 0, 0), (0, sy, 0), (0, 0, 1)))
-
-
-def apply_homography(h: Homography, obj):
-    """Apply h to a PPoint or (by the dual action) to a PLine."""
-    if isinstance(obj, PPoint):
-        return h.apply(obj)
-    if isinstance(obj, PLine):
-        return h.apply_line(obj)
-    raise TypeError(f"cannot apply a homography to {type(obj).__name__}")

@@ -20,9 +20,9 @@ from fractions import Fraction
 from functools import cache
 
 from .conic import Conic, chord_parametrization, polar, tangents_from
-from .errors import EmptyViewport, NoRationalSecants, UnknownReference
+from .errors import EmptyViewport, UnknownReference
 from .linalg import Vec3
-from .numbers import Pair
+from .numbers import Pair, parse_rational
 from .projective import LINE_AT_INFINITY, PLine, PPoint, join, meet
 from .synthetic import worked_quadrangle
 
@@ -43,6 +43,14 @@ class Drawable:
     kind: str  # "conic" | "line" | "accent-line" | "point"
     obj: object
     label: str = ""
+
+
+def parse_viewport(text: str) -> Viewport:
+    """The viewport literal ``xmin,ymin,xmax,ymax``, four rationals; ValueError if malformed."""
+    parts = text.split(",")
+    if len(parts) != 4:
+        raise ValueError("viewport must be xmin,ymin,xmax,ymax")
+    return tuple(parse_rational(p) for p in parts)
 
 
 def _fmt(x: float) -> str:
@@ -136,8 +144,6 @@ def _conic_samples(c: Conic, frame: _Frame) -> list[Vec3 | None]:
     the parameter interval is bisected, exactly.
     """
     par = chord_parametrization(c)
-    if par is None:
-        raise NoRationalSecants("cannot render a conic without a rational point")
     tol = frame.pixel * 0.75
     out: list[Vec3 | None] = []
     prev_t = None

@@ -25,9 +25,10 @@ checks that OP(A, B) equals NAME, for the same five operations: join (two
 points), meet (two lines), polar and traversale (a conic and a point), pole
 (a conic and a line).
 
-Parsing reports 1-based line and column; executing reports unknown names and
-failed checks.  Checks never abort the run; their verdicts are collected
-into a deterministic report.
+Parsing reports 1-based line and column, a malformed ``viewport=`` with the
+CLI's message; executing reports unknown names and failed checks.  Checks
+never abort the run; their verdicts are collected into a deterministic
+report.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .conic import Conic, classify, polar, pole
 from .errors import GeometryError, ParseError, SceneError, UnknownReference
 from .numbers import parse_rational
 from .projective import LineChart, PLine, PPoint, join, meet
-from .render import Drawable, build_figure, render_svg
+from .render import Drawable, build_figure, parse_viewport, render_svg
 from .report import PropertyResult, VerificationReport
 from .synthetic import InscribedQuadrangle, traversale_from_quadrangle
 
@@ -112,7 +113,6 @@ class Scene:
     def __init__(self):
         self.objects: dict[str, object] = {}
         self.checks: list[PropertyResult] = []
-        self.rendered: list[str] = []
 
     # -- helpers ------------------------------------------------------------
 
@@ -163,8 +163,6 @@ class Scene:
             if handler is None:
                 raise ParseError(cmd.line_no, cmd.tokens[0].column, f"unknown command {verb!r}")
             handler(cmd, base_dir)
-        except (SceneError, ParseError):
-            raise
         except GeometryError as exc:
             raise CommandError(cmd.line_no, " ".join(t.text for t in cmd.tokens), exc) from exc
 
@@ -267,10 +265,10 @@ class Scene:
             if tok.text.startswith("out="):
                 out = tok.text[4:]
             elif tok.text.startswith("viewport="):
-                parts = tok.text[len("viewport=") :].split(",")
-                if len(parts) != 4:
-                    raise ParseError(cmd.line_no, tok.column, "viewport=xmin,ymin,xmax,ymax")
-                viewport = tuple(self._rat(cmd, _Token(p, tok.column)) for p in parts)
+                try:
+                    viewport = parse_viewport(tok.text[len("viewport=") :])
+                except ValueError as exc:
+                    raise ParseError(cmd.line_no, tok.column, str(exc)) from None
             elif tok.text.startswith("width="):
                 try:
                     width = int(tok.text[6:])
@@ -292,7 +290,6 @@ class Scene:
         path = out if os.path.isabs(out) else os.path.join(base_dir, out)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(svg)
-        self.rendered.append(path)
 
     def drawables(self) -> list[Drawable]:
         out = []

@@ -20,7 +20,6 @@ from itertools import islice
 
 from .conic import (
     Conic,
-    RationalParametrization,
     affine_features,
     chord_parametrization,
     is_tangent_line,
@@ -34,7 +33,6 @@ from .conic import (
 from .errors import (
     BasePointOnLine,
     DegenerateQuadrangle,
-    HarmonicUndefined,
     InteriorPoint,
     LineMissesConic,
     NoRationalSecants,
@@ -183,13 +181,6 @@ class PencilBase:
 _SWEEP_PAIRS = tuple(to_pair(t) for t in islice(small_extended(), 64))
 
 
-def _secant_source(c: Conic) -> RationalParametrization:
-    par = chord_parametrization(c)
-    if par is None:
-        raise NoRationalSecants("no rational point found on the conic within the search budget")
-    return par
-
-
 def inscribed_quadrangle_through(c: Conic, f: PPoint, *, offset: int = 0) -> InscribedQuadrangle:
     """An inscribed quadrangle with one bornale couple crossing at f.
 
@@ -209,7 +200,7 @@ def inscribed_quadrangle_through(c: Conic, f: PPoint, *, offset: int = 0) -> Ins
     qf = dot(mf, f.coords)
     if qf == 0:
         raise OnConic(f"{f} lies on the conic; no traversale quadrangle exists")
-    par = _secant_source(c)
+    par = chord_parametrization(c)
     seen: set[PPoint] = set()
     secants: list[tuple[PPoint, PPoint]] = []
     for pair in _SWEEP_PAIRS:
@@ -257,14 +248,13 @@ def traversale_construction_transcript(c: Conic, f: PPoint) -> str:
     consumable by the renderer through its ``render scene`` command.
     """
     quad = inscribed_quadrangle_through(c, f)
-    coeffs = " ".join(str(x) for x in c.coefficients())
 
     def coords(p: PPoint) -> str:
         return " ".join(format_rational(x) for x in p.canonical())
 
     lines = [
         "# traversale construction transcript",
-        f"conic k {coeffs}",
+        f"conic k {c}",
         f"point F {coords(f)}",
     ]
     for name, p in zip("BCDE", quad.bornes):
@@ -386,7 +376,9 @@ def tangent_via_harmonic(c: Conic, a: PPoint, f: PPoint) -> PLine:
     The traversale of the exterior point f cuts the conic in R and S; the
     ordonnee through a and f crosses the traversale at H, whose harmonic
     conjugate I with respect to {R, S} is joined back to a.  The result is
-    tangent at a (it equals the polar of a, which the tests check).
+    tangent at a (it equals the polar of a, which the tests check).  When a
+    is R or S, H is that contact point and :func:`harmonic_conjugate`
+    raises ConjugateUndefined.
     """
     if not c.contains(a):
         raise NotOnConic(f"{a} must be on the conic")
@@ -398,10 +390,7 @@ def tangent_via_harmonic(c: Conic, a: PPoint, f: PPoint) -> PLine:
         raise InteriorPoint(f"{f} is interior; its traversale misses the conic")
     r, s = contacts
     h = meet(join(a, f), tau)
-    if h == r or h == s:
-        raise HarmonicUndefined(f"traversale point {h} is a contact point")
-    chart = canonical_chart(tau)
-    i = harmonic_conjugate(h, r, s, chart)
+    i = harmonic_conjugate(h, r, s, canonical_chart(tau))
     return join(a, i)
 
 

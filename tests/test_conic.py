@@ -457,11 +457,11 @@ def test_transform_carries_witness(circle):
 
 
 def test_witness_is_a_cache_not_part_of_identity(circle):
-    relabeled = circle.with_witness(PPoint(0, 1, 1))
+    relabeled = Conic(circle.matrix, witness=PPoint(0, 1, 1))
     assert relabeled == circle and hash(relabeled) == hash(circle)
     assert relabeled.witness == PPoint(0, 1, 1)
     with pytest.raises(BasePointNotOnConic):
-        circle.with_witness(PPoint(2, 0, 1))
+        Conic(circle.matrix, witness=PPoint(2, 0, 1))
 
 
 # -- rational parametrization ------------------------------------------------

@@ -176,8 +176,8 @@ def test_interleaving():
 
 def test_arbre_explicit():
     pairs = [PointPair(F(2), F(1, 2)), PointPair(F(3), F(1, 3)), PointPair(F(4), F(1, 4))]
-    ok, product = arbre_check(F(0), pairs, return_product=True)
-    assert ok and product == 1
+    assert arbre_check(F(0), pairs)
+    assert {(F(0) - p.first) * (F(0) - p.second) for p in pairs} == {1}
     # souche at 1: (1-2)(1-1/2) = -1/2 while (1-3)(1-1/3) = -4/3
     assert not arbre_check(F(1), pairs)
     with pytest.raises(InvalidSouche):

@@ -21,7 +21,6 @@ from traversale import (
     PLine,
     PPoint,
     SingularMatrix,
-    apply_homography,
     canonical_chart,
     cross_ratio,
     harmonic_conjugate,
@@ -221,7 +220,7 @@ def test_homography_preserves_incidence():
     p, q = PPoint(1, 4, 1), PPoint(-2, 5, 3)
     l = join(p, q)
     assert h.apply_line(l) == join(h.apply(p), h.apply(q))
-    assert apply_homography(h, l).contains(apply_homography(h, p))
+    assert h.apply_line(l).contains(h.apply(p))
 
 
 def test_homography_inverse_round_trip():

@@ -1,13 +1,19 @@
 """Scene files and the CLI: parsing, checks, exit codes, determinism."""
 
 import argparse
+import hashlib
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from traversale import scene
 from traversale.cli import _build_parser, main
 from traversale.errors import ParseError, UnknownReference
+from traversale.render import render_figure
 from traversale.scene import CommandError, run_scene_text
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 GOOD_SCENE = """
 # the worked configuration on the unit circle
@@ -56,13 +62,17 @@ def test_scene_parse_error_zero_denominator():
 
 
 def test_scene_parse_error_bad_token_column():
-    for text, line, column in (
-        ("conic c 1 1 -1 0 0 oops\n", 1, 20),
-        ("point F 2 0 1\nrender scene out=s.svg width=abc\n", 2, 24),
+    for text, line, column, message in (
+        ("conic c 1 1 -1 0 0 oops\n", 1, 20, "not a rational literal: 'oops'"),
+        ("point F 2 0 1\nrender scene out=s.svg width=abc\n", 2, 24, "width must be an integer, got 'abc'"),
+        # the same message as the CLI's --viewport
+        ("point F 2 0 1\nrender scene out=s.svg viewport=-2,-2,2\n", 2, 24, "viewport must be xmin,ymin,xmax,ymax"),
+        ("render scene out=s.svg viewport=-2,-2,2,1/0\n", 1, 24, "zero denominator in '1/0'"),
     ):
         with pytest.raises(ParseError) as exc:
             run_scene_text(text)
         assert exc.value.line == line and exc.value.column == column
+        assert str(exc.value) == f"line {line}, column {column}: {message}"
 
 
 def test_scene_unknown_reference():
@@ -165,6 +175,15 @@ def test_scene_render_writes_file(tmp_path):
     assert (tmp_path / "out.svg").read_text().startswith("<?xml")
 
 
+def test_worked_example_scene_report_and_figures(tmp_path):
+    text = (DEMOS / "worked_example.scene").read_text()
+    report = run_scene_text(text, name="worked_example.scene", base_dir=str(tmp_path))
+    digest = hashlib.sha256(report.to_text().encode("utf-8")).hexdigest()
+    assert digest == "eda6909ac54d0c97ddd9f08a53490abcb82bf6630417130a816f9fb746905310"
+    for name in ("fig8.svg", "worked.svg"):  # the committed demo figures
+        assert (tmp_path / name).read_bytes() == (DEMOS / name).read_bytes()
+
+
 # -- CLI ----------------------------------------------------------------------
 
 def test_cli_polar_pole(capsys):
@@ -199,8 +218,10 @@ def test_cli_bad_input_exit_2(tmp_path, capsys):
     assert main(["verify", "not-a-suite"]) == 2
     assert main(["verify", "biduality", "--cases", "-3"]) == 2
     assert main(["render", "fig8", "--width", "0", "--out", str(tmp_path / "f.svg")]) == 2
+    assert main(["render", "fig8", "--viewport=-2,-2,2", "--out", str(tmp_path / "f.svg")]) == 2
     err = capsys.readouterr().err
-    assert err.count("error: ") == 5 and len(err.splitlines()) == 5
+    assert err.count("error: ") == 6 and len(err.splitlines()) == 6
+    assert err.splitlines()[-1] == "error: viewport must be xmin,ymin,xmax,ymax"
 
 
 def test_cli_run_exit_codes(tmp_path, capsys):
@@ -229,6 +250,17 @@ def test_cli_render_writes(tmp_path, capsys):
     assert main(["render", "fig8", "--out", str(out)]) == 0
     assert out.read_text().startswith("<?xml")
     capsys.readouterr()
+
+
+def test_cli_render_viewport_needs_the_equals_form(tmp_path, capsys):
+    out = tmp_path / "fig8.svg"
+    assert main(["render", "fig8", "--viewport=-2,-2,2,2", "--out", str(out)]) == 0
+    viewport = (Fraction(-2), Fraction(-2), Fraction(2), Fraction(2))
+    assert out.read_bytes() == render_figure("fig8", viewport=viewport).encode("utf-8")
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    with pytest.raises(SystemExit) as exc:  # argparse takes "-2,-2,2,2" for an option
+        main(["render", "fig8", "--viewport", "-2,-2,2,2", "--out", str(out)])
+    assert exc.value.code == 2
 
 
 def test_cli_verify_single_suite(tmp_path, capsys):
