@@ -30,10 +30,10 @@ from .conic import Conic, classify, polar, pole
 from .errors import GeometryError, SceneError
 from .involution import PointPair, classify_and_fixed_points, involution_from_two_pairs, souche_of
 from .numbers import format_extended, parse_rational
-from .projective import PLine, PPoint, canonical_chart
+from .projective import PLine, PPoint, canonical_chart, join
 from .render import FIGURES, parse_viewport, render_figure
 from .scene import run_scene
-from .synthetic import traversale_construction_transcript, traversale_from_quadrangle
+from .synthetic import inscribed_quadrangle_through, quadrangle_transcript
 from .verify import ALL_SUITES, verify_all, verify_suite
 
 
@@ -83,7 +83,9 @@ def _cmd_pole(args) -> int:
 def _cmd_traversale(args) -> int:
     conic = _parse_conic(args.conic)
     point = _parse_literal(PPoint.parse, args.point)
-    constructed = traversale_from_quadrangle(conic, point)
+    quad = inscribed_quadrangle_through(conic, point)
+    _, n, g = quad.diagonal_points()
+    constructed = join(g, n)
     algebraic = polar(conic, point)
     agree = constructed == algebraic
     print(f"traversale {constructed}")
@@ -91,7 +93,7 @@ def _cmd_traversale(args) -> int:
     print(f"agreement  {'exact' if agree else 'MISMATCH'}")
     if args.transcript:
         with open(args.transcript, "w", encoding="utf-8") as fh:
-            fh.write(traversale_construction_transcript(conic, point))
+            fh.write(quadrangle_transcript(quad))
         print(f"transcript {args.transcript}")
     return 0 if agree else 1
 

@@ -33,7 +33,7 @@ from .errors import (
     ZeroForm,
 )
 from .involution import InvolutionOnLine
-from .linalg import Mat3, Vec3, adjugate, cross, det3, dot, generalized_cross, mat_mul, mat_vec, primitive, primitive_rows, transpose
+from .linalg import Mat2, Mat3, Vec3, adjugate, cross, det3, dot, generalized_cross, mat_mul, mat_vec, primitive, primitive_rows, transpose
 from .numbers import ExtRat, Pair, small_rationals, to_pair
 from .projective import (
     LINE_AT_INFINITY,
@@ -59,13 +59,16 @@ class Conic:
     parametrization that :func:`chord_parametrization` builds from the
     conic's first rational point is memoized on the object; it too is a
     cache, ignored by equality and hashing.  ``is_nondegenerate`` (a
-    nonzero determinant) is computed once, when the conic is built.
+    nonzero determinant) is computed once, when the conic is built; the
+    dual form (the adjugate matrix, which :func:`pole` applies) is built
+    on first use and memoized like the parametrization.
     """
 
     matrix: Mat3
     witness: PPoint | None = field(compare=False)
     is_nondegenerate: bool = field(compare=False)
     _parametrization: RationalParametrization | None = field(compare=False)
+    _dual: Mat3 | None = field(compare=False)
 
     def __init__(self, rows, witness: PPoint | None = None):
         if len(rows) != 3 or any(len(row) != 3 for row in rows):
@@ -82,6 +85,7 @@ class Conic:
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "is_nondegenerate", det3(mat) != 0)
         object.__setattr__(self, "_parametrization", None)
+        object.__setattr__(self, "_dual", None)
 
     def __repr__(self):
         return f"Conic{self.matrix}"
@@ -184,11 +188,20 @@ def polar(c: Conic, m: PPoint) -> PLine:
     return PLine(*coeffs)
 
 
+def _dual_form(c: Conic) -> Mat3:
+    """adj(M), the form of the dual conic, built once per Conic object."""
+    dual = c._dual
+    if dual is None:
+        dual = adjugate(c.matrix)
+        object.__setattr__(c, "_dual", dual)
+    return dual
+
+
 def pole(c: Conic, l: PLine) -> PPoint:
     """The point whose polar is l; needs a rank-3 form."""
     if not c.is_nondegenerate:
         raise DegenerateConic("pole needs a nondegenerate conic")
-    return PPoint(*mat_vec(adjugate(c.matrix), l.coeffs))
+    return PPoint(*mat_vec(_dual_form(c), l.coeffs))
 
 
 def tangent_at(c: Conic, p: PPoint) -> PLine:
@@ -352,7 +365,7 @@ def classify(c: Conic) -> Classification:
         return Classification(kind, signature, rank)
     if rank == 2:
         # adj(M) of a rank-2 symmetric M is a multiple of k k^T, k spanning the kernel
-        double = PPoint(*next(r for r in adjugate(c.matrix) if any(r)))
+        double = PPoint(*next(r for r in _dual_form(c) if any(r)))
         return Classification(ConicClass.DEGENERATE_TWO_LINES, signature, rank, point_double=double)
     row = next(r for r in c.matrix if any(r))
     return Classification(
@@ -409,14 +422,28 @@ class RationalParametrization:
 
     With chart representatives o, i the direction of the pair (num, den) is
     d = den*o + num*i, and its second intersection q(d)*base - 2*phi(base, d)*d
-    is the quadratic form A*num^2 + B*num*den + C*den^2 in the pair, whose
-    integer vectors A, B, C are computed once here.
+    is the quadratic form P(num, den) = A*num^2 + B*num*den + C*den^2 in the
+    pair, whose integer vectors A, B, C are computed once here.
+
+    Chords are read off the parameters.  With s = (a, b) and t = (c, d),
+    P(s) x P(t) = (ad - bc) * (ac*U + (ad + bc)*V + bd*W), where the chord
+    form (U, V, W) is (AxB, AxC, BxC) divided by its content, so
+    :meth:`chord` joins two points without building them, and gives the
+    tangent when s = t.  A chord through P(s) and P(t) passes through a
+    point f when ac*(U.f) + (ad + bc)*(V.f) + bd*(W.f) = 0, which is linear
+    in t: the lines through f pair the parameters by the integer matrix
+    [[V.f, W.f], [-U.f, -V.f]] that :meth:`involution_through` returns.
+    Its trace is zero, so it is an involution, which is Desargues'
+    involution theorem read in the parameter; its fixed parameters are the
+    contacts of the tangents from f, and it degenerates (determinant zero)
+    exactly when f is on the conic.  The chord form is built on first use.
     """
 
     conic: Conic
     base: PPoint
     _chart: LineChart
     _quadratic: tuple[Vec3, Vec3, Vec3]
+    _chord_form: tuple[Vec3, Vec3, Vec3] | None
 
     def __init__(self, conic: Conic, base: PPoint):
         if not conic.is_nondegenerate:
@@ -442,6 +469,7 @@ class RationalParametrization:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "_chart", chart)
         object.__setattr__(self, "_quadratic", quadratic)
+        object.__setattr__(self, "_chord_form", None)
 
     def direction(self, t: ExtRat) -> PPoint:
         return self._chart.point_at(t)
@@ -457,6 +485,33 @@ class RationalParametrization:
         nn, nd, dd = num * num, num * den, den * den
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = self._quadratic
         return PPoint(a0 * nn + b0 * nd + c0 * dd, a1 * nn + b1 * nd + c1 * dd, a2 * nn + b2 * nd + c2 * dd)
+
+    def _chords(self) -> tuple[Vec3, Vec3, Vec3]:
+        form = self._chord_form
+        if form is None:
+            a, b, c = self._quadratic
+            u, v, w = cross(a, b), cross(a, c), cross(b, c)
+            g = math.gcd(*u, *v, *w)
+            form = tuple([(x // g, y // g, z // g) for x, y, z in (u, v, w)])
+            object.__setattr__(self, "_chord_form", form)
+        return form
+
+    def chord(self, s: Pair, t: Pair) -> PLine:
+        """The line through the points of the pairs s and t; the tangent when s = t."""
+        (a, b), (c, d) = s, t
+        ac, mid, bd = a * c, a * d + b * c, b * d
+        (u0, u1, u2), (v0, v1, v2), (w0, w1, w2) = self._chords()
+        return PLine(ac * u0 + mid * v0 + bd * w0, ac * u1 + mid * v1 + bd * w1, ac * u2 + mid * v2 + bd * w2)
+
+    def involution_through(self, f: PPoint) -> Mat2:
+        """The parameter involution pairing the two ends of each chord through f.
+
+        The image of a pair s under the matrix is the pair of the second
+        point of the conic on the line through f and the point of s.
+        """
+        u, v, w = self._chords()
+        uf, vf, wf = dot(u, f.coords), dot(v, f.coords), dot(w, f.coords)
+        return ((vf, wf), (-uf, -vf))
 
 
 def second_intersection(c: Conic, base: PPoint, other: PPoint) -> PPoint:

@@ -14,12 +14,14 @@ never run into irrational intersections.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
 from .conic import (
     Conic,
+    RationalParametrization,
     affine_features,
     chord_parametrization,
     is_tangent_line,
@@ -44,8 +46,8 @@ from .errors import (
     VertexOnTransversal,
 )
 from .involution import InvolutionOnLine, PointPair, involution_from_two_pairs
-from .linalg import det3, dot, mat_vec, solve2
-from .numbers import format_rational, small_extended, to_pair
+from .linalg import det3, solve2
+from .numbers import Pair, format_rational, small_extended, to_pair
 from .projective import (
     LINE_AT_INFINITY,
     Homography,
@@ -181,46 +183,59 @@ class PencilBase:
 _SWEEP_PAIRS = tuple(to_pair(t) for t in islice(small_extended(), 64))
 
 
-def inscribed_quadrangle_through(c: Conic, f: PPoint, *, offset: int = 0) -> InscribedQuadrangle:
-    """An inscribed quadrangle with one bornale couple crossing at f.
+def _secant_parameters(
+    c: Conic, f: PPoint, offset: int
+) -> tuple[RationalParametrization, tuple[Pair, Pair, Pair, Pair]]:
+    """The chart pairs of the bornes B, C, D, E of the quadrangle through f.
 
-    Two distinct rational secants through f are produced by joining f to
-    points p of the conic's rational parametrization; by Vieta the second
-    intersection is q(f)*p - 2*phi(f, p)*f, rational, and the line is
-    tangent at p exactly when phi(f, p) = 0.  `offset` skips that many
-    usable secants first, which is how independent quadrangles for the
-    same point are generated.
-
-    q(f) and M f are computed once, before the sweep.  The sweep neither
-    tests p on the conic (the parametrization only yields conic points)
-    nor tests f against p (f is off the conic); the four chosen bornes are
-    still checked by the InscribedQuadrangle constructor.
+    The sweep works on parameters of the conic's chord parametrization:
+    the partner of a swept pair s is its image t under the involution that
+    the lines through f cut on the conic, reduced to the form of the swept
+    pairs (lowest terms, positive second entry, INF as (1, 0)).  The line
+    through f and the point of s is tangent there exactly when t = s.  The
+    parametrization is a bijection from the pairs onto the conic, so
+    `seen` tells the same chords apart as the points would.  `seen` is
+    closed under the involution, so a partner is never seen before its pair.
     """
-    mf = mat_vec(c.matrix, f.coords)
-    qf = dot(mf, f.coords)
-    if qf == 0:
+    if c.contains(f):
         raise OnConic(f"{f} lies on the conic; no traversale quadrangle exists")
     par = chord_parametrization(c)
-    seen: set[PPoint] = set()
-    secants: list[tuple[PPoint, PPoint]] = []
-    for pair in _SWEEP_PAIRS:
-        p = par.point_from_pair(pair)
-        if p in seen:
+    (m00, m01), (m10, m11) = par.involution_through(f)
+    seen: set[Pair] = set()
+    secants: list[tuple[Pair, Pair]] = []
+    for s in _SWEEP_PAIRS:
+        if s in seen:
             continue  # a chord already swept, revisited from its far end
-        phi = dot(mf, p.coords)
-        if phi == 0:
-            continue  # fp is tangent at p
-        q = PPoint(*(qf * pk - 2 * phi * fk for pk, fk in zip(p.coords, f.coords)))
-        if q in seen:
-            continue
-        seen.update((p, q))
-        secants.append((p, q))
+        a, b = s
+        num, den = m00 * a + m01 * b, m10 * a + m11 * b
+        g = math.gcd(num, den)
+        if den < 0 or (den == 0 and num < 0):
+            g = -g
+        t = (num // g, den // g)
+        if t == s:
+            continue  # the line through f is tangent at the point of s
+        seen.update((s, t))
+        secants.append((s, t))
         if len(secants) == offset + 2:
-            (b, c2), (d, e) = secants[offset], secants[offset + 1]
-            return InscribedQuadrangle(c, b, c2, d, e)
+            return par, (*secants[offset], *secants[offset + 1])
     raise NoRationalSecants(
         f"found {len(secants)} usable rational secants through {f} within the budget"
     )
+
+
+def inscribed_quadrangle_through(c: Conic, f: PPoint, *, offset: int = 0) -> InscribedQuadrangle:
+    """An inscribed quadrangle with one bornale couple crossing at f.
+
+    Two distinct rational secants through f are produced by sweeping the
+    parameters of the conic's rational parametrization: the line through f
+    and the point of a parameter s meets the conic again at the point of
+    its image under f's parameter involution, rational by construction.
+    `offset` skips that many usable secants first, which is how independent
+    quadrangles for the same point are generated.  The four chosen bornes
+    are checked by the InscribedQuadrangle constructor.
+    """
+    par, pairs = _secant_parameters(c, f, offset)
+    return InscribedQuadrangle(c, *map(par.point_from_pair, pairs))
 
 
 def traversale_from_quadrangle(c: Conic, f: PPoint, *, offset: int = 0) -> PLine:
@@ -229,32 +244,45 @@ def traversale_from_quadrangle(c: Conic, f: PPoint, *, offset: int = 0) -> PLine
     A quadrangle B, C, D, E on the conic is chosen with BC and DE crossing
     at f; the returned line joins the two other diagonal points
     N = CD /\\ BE and G = BD /\\ CE.  The third diagonal point, BC /\\ DE,
-    is f itself, so it is not built.  The independence of this line from
-    the quadrangle, and its equality with the algebraic polar of f, are
-    the theorems the test suites drive.
+    is f itself, so it is not built.  The four bornales CD, BE, BD and CE
+    are read off the bornes' parameters in closed form; the bornes are
+    still built and checked as an InscribedQuadrangle.  The independence of
+    this line from the quadrangle, and its equality with the algebraic
+    polar of f, are the theorems the test suites drive.
     """
-    b, c2, d, e = inscribed_quadrangle_through(c, f, offset=offset).bornes
-    n = meet(join(c2, d), join(b, e))
-    g = meet(join(b, d), join(c2, e))
+    par, (sb, sc, sd, se) = _secant_parameters(c, f, offset)
+    InscribedQuadrangle(c, *map(par.point_from_pair, (sb, sc, sd, se)))  # checks the bornes
+    n = meet(par.chord(sc, sd), par.chord(sb, se))
+    g = meet(par.chord(sb, sd), par.chord(sc, se))
     return join(g, n)
 
 
 def traversale_construction_transcript(c: Conic, f: PPoint) -> str:
-    """The traversale construction as a structured, auditable scene text.
+    """The traversale construction of f as a structured, auditable scene text.
 
-    Every join and meet of the quadrangle construction appears as one line
-    with exact coordinates; the text is executable by the scene runner
-    (which re-checks the construction against the algebraic polar) and
-    consumable by the renderer through its ``render scene`` command.
+    The :func:`quadrangle_transcript` of the quadrangle that
+    :func:`inscribed_quadrangle_through` builds for f.
     """
-    quad = inscribed_quadrangle_through(c, f)
+    return quadrangle_transcript(inscribed_quadrangle_through(c, f))
+
+
+def quadrangle_transcript(quad: InscribedQuadrangle) -> str:
+    """The traversale construction on a quadrangle as a structured, auditable scene text.
+
+    F is the meet of the bornale couple {BC, DE}.  Every join and meet of
+    the construction appears as one line with exact coordinates; the text
+    is executable by the scene runner (which re-checks the construction
+    against the algebraic polar) and consumable by the renderer through
+    its ``render scene`` command.
+    """
+    f = meet(join(quad.b, quad.c), join(quad.d, quad.e))
 
     def coords(p: PPoint) -> str:
         return " ".join(format_rational(x) for x in p.canonical())
 
     lines = [
         "# traversale construction transcript",
-        f"conic k {c}",
+        f"conic k {quad.conic}",
         f"point F {coords(f)}",
     ]
     for name, p in zip("BCDE", quad.bornes):
@@ -285,10 +313,10 @@ def pole_by_construction(c: Conic, l: PLine) -> PPoint:
     chart = canonical_chart(l)
     lines: list[PLine] = []
     for pair in _SWEEP_PAIRS:
-        g = chart.point_from_pair(pair)
-        if c.contains(g):
-            continue
-        tau = traversale_from_quadrangle(c, g)
+        try:
+            tau = traversale_from_quadrangle(c, chart.point_from_pair(pair))
+        except OnConic:
+            continue  # a point of l on the conic has no traversale quadrangle
         if tau not in lines:
             lines.append(tau)
         if len(lines) == 2:

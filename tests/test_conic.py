@@ -130,6 +130,23 @@ def test_pole_examples(circle):
     assert pole(circle, PLine(2, 0, -1)) == PPoint(2, 0, 1)
 
 
+def test_dual_form_is_built_once_per_conic(monkeypatch):
+    import traversale.conic as conic_module
+
+    calls = []
+    real = conic_module.adjugate
+    monkeypatch.setattr(conic_module, "adjugate", lambda m: calls.append(m) or real(m))
+    ellipse = Conic.from_coefficients(1, 4, -1, 0, 0, 0)  # x^2 + 4y^2 = 1, a fresh object
+    chord = PLine(2, 0, -1)
+    assert pole(ellipse, chord) == pole(ellipse, chord) == PPoint(2, 0, 1)
+    assert not is_tangent_line(ellipse, chord) and is_tangent_line(ellipse, PLine(1, 0, -1))
+    assert affine_features(ellipse).center == PPoint(0, 0, 1)
+    assert len(calls) == 1
+    # the memo is a cache: equality and hashing ignore it
+    fresh = Conic(ellipse.matrix)
+    assert fresh == ellipse and hash(fresh) == hash(ellipse)
+
+
 def test_pole_needs_rank_three():
     degenerate = Conic(((1, 0, 0), (0, 0, 0), (0, 0, -1)))
     with pytest.raises(DegenerateConic):

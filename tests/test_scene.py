@@ -199,6 +199,32 @@ def test_cli_traversale_agreement(capsys):
     assert "agreement  exact" in out
 
 
+def test_cli_traversale_transcript_builds_one_quadrangle(tmp_path, monkeypatch, capsys):
+    from traversale import cli, synthetic
+
+    calls, built = [], []
+    real_through = synthetic.inscribed_quadrangle_through
+    real_init = synthetic.InscribedQuadrangle.__init__
+
+    def counting_through(*args, **kwargs):
+        calls.append(args)
+        return real_through(*args, **kwargs)
+
+    def counting_init(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    for module in (synthetic, cli):  # the verb may call it by either module's name
+        if hasattr(module, "inscribed_quadrangle_through"):
+            monkeypatch.setattr(module, "inscribed_quadrangle_through", counting_through)
+    monkeypatch.setattr(synthetic.InscribedQuadrangle, "__init__", counting_init)
+    path = tmp_path / "t.scene"
+    argv = ["traversale", "--conic", "1 1 -1 0 0 0", "--point", "(2, 0, 1)", "--transcript", str(path)]
+    assert main(argv) == 0
+    assert "agreement  exact" in capsys.readouterr().out
+    assert len(calls) == 1 and len(built) == 1
+
+
 def test_cli_involution(capsys):
     code = main(["involution", "--pair", "{2/5, -8/5}", "--pair", "{8/5, -2/5}"])
     assert code == 0

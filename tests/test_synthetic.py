@@ -14,6 +14,7 @@ from traversale import (
     GeometryError,
     Homography,
     InvolutionKind,
+    InvolutionOnLine,
     LINE_AT_INFINITY,
     LineMissesConic,
     NoRationalSecants,
@@ -25,6 +26,7 @@ from traversale import (
     PointPair,
     TangentLine,
     VertexOnTransversal,
+    canonical_chart,
     classify_and_fixed_points,
     contains_pair,
     cross_ratio,
@@ -38,8 +40,8 @@ from traversale import (
     transform,
 )
 from traversale.conic import chord_parametrization
-from traversale.linalg import det3
-from traversale.numbers import small_extended
+from traversale.linalg import det2, det3, mat2_mul, mat2_vec
+from traversale.numbers import small_extended, to_pair
 from traversale.render import Drawable, render_svg
 from traversale.synthetic import (
     InscribedQuadrangle,
@@ -141,9 +143,20 @@ _SWEEP_CONICS = {
 }
 
 
+def _sweep_points(c, h, par):
+    """An exterior f whose tangent contacts are the points of 0 and 1, an interior f and an f at infinity."""
+    contacts = (par.point(F(0)), par.point(F(1)))  # swept points, so the sweep meets both tangents from f
+    return {
+        "exterior": meet(*(tangent_at(c, p) for p in contacts)),
+        "interior": h.apply(PPoint(0, 0, 1)),
+        "infinity": next(f for f in (PPoint(1, k, 0) for k in range(2, 9)) if not c.contains(f)),
+    }
+
+
 @pytest.mark.parametrize("name", list(_SWEEP_CONICS))
 def test_quadrangle_sweep_matches_second_intersection_reference(name):
-    # the hoisted Vieta sweep against the chord construction it replaces
+    # the parameter sweep and the closed-form bornales against the
+    # point-by-point chord construction and the joins they replace
     c, h = _SWEEP_CONICS[name]
     par = chord_parametrization(c)
 
@@ -162,17 +175,72 @@ def test_quadrangle_sweep_matches_second_intersection_reference(name):
                 return (*secants[offset], *secants[offset + 1])
         raise AssertionError(f"reference sweep found {len(secants)} secants through {f}")
 
-    contacts = (par.point(F(0)), par.point(F(1)))  # swept points, so the sweep meets both tangents from f
-    points = {
-        "exterior": meet(*(tangent_at(c, p) for p in contacts)),
-        "interior": h.apply(PPoint(0, 0, 1)),
-        "infinity": next(f for f in (PPoint(1, k, 0) for k in range(2, 9)) if not c.contains(f)),
-    }
-    for kind, f in points.items():
+    for kind, f in _sweep_points(c, h, par).items():
         assert not c.contains(f)
         for offset in range(4):
+            b, c2, d, e = reference_bornes(f, offset)
             quad = inscribed_quadrangle_through(c, f, offset=offset)
-            assert quad.bornes == reference_bornes(f, offset), (kind, offset)
+            assert quad.bornes == (b, c2, d, e), (kind, offset)
+            n = meet(join(c2, d), join(b, e))
+            g = meet(join(b, d), join(c2, e))
+            assert traversale_from_quadrangle(c, f, offset=offset) == join(g, n), (kind, offset)
+
+
+def _tangent_parameter(c, par):
+    """The chart pair naming the base point: the tangent direction at the base."""
+    ref = join(par.direction(F(0)), par.direction(INF))
+    chart = canonical_chart(ref)
+    pair = to_pair(chart.coordinate(meet(ref, tangent_at(c, par.base))))
+    assert par.point_from_pair(pair) == par.base
+    return pair
+
+
+@pytest.mark.parametrize("name", list(_SWEEP_CONICS))
+def test_chord_closed_form_matches_join(name):
+    c, _ = _SWEEP_CONICS[name]
+    par = rational_parametrize(c, chord_parametrization(c).base)
+    assert par._chord_form is None  # built on the first chord, not with the parametrization
+    rng = random.Random(name)
+    pairs = [(1, 0), (0, 1), _tangent_parameter(c, par)]
+    while len(pairs) < 10:
+        num, den = rng.randint(-60, 60), rng.randint(0, 40)
+        if (num, den) != (0, 0):
+            pairs.append((num, den))
+    for s in pairs:
+        ps = par.point_from_pair(s)
+        assert par.chord(s, s) == tangent_at(c, ps)
+        assert par.chord(s, (3 * s[0], 3 * s[1])) == tangent_at(c, ps)  # the pair's scale does not matter
+        for t in pairs:
+            pt = par.point_from_pair(t)
+            if pt != ps:
+                assert par.chord(s, t) == par.chord(t, s) == join(ps, pt), (s, t)
+
+
+@pytest.mark.parametrize("name", list(_SWEEP_CONICS))
+def test_parameter_involution_of_the_lines_through_f(name):
+    c, h = _SWEEP_CONICS[name]
+    par = chord_parametrization(c)
+    chart = canonical_chart(join(par.direction(F(0)), par.direction(INF)))
+    rng = random.Random(name)
+    params = [(1, 0), (0, 1), _tangent_parameter(c, par)]
+    params += [(rng.randint(-30, 30), rng.randint(1, 20)) for _ in range(6)]
+    for kind, f in _sweep_points(c, h, par).items():
+        m = par.involution_through(f)
+        m2 = mat2_mul(m, m)
+        assert m2[0][1] == m2[1][0] == 0 and m2[0][0] == m2[1][1] != 0, kind  # M^2 is scalar
+        for s in params:
+            ps = par.point_from_pair(s)
+            assert par.point_from_pair(mat2_vec(m, s)) == second_intersection(c, ps, f), (kind, s)
+        fixed = classify_and_fixed_points(InvolutionOnLine(chart, m))
+        if kind == "exterior":  # fixed at the contacts of the tangents from f
+            assert fixed == (InvolutionKind.HYPERBOLIC, (F(0), F(1)))
+        if kind == "interior":  # no tangent through f
+            assert fixed == (InvolutionKind.ELLIPTIC, None)
+    # the involution degenerates exactly when f is on the conic
+    on = [par.point_from_pair(s) for s in params]
+    off = [PPoint(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(10)]
+    for f in on + [p for p in off if not c.contains(p)]:
+        assert (det2(par.involution_through(f)) == 0) == c.contains(f), f
 
 
 @pytest.mark.parametrize("seed, steps", [(0, 0), (91, 1), (92, 2), (93, 60)])
@@ -241,6 +309,16 @@ def test_traversale_worked_example(circle):
     tau = traversale_from_quadrangle(circle, PPoint(2, 0, 1))
     assert tau == PLine(2, 0, -1)
     assert tau == polar(circle, PPoint(2, 0, 1))
+
+
+def test_traversale_checks_the_quadrangle_it_reads_its_bornales_from(circle, monkeypatch):
+    f = PPoint(2, 0, 1)
+    bornes = inscribed_quadrangle_through(circle, f, offset=1).bornes
+    built = []
+    real_init = InscribedQuadrangle.__init__
+    monkeypatch.setattr(InscribedQuadrangle, "__init__", lambda self, *args: built.append(args) or real_init(self, *args))
+    traversale_from_quadrangle(circle, f, offset=1)
+    assert built == [(circle, *bornes)]
 
 
 def test_traversale_at_infinity_is_diametrale(circle):
