@@ -15,7 +15,6 @@ approximating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -44,10 +43,10 @@ from .projective import (
     canonical_chart,
     join,
 )
+from .value import Value
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class Conic:
+class Conic(Value):
     """A conic, i.e. a nonzero symmetric rational 3x3 form up to scale.
 
     ``q(v) = v^T M v`` and the associated symmetric bilinear form
@@ -64,11 +63,7 @@ class Conic:
     on first use and memoized like the parametrization.
     """
 
-    matrix: Mat3
-    witness: PPoint | None = field(compare=False)
-    is_nondegenerate: bool = field(compare=False)
-    _parametrization: RationalParametrization | None = field(compare=False)
-    _dual: Mat3 | None = field(compare=False)
+    __slots__ = ("matrix", "witness", "is_nondegenerate", "_parametrization", "_dual")
 
     def __init__(self, rows, witness: PPoint | None = None):
         if len(rows) != 3 or any(len(row) != 3 for row in rows):
@@ -81,11 +76,13 @@ class Conic:
             raise ValueError(f"conic matrix must be symmetric, got {mat}")
         if witness is not None and dot(mat_vec(mat, witness.coords), witness.coords) != 0:
             raise BasePointNotOnConic(f"witness {witness} is not on the conic")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "is_nondegenerate", det3(mat) != 0)
-        object.__setattr__(self, "_parametrization", None)
-        object.__setattr__(self, "_dual", None)
+        self._set(matrix=mat, witness=witness, is_nondegenerate=det3(mat) != 0, _parametrization=None, _dual=None)
+
+    def __eq__(self, other):
+        return self.matrix == other.matrix if type(other) is Conic else NotImplemented
+
+    def __hash__(self):
+        return hash(self.matrix)
 
     def __repr__(self):
         return f"Conic{self.matrix}"
@@ -137,25 +134,26 @@ class AffineKind(Enum):
     PARABOLA = "parabola"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Value):
     """Class, normalized signature and rank of a conic, with its singular part."""
 
-    kind: ConicClass
-    signature: tuple[int, int]
-    rank: int
-    point_double: PPoint | None = None
-    double_line: PLine | None = None
+    __slots__ = ("kind", "signature", "rank", "point_double", "double_line")
+
+    def __init__(
+        self, kind: ConicClass, signature: tuple[int, int], rank: int, point_double: PPoint | None = None, double_line: PLine | None = None
+    ):
+        self._set(kind=kind, signature=signature, rank=rank, point_double=point_double, double_line=double_line)
 
 
-@dataclass(frozen=True)
-class AffineFeatures:
+class AffineFeatures(Value):
     """Affine kind, center, points at infinity and asymptotes of a conic."""
 
-    kind: AffineKind
-    center: PPoint
-    points_at_infinity: tuple[PPoint, ...]
-    asymptotes: tuple[PLine, ...] | None
+    __slots__ = ("kind", "center", "points_at_infinity", "asymptotes")
+
+    def __init__(
+        self, kind: AffineKind, center: PPoint, points_at_infinity: tuple[PPoint, ...], asymptotes: tuple[PLine, ...] | None
+    ):
+        self._set(kind=kind, center=center, points_at_infinity=points_at_infinity, asymptotes=asymptotes)
 
 
 def conic_from_five_points(p1: PPoint, p2: PPoint, p3: PPoint, p4: PPoint, p5: PPoint) -> Conic:
@@ -193,7 +191,7 @@ def _dual_form(c: Conic) -> Mat3:
     dual = c._dual
     if dual is None:
         dual = adjugate(c.matrix)
-        object.__setattr__(c, "_dual", dual)
+        c._set(_dual=dual)
     return dual
 
 
@@ -410,8 +408,7 @@ def transform(c: Conic, h: Homography) -> Conic:
     return Conic(rows, witness=witness)
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
-class RationalParametrization:
+class RationalParametrization(Value):
     """All rational points of a conic from one of them, by the chord trick.
 
     The parameter t names the direction of the chord through ``base`` (the
@@ -439,11 +436,7 @@ class RationalParametrization:
     exactly when f is on the conic.  The chord form is built on first use.
     """
 
-    conic: Conic
-    base: PPoint
-    _chart: LineChart
-    _quadratic: tuple[Vec3, Vec3, Vec3]
-    _chord_form: tuple[Vec3, Vec3, Vec3] | None
+    __slots__ = ("conic", "base", "_chart", "_quadratic", "_chord_form")
 
     def __init__(self, conic: Conic, base: PPoint):
         if not conic.is_nondegenerate:
@@ -465,11 +458,7 @@ class RationalParametrization:
             tuple(2 * (phi_oi * bk - phi_bi * ok - phi_bo * ik) for bk, ok, ik in zip(b, o, i)),
             tuple(qo * bk - 2 * phi_bo * ok for bk, ok in zip(b, o)),
         )
-        object.__setattr__(self, "conic", conic)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "_chart", chart)
-        object.__setattr__(self, "_quadratic", quadratic)
-        object.__setattr__(self, "_chord_form", None)
+        self._set(conic=conic, base=base, _chart=chart, _quadratic=quadratic, _chord_form=None)
 
     def direction(self, t: ExtRat) -> PPoint:
         return self._chart.point_at(t)
@@ -493,7 +482,7 @@ class RationalParametrization:
             u, v, w = cross(a, b), cross(a, c), cross(b, c)
             g = math.gcd(*u, *v, *w)
             form = tuple([(x // g, y // g, z // g) for x, y, z in (u, v, w)])
-            object.__setattr__(self, "_chord_form", form)
+            self._set(_chord_form=form)
         return form
 
     def chord(self, s: Pair, t: Pair) -> PLine:
@@ -554,7 +543,7 @@ def chord_parametrization(c: Conic) -> RationalParametrization:
         if base is None:
             raise NoRationalSecants("no rational point found on the conic within the search budget")
         par = RationalParametrization(c, base)
-        object.__setattr__(c, "_parametrization", par)
+        c._set(_parametrization=par)
     return par
 
 

@@ -15,7 +15,6 @@ theorem, and the test suite treats it as one rather than assuming it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -23,10 +22,10 @@ from .errors import CenterOnLine, InfiniteNode, InvalidSouche, UnderdeterminedIn
 from .linalg import Mat2, adjugate2, cross, det2, mat2_mul, mat2_vec, primitive_rows
 from .numbers import INF, ExtRat, Pair, format_extended, from_pair, pair_cross, parse_extended, to_pair
 from .projective import LineChart, PPoint
+from .value import Value
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class PointPair:
+class PointPair(Value):
     """An unordered couple of nodes on a line, in chart coordinates.
 
     A repeated coordinate is allowed and represents a fixed node (a "noeud
@@ -36,13 +35,19 @@ class PointPair:
     back as extended rationals.
     """
 
-    pairs: tuple[Pair, Pair]
+    __slots__ = ("pairs",)
 
     def __init__(self, first: ExtRat, second: ExtRat):
         u, v = to_pair(first), to_pair(second)
         if pair_cross(u, v) > 0:  # with den >= 0 the sign orders them, INF last
             u, v = v, u
-        object.__setattr__(self, "pairs", (u, v))
+        self._set(pairs=(u, v))
+
+    def __eq__(self, other):
+        return self.pairs == other.pairs if type(other) is PointPair else NotImplemented
+
+    def __hash__(self):
+        return hash(self.pairs)
 
     def __repr__(self):
         return f"PointPair({self.first!r}, {self.second!r})"
@@ -79,8 +84,7 @@ class InvolutionKind(Enum):
     ELLIPTIC = "elliptic"
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class InvolutionOnLine:
+class InvolutionOnLine(Value):
     """An involutive homography of a line, in a fixed chart.
 
     The matrix is primitive integer, has trace zero (the matrix form of
@@ -89,8 +93,7 @@ class InvolutionOnLine:
     no parabolic involution.
     """
 
-    chart: LineChart
-    matrix: Mat2
+    __slots__ = ("chart", "matrix")
 
     def __init__(self, chart: LineChart, matrix):
         m = primitive_rows(matrix)
@@ -98,8 +101,13 @@ class InvolutionOnLine:
             raise UnderdeterminedInvolution(f"matrix {m} is not involutive (trace != 0)")
         if det2(m) == 0:
             raise UnderdeterminedInvolution(f"matrix {m} is degenerate, not an involution")
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "matrix", m)
+        self._set(chart=chart, matrix=m)
+
+    def __eq__(self, other):
+        return (self.chart, self.matrix) == (other.chart, other.matrix) if type(other) is InvolutionOnLine else NotImplemented
+
+    def __hash__(self):
+        return hash((self.chart, self.matrix))
 
     def __repr__(self):
         return f"InvolutionOnLine(matrix={self.matrix}, line={self.chart.line})"

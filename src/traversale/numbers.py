@@ -15,25 +15,16 @@ import math
 import re
 from fractions import Fraction
 
+from .value import Value
 
-class _Infinity:
+
+class _Infinity(Value):
     """The single point at infinity of a projective line."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    __slots__ = ()
 
     def __repr__(self):
         return "inf"
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("traversale.INF")
 
 
 INF = _Infinity()

@@ -13,7 +13,6 @@ a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -27,6 +26,7 @@ from .errors import (
 )
 from .linalg import Mat3, Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, primitive, primitive_rows, solve2, transpose
 from .numbers import INF, ExtRat, Pair, format_rational, from_pair, pair_cross, parse_rational, to_pair
+from .value import Value
 
 
 def _canonical(triple: Vec3) -> tuple[Fraction, Fraction, Fraction]:
@@ -52,17 +52,22 @@ def _parse_triple(text: str, kind: str, shape: str, entries: str) -> list[Fracti
     return [parse_rational(p) for p in parts]
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class PPoint:
+class PPoint(Value):
     """A point of the projective plane, equal up to nonzero scale."""
 
-    coords: Vec3
+    __slots__ = ("coords",)
 
     def __init__(self, x, y, z):
         try:
             object.__setattr__(self, "coords", primitive((x, y, z)))
         except ValueError:
             raise CoincidentPoints("(0, 0, 0) is not a projective point") from None
+
+    def __eq__(self, other):
+        return self.coords == other.coords if type(other) is PPoint else NotImplemented
+
+    def __hash__(self):
+        return hash(self.coords)
 
     def __repr__(self):
         return f"PPoint{self.coords}"
@@ -91,17 +96,22 @@ class PPoint:
         return cls(*_parse_triple(text, "point", "(x, y, z)", "coordinates"))
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class PLine:
+class PLine(Value):
     """A line ux + vy + wz = 0, equal up to nonzero scale."""
 
-    coeffs: Vec3
+    __slots__ = ("coeffs",)
 
     def __init__(self, u, v, w):
         try:
             object.__setattr__(self, "coeffs", primitive((u, v, w)))
         except ValueError:
             raise CoincidentLines("[0, 0, 0] is not a line") from None
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if type(other) is PLine else NotImplemented
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     def __repr__(self):
         return f"PLine{self.coeffs}"
@@ -157,8 +167,7 @@ def concurrent(*lines: PLine) -> bool:
     )
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class LineChart:
+class LineChart(Value):
     """A projective coordinate on a line.
 
     The chart is fixed by three pairwise distinct reference points on the
@@ -171,12 +180,7 @@ class LineChart:
     matrix read off O and I.
     """
 
-    line: PLine
-    origin: PPoint
-    unit: PPoint
-    infinity_point: PPoint
-    representatives: tuple[Vec3, Vec3] = field(compare=False)
-    _rows: tuple[int, int] = field(compare=False)
+    __slots__ = ("line", "origin", "unit", "infinity_point", "representatives", "_rows")
 
     def __init__(self, line: PLine, origin: PPoint, unit: PPoint, infinity_point: PPoint):
         refs = (origin, unit, infinity_point)
@@ -192,12 +196,17 @@ class LineChart:
         )
         assert lam_mu is not None, "collinear references always decompose"
         lam, mu, _ = lam_mu  # unit = (lam*o + mu*i)/d, and the common 1/d is dropped
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "infinity_point", infinity_point)
-        object.__setattr__(self, "representatives", (tuple(lam * c for c in o), tuple(mu * c for c in i)))
-        object.__setattr__(self, "_rows", rows)
+        reps = (tuple(lam * c for c in o), tuple(mu * c for c in i))
+        self._set(line=line, origin=origin, unit=unit, infinity_point=infinity_point, representatives=reps, _rows=rows)
+
+    def _key(self):
+        return (self.line, self.origin, self.unit, self.infinity_point)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is LineChart else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __repr__(self):
         return f"LineChart(line={self.line}, origin={self.origin}, unit={self.unit}, inf={self.infinity_point})"
@@ -292,21 +301,26 @@ def harmonic_conjugate(c: PPoint, a: PPoint, b: PPoint, chart: LineChart) -> PPo
     return chart.point_from_pair(d)
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class Homography:
+class Homography(Value):
     """An invertible projective map, stored as a primitive integer matrix.
 
     Acts on points by the matrix and on lines by the inverse transpose
     (realized with the adjugate so everything stays integral).
     """
 
-    matrix: Mat3
+    __slots__ = ("matrix",)
 
     def __init__(self, rows):
         m = primitive_rows(rows)
         if det3(m) == 0:
             raise SingularMatrix(f"matrix {m} is singular")
-        object.__setattr__(self, "matrix", m)
+        self._set(matrix=m)
+
+    def __eq__(self, other):
+        return self.matrix == other.matrix if type(other) is Homography else NotImplemented
+
+    def __hash__(self):
+        return hash(self.matrix)
 
     def __repr__(self):
         return f"Homography{self.matrix}"

@@ -15,7 +15,6 @@ shipped with the package are built here as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -25,6 +24,7 @@ from .linalg import Vec3
 from .numbers import Pair, parse_rational
 from .projective import LINE_AT_INFINITY, PLine, PPoint, join, meet
 from .synthetic import worked_quadrangle
+from .value import Value
 
 Viewport = tuple[Fraction, Fraction, Fraction, Fraction]  # xmin, ymin, xmax, ymax
 Box = tuple[int, int, int, int]  # xmin, ymin, xmax, ymax, each times the frame's denominator
@@ -36,13 +36,13 @@ _POINT_STYLE = 'fill="#aa2222"'
 _TEXT_STYLE = 'font-family="serif" font-size="13"'
 
 
-@dataclass(frozen=True)
-class Drawable:
-    """One exact object to draw, with its style kind and an optional label."""
+class Drawable(Value):
+    """One exact object to draw, with its style kind ("conic", "line", "accent-line" or "point") and an optional label."""
 
-    kind: str  # "conic" | "line" | "accent-line" | "point"
-    obj: object
-    label: str = ""
+    __slots__ = ("kind", "obj", "label")
+
+    def __init__(self, kind: str, obj: object, label: str = ""):
+        self._set(kind=kind, obj=obj, label=label)
 
 
 def parse_viewport(text: str) -> Viewport:

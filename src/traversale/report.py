@@ -8,17 +8,17 @@ harness treats as a contract (same seed, same cases, same bytes).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+
+from .value import Value
 
 
-@dataclass(frozen=True)
-class PropertyResult:
+class PropertyResult(Value):
     """Pass count of one property, with the first counterexample if any failed."""
 
-    name: str
-    passed_cases: int
-    total_cases: int
-    counterexample: str | None = None
+    __slots__ = ("name", "passed_cases", "total_cases", "counterexample")
+
+    def __init__(self, name: str, passed_cases: int, total_cases: int, counterexample: str | None = None):
+        self._set(name=name, passed_cases=passed_cases, total_cases=total_cases, counterexample=counterexample)
 
     @property
     def passed(self) -> bool:
@@ -29,14 +29,13 @@ class PropertyResult:
         return f"{verdict} {self.name} {self.passed_cases}/{self.total_cases}"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Value):
     """The results of one suite run, rendered by :meth:`to_text`."""
 
-    suite: str
-    seed: int
-    cases: int
-    properties: tuple[PropertyResult, ...] = field(default_factory=tuple)
+    __slots__ = ("suite", "seed", "cases", "properties")
+
+    def __init__(self, suite: str, seed: int, cases: int, properties: tuple[PropertyResult, ...] = ()):
+        self._set(suite=suite, seed=seed, cases=cases, properties=properties)
 
     @property
     def passed(self) -> bool:

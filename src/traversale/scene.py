@@ -34,7 +34,6 @@ report.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .conic import Conic, classify, polar, pole
@@ -44,6 +43,7 @@ from .projective import LineChart, PLine, PPoint, join, meet
 from .render import Drawable, build_figure, parse_viewport, render_svg
 from .report import PropertyResult, VerificationReport
 from .synthetic import InscribedQuadrangle, traversale_from_quadrangle
+from .value import Value
 
 _CLASS_NAMES = {"nondegenerate-real", "empty", "two-lines", "double-line"}
 
@@ -63,20 +63,22 @@ def _operations() -> dict[str, tuple]:
     }
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Value):
     """A whitespace-separated word of a scene line and its 1-based column."""
 
-    text: str
-    column: int
+    __slots__ = ("text", "column")
+
+    def __init__(self, text: str, column: int):
+        self._set(text=text, column=column)
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(Value):
     """The tokens of one non-empty scene line."""
 
-    line_no: int
-    tokens: tuple[_Token, ...]
+    __slots__ = ("line_no", "tokens")
+
+    def __init__(self, line_no: int, tokens: tuple[_Token, ...]):
+        self._set(line_no=line_no, tokens=tokens)
 
     @property
     def verb(self) -> str:

@@ -15,7 +15,6 @@ never run into irrational intersections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -59,6 +58,7 @@ from .projective import (
     join,
     meet,
 )
+from .value import Value
 
 
 def _check_general_position(pts: tuple[PPoint, ...], noun: str, conic: Conic | None = None) -> None:
@@ -89,8 +89,7 @@ def _opposite_sides(a: PPoint, b: PPoint, c: PPoint, d: PPoint) -> tuple[tuple[P
     )
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
-class InscribedQuadrangle:
+class InscribedQuadrangle(Value):
     """Four bornes on a conic with their bornale couples and diagonal points.
 
     Labels follow the fixed convention: F is the meet of the couple
@@ -101,11 +100,7 @@ class InscribedQuadrangle:
     is tested there.
     """
 
-    conic: Conic
-    b: PPoint
-    c: PPoint
-    d: PPoint
-    e: PPoint
+    __slots__ = ("conic", "b", "c", "d", "e")
 
     def __init__(self, conic: Conic, b: PPoint, c: PPoint, d: PPoint, e: PPoint):
         pts = (b, c, d, e)
@@ -113,11 +108,7 @@ class InscribedQuadrangle:
             if not conic.contains(p):
                 raise NotOnConic(f"borne {p} is not on the conic")
         _check_general_position(pts, "bornes", conic)
-        object.__setattr__(self, "conic", conic)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "e", e)
+        self._set(conic=conic, b=b, c=c, d=d, e=e)
 
     def __repr__(self):
         return f"InscribedQuadrangle({self.b}, {self.c}, {self.d}, {self.e})"
@@ -156,23 +147,22 @@ def diagonal_triangle(q: InscribedQuadrangle) -> tuple[PPoint, PPoint, PPoint]:
     return q.diagonal_points()
 
 
-@dataclass(frozen=True)
-class PencilBase:
+class PencilBase(Value):
     """Four base points of a pencil of conics, with an optional member.
 
     The three degenerate members of the pencil are the bornale couples of
     the base quadrangle.
     """
 
-    points: tuple[PPoint, PPoint, PPoint, PPoint]
-    member: Conic | None = None
+    __slots__ = ("points", "member")
 
-    def __post_init__(self):
-        _check_general_position(self.points, "base points")
-        if self.member is not None:
-            for p in self.points:
-                if not self.member.contains(p):
+    def __init__(self, points: tuple[PPoint, PPoint, PPoint, PPoint], member: Conic | None = None):
+        _check_general_position(points, "base points")
+        if member is not None:
+            for p in points:
+                if not member.contains(p):
                     raise NotOnConic(f"member conic misses base point {p}")
+        self._set(points=points, member=member)
 
     def degenerate_members(self) -> tuple[tuple[PLine, PLine], ...]:
         return _opposite_sides(*self.points)
@@ -360,8 +350,7 @@ def pencil_involution_on_line(base: PencilBase, l: PLine) -> InvolutionOnLine:
     return involution_from_two_pairs(traces[0], traces[1], chart)
 
 
-@dataclass(frozen=True)
-class TwoInvolutions:
+class TwoInvolutions(Value):
     """The two involutions on an ordonnee through f.
 
     `pencil` is the involution of Desargues' pencil theorem, with f and the
@@ -371,10 +360,12 @@ class TwoInvolutions:
     same four points.
     """
 
-    pencil: InvolutionOnLine
-    polarity: InvolutionOnLine
-    conic_trace: tuple[PPoint, PPoint]
-    traversale_point: PPoint
+    __slots__ = ("pencil", "polarity", "conic_trace", "traversale_point")
+
+    def __init__(
+        self, pencil: InvolutionOnLine, polarity: InvolutionOnLine, conic_trace: tuple[PPoint, PPoint], traversale_point: PPoint
+    ):
+        self._set(pencil=pencil, polarity=polarity, conic_trace=conic_trace, traversale_point=traversale_point)
 
 
 def two_involutions(c: Conic, f: PPoint, l: PLine) -> TwoInvolutions:

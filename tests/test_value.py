@@ -1,0 +1,88 @@
+"""The immutable-value contract of every class built on ``Value``, and a lean cold start."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from traversale import (
+    INF,
+    Conic,
+    Homography,
+    PLine,
+    PointPair,
+    PPoint,
+    RationalParametrization,
+    affine_features,
+    canonical_chart,
+    classify,
+    polarity_involution_on_line,
+)
+from traversale.render import Drawable
+from traversale.report import PropertyResult, VerificationReport
+from traversale.scene import _Command, _Token
+from traversale.synthetic import PencilBase, two_involutions, worked_quadrangle
+from traversale.value import Value
+
+_CIRCLE = Conic.unit_circle()
+
+SAMPLES = {
+    "PPoint": lambda: PPoint(1, 2, 3),
+    "PLine": lambda: PLine(1, 2, 3),
+    "LineChart": lambda: canonical_chart(PLine(0, 1, 0)),
+    "Homography": lambda: Homography.scaling(2, 3),
+    "Conic": lambda: Conic.unit_circle(),
+    "RationalParametrization": lambda: RationalParametrization(_CIRCLE, PPoint(-1, 0, 1)),
+    "PointPair": lambda: PointPair(INF, 0),
+    "InvolutionOnLine": lambda: polarity_involution_on_line(_CIRCLE, PLine(0, 1, 0)),
+    "InscribedQuadrangle": worked_quadrangle,
+    "PencilBase": lambda: PencilBase(worked_quadrangle().bornes, member=_CIRCLE),
+    "Classification": lambda: classify(_CIRCLE),
+    "AffineFeatures": lambda: affine_features(_CIRCLE),
+    "TwoInvolutions": lambda: two_involutions(_CIRCLE, PPoint(2, 0, 1), PLine(0, 1, 0)),
+    "Drawable": lambda: Drawable("point", PPoint(0, 0, 1), "O"),
+    "PropertyResult": lambda: PropertyResult("p", 1, 1),
+    "VerificationReport": lambda: VerificationReport("s", 1, 1, (PropertyResult("p", 1, 1),)),
+    "_Token": lambda: _Token("point", 1),
+    "_Command": lambda: _Command(1, (_Token("point", 1),)),
+    "_Infinity": lambda: INF,
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_value_class_has_a_sample():
+    assert {cls.__name__ for cls in _subclasses(Value)} == set(SAMPLES)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_setting_or_deleting_any_name_raises(name):
+    value = SAMPLES[name]()
+    assert type(value).__name__ == name and isinstance(value, Value)
+    assert not hasattr(value, "__dict__")
+    before = {field: getattr(value, field) for field in type(value).__slots__}
+    for field in (*type(value).__slots__, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert {field: getattr(value, field) for field in type(value).__slots__} == before
+    assert not hasattr(value, "extra")
+
+
+def test_cold_polar_call_does_not_import_dataclasses():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from traversale import cli\n"
+        'cli.main(["polar", "--conic", "1 1 -1 0 0 0", "--point", "(2, 0, 1)"])\n'
+        'print("dataclasses" in sys.modules)\n'
+    )
+    run = subprocess.run([sys.executable, "-I", "-c", code, str(src)], capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines() == ["[1, 0, -1/2]", "False"]
