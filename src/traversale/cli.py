@@ -18,6 +18,10 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 bad input (an unknown
 option, parse errors, unknown references, geometric preconditions,
 unreadable or directory paths, a width below 1, a case count below 1).
 DESARGUES_SEED, when set, overrides verify's --seed.
+
+Only the kernel is imported with this module.  The construction, scene,
+render and verify layers are imported by the verbs that use them, so a
+`polar` call loads none of them.
 """
 
 from __future__ import annotations
@@ -31,14 +35,32 @@ from .errors import GeometryError, SceneError
 from .involution import PointPair, classify_and_fixed_points, involution_from_two_pairs, souche_of
 from .numbers import format_extended, parse_rational
 from .projective import PLine, PPoint, canonical_chart, join
-from .render import FIGURES, parse_viewport, render_figure
-from .scene import run_scene
-from .synthetic import inscribed_quadrangle_through, quadrangle_transcript
-from .verify import ALL_SUITES, verify_all, verify_suite
+
+
+# The names the render and verify options list, spelled here so that
+# building the parser imports neither layer; the tests hold them equal to
+# render.FIGURES and verify.ALL_SUITES.
+_FIGURE_NAMES = ("fig10", "fig13", "fig14", "fig16", "fig8")
+_SUITE_IDS = (
+    "involution-equivalence", "ramee", "biduality", "incidence-duality", "quadrangle-independence",
+    "pencil-theorem", "two-involutions", "harmonic-FGXY", "transport", "classification",
+    "worked-example", "affine-diameters", "self-polar", "rendering",
+)
 
 
 class _InputError(Exception):
     pass
+
+
+def run_scene(path: str):
+    """Run a scene file, importing the scene language on the first call.
+
+    The `run` verb calls it by this module-level name, so a tracer can
+    rebind it.
+    """
+    from .scene import run_scene
+
+    return run_scene(path)
 
 
 def _parse_conic(text: str) -> Conic:
@@ -81,6 +103,8 @@ def _cmd_pole(args) -> int:
 
 
 def _cmd_traversale(args) -> int:
+    from .synthetic import inscribed_quadrangle_through, quadrangle_transcript
+
     conic = _parse_conic(args.conic)
     point = _parse_literal(PPoint.parse, args.point)
     quad = inscribed_quadrangle_through(conic, point)
@@ -136,6 +160,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .render import parse_viewport, render_figure
+
     viewport = _parse_literal(parse_viewport, args.viewport) if args.viewport else None
     svg = render_figure(args.figure, viewport=viewport, width=args.width)
     out = args.out or f"{args.figure}.svg"
@@ -146,6 +172,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import verify_all, verify_suite
+
     seed = _effective_seed(args)
     if args.all or not args.suites:
         reports = verify_all(seed, args.cases)
@@ -198,13 +226,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, metavar="PATH", help="also write the report to PATH")
 
     p = verb("render", _cmd_render, "render a built-in figure to SVG")
-    p.add_argument("figure", choices=sorted(FIGURES))
+    p.add_argument("figure", choices=_FIGURE_NAMES)
     p.add_argument("--viewport", metavar="XMIN,YMIN,XMAX,YMAX", help="four rationals: --viewport=-2,-2,2,2")
     p.add_argument("--width", type=int, default=640)
     p.add_argument("--out", default=None, metavar="PATH", help="SVG path (default FIGURE.svg)")
 
     p = verb("verify", _cmd_verify, "run verification suites")
-    p.add_argument("suites", nargs="*", help=f"suite ids ({', '.join(ALL_SUITES)})")
+    p.add_argument("suites", nargs="*", help=f"suite ids ({', '.join(_SUITE_IDS)})")
     p.add_argument("--all", action="store_true", help="run every suite")
     p.add_argument("--seed", type=int, default=1, help="PRNG seed (DESARGUES_SEED overrides)")
     p.add_argument("--cases", type=int, default=None, help="cases per randomized property")

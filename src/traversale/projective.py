@@ -13,6 +13,7 @@ a pure function.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -173,8 +174,11 @@ class LineChart(Value):
     The chart is fixed by three pairwise distinct reference points on the
     line: ``origin`` gets coordinate 0, ``unit`` coordinate 1 and
     ``infinity_point`` the value INF.  The points of the line are written
-    s*O + t*I against ``representatives`` = (O, I), integer vectors of
-    origin and infinity_point scaled so that O + I represents unit; the
+    s*O + t*I against ``representatives`` = (O, I) = (lam*o, mu*i), where
+    o and i are the integer vectors of origin and infinity_point and the
+    weights lam, mu are the coprime integers for which O + I represents
+    unit: their common factor gcd(lam, mu) is divided out, so on a
+    canonical chart O and I are the size of the line's coefficients.  The
     chart coordinate is t/s, kept as the homogeneous integer pair (t, s).
     A map of the line that is linear in the point's vector has its chart
     matrix read off O and I.
@@ -196,7 +200,8 @@ class LineChart(Value):
         )
         assert lam_mu is not None, "collinear references always decompose"
         lam, mu, _ = lam_mu  # unit = (lam*o + mu*i)/d, and the common 1/d is dropped
-        reps = (tuple(lam * c for c in o), tuple(mu * c for c in i))
+        g = math.gcd(lam, mu)
+        reps = (tuple(lam // g * c for c in o), tuple(mu // g * c for c in i))
         self._set(line=line, origin=origin, unit=unit, infinity_point=infinity_point, representatives=reps, _rows=rows)
 
     def _key(self):

@@ -174,7 +174,7 @@ _SWEEP_PAIRS = tuple(to_pair(t) for t in islice(small_extended(), 64))
 
 
 def _secant_parameters(
-    c: Conic, f: PPoint, offset: int
+    c: Conic, f: PPoint, offset: int, known: tuple[Pair, Pair] | None = None
 ) -> tuple[RationalParametrization, tuple[Pair, Pair, Pair, Pair]]:
     """The chart pairs of the bornes B, C, D, E of the quadrangle through f.
 
@@ -186,6 +186,8 @@ def _secant_parameters(
     parametrization is a bijection from the pairs onto the conic, so
     `seen` tells the same chords apart as the points would.  `seen` is
     closed under the involution, so a partner is never seen before its pair.
+    A secant through f that the caller already knows, ``known`` = (s, t)
+    with s != t in that form, is the first secant and is not swept again.
     """
     if c.contains(f):
         raise OnConic(f"{f} lies on the conic; no traversale quadrangle exists")
@@ -193,6 +195,9 @@ def _secant_parameters(
     (m00, m01), (m10, m11) = par.involution_through(f)
     seen: set[Pair] = set()
     secants: list[tuple[Pair, Pair]] = []
+    if known is not None:
+        seen.update(known)
+        secants.append(known)
     for s in _SWEEP_PAIRS:
         if s in seen:
             continue  # a chord already swept, revisited from its far end
@@ -240,7 +245,12 @@ def traversale_from_quadrangle(c: Conic, f: PPoint, *, offset: int = 0) -> PLine
     this line from the quadrangle, and its equality with the algebraic
     polar of f, are the theorems the test suites drive.
     """
-    par, (sb, sc, sd, se) = _secant_parameters(c, f, offset)
+    return _traversale(c, f, offset)
+
+
+def _traversale(c: Conic, f: PPoint, offset: int = 0, known: tuple[Pair, Pair] | None = None) -> PLine:
+    """:func:`traversale_from_quadrangle`, with an optional known first secant through f."""
+    par, (sb, sc, sd, se) = _secant_parameters(c, f, offset, known)
     InscribedQuadrangle(c, *map(par.point_from_pair, (sb, sc, sd, se)))  # checks the bornes
     n = meet(par.chord(sc, sd), par.chord(sb, se))
     g = meet(par.chord(sb, sd), par.chord(sc, se))
@@ -297,21 +307,26 @@ def quadrangle_transcript(quad: InscribedQuadrangle) -> str:
 
 
 def pole_by_construction(c: Conic, l: PLine) -> PPoint:
-    """The pole of l, built as the meet of two traversales of points of l."""
+    """The pole of l, built as the meet of the traversales of two points of l.
+
+    The points of l are cut by the chords from one point of the conic, the
+    hub P(h): h is the first swept parameter whose point is not on l, and
+    the chord to P(s), for each other swept parameter s, meets l in
+    g = l /\\ chord(P(h), P(s)).  Such a g is on the conic only when it
+    is P(s) itself, so at most two of them are skipped; distinct chords
+    through the hub cut l in distinct points, whose traversales are
+    distinct lines.  The quadrangle of each g takes (h, s) as its first
+    secant, so every quadrangle has one secant with small parameters.
+    The sweep never runs out: among its 64 parameters at most two points
+    lie on l and at most two of the g are on the conic.
+    """
     if is_tangent_line(c, l):
         raise TangentLine(f"{l} is tangent; its pole lies on it and the construction degenerates")
-    chart = canonical_chart(l)
-    lines: list[PLine] = []
-    for pair in _SWEEP_PAIRS:
-        try:
-            tau = traversale_from_quadrangle(c, chart.point_from_pair(pair))
-        except OnConic:
-            continue  # a point of l on the conic has no traversale quadrangle
-        if tau not in lines:
-            lines.append(tau)
-        if len(lines) == 2:
-            return meet(lines[0], lines[1])
-    raise NoRationalSecants(f"could not find two constructible points on {l}")
+    par = chord_parametrization(c)
+    hub = next(h for h in _SWEEP_PAIRS if not l.contains(par.point_from_pair(h)))
+    cuts = ((meet(l, par.chord(hub, s)), s) for s in _SWEEP_PAIRS if s != hub)
+    (g1, s1), (g2, s2) = islice(((g, s) for g, s in cuts if not c.contains(g)), 2)
+    return meet(_traversale(c, g1, known=(hub, s1)), _traversale(c, g2, known=(hub, s2)))
 
 
 def incidence_lemma_check(c: Conic, f: PPoint, n: PPoint, d: PPoint, c_pt: PPoint) -> bool:

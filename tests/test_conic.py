@@ -45,6 +45,7 @@ from traversale import (
     tangents_from,
     transform,
 )
+from traversale.linalg import primitive_rows, solve2
 
 
 def F(*args):
@@ -289,6 +290,24 @@ def _circle_image_chain(seed, steps):
     for _ in range(steps):
         h = _random_circle_image(rng)[1].compose(h)
     return transform(Conic.unit_circle(), h), h
+
+
+@pytest.mark.parametrize("seed, steps", [(0, 0), (76, 1), (77, 60), (78, 256)])
+def test_polarity_involution_matrix_is_unchanged_by_reduced_representatives(seed, steps):
+    # [[phi(o,i), phi(o,o)], [-phi(i,i), -phi(o,i)]] on the representatives
+    # before the gcd of the chart weights was divided out, made primitive
+    c, _ = _circle_image_chain(seed, steps)
+    rng = random.Random(seed)
+    for _ in range(12):
+        l = PLine(*(rng.getrandbits(rng.choice((3, 40, 300))) * rng.choice((-1, 1)) for _ in range(3)))
+        chart = canonical_chart(l)
+        o, u, i = chart.origin.coords, chart.unit.coords, chart.infinity_point.coords
+        r0, r1 = chart._rows
+        lam, mu, _ = solve2((o[r0], o[r1]), (i[r0], i[r1]), (u[r0], u[r1]))
+        o, i = tuple(lam * x for x in o), tuple(mu * x for x in i)
+        phi = lambda a, b: sum(a[j] * c.matrix[j][k] * b[k] for j in range(3) for k in range(3))
+        old = primitive_rows(((phi(o, i), phi(o, o)), (-phi(i, i), -phi(o, i))))
+        assert polarity_involution_on_line(c, l).matrix == old
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from traversale import (
     join,
     meet,
 )
+from traversale.linalg import solve2
 
 
 def _cross(a, b):
@@ -236,6 +237,48 @@ def test_chart_reference_points():
     assert chart.coordinate(PPoint(Fraction(3, 5), Fraction(-8, 5), 1)) == Fraction(-8, 5)
     assert chart.coordinate(PPoint(0, 1, 0)) is INF
     assert chart.point_at(Fraction(2, 5)) == PPoint(Fraction(3, 5), Fraction(2, 5), 1)
+
+
+def _random_line(rng, bits):
+    return PLine(*(rng.getrandbits(bits) * rng.choice((-1, 1)) for _ in range(3)))
+
+
+def _unreduced_representatives(chart):
+    """The chart representatives before the gcd of their weights was divided out."""
+    o, u, i = chart.origin.coords, chart.unit.coords, chart.infinity_point.coords
+    r0, r1 = next((a, b) for a, b in ((0, 1), (0, 2), (1, 2)) if o[a] * i[b] != o[b] * i[a])
+    lam, mu, _ = solve2((o[r0], o[r1]), (i[r0], i[r1]), (u[r0], u[r1]))
+    return tuple(lam * c for c in o), tuple(mu * c for c in i)
+
+
+@pytest.mark.parametrize("bits", [4, 64, 512, 2086])
+def test_canonical_chart_representatives_stay_the_size_of_the_line(bits):
+    rng = random.Random(bits)
+    for l in [_random_line(rng, bits) for _ in range(20)] + [PLine(rng.getrandbits(bits) + 1, 0, rng.getrandbits(bits))]:
+        n = max(abs(x).bit_length() for x in l.coeffs)
+        chart = canonical_chart(l)
+        assert max(abs(x).bit_length() for rep in chart.representatives for x in rep) <= n + 2
+
+
+@pytest.mark.parametrize("bits", [4, 64, 512])
+def test_reduced_chart_pairs_keep_their_ratio(bits):
+    # dividing out gcd(lam, mu) scales both representatives by one factor,
+    # so every chart pair keeps its ratio, and points and coordinates stay put
+    rng = random.Random(100 + bits)
+    for _ in range(20):
+        l = _random_line(rng, bits)
+        chart = canonical_chart(l)
+        o, i = _unreduced_representatives(chart)
+        r0, r1 = chart._rows
+        for _ in range(5):
+            t = Fraction(rng.randint(-50, 50), rng.randint(1, 20))
+            p = chart.point_at(t)
+            v = p.coords
+            old = (o[r0] * v[r1] - o[r1] * v[r0], v[r0] * i[r1] - v[r1] * i[r0])
+            new = chart.pair_of(p)
+            assert old[0] * new[1] == old[1] * new[0] and any(new)
+            assert chart.coordinate(p) == t
+            assert PPoint(*(new[1] * a + new[0] * b for a, b in zip(o, i))) == p
 
 
 def test_chart_requires_distinct_collinear_references():

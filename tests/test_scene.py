@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 from traversale import scene
-from traversale.cli import _build_parser, main
+from traversale.cli import _FIGURE_NAMES, _SUITE_IDS, _build_parser, main
 from traversale.errors import ParseError, UnknownReference
-from traversale.render import render_figure
+from traversale.render import FIGURES, render_figure
 from traversale.scene import CommandError, run_scene_text
+from traversale.verify import ALL_SUITES
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -320,6 +321,12 @@ def test_cli_each_verb_takes_only_the_options_it_reads():
         "render": {"figure", "viewport", "width", "out"},
         "verify": {"suites", "all", "seed", "cases", "out"},
     }
+
+
+def test_cli_lists_every_figure_and_suite():
+    # the parser spells the names so that building it imports neither layer
+    assert _FIGURE_NAMES == tuple(sorted(FIGURES))
+    assert _SUITE_IDS == ALL_SUITES
 
 
 def test_cli_rejects_options_a_verb_does_not_read(tmp_path, capsys):

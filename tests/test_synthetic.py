@@ -10,6 +10,7 @@ from traversale import (
     INF,
     Conic,
     ConjugateUndefined,
+    DegenerateConic,
     DegenerateQuadrangle,
     GeometryError,
     Homography,
@@ -30,6 +31,7 @@ from traversale import (
     classify_and_fixed_points,
     contains_pair,
     cross_ratio,
+    is_tangent_line,
     join,
     meet,
     polar,
@@ -39,11 +41,13 @@ from traversale import (
     tangent_at,
     transform,
 )
+from traversale import synthetic
 from traversale.conic import chord_parametrization
 from traversale.linalg import det2, det3, mat2_mul, mat2_vec
 from traversale.numbers import small_extended, to_pair
 from traversale.render import Drawable, render_svg
 from traversale.synthetic import (
+    _SWEEP_PAIRS,
     InscribedQuadrangle,
     PencilBase,
     central_projection_center_check,
@@ -423,6 +427,71 @@ def test_pole_by_construction_infinity_line(circle):
 def test_pole_by_construction_tangent_rejected(circle):
     with pytest.raises(TangentLine):
         pole_by_construction(circle, PLine(1, 0, -1))
+
+
+def _pole_lines(c, h, par, rng):
+    """Lines through no swept point, through the point of s0, and through those of s0 and s1."""
+    (s0, s1), p0 = _SWEEP_PAIRS[:2], par.point_from_pair(_SWEEP_PAIRS[0])
+    lines = {
+        "chord of contact": join(par.point(F(2, 3)), par.point(F(-5, 4))),
+        "polar of the interior point": polar(c, h.apply(PPoint(0, 0, 1))),
+        "infinity": LINE_AT_INFINITY,
+        "random": PLine(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9)),
+        "through P(s0)": join(p0, h.apply(PPoint(rng.randint(-9, 9), rng.randint(-9, 9), 0))),
+        "through P(s0) and P(s1)": par.chord(s0, s1),
+    }
+    return {name: l for name, l in lines.items() if not is_tangent_line(c, l)}
+
+
+@pytest.mark.parametrize("steps", [1, 2, 4, 16, 64, 256])
+def test_pole_by_construction_equals_pole_on_deep_conics(steps):
+    # deep chains carry coefficients of up to about 1,300 bits; lines through
+    # one or two swept points send the hub past the first parameters
+    c, h = _circle_image(1400 + steps, steps)
+    par = chord_parametrization(c)
+    lines = _pole_lines(c, h, par, random.Random(steps))
+    assert {"through P(s0)", "through P(s0) and P(s1)"} <= set(lines)
+    for name, l in lines.items():
+        assert pole_by_construction(c, l) == pole(c, l), name
+
+
+@pytest.mark.parametrize("steps", [0, 1, 64])
+def test_pole_by_construction_meets_at_most_nine_lines(steps, monkeypatch):
+    # two cuts of l, two meets per traversale and the final meet, plus at
+    # most two cuts skipped on the conic
+    c, h = _circle_image(1500 + steps, steps)
+    par = chord_parametrization(c)
+    calls = []
+    real_meet = synthetic.meet
+    monkeypatch.setattr(synthetic, "meet", lambda l, m: calls.append(1) or real_meet(l, m))
+    for name, l in _pole_lines(c, h, par, random.Random(steps)).items():
+        calls.clear()
+        pole_by_construction(c, l)
+        assert len(calls) <= 9, name
+        if name == "through P(s0) and P(s1)":
+            assert len(calls) == 9
+
+
+@pytest.mark.parametrize(
+    "c, l, error, message",
+    [
+        (Conic.from_coefficients(1, 1, -3, 0, 0, 0), PLine(1, 2, 3), NoRationalSecants,
+         "no rational point found on the conic within the search budget"),
+        (Conic.from_coefficients(1, -1, 0, 0, 0, 0), PLine(1, 2, 3), DegenerateConic,
+         "pole needs a nondegenerate conic"),
+        (Conic.from_coefficients(1, 0, 0, 0, 0, 0), PLine(1, 2, 3), DegenerateConic,
+         "pole needs a nondegenerate conic"),
+        (Conic.from_coefficients(1, 1, 1, 0, 0, 0), PLine(1, 2, 3), NoRationalSecants,
+         "no rational point found on the conic within the search budget"),
+        (Conic.unit_circle(), PLine(1, 0, -1), TangentLine,
+         "[1, 0, -1] is tangent; its pole lies on it and the construction degenerates"),
+    ],
+    ids=["no-rational-point", "line-pair", "double-line", "empty", "tangent"],
+)
+def test_pole_by_construction_errors(c, l, error, message):
+    with pytest.raises(error) as exc:
+        pole_by_construction(c, l)
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 # -- incidence lemma ---------------------------------------------------------

@@ -83,6 +83,9 @@ def test_cold_polar_call_does_not_import_dataclasses():
         "from traversale import cli\n"
         'cli.main(["polar", "--conic", "1 1 -1 0 0 0", "--point", "(2, 0, 1)"])\n'
         'print("dataclasses" in sys.modules)\n'
+        'layers = ("synthetic", "verify", "render", "scene", "report")\n'
+        'print([m for m in layers if "traversale." + m in sys.modules])\n'
     )
     run = subprocess.run([sys.executable, "-I", "-c", code, str(src)], capture_output=True, text=True, check=True)
-    assert run.stdout.splitlines() == ["[1, 0, -1/2]", "False"]
+    # the construction, verify, render, scene and report layers are loaded only by the verbs that use them
+    assert run.stdout.splitlines() == ["[1, 0, -1/2]", "False", "[]"]
