@@ -21,7 +21,10 @@ DESARGUES_SEED, when set, overrides verify's --seed.
 
 Only the kernel is imported with this module.  The construction, scene,
 render and verify layers are imported by the verbs that use them, so a
-`polar` call loads none of them.
+`polar` call loads none of them.  The argument parser is built once per
+process, on the first call to :func:`main`; each call parses into a fresh
+namespace, so in-process callers (a scene loop, the tests) share no
+parsed state.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 
 from .conic import Conic, classify, polar, pole
 from .errors import GeometryError, SceneError
@@ -187,6 +191,7 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="traversale",
@@ -242,8 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (_InputError, SceneError, GeometryError, OSError) as exc:

@@ -468,12 +468,21 @@ class RationalParametrization(Value):
 
     def point_from_pair(self, pair: Pair) -> PPoint:
         """The point of the homogeneous chart pair (num, den), t = num/den."""
+        return PPoint(*self.triple_from_pair(pair))
+
+    def triple_from_pair(self, pair: Pair) -> Vec3:
+        """The unreduced coordinates A*num^2 + B*num*den + C*den^2 of the point of the pair.
+
+        Never (0, 0, 0) for a nonzero pair: the direction of the pair lies on
+        the reference line, which misses the base, and the tangent at the
+        base meets the conic only there.
+        """
         num, den = pair
         if num == 0 and den == 0:
             raise ValueError("zero pair")
         nn, nd, dd = num * num, num * den, den * den
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = self._quadratic
-        return PPoint(a0 * nn + b0 * nd + c0 * dd, a1 * nn + b1 * nd + c1 * dd, a2 * nn + b2 * nd + c2 * dd)
+        return (a0 * nn + b0 * nd + c0 * dd, a1 * nn + b1 * nd + c1 * dd, a2 * nn + b2 * nd + c2 * dd)
 
     def _chords(self) -> tuple[Vec3, Vec3, Vec3]:
         form = self._chord_form

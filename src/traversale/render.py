@@ -1,15 +1,17 @@
 """Deterministic SVG rendering of exact configurations.
 
 All geometry stays exact until the final coordinate emission.  A conic
-sample is an integer homogeneous triple (X, Y, Z) with Z > 0, taken from the
-conic's precomputed quadratic parametrization at integer parameter pairs;
-the viewport is held as integer bounds over one common denominator, so a
-containment test is a few integer comparisons and lines are clipped
-exactly.  Each emitted value is one correctly rounded ``int / int``
-division, the same float that the exact rational would round to; the sag
-test of the adaptive refinement uses such floats too.  Identical input
-yields byte-identical SVG.  The five classical figure configurations
-shipped with the package are built here as well.
+sample is an unreduced integer triple (X, Y, Z), the value of the conic's
+quadratic parametrization at an integer parameter pair with its sign
+turned so that Z > 0; no point is built and no gcd is taken, because every
+use below is unchanged by a positive scale.  The viewport is held as
+integer bounds over one common denominator, so a containment test is a
+few integer comparisons and lines are clipped exactly.  Each emitted value
+is one correctly rounded ``int / int`` division, the same float that the
+exact rational would round to; the sag test of the adaptive refinement
+uses such floats too.  Identical input yields byte-identical SVG.  The
+five classical figure configurations shipped with the package are built
+here as well.
 """
 
 from __future__ import annotations
@@ -56,15 +58,15 @@ def parse_viewport(text: str) -> Viewport:
 def _fmt(x: float) -> str:
     # shortest round-trip repr: deterministic, and precise enough that the
     # emitted coordinates keep exact incidences to well under 1e-9 relative
-    return repr(float(x))
+    return repr(x)
 
 
-def _sample(p: PPoint) -> Vec3 | None:
-    """The representative (X, Y, Z) of p with Z > 0; None for a point at infinity."""
-    x, y, z = p.coords
+def _sample(v: Vec3) -> Vec3 | None:
+    """The triple v or -v, whichever has Z > 0; None for a point at infinity."""
+    x, y, z = v
     if z == 0:
         return None
-    return (x, y, z) if z > 0 else (-x, -y, -z)
+    return v if z > 0 else (-x, -y, -z)
 
 
 class _Frame:
@@ -115,7 +117,7 @@ def _clip_line(l: PLine, frame: _Frame) -> tuple[Vec3, Vec3] | None:
     for b in frame.borders:
         if b == l:
             continue
-        s = _sample(meet(l, b))
+        s = _sample(meet(l, b).coords)
         if s is not None and frame.inside(s, frame.box) and s not in hits:
             hits.append(s)
     if len(hits) < 2:
@@ -143,23 +145,23 @@ def _conic_samples(c: Conic, frame: _Frame) -> list[Vec3 | None]:
     consecutive samples whose chord sags more than a fraction of a pixel,
     the parameter interval is bisected, exactly.
     """
-    par = chord_parametrization(c)
+    triple = chord_parametrization(c).triple_from_pair
     tol = frame.pixel * 0.75
     out: list[Vec3 | None] = []
     prev_t = None
     prev_pt = None
     for t in _sweep():
-        pt = _sample(par.point_from_pair(t))
+        pt = _sample(triple(t))
         if prev_t is not None:
-            out.extend(_refine(par, prev_t, t, prev_pt, pt, frame, tol, depth=6))
+            out.extend(_refine(triple, prev_t, t, prev_pt, pt, frame, tol, depth=6))
         out.append(pt)
         prev_t, prev_pt = t, pt
-    out.append(_sample(par.point_from_pair((1, 0))))  # the wrap point of the sweep
+    out.append(_sample(triple((1, 0))))  # the wrap point of the sweep
     out.append(out[0])  # close the loop
     return out
 
 
-def _refine(par, t1, t2, p1, p2, frame, tol, depth):
+def _refine(triple, t1, t2, p1, p2, frame, tol, depth):
     """Extra samples strictly between the pairs t1 and t2 where the chord is too flat."""
     if depth == 0 or p1 is None or p2 is None:
         return []
@@ -167,14 +169,14 @@ def _refine(par, t1, t2, p1, p2, frame, tol, depth):
         return []
     (n1, d1), (n2, d2) = t1, t2
     tm = (n1 * d2 + n2 * d1, 2 * d1 * d2)
-    pm = _sample(par.point_from_pair(tm))
+    pm = _sample(triple(tm))
     if pm is None:
         return [None]
     sag = _point_segment_distance(pm, p1, p2)
     if sag <= tol:
         return []
-    left = _refine(par, t1, tm, p1, pm, frame, tol, depth - 1)
-    right = _refine(par, tm, t2, pm, p2, frame, tol, depth - 1)
+    left = _refine(triple, t1, tm, p1, pm, frame, tol, depth - 1)
+    right = _refine(triple, tm, t2, pm, p2, frame, tol, depth - 1)
     return left + [pm] + right
 
 
@@ -231,7 +233,7 @@ def render_svg(drawables, viewport: Viewport, width: int = 640) -> str:
                 f'<line {style} x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>'
             )
         elif d.kind == "point":
-            s = _sample(d.obj)
+            s = _sample(d.obj.coords)
             if s is None or not frame.inside(s, frame.box):
                 continue
             cx, cy = frame.to_svg(s)

@@ -187,9 +187,11 @@ def _secant_parameters(
     `seen` tells the same chords apart as the points would.  `seen` is
     closed under the involution, so a partner is never seen before its pair.
     A secant through f that the caller already knows, ``known`` = (s, t)
-    with s != t in that form, is the first secant and is not swept again.
+    with s != t in that form, is the first secant and is not swept again;
+    a caller that knows one has already tested f against the conic, so f
+    is tested (OnConic) only when ``known`` is None.
     """
-    if c.contains(f):
+    if known is None and c.contains(f):
         raise OnConic(f"{f} lies on the conic; no traversale quadrangle exists")
     par = chord_parametrization(c)
     (m00, m01), (m10, m11) = par.involution_through(f)

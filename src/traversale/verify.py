@@ -465,10 +465,12 @@ def _biduality(d: Draws):
     c = _draw_conic(d)
     m = d.until(_draw_finite_point, lambda m: not c.contains(m))
     l = _draw_line(d)
-    back_point = pole(c, polar(c, m))
-    back_line = polar(c, pole(c, l))
-    tr = [f"conic {c}", f"m {m} -> polar {polar(c, m)} -> pole {back_point}",
-          f"l {l} -> pole {pole(c, l)} -> polar {back_line}"]
+    polar_m = polar(c, m)
+    back_point = pole(c, polar_m)
+    pole_l = pole(c, l)
+    back_line = polar(c, pole_l)
+    tr = [f"conic {c}", f"m {m} -> polar {polar_m} -> pole {back_point}",
+          f"l {l} -> pole {pole_l} -> polar {back_line}"]
     return back_point == m and back_line == l, tr
 
 
@@ -678,7 +680,8 @@ def _diagonal_points():
 @_property("worked-example", "traversale-is-x-half", fixed=True)
 def _traversale_is_x_half():
     quad = worked_quadrangle()
-    tau = join(quad.diagonal_points()[2], quad.diagonal_points()[1])
+    _, n, g = quad.diagonal_points()
+    tau = join(g, n)
     return tau == PLine(2, 0, -1) == polar(quad.conic, _WORKED_F), f"got {tau}"
 
 

@@ -1,13 +1,16 @@
 """SVG output: determinism, exact-to-float incidence, viewport handling."""
 
+import hashlib
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from traversale import Conic, EmptyViewport, PLine, PPoint
-from traversale.render import FIGURES, Drawable, _Frame, _sample, build_figure, render_figure, render_svg
+from traversale import Conic, EmptyViewport, Homography, PLine, PPoint, transform
+from traversale.conic import RationalParametrization, chord_parametrization
+from traversale.linalg import cross, dot, mat_vec
+from traversale.render import FIGURES, Drawable, _conic_samples, _Frame, _sample, _sweep, build_figure, render_figure, render_svg
 
 F = Fraction
 
@@ -138,7 +141,7 @@ def test_integer_frame_matches_exact_fractions():
         for y in ys:
             for sign in (1, -1):
                 # PPoint keeps the first nonzero entry positive, so negative x gives a negative Z
-                s = _sample(PPoint(sign * x, sign * y, sign))
+                s = _sample(PPoint(sign * x, sign * y, sign).coords)
                 assert s[2] > 0 and F(s[0], s[2]) == x and F(s[1], s[2]) == y
                 assert frame.to_svg(s) == _exact_svg(x, y, viewport, width)
                 for margin, box in ((0, frame.box), (2, frame.margin_box)):
@@ -147,7 +150,7 @@ def test_integer_frame_matches_exact_fractions():
                     checked[inside] += 1
     assert min(checked.values()) > 100
     assert frame.height == float(dy * width / dx)
-    assert _sample(PPoint(3, -4, 0)) is None
+    assert _sample(PPoint(3, -4, 0).coords) is None
 
 
 def test_points_render_at_exact_positions():
@@ -157,3 +160,73 @@ def test_points_render_at_exact_positions():
     got = [(float(a), float(b)) for a, b in CIRCLE_RE.findall(svg)]
     expect = [_exact_svg(*p.affine(), viewport, 333) for p in pts[:3]]
     assert got == expect
+
+
+# -- conic samples as unreduced triples ----------------------------------------
+
+def _deep_circle(seed, steps):
+    """The unit circle under `steps` seeded random homographies with entries in [-4, 4]."""
+    rng = random.Random(seed)
+    c = Conic.unit_circle()
+    while steps:
+        rows = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
+        try:
+            h = Homography(rows)
+        except Exception:
+            continue
+        c = transform(c, h)
+        steps -= 1
+    return c
+
+
+# the deep conic is a speck far below a pixel: every sample lands on one SVG
+# point, from triples of about 480 bits
+_DEEP = _deep_circle(1, 64)
+_DEEP_VIEWPORT = (F(-9, 8), F(-5, 8), F(7, 8), F(11, 8))
+_HYPERBOLA = Conic(((1, 0, 0), (0, -1, 0), (0, 0, -1)), witness=PPoint(1, 0, 1))
+
+
+def _sampled_conics():
+    for name in sorted(FIGURES):
+        drawables, viewport = build_figure(name)
+        for d in drawables:
+            if d.kind == "conic":
+                yield name, d.obj, viewport
+    yield "deep", _DEEP, _DEEP_VIEWPORT
+    yield "hyperbola", _HYPERBOLA, (F(-4), F(-4), F(4), F(4))
+
+
+_SAMPLED = list(_sampled_conics())
+
+
+@pytest.mark.parametrize("name, conic, viewport", _SAMPLED, ids=[name for name, *_ in _SAMPLED])
+def test_sample_triples_are_scaled_points_of_the_conic(name, conic, viewport, monkeypatch):
+    # every pair the sweep and its refinement evaluate: the unreduced triple
+    # is nonzero, on the conic, and a multiple of the reduced point
+    pairs = []
+    real = RationalParametrization.triple_from_pair
+
+    def recording(self, pair):
+        pairs.append(pair)
+        return real(self, pair)
+
+    monkeypatch.setattr(RationalParametrization, "triple_from_pair", recording)
+    samples = _conic_samples(conic, _Frame(viewport, 640))
+    monkeypatch.undo()
+    par = chord_parametrization(conic)
+    assert len(pairs) > len(_sweep()) + 1 or name == "deep"  # the refinement ran
+    for pair in pairs:
+        v = par.triple_from_pair(pair)
+        assert v != (0, 0, 0)
+        assert dot(mat_vec(conic.matrix, v), v) == 0
+        assert cross(v, par.point_from_pair(pair).coords) == (0, 0, 0)
+    kept = [s for s in samples if s is not None]
+    assert kept and all(s[2] > 0 for s in kept)
+
+
+def test_render_bytes_pinned_for_deep_conic_and_hyperbola():
+    # pinned bytes: a sample's scale must not reach any emitted float
+    deep = render_svg([Drawable("conic", _DEEP)], _DEEP_VIEWPORT)
+    hyperbola = render_svg([Drawable("conic", _HYPERBOLA)], (F(-4), F(-4), F(4), F(4)))
+    assert hashlib.sha256(deep.encode()).hexdigest() == "d3f6b81bb3ed8b5e81ef21b09d212ec7e608c21d0d93cbbf6007d4dbe2bf719f"
+    assert hashlib.sha256(hyperbola.encode()).hexdigest() == "22af72f92595be294c5d47df5ca7a51a4003d0bc246054a8de53a3dbf10c421d"

@@ -239,6 +239,25 @@ def test_cli_classify(capsys):
     assert "class two-lines" in out and "point-double (0, 1, 0)" in out
 
 
+def test_cli_parser_is_built_once_and_keeps_no_parsed_state(capsys):
+    assert _build_parser() is _build_parser()
+    argv = ["involution", "--pair", "{2/5, -8/5}", "--pair", "{8/5, -2/5}"]
+    for _ in range(2):  # an appended list would carry the first call's couples over
+        assert len(_build_parser().parse_args(argv).pair) == 2
+        assert main(argv) == 0
+    first, second = capsys.readouterr().out.split("souche 0\n", 1)
+    assert first + "souche 0\n" == second
+
+
+def test_cli_valid_call_after_an_unknown_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["polar", "--conic", "1 1 -1 0 0 0", "--point", "(2, 0, 1)", "--bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["polar", "--conic", "1 1 -1 0 0 0", "--point", "(2, 0, 1)"]) == 0
+    assert capsys.readouterr().out == "[1, 0, -1/2]\n"
+
+
 def test_cli_bad_input_exit_2(tmp_path, capsys):
     assert main(["polar", "--conic", "1 1", "--point", "(2, 0, 1)"]) == 2
     assert main(["polar", "--conic", "1 1 -1 0 0 0", "--point", "(0, 0, 0)"]) == 2

@@ -1,6 +1,7 @@
 """Ruler constructions against the algebraic operators, exactly."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -332,8 +333,31 @@ def test_traversale_at_infinity_is_diametrale(circle):
 
 
 def test_traversale_rejects_point_on_conic(circle):
-    with pytest.raises(OnConic):
-        traversale_from_quadrangle(circle, PPoint(1, 0, 1))
+    for build in (traversale_from_quadrangle, inscribed_quadrangle_through):
+        with pytest.raises(OnConic) as exc:
+            build(circle, PPoint(1, 0, 1))
+        assert type(exc.value) is OnConic
+        assert str(exc.value) == "(1, 0, 1) lies on the conic; no traversale quadrangle exists"
+
+
+@pytest.mark.parametrize("steps", [0, 6, 64])
+def test_pole_by_construction_tests_each_cut_against_the_conic_once(steps, monkeypatch):
+    # the hub sweep tests every cut g; the traversale of g does not test it again
+    c, _ = _circle_image(80 + steps, steps)
+    l = polar(c, PPoint(3, 5, 7))
+    tested = []
+    real = Conic.contains
+
+    def recording(self, p):
+        on = real(self, p)
+        tested.append((p, on))
+        return on
+
+    monkeypatch.setattr(Conic, "contains", recording)
+    pole_by_construction(c, l)
+    monkeypatch.undo()
+    off = Counter(p for p, on in tested if not on)
+    assert len(off) >= 2 and set(off.values()) == {1}
 
 
 def test_chord_parametrization_is_built_once_per_conic(circle):
