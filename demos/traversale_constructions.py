@@ -22,7 +22,6 @@ from traversale import (
 )
 from traversale.synthetic import (
     InscribedQuadrangle,
-    diagonal_triangle,
     incidence_lemma_check,
     inscribed_quadrangle_through,
     pole_by_construction,
@@ -42,7 +41,7 @@ quad = InscribedQuadrangle(
     PPoint(F(3, 5), F(4, 5), 1),
     PPoint(F(5, 13), F(12, 13), 1),
 )
-fpt, n, g = diagonal_triangle(quad)
+fpt, n, g = quad.diagonal_points()
 print("bornes:", *(str(p) for p in quad.bornes))
 print("diagonal points: F =", fpt, " N =", n, " G =", g)
 tau = join(g, n)

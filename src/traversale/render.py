@@ -23,9 +23,9 @@ from functools import cache
 from .conic import Conic, chord_parametrization, polar, tangents_from
 from .errors import EmptyViewport, UnknownReference
 from .linalg import Vec3
-from .numbers import Pair, parse_rational
+from .numbers import Pair, format_rational, parse_rational
 from .projective import LINE_AT_INFINITY, PLine, PPoint, join, meet
-from .synthetic import worked_quadrangle
+from .synthetic import fgxy_points, worked_quadrangle
 from .value import Value
 
 Viewport = tuple[Fraction, Fraction, Fraction, Fraction]  # xmin, ymin, xmax, ymax
@@ -82,7 +82,7 @@ class _Frame:
         bounds = [Fraction(v) for v in viewport]
         xmin, ymin, xmax, ymax = bounds
         if xmax <= xmin or ymax <= ymin:
-            raise EmptyViewport(f"viewport {viewport} has no area")
+            raise EmptyViewport(f"viewport {','.join(map(format_rational, bounds))} has no area")
         if width < 1:
             raise EmptyViewport(f"width {width} must be at least 1 pixel")
         den = math.lcm(*(v.denominator for v in bounds))
@@ -194,11 +194,14 @@ def _point_segment_distance(p, a, b) -> float:
 
 
 def _polyline_runs(samples, frame: _Frame) -> list[list[tuple[float, float]]]:
+    """The SVG points of the kept samples, split at breaks; a point equal to the one before it is dropped."""
     runs: list[list[tuple[float, float]]] = []
     current: list[tuple[float, float]] = []
     for s in samples:
         if s is not None and frame.inside(s, frame.margin_box):
-            current.append(frame.to_svg(s))
+            pt = frame.to_svg(s)
+            if not current or pt != current[-1]:
+                current.append(pt)
         elif current:
             if len(current) >= 2:
                 runs.append(current)
@@ -258,10 +261,7 @@ def _fig_quadrangle_harmonic():
     """Quadrangle, diagonal triangle and the harmonic range F, X, G, Y."""
     quad = worked_quadrangle()
     b, c, d, e = quad.bornes
-    f, n, g = quad.diagonal_points()
-    fg = join(f, g)
-    x = meet(fg, join(n, c))
-    y = meet(fg, join(n, b))
+    f, n, g, fg, x, y = fgxy_points(quad)
     drawables = [Drawable("conic", quad.conic)]
     drawables += [Drawable("line", l) for couple in quad.bornale_couples for l in couple]
     drawables.append(Drawable("accent-line", join(g, n)))

@@ -142,11 +142,6 @@ def worked_quadrangle() -> InscribedQuadrangle:
     )
 
 
-def diagonal_triangle(q: InscribedQuadrangle) -> tuple[PPoint, PPoint, PPoint]:
-    """The diagonal points (F, N, G) of an inscribed quadrangle."""
-    return q.diagonal_points()
-
-
 class PencilBase(Value):
     """Four base points of a pencil of conics, with an optional member.
 
@@ -190,6 +185,11 @@ def _secant_parameters(
     with s != t in that form, is the first secant and is not swept again;
     a caller that knows one has already tested f against the conic, so f
     is tested (OnConic) only when ``known`` is None.
+
+    The four pairs name an inscribed quadrangle with no check run: their
+    points are on the conic by Vieta, distinct because `seen` keeps the
+    pairs distinct, and never three collinear, because
+    RationalParametrization accepts only a nondegenerate conic.
     """
     if known is None and c.contains(f):
         raise OnConic(f"{f} lies on the conic; no traversale quadrangle exists")
@@ -228,8 +228,8 @@ def inscribed_quadrangle_through(c: Conic, f: PPoint, *, offset: int = 0) -> Ins
     and the point of a parameter s meets the conic again at the point of
     its image under f's parameter involution, rational by construction.
     `offset` skips that many usable secants first, which is how independent
-    quadrangles for the same point are generated.  The four chosen bornes
-    are checked by the InscribedQuadrangle constructor.
+    quadrangles for the same point are generated.  The four bornes are
+    built and returned as a checked InscribedQuadrangle.
     """
     par, pairs = _secant_parameters(c, f, offset)
     return InscribedQuadrangle(c, *map(par.point_from_pair, pairs))
@@ -242,8 +242,8 @@ def traversale_from_quadrangle(c: Conic, f: PPoint, *, offset: int = 0) -> PLine
     at f; the returned line joins the two other diagonal points
     N = CD /\\ BE and G = BD /\\ CE.  The third diagonal point, BC /\\ DE,
     is f itself, so it is not built.  The four bornales CD, BE, BD and CE
-    are read off the bornes' parameters in closed form; the bornes are
-    still built and checked as an InscribedQuadrangle.  The independence of
+    are read off the bornes' parameters in closed form; no borne and no
+    quadrangle is built, see :func:`_secant_parameters`.  The independence of
     this line from the quadrangle, and its equality with the algebraic
     polar of f, are the theorems the test suites drive.
     """
@@ -253,19 +253,9 @@ def traversale_from_quadrangle(c: Conic, f: PPoint, *, offset: int = 0) -> PLine
 def _traversale(c: Conic, f: PPoint, offset: int = 0, known: tuple[Pair, Pair] | None = None) -> PLine:
     """:func:`traversale_from_quadrangle`, with an optional known first secant through f."""
     par, (sb, sc, sd, se) = _secant_parameters(c, f, offset, known)
-    InscribedQuadrangle(c, *map(par.point_from_pair, (sb, sc, sd, se)))  # checks the bornes
     n = meet(par.chord(sc, sd), par.chord(sb, se))
     g = meet(par.chord(sb, sd), par.chord(sc, se))
     return join(g, n)
-
-
-def traversale_construction_transcript(c: Conic, f: PPoint) -> str:
-    """The traversale construction of f as a structured, auditable scene text.
-
-    The :func:`quadrangle_transcript` of the quadrangle that
-    :func:`inscribed_quadrangle_through` builds for f.
-    """
-    return quadrangle_transcript(inscribed_quadrangle_through(c, f))
 
 
 def quadrangle_transcript(quad: InscribedQuadrangle) -> str:
@@ -324,11 +314,16 @@ def pole_by_construction(c: Conic, l: PLine) -> PPoint:
     """
     if is_tangent_line(c, l):
         raise TangentLine(f"{l} is tangent; its pole lies on it and the construction degenerates")
+    (g1, known1), (g2, known2) = islice(_hub_cuts(c, l), 2)
+    return meet(_traversale(c, g1, known=known1), _traversale(c, g2, known=known2))
+
+
+def _hub_cuts(c: Conic, l: PLine):
+    """The cuts g of l off the conic, in sweep order, each with its secant (hub, s) through g."""
     par = chord_parametrization(c)
     hub = next(h for h in _SWEEP_PAIRS if not l.contains(par.point_from_pair(h)))
-    cuts = ((meet(l, par.chord(hub, s)), s) for s in _SWEEP_PAIRS if s != hub)
-    (g1, s1), (g2, s2) = islice(((g, s) for g, s in cuts if not c.contains(g)), 2)
-    return meet(_traversale(c, g1, known=(hub, s1)), _traversale(c, g2, known=(hub, s2)))
+    cuts = ((meet(l, par.chord(hub, s)), (hub, s)) for s in _SWEEP_PAIRS if s != hub)
+    return ((g, known) for g, known in cuts if not c.contains(g))
 
 
 def incidence_lemma_check(c: Conic, f: PPoint, n: PPoint, d: PPoint, c_pt: PPoint) -> bool:
@@ -487,7 +482,8 @@ def menelaus_check(
     return (product == -1, tuple(ratios))
 
 
-def _fgxy(q: InscribedQuadrangle):
+def fgxy_points(q: InscribedQuadrangle) -> tuple[PPoint, PPoint, PPoint, PLine, PPoint, PPoint]:
+    """F, N, G, the line FG and its cuts X = FG /\\ NC and Y = FG /\\ NB."""
     f, n, g = q.diagonal_points()
     fg = join(f, g)
     x = meet(fg, join(n, q.c))
@@ -502,9 +498,8 @@ def harmonic_range_FGXY_check(q: InscribedQuadrangle) -> bool:
     identity XG^2/YG^2 = XF^2/YF^2, which projectively is the cross-ratio
     (X, Y; F, G) = -1.  True for every valid inscribed quadrangle.
     """
-    f, _, g, fg, x, y = _fgxy(q)
-    chart = canonical_chart(fg)
-    return cross_ratio(x, y, f, g, chart) == -1
+    f, _, g, fg, x, y = fgxy_points(q)
+    return cross_ratio(x, y, f, g, canonical_chart(fg)) == -1
 
 
 def secteur_identity_check(q: InscribedQuadrangle) -> bool:
@@ -515,13 +510,14 @@ def secteur_identity_check(q: InscribedQuadrangle) -> bool:
     identities GX/GY = (DX/DN)(BN/BY) and FX/FY = (DX/DN)(EN/EY) from which
     it follows.
     """
-    if not harmonic_range_FGXY_check(q):
+    f, n, g, fg, x, y = fgxy_points(q)
+    chart_fg = canonical_chart(fg)
+    if cross_ratio(x, y, f, g, chart_fg) != -1:
         return False
-    f, n, g, fg, x, y = _fgxy(q)
     pts = (f, n, g, x, y, q.b, q.c, q.d, q.e)
     if any(p.is_infinite for p in pts):
         return True
-    coord_fg = canonical_chart(fg).coordinate
+    coord_fg = chart_fg.coordinate
     coord_dc = canonical_chart(join(q.d, q.c)).coordinate
     coord_be = canonical_chart(join(q.b, q.e)).coordinate
     gx, gy, gf = coord_fg(x), coord_fg(y), coord_fg(f)

@@ -83,7 +83,6 @@ from .synthetic import (
     PencilBase,
     central_projection_center_check,
     conjugate_diameters,
-    diagonal_triangle,
     harmonic_range_FGXY_check,
     incidence_lemma_check,
     pencil_involution_on_line,
@@ -672,7 +671,7 @@ _WORKED_F = PPoint(2, 0, 1)
 
 @_property("worked-example", "diagonal-points", fixed=True)
 def _diagonal_points():
-    fpt, n, g = diagonal_triangle(worked_quadrangle())
+    fpt, n, g = worked_quadrangle().diagonal_points()
     expect = (_WORKED_F, PPoint(Fraction(1, 2), Fraction(3, 4), 1), PPoint(Fraction(1, 2), 1, 1))
     return (fpt, n, g) == expect, f"got {(fpt, n, g)}"
 

@@ -31,7 +31,6 @@ from traversale.synthetic import (
     InscribedQuadrangle,
     PencilBase,
     conjugate_diameters,
-    diagonal_triangle,
     incidence_lemma_check,
     pencil_involution_on_line,
     two_involutions,
@@ -80,7 +79,7 @@ def test_criterion_03_worked_example_fidelity():
         PPoint(F(3, 5), F(4, 5), 1),
         PPoint(F(5, 13), F(12, 13), 1),
     )
-    fpt, n, g = diagonal_triangle(quad)
+    fpt, n, g = quad.diagonal_points()
     gn = join(g, n)
     ok = (
         fpt == f

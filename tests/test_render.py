@@ -224,9 +224,21 @@ def test_sample_triples_are_scaled_points_of_the_conic(name, conic, viewport, mo
     assert kept and all(s[2] > 0 for s in kept)
 
 
+@pytest.mark.parametrize("name, conic, viewport", _SAMPLED, ids=[name for name, *_ in _SAMPLED])
+def test_polylines_repeat_no_point(name, conic, viewport):
+    svg = render_svg([Drawable("conic", conic)], viewport)
+    for points in POLYLINE_RE.findall(svg):
+        pts = points.split()
+        assert len(pts) >= 2
+        assert all(p != q for p, q in zip(pts, pts[1:])), name
+    # the speck's samples all land on one SVG point, which draws nothing
+    assert (name == "deep") == ("<polyline" not in svg)
+
+
 def test_render_bytes_pinned_for_deep_conic_and_hyperbola():
-    # pinned bytes: a sample's scale must not reach any emitted float
+    # pinned bytes: a sample's scale must not reach any emitted float; the
+    # speck's repeated point is dropped, so it leaves no polyline
     deep = render_svg([Drawable("conic", _DEEP)], _DEEP_VIEWPORT)
     hyperbola = render_svg([Drawable("conic", _HYPERBOLA)], (F(-4), F(-4), F(4), F(4)))
-    assert hashlib.sha256(deep.encode()).hexdigest() == "d3f6b81bb3ed8b5e81ef21b09d212ec7e608c21d0d93cbbf6007d4dbe2bf719f"
+    assert hashlib.sha256(deep.encode()).hexdigest() == "4aff5d4f1d07836b4c57458602cc4cf5ee20f98acbf293ab416dd9e1fa353cda"
     assert hashlib.sha256(hyperbola.encode()).hexdigest() == "22af72f92595be294c5d47df5ca7a51a4003d0bc246054a8de53a3dbf10c421d"

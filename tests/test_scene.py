@@ -309,6 +309,15 @@ def test_cli_render_viewport_needs_the_equals_form(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_empty_viewport_error_names_the_viewport_literal(tmp_path, capsys):
+    assert main(["render", "fig8", "--viewport=1,1,1,1", "--out", str(tmp_path / "f.svg")]) == 2
+    assert capsys.readouterr().err == "error: viewport 1,1,1,1 has no area\n"
+    flat = tmp_path / "flat.scene"
+    flat.write_text("point F 2 0 1\nrender scene out=s.svg viewport=1/2,0,2/4,1\n")
+    assert main(["run", str(flat)]) == 2
+    assert capsys.readouterr().err == "error: viewport 1/2,0,1/2,1 has no area\n"
+
+
 def test_cli_verify_single_suite(tmp_path, capsys):
     out = tmp_path / "report.txt"
     code = main(["verify", "biduality", "--seed", "5", "--cases", "10", "--out", str(out)])

@@ -53,7 +53,6 @@ from traversale.synthetic import (
     PencilBase,
     central_projection_center_check,
     conjugate_diameters,
-    diagonal_triangle,
     harmonic_range_FGXY_check,
     incidence_lemma_check,
     inscribed_quadrangle_through,
@@ -107,7 +106,7 @@ def _random_exterior(rng, c):
 # -- diagonal triangle -------------------------------------------------------
 
 def test_diagonal_triangle_worked(worked_quadrangle):
-    f, n, g = diagonal_triangle(worked_quadrangle)
+    f, n, g = worked_quadrangle.diagonal_points()
     assert f == PPoint(2, 0, 1)
     assert n == PPoint(F(1, 2), F(3, 4), 1)
     assert g == PPoint(F(1, 2), 1, 1)
@@ -117,7 +116,7 @@ def test_diagonal_triangle_square(circle):
     quad = InscribedQuadrangle(
         circle, PPoint(1, 0, 1), PPoint(0, 1, 1), PPoint(-1, 0, 1), PPoint(0, -1, 1)
     )
-    f, n, g = diagonal_triangle(quad)
+    f, n, g = quad.diagonal_points()
     assert f == PPoint(1, -1, 0)
     assert n == PPoint(1, 1, 0)
     assert g == PPoint(0, 0, 1)
@@ -189,6 +188,35 @@ def test_quadrangle_sweep_matches_second_intersection_reference(name):
             n = meet(join(c2, d), join(b, e))
             g = meet(join(b, d), join(c2, e))
             assert traversale_from_quadrangle(c, f, offset=offset) == join(g, n), (kind, offset)
+
+
+_HUB_CONICS = {
+    **_SWEEP_CONICS,
+    **{f"chain-{steps}": _circle_image(300 + steps, steps) for steps in (1, 16, 64, 256)},
+}
+
+
+@pytest.mark.parametrize("name", list(_HUB_CONICS))
+def test_known_secant_sweeps_name_inscribed_quadrangles(name):
+    # pole_by_construction hands each cut g its secant (hub, s) through g;
+    # the quadrangle the sweep then completes is never built by the
+    # traversale, so every one is built and checked here
+    c, h = _HUB_CONICS[name]
+    par = chord_parametrization(c)
+    for kind, f in _sweep_points(c, h, par).items():
+        cuts = list(synthetic._hub_cuts(c, polar(c, f)))
+        assert len(cuts) >= 60, kind
+        for g, known in cuts:
+            assert not c.contains(g) and par.chord(*known).contains(g), (kind, known)
+            _, pairs = synthetic._secant_parameters(c, g, 0, known)
+            assert pairs[:2] == known, (kind, known)
+            b, c2, d, e = bornes = tuple(map(par.point_from_pair, pairs))
+            assert all(c.contains(p) for p in bornes), (kind, known)
+            assert len(set(bornes)) == 4, (kind, known)
+            InscribedQuadrangle(c, *bornes)
+            n = meet(join(c2, d), join(b, e))
+            g_pt = meet(join(b, d), join(c2, e))
+            assert synthetic._traversale(c, g, known=known) == join(g_pt, n), (kind, known)
 
 
 def _tangent_parameter(c, par):
@@ -316,14 +344,20 @@ def test_traversale_worked_example(circle):
     assert tau == polar(circle, PPoint(2, 0, 1))
 
 
-def test_traversale_checks_the_quadrangle_it_reads_its_bornales_from(circle, monkeypatch):
-    f = PPoint(2, 0, 1)
-    bornes = inscribed_quadrangle_through(circle, f, offset=1).bornes
+def test_traversale_and_pole_build_no_quadrangle(circle, monkeypatch):
+    # the swept parameters name an inscribed quadrangle by construction, which
+    # test_known_secant_sweeps_name_inscribed_quadrangles proves instead
     built = []
     real_init = InscribedQuadrangle.__init__
     monkeypatch.setattr(InscribedQuadrangle, "__init__", lambda self, *args: built.append(args) or real_init(self, *args))
-    traversale_from_quadrangle(circle, f, offset=1)
-    assert built == [(circle, *bornes)]
+    for c, _ in (_SWEEP_CONICS["circle"], _SWEEP_CONICS["deep-84"]):
+        f = _random_exterior(random.Random(5), c)
+        assert traversale_from_quadrangle(c, f, offset=1) == polar(c, f)
+        l = polar(c, PPoint(3, 5, 7))
+        assert pole_by_construction(c, l) == pole(c, l)
+    assert built == []
+    inscribed_quadrangle_through(circle, PPoint(2, 0, 1))  # the counter sees the checked path
+    assert len(built) == 1
 
 
 def test_traversale_at_infinity_is_diametrale(circle):
@@ -338,6 +372,15 @@ def test_traversale_rejects_point_on_conic(circle):
             build(circle, PPoint(1, 0, 1))
         assert type(exc.value) is OnConic
         assert str(exc.value) == "(1, 0, 1) lies on the conic; no traversale quadrangle exists"
+
+
+@pytest.mark.parametrize("coefficients", [(1, -1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)], ids=["line-pair", "double-line"])
+def test_traversale_rejects_a_degenerate_conic_before_any_borne(coefficients):
+    # the parametrization refuses the conic, so no sweep can put three bornes on a line
+    for build in (traversale_from_quadrangle, inscribed_quadrangle_through):
+        with pytest.raises(DegenerateConic) as exc:
+            build(Conic.from_coefficients(*coefficients), PPoint(2, 0, 1))
+        assert str(exc.value) == "rational parametrization needs a nondegenerate conic"
 
 
 @pytest.mark.parametrize("steps", [0, 6, 64])
@@ -417,14 +460,14 @@ def test_independent_quadrangles_are_disjoint(circle):
     q0 = inscribed_quadrangle_through(circle, f)
     q2 = inscribed_quadrangle_through(circle, f, offset=2)
     assert set(q0.bornes).isdisjoint(q2.bornes)
-    assert diagonal_triangle(q0)[0] == f == diagonal_triangle(q2)[0]
+    assert q0.diagonal_points()[0] == f == q2.diagonal_points()[0]
 
 
 def test_construction_transcript_runs_and_renders(circle, tmp_path):
     from traversale.scene import run_scene_text
-    from traversale.synthetic import traversale_construction_transcript
+    from traversale.synthetic import quadrangle_transcript
 
-    text = traversale_construction_transcript(circle, PPoint(2, 0, 1))
+    text = quadrangle_transcript(inscribed_quadrangle_through(circle, PPoint(2, 0, 1)))
     report = run_scene_text(text, name="transcript")
     assert report.passed and report.cases == 3
     # the renderer consumes the same transcript
@@ -432,7 +475,7 @@ def test_construction_transcript_runs_and_renders(circle, tmp_path):
     report2 = run_scene_text(renderable, name="transcript", base_dir=str(tmp_path))
     assert report2.passed and (tmp_path / "t.svg").exists()
     # transcripts are deterministic
-    assert text == traversale_construction_transcript(circle, PPoint(2, 0, 1))
+    assert text == quadrangle_transcript(inscribed_quadrangle_through(circle, PPoint(2, 0, 1)))
 
 
 def test_pole_by_construction_worked(circle):
@@ -794,7 +837,7 @@ def test_self_polar_diagonal_triangle_randomized():
     for _ in range(25):
         c, _ = _random_conic(rng)
         quad = _random_quadrangle(rng, c)
-        f, n, g = diagonal_triangle(quad)
+        f, n, g = quad.diagonal_points()
         assert polar(c, f) == join(n, g)
         assert polar(c, n) == join(f, g)
         assert polar(c, g) == join(f, n)

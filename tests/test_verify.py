@@ -2,6 +2,7 @@
 
 import pytest
 
+from traversale import verify
 from traversale.errors import InvalidCaseCount, UnknownSuite
 from traversale.verify import (
     ALL_SUITES,
@@ -121,3 +122,73 @@ def test_retry_helpers_redraw_then_give_up():
     with pytest.raises(_CaseUnbuildable):
         Draws(replay=[0] * 5).until(lambda d: 1 // d.draw_int(0, 9), tries=5, catch=ZeroDivisionError)
     assert Draws(replay=[4, 4, 7]).distinct(2, lambda d: d.draw_int(0, 9)) == [4, 7]
+
+
+def _demo_suite(monkeypatch, setup=None):
+    """Register an empty suite "demo" of 3 cases for this test only; returns its property decorator."""
+    monkeypatch.setitem(verify._SUITES, "demo", (3, setup, []))
+    return lambda name, fixed=False: verify._property("demo", name, fixed)
+
+
+def test_fixed_property_failure_reports_its_detail(monkeypatch):
+    prop = _demo_suite(monkeypatch)
+
+    @prop("holds", fixed=True)
+    def _holds():
+        return True, "not shown"
+
+    @prop("fails", fixed=True)
+    def _fails():
+        return False, "got 3\nwanted 4"
+
+    assert verify_suite("demo").to_text() == (
+        "suite: demo\nseed: 1\ncases: 3\n"
+        "PASS holds 1/1\n"
+        "FAIL fails 0/1\n  | got 3\n  | wanted 4\n"
+        'summary {"cases": 3, "failures": 1, "properties": 2, "seed": 1, "suite": "demo"}\n'
+    )
+
+
+def test_fixed_property_that_raises_reports_the_exception(monkeypatch):
+    prop = _demo_suite(monkeypatch)
+
+    @prop("raises", fixed=True)
+    def _raises():
+        raise KeyError("tau")
+
+    (result,) = verify_suite("demo").properties
+    assert result.line() == "FAIL raises 0/1"
+    assert result.counterexample == "KeyError: 'tau'"
+
+
+def test_failed_setup_fails_only_the_properties_that_read_it(monkeypatch):
+    def setup(seed):
+        raise ValueError(f"no pool for seed {seed}")
+
+    prop = _demo_suite(monkeypatch, setup)
+
+    @prop("fixed-reads", fixed=True)
+    def _fixed_reads(pool):
+        return bool(pool()), ""
+
+    @prop("fixed-ignores", fixed=True)
+    def _fixed_ignores(pool):
+        return True, ""
+
+    @prop("drawn-reads")
+    def _drawn_reads(pool, d):
+        return bool(pool()), []
+
+    @prop("drawn-ignores")
+    def _drawn_ignores(pool, d):
+        return d.draw_int(0, 9) <= 9, []
+
+    report = verify_suite("demo", seed=7)
+    assert [p.line() for p in report.properties] == [
+        "FAIL fixed-reads 0/1",
+        "PASS fixed-ignores 1/1",
+        "FAIL drawn-reads 0/3",
+        "PASS drawn-ignores 3/3",
+    ]
+    assert report.properties[0].counterexample == "ValueError: no pool for seed 7"
+    assert report.properties[2].counterexample == "case 0\nunexpected ValueError: no pool for seed 7"
