@@ -2,9 +2,10 @@
 
 A conic is a symmetric 3x3 matrix up to scale; its zero set in the projective
 plane is the curve.  The polar of a point, the pole of a line, tangency,
-classification by exact Sylvester inertia, the polarity involution induced on
-every non-tangent line (read off the line's chart representatives through
-the bilinear form), affine features (center, asymptotes, the
+classification by the exact inertia of the form (Descartes' rule of signs
+on its characteristic polynomial), the polarity involution induced on every
+non-tangent line (read off the line's chart representatives through the
+bilinear form), affine features (center, asymptotes, the
 ellipse/hyperbola/parabola trichotomy) and transport under homographies are
 all computed without ever leaving the rationals.  When an intersection exists
 over the reals but not over Q the operation says so exactly
@@ -32,7 +33,7 @@ from .errors import (
     ZeroForm,
 )
 from .involution import InvolutionOnLine
-from .linalg import Mat2, Mat3, Vec3, adjugate, cross, det3, dot, generalized_cross, mat_mul, mat_vec, primitive, primitive_rows, transpose
+from .linalg import Mat2, Mat3, Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, primitive, primitive_rows, transpose
 from .numbers import ExtRat, Pair, small_rationals, to_pair
 from .projective import (
     LINE_AT_INFINITY,
@@ -159,18 +160,24 @@ class AffineFeatures(Value):
 def conic_from_five_points(p1: PPoint, p2: PPoint, p3: PPoint, p4: PPoint, p5: PPoint) -> Conic:
     """The conic through five points, unique when they are in general position.
 
-    The coefficients are the signed 5x5 minors of the integer 5x6 system;
-    when they all vanish (four collinear points, repeats) the points lie on
-    more than one conic and DegeneratePointSet is raised.
+    It is the member through p5 of Desargues' pencil on p1..p4, spanned by
+    the line pairs {p1p2, p3p4} and {p1p3, p2p4}.  The line pair u, v has
+    the form Q = u v^T + v u^T, whose value at p is twice q(p) = (u.p)(v.p),
+    so q2(p5) Q1 - q1(p5) Q2 vanishes at p5.  The lines are raw cross
+    products, zero for a repeated point; the form is zero exactly when the
+    points lie on more than one conic (a repeat, four collinear points, p5
+    on the line of three) and DegeneratePointSet is raised.
     """
-    rows = []
-    for p in (p1, p2, p3, p4, p5):
-        x, y, z = p.coords
-        rows.append((x * x, y * y, z * z, x * y, x * z, y * z))
-    a, b, c, d, e, f = generalized_cross(rows)
-    if not any((a, b, c, d, e, f)):
+    a, b, c, d, e = (p.coords for p in (p1, p2, p3, p4, p5))
+    u1, v1, u2, v2 = cross(a, b), cross(c, d), cross(a, c), cross(b, d)
+    k1, k2 = dot(u2, e) * dot(v2, e), -dot(u1, e) * dot(v1, e)
+    rows = tuple(
+        tuple(k1 * (u1[i] * v1[j] + v1[i] * u1[j]) + k2 * (u2[i] * v2[j] + v2[i] * u2[j]) for j in range(3))
+        for i in range(3)
+    )
+    if not any(map(any, rows)):
         raise DegeneratePointSet("the five points lie on more than one conic")
-    return Conic(((2 * a, d, e), (d, 2 * b, f), (e, f, 2 * c)), witness=p1)
+    return Conic(rows, witness=p1)
 
 
 def polar(c: Conic, m: PPoint) -> PLine:
@@ -307,43 +314,24 @@ def tangents_from(c: Conic, f: PPoint) -> tuple[tuple[PLine, PPoint], ...]:
     return tuple((join(f, p), p) for p in contacts)
 
 
-def _inertia(mat) -> tuple[int, int]:
-    """Exact Sylvester inertia by fraction-free symmetric congruence reduction.
+def _sign_changes(coeffs) -> int:
+    signs = [x > 0 for x in coeffs if x]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    After each pivot d the remaining block becomes |d| times its Schur
-    complement, a positive multiple, so the inertia is unchanged.
+
+def _inertia(m) -> tuple[int, int]:
+    """The numbers of positive and negative eigenvalues of a symmetric matrix.
+
+    Its eigenvalues are all real, so Descartes' rule of signs is exact on
+    the characteristic polynomial x^3 - t x^2 + s x - d (t the trace, s the
+    sum of the principal 2x2 minors, d the determinant): the positive ones
+    are the sign changes of (1, -t, s, -d), the negative ones those of
+    (1, t, s, d), zeros skipped.
     """
-    a = [list(row) for row in mat]
-    active = [0, 1, 2]
-    npos = nneg = 0
-    while active:
-        pivot = next((k for k in active if a[k][k] != 0), None)
-        if pivot is None:
-            off = next(
-                ((i, j) for i in active for j in active if i < j and a[i][j] != 0),
-                None,
-            )
-            if off is None:
-                break  # remaining block is zero
-            i, j = off
-            # adding row/col j into row/col i turns a[i][i] into 2*a[i][j]
-            for k in active:
-                a[i][k] += a[j][k]
-            for k in active:
-                a[k][i] += a[k][j]
-            pivot = i
-        d = a[pivot][pivot]
-        if d > 0:
-            npos += 1
-        else:
-            nneg += 1
-        active.remove(pivot)
-        col = {i: a[i][pivot] for i in active}
-        scale, sign = abs(d), (1 if d > 0 else -1)
-        for i in active:
-            for j in active:
-                a[i][j] = scale * a[i][j] - sign * col[i] * col[j]
-    return npos, nneg
+    t = m[0][0] + m[1][1] + m[2][2]
+    s = m[0][0] * m[1][1] + m[0][0] * m[2][2] + m[1][1] * m[2][2] - m[0][1] ** 2 - m[0][2] ** 2 - m[1][2] ** 2
+    d = det3(m)
+    return _sign_changes((1, -t, s, -d)), _sign_changes((1, t, s, d))
 
 
 def classify(c: Conic) -> Classification:
@@ -586,4 +574,3 @@ def find_rational_point(c: Conic) -> PPoint | None:
                 continue
             if pts:
                 return pts[0]
-    return None

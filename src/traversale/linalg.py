@@ -6,10 +6,9 @@ scale a plain tuple comparison.  Every entry the kernel computes with is an
 `int`, and this module builds no `Fraction`.  Rational input becomes integer
 in one place, :func:`primitive`: an all-`int` vector costs one gcd, and only
 a vector holding a `Fraction` (on which `math.gcd` raises TypeError) has its
-denominators cleared with integer lcm/gcd.  Linear systems are solved by
-integer determinants: Cramer's rule in :func:`solve2`, and signed maximal
-minors in :func:`generalized_cross`, each minor computed fraction-free by
-:func:`det`.
+denominators cleared with integer lcm/gcd.  Matrices are 3x3 or 2x2, and
+every operation on them is a closed form: cross products, adjugates, and
+Cramer's rule in :func:`solve2`.
 """
 
 from __future__ import annotations
@@ -137,41 +136,3 @@ def solve2(a, b, rhs):
     if d == 0:
         return None
     return (rhs[0] * b[1] - rhs[1] * b[0], a[0] * rhs[1] - a[1] * rhs[0], d)
-
-
-def det(rows) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination.
-
-    Every division is exact: after step k each remaining entry is a
-    (k+1)x(k+1) minor of the input.
-    """
-    a = [list(row) for row in rows]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-        prev = pivot
-    return sign * a[-1][-1]
-
-
-def generalized_cross(rows) -> tuple[int, ...]:
-    """The signed maximal minors of an n x (n+1) integer matrix.
-
-    Entry j is (-1)^j times the determinant with column j deleted, so the
-    vector is orthogonal to every row (Laplace expansion of a matrix with a
-    repeated row).  It spans the nullspace when the rows are independent and
-    is zero otherwise; :func:`cross` is the case n = 2.
-    """
-    ncols = len(rows[0])
-    return tuple(
-        (-1) ** j * det([row[:j] + row[j + 1 :] for row in rows]) for j in range(ncols)
-    )

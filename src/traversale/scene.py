@@ -36,8 +36,8 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from .conic import Conic, classify, polar, pole
-from .errors import GeometryError, ParseError, SceneError, UnknownReference
+from .conic import Conic, ConicClass, classify, polar, pole
+from .errors import EmptyViewport, GeometryError, ParseError, SceneError, UnknownReference
 from .numbers import parse_rational
 from .projective import LineChart, PLine, PPoint, join, meet
 from .render import Drawable, build_figure, parse_viewport, render_svg
@@ -45,7 +45,7 @@ from .report import PropertyResult, VerificationReport
 from .synthetic import InscribedQuadrangle, traversale_from_quadrangle
 from .value import Value
 
-_CLASS_NAMES = {"nondegenerate-real", "empty", "two-lines", "double-line"}
+_CLASS_NAMES = {k.value for k in ConicClass}
 
 
 def _operations() -> dict[str, tuple]:
@@ -86,7 +86,7 @@ class _Command(Value):
 
 
 class CommandError(SceneError):
-    """A command failed for a domain reason; carries the line number."""
+    """A command failed: a domain error, an empty viewport or an unwritable output."""
 
     def __init__(self, line_no: int, command: str, cause: Exception):
         self.line_no = line_no
@@ -165,7 +165,7 @@ class Scene:
             if handler is None:
                 raise ParseError(cmd.line_no, cmd.tokens[0].column, f"unknown command {verb!r}")
             handler(cmd, base_dir)
-        except GeometryError as exc:
+        except (GeometryError, EmptyViewport, OSError) as exc:
             raise CommandError(cmd.line_no, " ".join(t.text for t in cmd.tokens), exc) from exc
 
     def _cmd_point(self, cmd: _Command, base_dir: str) -> None:
@@ -332,9 +332,9 @@ def run_scene(path: str) -> VerificationReport:
     """Parse and execute a scene file; the report carries one line per check.
 
     Parse problems raise ParseError with line and column; dangling names
-    raise UnknownReference; domain errors raise CommandError naming the
-    offending command.  Check failures do not raise, they make the report
-    fail (CLI exit code 1).
+    raise UnknownReference; domain, viewport and output-file errors raise
+    CommandError naming the offending command.  Check failures do not
+    raise, they make the report fail (CLI exit code 1).
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()

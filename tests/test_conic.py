@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -45,7 +46,7 @@ from traversale import (
     tangents_from,
     transform,
 )
-from traversale.linalg import primitive_rows, solve2
+from traversale.linalg import cross, det3, mat_mul, mat_vec, primitive_rows, solve2, transpose
 
 
 def F(*args):
@@ -100,6 +101,75 @@ def test_conic_from_five_points_degenerate():
     # three collinear points still give one conic: the line pair through them
     pair = conic_from_five_points(PPoint(0, 0, 1), PPoint(1, 0, 1), PPoint(2, 0, 1), PPoint(0, 1, 1), PPoint(0, 2, 1))
     assert pair == Conic(((0, 1, 0), (1, 0, 0), (0, 0, 0)))
+
+
+def _five_point_outcome(pts):
+    try:
+        return conic_from_five_points(*pts)
+    except DegeneratePointSet:
+        return DegeneratePointSet
+
+
+def test_conic_from_five_points_recovers_circle_images():
+    rng = random.Random(71)
+    for _ in range(12):
+        c, h = _random_circle_image(rng)
+        ts = rng.sample(range(-9, 10), 5)
+        pts = [h.apply(PPoint(1 - t * t, 2 * t, 1 + t * t)) for t in ts]
+        # the pencil takes p1..p4 as base points, so every ordering is a different computation
+        assert {conic_from_five_points(*perm) for perm in permutations(pts)} == {c}
+
+
+def test_conic_from_five_points_ignores_the_order():
+    rng = random.Random(73)
+    unique = degenerate = 0
+    for _ in range(60):
+        pts = [PPoint(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(5)]
+        outcomes = {_five_point_outcome(perm) for perm in permutations(pts)}
+        assert len(outcomes) == 1
+        (outcome,) = outcomes
+        if outcome is DegeneratePointSet:
+            degenerate += 1
+        else:
+            assert all(outcome.contains(p) for p in pts)
+            unique += 1
+    assert unique > 10 and degenerate > 10
+
+
+def test_conic_from_five_points_degenerate_layouts():
+    a, b, c, d = (PPoint(1 - t * t, 2 * t, 1 + t * t) for t in (0, 1, 2, 3))
+    for i, j in combinations(range(5), 2):  # each repeat position
+        rest = iter((b, c, d))
+        pts = [a if k in (i, j) else next(rest) for k in range(5)]
+        with pytest.raises(DegeneratePointSet):
+            conic_from_five_points(*pts)
+    for odd in range(5):  # four collinear points; odd = 4 puts p5 on the line of p1, p2, p3
+        rest = iter(PPoint(t, 0, 1) for t in (0, 1, 2, 3))
+        pts = [PPoint(0, 1, 1) if k == odd else next(rest) for k in range(5)]
+        with pytest.raises(DegeneratePointSet, match="^the five points lie on more than one conic$"):
+            conic_from_five_points(*pts)
+
+
+def test_conic_from_five_points_three_collinear_give_a_line_pair():
+    rng = random.Random(79)
+    checked = 0
+    while checked < 40:
+        a, b = (tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(2))
+        if not any(cross(a, b)):
+            continue
+        s, t = rng.randint(1, 3), rng.choice((-2, -1, 1, 2))
+        on = [PPoint(*a), PPoint(*b), PPoint(*(s * x + t * y for x, y in zip(a, b)))]
+        l = join(on[0], on[1])
+        off = [PPoint(rng.randint(-3, 3), rng.randint(-3, 3), 1) for _ in range(2)]
+        if off[0] == off[1] or any(l.contains(p) for p in off):
+            continue
+        lc, mc = l.coeffs, join(*off).coeffs
+        pair = Conic(tuple(tuple(lc[i] * mc[j] + mc[i] * lc[j] for j in range(3)) for i in range(3)))
+        for positions in combinations(range(5), 3):  # L through p1, p2, p3 and every other choice
+            rest_on, rest_off = iter(on), iter(off)
+            pts = [next(rest_on) if k in positions else next(rest_off) for k in range(5)]
+            assert conic_from_five_points(*pts) == pair
+        checked += 1
 
 
 def test_conic_coefficient_round_trip(circle):
@@ -381,7 +451,7 @@ def test_classify_circle(circle):
     r = classify(circle)
     assert r.kind == ConicClass.NONDEGENERATE_REAL
     assert r.signature == (2, 1) and r.rank == 3
-    # zero diagonals: the reduction must pivot on an off-diagonal entry
+    # zero diagonals: the trace vanishes and the signs come from the minors
     for rows in (((0, 1, 0), (1, 0, 0), (0, 0, -2)), ((0, 1, 1), (1, 0, 1), (1, 1, 0))):
         r = classify(Conic(rows))
         assert r.kind == ConicClass.NONDEGENERATE_REAL
@@ -423,6 +493,38 @@ def test_classify_inertia_sign_patterns(signs):
     expected = (max(pos, 3 - pos), min(pos, 3 - pos))
     assert r.signature == expected and r.rank == 3
     assert r.kind == (ConicClass.EMPTY if expected == (3, 0) else ConicClass.NONDEGENERATE_REAL)
+
+
+def _random_invertible(rng):
+    while True:
+        m = tuple(tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(3))
+        if det3(m):
+            return m
+
+
+def test_classify_follows_sylvester_inertia_under_congruence():
+    """P^T (k D) P has the rank, signature and class of D, however large its entries."""
+    rng = random.Random(83)
+    kinds = {3: ConicClass.NONDEGENERATE_REAL, 2: ConicClass.DEGENERATE_TWO_LINES, 1: ConicClass.DEGENERATE_DOUBLE_LINE}
+    for diag in product((-1, 0, 1), repeat=3):
+        rank, pos = 3 - diag.count(0), diag.count(1)
+        if rank == 0:
+            continue
+        signature = (max(pos, rank - pos), min(pos, rank - pos))
+        kind = ConicClass.EMPTY if signature == (3, 0) else kinds[rank]
+        for k in (1, -1, 3, -3):
+            for steps in (1, rng.randint(2, 63), 64):
+                p = _random_invertible(rng)
+                for _ in range(steps - 1):
+                    p = mat_mul(p, _random_invertible(rng))
+                d = tuple(tuple(k * diag[i] if i == j else 0 for j in range(3)) for i in range(3))
+                c = Conic(mat_mul(mat_mul(transpose(p), d), p))
+                r = classify(c)
+                assert (r.rank, r.signature, r.kind) == (rank, signature, kind), (diag, k, steps)
+                if rank == 2:
+                    assert mat_vec(c.matrix, r.point_double.coords) == (0, 0, 0)
+                if rank == 1:
+                    assert c == Conic(tuple(tuple(u * v for v in r.double_line.coeffs) for u in r.double_line.coeffs))
 
 
 def test_classify_congruence_invariant():

@@ -169,6 +169,17 @@ def test_desargues_condition_refuses_infinity():
         desargues_condition_check(pairs)
 
 
+def test_three_fixed_nodes_are_in_no_involution(x_axis_chart):
+    # the three products are all zero, so only the coincidence rule answers
+    pairs = [PointPair(F(1), F(1)), PointPair(F(2), F(2)), PointPair(F(3), F(3))]
+    assert not desargues_condition_check(pairs)
+    assert not in_single_involution(pairs, x_axis_chart)
+    # two fixed nodes and a couple that they separate harmonically: one involution
+    pairs = [PointPair(F(1), F(1)), PointPair(F(3), F(3)), PointPair(F(0), F(3, 2))]
+    assert desargues_condition_check(pairs)
+    assert in_single_involution(pairs, x_axis_chart)
+
+
 def test_interleaving():
     assert interleaved(PointPair(F(-1), F(1)), PointPair(F(0), F(2)))
     assert not interleaved(PointPair(F(1, 2), F(2)), PointPair(F(1, 3), F(3)))

@@ -3,11 +3,11 @@
 import math
 import random
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import islice
 
 import pytest
 
-from traversale.linalg import det, generalized_cross, primitive
+from traversale.linalg import primitive
 from traversale.numbers import (
     INF,
     format_extended,
@@ -106,34 +106,3 @@ def test_primitive_matches_lcm_gcd_formula():
         checked += 1
     assert checked > 1500
 
-
-def _det_reference(m):
-    """Leibniz formula: sum over permutations of sign times the product of entries."""
-    n, total = len(m), 0
-    for perm in permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        term = -1 if inversions % 2 else 1
-        for i, j in enumerate(perm):
-            term *= m[i][j]
-        total += term
-    return total
-
-
-def test_bareiss_det_matches_leibniz():
-    rng = random.Random(31)
-    for _ in range(300):
-        n = rng.randint(1, 5)
-        # sparse entries force zero pivots and row swaps, and singular matrices
-        m = [[rng.choice((0, 0, 1, -1, rng.randint(-10**6, 10**6))) for _ in range(n)] for _ in range(n)]
-        assert det(m) == _det_reference(m)
-
-
-def test_generalized_cross_is_orthogonal_to_rows():
-    rng = random.Random(37)
-    assert generalized_cross(((1, 2, 3), (4, 5, 6))) == (-3, 6, -3)  # the 3D cross product
-    for _ in range(100):
-        rows = [tuple(rng.randint(-9, 9) for _ in range(6)) for _ in range(5)]
-        v = generalized_cross(rows)
-        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
-    dependent = rows[:4] + [tuple(a + b for a, b in zip(rows[0], rows[1]))]
-    assert generalized_cross(dependent) == (0,) * 6

@@ -69,6 +69,14 @@ def test_scene_parse_error_bad_token_column():
         # the same message as the CLI's --viewport
         ("point F 2 0 1\nrender scene out=s.svg viewport=-2,-2,2\n", 2, 24, "viewport must be xmin,ymin,xmax,ymax"),
         ("render scene out=s.svg viewport=-2,-2,2,1/0\n", 1, 24, "zero denominator in '1/0'"),
+        ("construct\n", 1, 1, "construct needs an operation"),
+        ("point P 1 0 1\nconstruct spin l P P\n", 2, 11, "unknown construct op 'spin'"),
+        ("check\n", 1, 1, "check needs an operation"),
+        ("conic unit 1 1 -1 0 0 0\ncheck polar unit F x tau\n", 2, 20, "expected '='"),
+        ("check classify unit is empty\n", 1, 21, "expected '='"),
+        ("render fig8\n", 1, 1, "render FIGSPEC out=PATH"),
+        ("render fig8 out=a.svg dpi=3\n", 1, 23, "unknown render option 'dpi=3'"),
+        ("render fig8 width=3 viewport=-1,-1,1,1\n", 1, 1, "render needs out=PATH"),
     ):
         with pytest.raises(ParseError) as exc:
             run_scene_text(text)
@@ -92,6 +100,8 @@ def test_scene_domain_error_names_command(tmp_path):
         # x^2 + y^2 = 3 z^2 has no rational point, so the conic cannot be drawn
         ("conic k 1 1 -3 0 0 0\nrender scene out=x.svg\n", "line 2"),
         ("point P 1 0 1\nline l 0 1 0\nchart c line=l origin=P unit=P infinity=P\n", "line 3"),
+        ("point F 2 0 1\nrender scene out=x.svg width=0\n", "line 2"),
+        ("point F 2 0 1\nrender scene out=missing/x.svg\n", "line 2"),
     ):
         with pytest.raises(CommandError) as exc:
             run_scene_text(text, base_dir=str(tmp_path))
@@ -237,6 +247,8 @@ def test_cli_classify(capsys):
     assert main(["classify", "--conic", "1 0 -1 0 0 0"]) == 0
     out = capsys.readouterr().out
     assert "class two-lines" in out and "point-double (0, 1, 0)" in out
+    assert main(["classify", "--conic", "1 0 0 0 0 0"]) == 0
+    assert capsys.readouterr().out == "class double-line\nsignature (1, 0)\nrank 1\ndouble-line [1, 0, 0]\n"
 
 
 def test_cli_parser_is_built_once_and_keeps_no_parsed_state(capsys):
@@ -273,7 +285,9 @@ def test_cli_bad_input_exit_2(tmp_path, capsys):
 def test_cli_run_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.scene"
     good.write_text("conic unit 1 1 -1 0 0 0\npoint F 2 0 1\nline tau 2 0 -1\ncheck polar unit F = tau\n")
-    assert main(["run", str(good)]) == 0
+    report = tmp_path / "report.txt"
+    assert main(["run", str(good), "--out", str(report)]) == 0
+    assert report.read_text() == capsys.readouterr().out
     bad = tmp_path / "bad.scene"
     bad.write_text("conic unit 1 1 -1 0 0 0\npoint F 2 0 1\nline wrong 1 0 -1\ncheck polar unit F = wrong\n")
     assert main(["run", str(bad)]) == 1
@@ -315,7 +329,9 @@ def test_empty_viewport_error_names_the_viewport_literal(tmp_path, capsys):
     flat = tmp_path / "flat.scene"
     flat.write_text("point F 2 0 1\nrender scene out=s.svg viewport=1/2,0,2/4,1\n")
     assert main(["run", str(flat)]) == 2
-    assert capsys.readouterr().err == "error: viewport 1/2,0,1/2,1 has no area\n"
+    assert capsys.readouterr().err == (
+        "error: line 2: render scene out=s.svg viewport=1/2,0,2/4,1: viewport 1/2,0,1/2,1 has no area\n"
+    )
 
 
 def test_cli_verify_single_suite(tmp_path, capsys):
@@ -331,6 +347,9 @@ def test_cli_env_seed_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DESARGUES_SEED", "123")
     assert main(["verify", "biduality", "--seed", "5", "--cases", "5"]) == 0
     assert "seed: 123" in capsys.readouterr().out
+    monkeypatch.setenv("DESARGUES_SEED", "abc")
+    assert main(["verify", "biduality", "--cases", "1"]) == 2
+    assert capsys.readouterr().err == "error: DESARGUES_SEED must be an integer, got 'abc'\n"
 
 
 def test_cli_each_verb_takes_only_the_options_it_reads():

@@ -445,6 +445,14 @@ def test_no_rational_point_gives_one_message_from_every_caller():
         assert no_point._parametrization is None
 
 
+def test_secant_budget_ends_the_offsets(circle):
+    f = PPoint(2, 0, 1)
+    assert traversale_from_quadrangle(circle, f, offset=45) == polar(circle, f)
+    with pytest.raises(NoRationalSecants) as exc:
+        traversale_from_quadrangle(circle, f, offset=46)
+    assert str(exc.value) == "found 47 usable rational secants through (1, 0, 1/2) within the budget"
+
+
 def test_traversale_quadrangle_independence_randomized():
     rng = random.Random(61)
     for _ in range(25):
