@@ -33,7 +33,7 @@ from .errors import (
     ZeroForm,
 )
 from .involution import InvolutionOnLine
-from .linalg import Mat2, Mat3, Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, primitive, primitive_rows, transpose
+from .linalg import Mat3, Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, primitive, primitive_rows, transpose
 from .numbers import ExtRat, Pair, small_rationals, to_pair
 from .projective import (
     LINE_AT_INFINITY,
@@ -231,13 +231,23 @@ def _line_points(l: PLine):
     raise AssertionError("a line always carries two independent points")
 
 
+def _point_on_line(p0: Vec3, p1: Vec3, lam: int, mu: int) -> PPoint:
+    """The point lam*p0 + mu*p1, with the pair (lam, mu) first divided by its gcd."""
+    g = math.gcd(lam, mu)
+    lam, mu = lam // g, mu // g
+    return PPoint(*(lam * a + mu * b for a, b in zip(p0, p1)))
+
+
 def line_intersect(c: Conic, l: PLine) -> tuple[PPoint, ...]:
     """Exact intersection of a conic and a line: zero, one, or two points.
 
     A multiplicity-two contact is returned as a single point.  When the
     restricted quadratic has a positive non-square discriminant the real
     intersections exist but are irrational: IrrationalIntersection is raised
-    carrying that discriminant, never an approximation.
+    carrying that discriminant, never an approximation.  The roots are
+    pairs (lam, mu) naming lam*p0 + mu*p1 on l, reduced by their gcd before
+    they are mapped onto the line, so the point's own gcd sees smaller
+    coordinates.
     """
     p0, p1 = _line_points(l)
     m = c.matrix
@@ -251,21 +261,20 @@ def line_intersect(c: Conic, l: PLine) -> tuple[PPoint, ...]:
         if beta == 0:
             points = [PPoint(*p1)]  # double root at p1: tangency
         else:
-            second = tuple(beta * a - gamma * b for a, b in zip(p0, p1))
-            points = [PPoint(*p1), PPoint(*second)]
+            points = [PPoint(*p1), _point_on_line(p0, p1, beta, -gamma)]
     else:
         disc = beta * beta - 4 * alpha * gamma
         if disc < 0:
             points = []
         elif disc == 0:
-            points = [PPoint(*(2 * alpha * a - beta * b for a, b in zip(p0, p1)))]
+            points = [_point_on_line(p0, p1, 2 * alpha, -beta)]
         else:
             root = math.isqrt(disc)
             if root * root != disc:
                 raise IrrationalIntersection(disc)
             points = [
-                PPoint(*(2 * alpha * a + (-beta + root) * b for a, b in zip(p0, p1))),
-                PPoint(*(2 * alpha * a + (-beta - root) * b for a, b in zip(p0, p1))),
+                _point_on_line(p0, p1, 2 * alpha, -beta + root),
+                _point_on_line(p0, p1, 2 * alpha, -beta - root),
             ]
     points.sort(key=lambda p: p.coords)
     return tuple(points)
@@ -410,18 +419,24 @@ class RationalParametrization(Value):
     is the quadratic form P(num, den) = A*num^2 + B*num*den + C*den^2 in the
     pair, whose integer vectors A, B, C are computed once here.
 
-    Chords are read off the parameters.  With s = (a, b) and t = (c, d),
-    P(s) x P(t) = (ad - bc) * (ac*U + (ad + bc)*V + bd*W), where the chord
-    form (U, V, W) is (AxB, AxC, BxC) divided by its content, so
-    :meth:`chord` joins two points without building them, and gives the
-    tangent when s = t.  A chord through P(s) and P(t) passes through a
-    point f when ac*(U.f) + (ad + bc)*(V.f) + bd*(W.f) = 0, which is linear
-    in t: the lines through f pair the parameters by the integer matrix
-    [[V.f, W.f], [-U.f, -V.f]] that :meth:`involution_through` returns.
-    Its trace is zero, so it is an involution, which is Desargues'
-    involution theorem read in the parameter; its fixed parameters are the
-    contacts of the tangents from f, and it degenerates (determinant zero)
-    exactly when f is on the conic.  The chord form is built on first use.
+    (A, B, C) is the conic's own frame.  The homography x -> x0*A + x1*B +
+    x2*C maps the model conic x1^2 = x0*x2 onto the conic, the point
+    (s0^2, s0*s1, s1^2) of the pair s = (s0, s1) onto P(s).  It carries
+    joins to joins and meets to meets, so a ruler construction on points
+    of the conic can run on small frame vectors and enter the plane once
+    (see :mod:`traversale.synthetic`).  With the chord form (U, V, W) =
+    (AxB, AxC, BxC) divided by its content, UxV = rA, UxW = rB and VxW = rC
+    for one r = det(A, B, C)/content^2, which gives the four maps:
+
+    - a plane point p has frame coordinates (W.p, -V.p, U.p)
+      (:meth:`frame_of_point`), and a frame point x is x0*A + x1*B + x2*C
+      (:meth:`point_from_frame`);
+    - a plane line l is the frame line (l.A, l.B, l.C) (:meth:`frame_of_line`),
+      and a frame line lam is lam2*U - lam1*V + lam0*W
+      (:meth:`line_from_frame`).
+
+    The frame vectors come back in lowest terms.  The chord form is built
+    on first use.
     """
 
     __slots__ = ("conic", "base", "_chart", "_quadratic", "_chord_form")
@@ -482,22 +497,24 @@ class RationalParametrization(Value):
             self._set(_chord_form=form)
         return form
 
-    def chord(self, s: Pair, t: Pair) -> PLine:
-        """The line through the points of the pairs s and t; the tangent when s = t."""
-        (a, b), (c, d) = s, t
-        ac, mid, bd = a * c, a * d + b * c, b * d
-        (u0, u1, u2), (v0, v1, v2), (w0, w1, w2) = self._chords()
-        return PLine(ac * u0 + mid * v0 + bd * w0, ac * u1 + mid * v1 + bd * w1, ac * u2 + mid * v2 + bd * w2)
-
-    def involution_through(self, f: PPoint) -> Mat2:
-        """The parameter involution pairing the two ends of each chord through f.
-
-        The image of a pair s under the matrix is the pair of the second
-        point of the conic on the line through f and the point of s.
-        """
+    def frame_of_point(self, p: PPoint) -> Vec3:
+        """The frame coordinates x of p, with p = x0*A + x1*B + x2*C up to scale."""
         u, v, w = self._chords()
-        uf, vf, wf = dot(u, f.coords), dot(v, f.coords), dot(w, f.coords)
-        return ((vf, wf), (-uf, -vf))
+        return primitive((dot(w, p.coords), -dot(v, p.coords), dot(u, p.coords)))
+
+    def frame_of_line(self, l: PLine) -> Vec3:
+        """The frame line of l: the frame points x with x0*A + x1*B + x2*C on l."""
+        return primitive(tuple(dot(l.coeffs, x) for x in self._quadratic))
+
+    def point_from_frame(self, x: Vec3) -> PPoint:
+        """The plane point x0*A + x1*B + x2*C."""
+        x0, x1, x2 = x
+        return PPoint(*(a * x0 + b * x1 + c * x2 for a, b, c in zip(*self._quadratic)))
+
+    def line_from_frame(self, lam: Vec3) -> PLine:
+        """The plane line lam2*U - lam1*V + lam0*W of the frame line lam."""
+        l0, l1, l2 = lam
+        return PLine(*(u * l2 - v * l1 + w * l0 for u, v, w in zip(*self._chords())))
 
 
 def second_intersection(c: Conic, base: PPoint, other: PPoint) -> PPoint:

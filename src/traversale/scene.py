@@ -287,7 +287,10 @@ class Scene:
             vp = viewport or (Fraction(-3), Fraction(-3), Fraction(3), Fraction(3))
             svg = render_svg(drawables, vp, width)
         else:
-            figure_drawables, default_vp = build_figure(figspec)
+            try:
+                figure_drawables, default_vp = build_figure(figspec)
+            except UnknownReference as exc:
+                raise ParseError(cmd.line_no, cmd.tokens[1].column, str(exc)) from None
             svg = render_svg(figure_drawables, viewport or default_vp, width)
         path = out if os.path.isabs(out) else os.path.join(base_dir, out)
         with open(path, "w", encoding="utf-8") as fh:

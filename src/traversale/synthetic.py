@@ -10,6 +10,15 @@ the algebraic polar, exactly, for every choice of quadrangle.
 Everything works over the rationals: secants are produced by the chord
 trick through a known rational point of the conic, so the constructions
 never run into irrational intersections.
+
+The traversale and the pole by construction run in the frame (A, B, C) of
+the conic's chord parametrization (see RationalParametrization).  There the
+conic is the model conic x1^2 = x0*x2, the borne of a chart pair s is
+(s0^2, s0*s1, s1^2), the chord through s = (a, b) and t = (c, d) is the
+frame line (bd, -(ad + bc), ac), and joins and meets are cross products of
+small frame vectors.  A construction maps its input into the frame once,
+after checking it against the conic, and maps only its result back into
+the plane.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ from .errors import (
     VertexOnTransversal,
 )
 from .involution import InvolutionOnLine, PointPair, involution_from_two_pairs
-from .linalg import det3, solve2
+from .linalg import Mat2, Vec3, cross, det3, dot, solve2
 from .numbers import Pair, format_rational, small_extended, to_pair
 from .projective import (
     LINE_AT_INFINITY,
@@ -168,33 +177,63 @@ class PencilBase(Value):
 _SWEEP_PAIRS = tuple(to_pair(t) for t in islice(small_extended(), 64))
 
 
-def _secant_parameters(
-    c: Conic, f: PPoint, offset: int, known: tuple[Pair, Pair] | None = None
-) -> tuple[RationalParametrization, tuple[Pair, Pair, Pair, Pair]]:
-    """The chart pairs of the bornes B, C, D, E of the quadrangle through f.
+def _borne(s: Pair) -> Vec3:
+    """The frame point of the pair s on the model conic."""
+    a, b = s
+    return (a * a, a * b, b * b)
 
-    The sweep works on parameters of the conic's chord parametrization:
-    the partner of a swept pair s is its image t under the involution that
-    the lines through f cut on the conic, reduced to the form of the swept
-    pairs (lowest terms, positive second entry, INF as (1, 0)).  The line
-    through f and the point of s is tangent there exactly when t = s.  The
-    parametrization is a bijection from the pairs onto the conic, so
-    `seen` tells the same chords apart as the points would.  `seen` is
-    closed under the involution, so a partner is never seen before its pair.
-    A secant through f that the caller already knows, ``known`` = (s, t)
-    with s != t in that form, is the first secant and is not swept again;
-    a caller that knows one has already tested f against the conic, so f
-    is tested (OnConic) only when ``known`` is None.
+
+def _chord(s: Pair, t: Pair) -> Vec3:
+    """The frame line through the bornes of s and t; the tangent when s = t."""
+    (a, b), (c, d) = s, t
+    return (b * d, -(a * d + b * c), a * c)
+
+
+def _involution(x: Vec3) -> Mat2:
+    """The parameter involution of the frame point x off the model conic.
+
+    It maps a pair s to the pair of the second borne on the line through x
+    and the borne of s.  Its trace is zero, which is Desargues' involution
+    theorem read in the parameter; its fixed pairs are the contacts of the
+    tangents from x, and it degenerates (determinant x0*x2 - x1^2) exactly
+    when x is on the conic.
+    """
+    x0, x1, x2 = x
+    return ((-x1, x0), (-x2, x1))
+
+
+def _cut(lam: Vec3, h: Pair, s: Pair) -> Vec3:
+    """The meet of the frame line lam with the chord through the bornes of h and s."""
+    ph, ps = _borne(h), _borne(s)
+    at_h, at_s = dot(lam, ph), dot(lam, ps)
+    return tuple([at_s * a - at_h * b for a, b in zip(ph, ps)])
+
+
+def _on_model_conic(x: Vec3) -> bool:
+    return x[1] * x[1] == x[0] * x[2]
+
+
+def _sweep(
+    par: RationalParametrization, x: Vec3, offset: int, known: tuple[Pair, Pair] | None = None
+) -> tuple[Pair, Pair, Pair, Pair]:
+    """The chart pairs of the bornes B, C, D, E of the quadrangle through the frame point x.
+
+    The partner of a swept pair s is its image t under the involution of
+    x, reduced to the form of the swept pairs (lowest terms, positive
+    second entry, INF as (1, 0)).  The line through x and the borne of s is
+    tangent there exactly when t = s.  The pairs name the bornes one to
+    one, so `seen` tells the same chords apart as the points would.  `seen`
+    is closed under the involution, so a partner is never seen before its
+    pair.  A secant through x that the caller already knows, ``known`` =
+    (s, t) with s != t in that form, is the first secant and is not swept
+    again.
 
     The four pairs name an inscribed quadrangle with no check run: their
-    points are on the conic by Vieta, distinct because `seen` keeps the
-    pairs distinct, and never three collinear, because
-    RationalParametrization accepts only a nondegenerate conic.
+    bornes are on the conic, distinct because `seen` keeps the pairs
+    distinct, and never three collinear, because RationalParametrization
+    accepts only a nondegenerate conic.
     """
-    if known is None and c.contains(f):
-        raise OnConic(f"{f} lies on the conic; no traversale quadrangle exists")
-    par = chord_parametrization(c)
-    (m00, m01), (m10, m11) = par.involution_through(f)
+    (m00, m01), (m10, m11) = _involution(x)
     seen: set[Pair] = set()
     secants: list[tuple[Pair, Pair]] = []
     if known is not None:
@@ -210,14 +249,32 @@ def _secant_parameters(
             g = -g
         t = (num // g, den // g)
         if t == s:
-            continue  # the line through f is tangent at the point of s
+            continue  # the line through x is tangent at the borne of s
         seen.update((s, t))
         secants.append((s, t))
         if len(secants) == offset + 2:
-            return par, (*secants[offset], *secants[offset + 1])
+            return (*secants[offset], *secants[offset + 1])
     raise NoRationalSecants(
-        f"found {len(secants)} usable rational secants through {f} within the budget"
+        f"found {len(secants)} usable rational secants through {par.point_from_frame(x)} within the budget"
     )
+
+
+def _frame_traversale(
+    par: RationalParametrization, x: Vec3, offset: int = 0, known: tuple[Pair, Pair] | None = None
+) -> Vec3:
+    """The frame line joining N = CD /\\ BE and G = BD /\\ CE of the quadrangle :func:`_sweep` names."""
+    sb, sc, sd, se = _sweep(par, x, offset, known)
+    n = cross(_chord(sc, sd), _chord(sb, se))
+    g = cross(_chord(sb, sd), _chord(sc, se))
+    return cross(g, n)
+
+
+def _frame_of_point_off_conic(c: Conic, f: PPoint) -> tuple[RationalParametrization, Vec3]:
+    """The conic's parametrization and the frame point of f, raising OnConic for f on the conic."""
+    if c.contains(f):
+        raise OnConic(f"{f} lies on the conic; no traversale quadrangle exists")
+    par = chord_parametrization(c)
+    return par, par.frame_of_point(f)
 
 
 def inscribed_quadrangle_through(c: Conic, f: PPoint, *, offset: int = 0) -> InscribedQuadrangle:
@@ -231,8 +288,8 @@ def inscribed_quadrangle_through(c: Conic, f: PPoint, *, offset: int = 0) -> Ins
     quadrangles for the same point are generated.  The four bornes are
     built and returned as a checked InscribedQuadrangle.
     """
-    par, pairs = _secant_parameters(c, f, offset)
-    return InscribedQuadrangle(c, *map(par.point_from_pair, pairs))
+    par, x = _frame_of_point_off_conic(c, f)
+    return InscribedQuadrangle(c, *map(par.point_from_pair, _sweep(par, x, offset)))
 
 
 def traversale_from_quadrangle(c: Conic, f: PPoint, *, offset: int = 0) -> PLine:
@@ -241,21 +298,15 @@ def traversale_from_quadrangle(c: Conic, f: PPoint, *, offset: int = 0) -> PLine
     A quadrangle B, C, D, E on the conic is chosen with BC and DE crossing
     at f; the returned line joins the two other diagonal points
     N = CD /\\ BE and G = BD /\\ CE.  The third diagonal point, BC /\\ DE,
-    is f itself, so it is not built.  The four bornales CD, BE, BD and CE
-    are read off the bornes' parameters in closed form; no borne and no
-    quadrangle is built, see :func:`_secant_parameters`.  The independence of
-    this line from the quadrangle, and its equality with the algebraic
-    polar of f, are the theorems the test suites drive.
+    is f itself, so it is not built.  The whole construction runs in the
+    frame of the conic's parametrization, on the bornes' parameters, and
+    only the finished line is mapped into the plane; no borne and no
+    quadrangle is built, see :func:`_sweep`.  The independence of this line
+    from the quadrangle, and its equality with the algebraic polar of f,
+    are the theorems the test suites drive.
     """
-    return _traversale(c, f, offset)
-
-
-def _traversale(c: Conic, f: PPoint, offset: int = 0, known: tuple[Pair, Pair] | None = None) -> PLine:
-    """:func:`traversale_from_quadrangle`, with an optional known first secant through f."""
-    par, (sb, sc, sd, se) = _secant_parameters(c, f, offset, known)
-    n = meet(par.chord(sc, sd), par.chord(sb, se))
-    g = meet(par.chord(sb, sd), par.chord(sc, se))
-    return join(g, n)
+    par, x = _frame_of_point_off_conic(c, f)
+    return par.line_from_frame(_frame_traversale(par, x, offset))
 
 
 def quadrangle_transcript(quad: InscribedQuadrangle) -> str:
@@ -301,29 +352,32 @@ def quadrangle_transcript(quad: InscribedQuadrangle) -> str:
 def pole_by_construction(c: Conic, l: PLine) -> PPoint:
     """The pole of l, built as the meet of the traversales of two points of l.
 
-    The points of l are cut by the chords from one point of the conic, the
-    hub P(h): h is the first swept parameter whose point is not on l, and
-    the chord to P(s), for each other swept parameter s, meets l in
-    g = l /\\ chord(P(h), P(s)).  Such a g is on the conic only when it
-    is P(s) itself, so at most two of them are skipped; distinct chords
+    The points of l are cut by the chords from one borne, the hub P(h): h
+    is the first swept parameter whose borne is not on l, and the chord to
+    P(s), for each other swept parameter s, meets l in
+    g = l /\\ chord(P(h), P(s)).  Such a g is on the conic only when it is
+    P(s) itself, so at most two of them are skipped; distinct chords
     through the hub cut l in distinct points, whose traversales are
     distinct lines.  The quadrangle of each g takes (h, s) as its first
-    secant, so every quadrangle has one secant with small parameters.
-    The sweep never runs out: among its 64 parameters at most two points
-    lie on l and at most two of the g are on the conic.
+    secant, so every quadrangle has one secant with small parameters.  The
+    sweep never runs out: among its 64 parameters at most two bornes lie on
+    l and at most two of the g are on the conic.  Like the traversale, the
+    construction runs in the frame of the conic's parametrization and maps
+    only the pole into the plane.
     """
     if is_tangent_line(c, l):
         raise TangentLine(f"{l} is tangent; its pole lies on it and the construction degenerates")
-    (g1, known1), (g2, known2) = islice(_hub_cuts(c, l), 2)
-    return meet(_traversale(c, g1, known=known1), _traversale(c, g2, known=known2))
-
-
-def _hub_cuts(c: Conic, l: PLine):
-    """The cuts g of l off the conic, in sweep order, each with its secant (hub, s) through g."""
     par = chord_parametrization(c)
-    hub = next(h for h in _SWEEP_PAIRS if not l.contains(par.point_from_pair(h)))
-    cuts = ((meet(l, par.chord(hub, s)), (hub, s)) for s in _SWEEP_PAIRS if s != hub)
-    return ((g, known) for g, known in cuts if not c.contains(g))
+    (g1, known1), (g2, known2) = islice(_frame_cuts(par.frame_of_line(l)), 2)
+    tau1, tau2 = _frame_traversale(par, g1, known=known1), _frame_traversale(par, g2, known=known2)
+    return par.point_from_frame(cross(tau1, tau2))
+
+
+def _frame_cuts(lam: Vec3):
+    """The cuts g of the frame line lam off the conic, in sweep order, each with its secant (hub, s) through g."""
+    hub = next(h for h in _SWEEP_PAIRS if dot(lam, _borne(h)))
+    cuts = ((_cut(lam, hub, s), (hub, s)) for s in _SWEEP_PAIRS if s != hub)
+    return ((g, known) for g, known in cuts if not _on_model_conic(g))
 
 
 def incidence_lemma_check(c: Conic, f: PPoint, n: PPoint, d: PPoint, c_pt: PPoint) -> bool:

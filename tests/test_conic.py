@@ -1,5 +1,6 @@
 """Quadratic-form conics: polarity, intersections, inertia, affine features."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -46,7 +47,8 @@ from traversale import (
     tangents_from,
     transform,
 )
-from traversale.linalg import cross, det3, mat_mul, mat_vec, primitive_rows, solve2, transpose
+from traversale.conic import _line_points
+from traversale.linalg import cross, det3, dot, mat_mul, mat_vec, primitive_rows, solve2, transpose
 
 
 def F(*args):
@@ -278,6 +280,56 @@ def test_line_on_degenerate_conic():
     two_lines = Conic(((1, 0, 0), (0, 0, 0), (0, 0, -1)))  # x = z and x = -z
     with pytest.raises(LineOnConic):
         line_intersect(two_lines, PLine(1, 0, -1))
+
+
+def _unreduced_line_intersect(c, l):
+    """The intersection with each root pair mapped onto the line as it stands, not reduced first."""
+    p0, p1 = _line_points(l)
+    m = c.matrix
+    alpha, beta, gamma = dot(mat_vec(m, p1), p1), 2 * dot(mat_vec(m, p0), p1), dot(mat_vec(m, p0), p0)
+    if alpha == 0:
+        if beta == 0:
+            return (PPoint(*p1),)
+        pts = [PPoint(*p1), PPoint(*(beta * a - gamma * b for a, b in zip(p0, p1)))]
+    else:
+        disc = beta * beta - 4 * alpha * gamma
+        if disc < 0:
+            return ()
+        root = math.isqrt(disc)
+        if root * root != disc:
+            raise IrrationalIntersection(disc)
+        pts = {PPoint(*(2 * alpha * a + (-beta + r) * b for a, b in zip(p0, p1))) for r in (root, -root)}
+    return tuple(sorted(pts, key=lambda p: p.coords))
+
+
+@pytest.mark.parametrize("steps", [0, 1, 16, 64, 256])
+def test_line_intersect_reduced_roots_match_the_unreduced_formula(steps):
+    c, h = _circle_image_chain(300 + steps, steps)
+    par = rational_parametrize(c, c.witness)
+    on = [par.point(t) for t in (F(0), F(1, 3), F(-2), INF)]
+    lines = {
+        "infinity": LINE_AT_INFINITY,
+        "missing": polar(c, h.apply(PPoint(0, 0, 1))),
+        **{f"secant-{i}": join(on[i], on[i + 1]) for i in range(3)},
+        **{f"tangent-{i}": tangent_at(c, p) for i, p in enumerate(on)},
+        # on the circle itself these take the branches alpha = 0 (beta = 0 or not)
+        **{f"image-{n}": h.apply_line(PLine(*n)) for n in ((1, 0, -1), (1, 1, -1), (0, 1, -1), (3, 4, -5))},
+    }
+    rng = random.Random(steps)
+    for n in range(6):
+        lines[f"random-{n}"] = PLine(*(rng.randint(-9, 9) for _ in range(3)))
+    for name, l in lines.items():
+        try:
+            expected = _unreduced_line_intersect(c, l)
+        except IrrationalIntersection as exc:
+            with pytest.raises(IrrationalIntersection) as info:
+                line_intersect(c, l)
+            assert info.value.discriminant == exc.discriminant, name
+            continue
+        assert line_intersect(c, l) == expected, name
+        assert all(c.contains(p) and l.contains(p) for p in expected), name
+        if name.startswith("tangent"):
+            assert len(expected) == 1, name
 
 
 def test_second_intersection_vieta(circle):

@@ -334,6 +334,16 @@ def test_empty_viewport_error_names_the_viewport_literal(tmp_path, capsys):
     )
 
 
+def test_unknown_figure_names_its_scene_line_and_column(tmp_path, capsys):
+    scene = tmp_path / "fig99.scene"
+    scene.write_text("point F 2 0 1\n  render fig99 out=s.svg\n")
+    assert main(["run", str(scene)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 2, column 10: unknown figure 'fig99'; available: fig10, fig13, fig14, fig16, fig8\n"
+    )
+    assert not (tmp_path / "s.svg").exists()
+
+
 def test_cli_verify_single_suite(tmp_path, capsys):
     out = tmp_path / "report.txt"
     code = main(["verify", "biduality", "--seed", "5", "--cases", "10", "--out", str(out)])

@@ -1,7 +1,7 @@
 """Ruler constructions against the algebraic operators, exactly."""
 
+import math
 import random
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -44,7 +44,7 @@ from traversale import (
 )
 from traversale import synthetic
 from traversale.conic import chord_parametrization
-from traversale.linalg import det2, det3, mat2_mul, mat2_vec
+from traversale.linalg import cross, det2, det3, dot, mat2_mul, mat2_vec, primitive
 from traversale.numbers import small_extended, to_pair
 from traversale.render import Drawable, render_svg
 from traversale.synthetic import (
@@ -198,17 +198,20 @@ _HUB_CONICS = {
 
 @pytest.mark.parametrize("name", list(_HUB_CONICS))
 def test_known_secant_sweeps_name_inscribed_quadrangles(name):
-    # pole_by_construction hands each cut g its secant (hub, s) through g;
-    # the quadrangle the sweep then completes is never built by the
-    # traversale, so every one is built and checked here
+    # pole_by_construction hands each frame cut g its secant (hub, s)
+    # through g; the quadrangle the sweep then completes is never built by
+    # the traversale, so every one is built and checked here
     c, h = _HUB_CONICS[name]
     par = chord_parametrization(c)
     for kind, f in _sweep_points(c, h, par).items():
-        cuts = list(synthetic._hub_cuts(c, polar(c, f)))
+        l = polar(c, f)
+        cuts = list(synthetic._frame_cuts(par.frame_of_line(l)))
         assert len(cuts) >= 60, kind
-        for g, known in cuts:
-            assert not c.contains(g) and par.chord(*known).contains(g), (kind, known)
-            _, pairs = synthetic._secant_parameters(c, g, 0, known)
+        for x, known in cuts:
+            g = par.point_from_frame(x)
+            assert l.contains(g) and not c.contains(g), (kind, known)
+            assert join(*map(par.point_from_pair, known)).contains(g), (kind, known)
+            pairs = synthetic._sweep(par, x, 0, known)
             assert pairs[:2] == known, (kind, known)
             b, c2, d, e = bornes = tuple(map(par.point_from_pair, pairs))
             assert all(c.contains(p) for p in bornes), (kind, known)
@@ -216,7 +219,7 @@ def test_known_secant_sweeps_name_inscribed_quadrangles(name):
             InscribedQuadrangle(c, *bornes)
             n = meet(join(c2, d), join(b, e))
             g_pt = meet(join(b, d), join(c2, e))
-            assert synthetic._traversale(c, g, known=known) == join(g_pt, n), (kind, known)
+            assert par.line_from_frame(synthetic._frame_traversale(par, x, known=known)) == join(g_pt, n), (kind, known)
 
 
 def _tangent_parameter(c, par):
@@ -228,37 +231,119 @@ def _tangent_parameter(c, par):
     return pair
 
 
-@pytest.mark.parametrize("name", list(_SWEEP_CONICS))
-def test_chord_closed_form_matches_join(name):
-    c, _ = _SWEEP_CONICS[name]
+def _frame_pairs(c, par, rng, count=10, top=60):
+    """INF, 0, the pair of the base point and random pairs, two of them large, naming distinct points."""
+    small = [(rng.randint(-top, top), rng.randint(0, top)) for _ in range(4 * count)]
+    large = [(rng.getrandbits(200) - 2**199, rng.getrandbits(200) + 1) for _ in range(2)]
+    pairs = []
+    for pair in [(1, 0), (0, 1), _tangent_parameter(c, par), *small]:
+        if pair != (0, 0) and len(pairs) < count and all(pair[0] * q[1] != pair[1] * q[0] for q in pairs):
+            pairs.append(pair)
+    return pairs + large
+
+
+@pytest.mark.parametrize("name", list(_HUB_CONICS))
+def test_chord_form_crosses_back_to_the_frame(name):
+    # UxV = rA, UxW = rB and VxW = rC with one r = det(A, B, C)/g^2, g the
+    # content that the chord form (AxB, AxC, BxC)/g divides out
+    c, _ = _HUB_CONICS[name]
     par = rational_parametrize(c, chord_parametrization(c).base)
-    assert par._chord_form is None  # built on the first chord, not with the parametrization
+    assert par._chord_form is None  # built on first use, not with the parametrization
+    a, b, cc = par._quadratic
+    u, v, w = par._chords()
+    g = math.gcd(*cross(a, b), *cross(a, cc), *cross(b, cc))
+    det = det3((a, b, cc))
+    assert det != 0
+    for product, vector in ((cross(u, v), a), (cross(u, w), b), (cross(v, w), cc)):
+        assert [x * g * g for x in product] == [det * y for y in vector], name
+
+
+@pytest.mark.parametrize("name", list(_HUB_CONICS))
+def test_frame_maps_points_and_lines_one_to_one(name):
+    c, h = _HUB_CONICS[name]
+    par = chord_parametrization(c)
     rng = random.Random(name)
-    pairs = [(1, 0), (0, 1), _tangent_parameter(c, par)]
-    while len(pairs) < 10:
-        num, den = rng.randint(-60, 60), rng.randint(0, 40)
-        if (num, den) != (0, 0):
-            pairs.append((num, den))
+    pairs = _frame_pairs(c, par, rng)
+    for s in pairs:
+        x = synthetic._borne(s)
+        assert synthetic._on_model_conic(x), s
+        assert par.frame_of_point(par.point_from_pair(s)) == primitive(x), s
+        assert par.point_from_frame(x) == par.point_from_pair(s), s
+    points = [*map(par.point_from_pair, pairs[:4]), *_sweep_points(c, h, par).values()]
+    points += [PPoint(*(rng.randint(-9, 9) for _ in range(2)), rng.randint(1, 9)) for _ in range(4)]
+    lines = [LINE_AT_INFINITY, *(PLine(*(rng.randint(-9, 9) for _ in range(2)), rng.randint(1, 9)) for _ in range(4))]
+    lines += [polar(c, p) for p in points[4:7]]
+    for p in points:
+        x = par.frame_of_point(p)
+        assert par.point_from_frame(x) == p
+        assert synthetic._on_model_conic(x) == c.contains(p), p
+        for l in lines:
+            assert (dot(par.frame_of_line(l), x) == 0) == l.contains(p), (p, l)
+    for l in lines:
+        assert par.line_from_frame(par.frame_of_line(l)) == l, l
+
+
+@pytest.mark.parametrize("name", list(_HUB_CONICS))
+def test_chord_closed_form_matches_join(name):
+    # the frame chord through two bornes, mapped into the plane, is the join
+    # of their points; the tangent when the pairs are equal
+    c, _ = _HUB_CONICS[name]
+    par = chord_parametrization(c)
+    pairs = _frame_pairs(c, par, random.Random(name))
     for s in pairs:
         ps = par.point_from_pair(s)
-        assert par.chord(s, s) == tangent_at(c, ps)
-        assert par.chord(s, (3 * s[0], 3 * s[1])) == tangent_at(c, ps)  # the pair's scale does not matter
+        assert par.line_from_frame(synthetic._chord(s, s)) == tangent_at(c, ps)
+        assert par.line_from_frame(synthetic._chord(s, (3 * s[0], 3 * s[1]))) == tangent_at(c, ps)  # scale-free
         for t in pairs:
             pt = par.point_from_pair(t)
+            chord = synthetic._chord(s, t)
+            assert chord == synthetic._chord(t, s)
+            assert dot(chord, synthetic._borne(s)) == dot(chord, synthetic._borne(t)) == 0
             if pt != ps:
-                assert par.chord(s, t) == par.chord(t, s) == join(ps, pt), (s, t)
+                assert par.line_from_frame(chord) == join(ps, pt), (s, t)
+                assert par.frame_of_line(join(ps, pt)) == primitive(chord), (s, t)
 
 
-@pytest.mark.parametrize("name", list(_SWEEP_CONICS))
+@pytest.mark.parametrize("name", list(_HUB_CONICS))
+def test_frame_meets_and_cuts_match_the_plane(name):
+    # the meet of two frame chords, and the cut of a frame line by the chord
+    # from the hub, are the plane meets they replace
+    c, h = _HUB_CONICS[name]
+    par = chord_parametrization(c)
+    rng = random.Random(name)
+    pairs = _frame_pairs(c, par, rng, count=6, top=9)
+    point = lambda s: par.point_from_pair(s)
+    plane_chord = lambda s, t: tangent_at(c, point(s)) if s == t else join(point(s), point(t))
+    for s, t, q, r in (rng.sample(pairs, 4) for _ in range(6)):
+        for first, second in (((s, t), (q, r)), ((s, s), (q, r)), ((s, s), (t, t)), ((s, t), (s, q))):
+            x = cross(synthetic._chord(*first), synthetic._chord(*second))
+            assert par.point_from_frame(x) == meet(plane_chord(*first), plane_chord(*second)), (first, second)
+    lines = [LINE_AT_INFINITY, polar(c, h.apply(PPoint(0, 0, 1))), join(point(pairs[0]), point(pairs[1]))]
+    lines += [PLine(*(rng.randint(-9, 9) for _ in range(2)), rng.randint(1, 9)) for _ in range(2)]
+    for l in lines:
+        lam = par.frame_of_line(l)
+        for hub in pairs:
+            if l.contains(point(hub)):
+                continue
+            for s in pairs:
+                if s == hub:
+                    continue
+                x = synthetic._cut(lam, hub, s)
+                g = meet(l, join(point(hub), point(s)))
+                assert par.point_from_frame(x) == g, (l, hub, s)
+                assert synthetic._on_model_conic(x) == c.contains(g) == (g == point(s)), (l, hub, s)
+
+
+@pytest.mark.parametrize("name", list(_HUB_CONICS))
 def test_parameter_involution_of_the_lines_through_f(name):
-    c, h = _SWEEP_CONICS[name]
+    c, h = _HUB_CONICS[name]
     par = chord_parametrization(c)
     chart = canonical_chart(join(par.direction(F(0)), par.direction(INF)))
     rng = random.Random(name)
     params = [(1, 0), (0, 1), _tangent_parameter(c, par)]
     params += [(rng.randint(-30, 30), rng.randint(1, 20)) for _ in range(6)]
     for kind, f in _sweep_points(c, h, par).items():
-        m = par.involution_through(f)
+        m = synthetic._involution(par.frame_of_point(f))
         m2 = mat2_mul(m, m)
         assert m2[0][1] == m2[1][0] == 0 and m2[0][0] == m2[1][1] != 0, kind  # M^2 is scalar
         for s in params:
@@ -273,7 +358,7 @@ def test_parameter_involution_of_the_lines_through_f(name):
     on = [par.point_from_pair(s) for s in params]
     off = [PPoint(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(10)]
     for f in on + [p for p in off if not c.contains(p)]:
-        assert (det2(par.involution_through(f)) == 0) == c.contains(f), f
+        assert (det2(synthetic._involution(par.frame_of_point(f))) == 0) == c.contains(f), f
 
 
 @pytest.mark.parametrize("seed, steps", [(0, 0), (91, 1), (92, 2), (93, 60)])
@@ -381,26 +466,6 @@ def test_traversale_rejects_a_degenerate_conic_before_any_borne(coefficients):
         with pytest.raises(DegenerateConic) as exc:
             build(Conic.from_coefficients(*coefficients), PPoint(2, 0, 1))
         assert str(exc.value) == "rational parametrization needs a nondegenerate conic"
-
-
-@pytest.mark.parametrize("steps", [0, 6, 64])
-def test_pole_by_construction_tests_each_cut_against_the_conic_once(steps, monkeypatch):
-    # the hub sweep tests every cut g; the traversale of g does not test it again
-    c, _ = _circle_image(80 + steps, steps)
-    l = polar(c, PPoint(3, 5, 7))
-    tested = []
-    real = Conic.contains
-
-    def recording(self, p):
-        on = real(self, p)
-        tested.append((p, on))
-        return on
-
-    monkeypatch.setattr(Conic, "contains", recording)
-    pole_by_construction(c, l)
-    monkeypatch.undo()
-    off = Counter(p for p, on in tested if not on)
-    assert len(off) >= 2 and set(off.values()) == {1}
 
 
 def test_chord_parametrization_is_built_once_per_conic(circle):
@@ -513,7 +578,7 @@ def _pole_lines(c, h, par, rng):
         "infinity": LINE_AT_INFINITY,
         "random": PLine(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9)),
         "through P(s0)": join(p0, h.apply(PPoint(rng.randint(-9, 9), rng.randint(-9, 9), 0))),
-        "through P(s0) and P(s1)": par.chord(s0, s1),
+        "through P(s0) and P(s1)": join(p0, par.point_from_pair(s1)),
     }
     return {name: l for name, l in lines.items() if not is_tangent_line(c, l)}
 
@@ -530,21 +595,38 @@ def test_pole_by_construction_equals_pole_on_deep_conics(steps):
         assert pole_by_construction(c, l) == pole(c, l), name
 
 
-@pytest.mark.parametrize("steps", [0, 1, 64])
-def test_pole_by_construction_meets_at_most_nine_lines(steps, monkeypatch):
-    # two cuts of l, two meets per traversale and the final meet, plus at
-    # most two cuts skipped on the conic
+@pytest.mark.parametrize("steps", [0, 1, 6, 64])
+def test_each_construction_builds_one_plane_object_after_its_gate(steps, monkeypatch):
+    # after the OnConic test of f (traversale) or the TangentLine test of l
+    # (pole), the construction runs in the parametrization's frame: no plane
+    # meet, join or Conic.contains, and one PLine or PPoint at the end
     c, h = _circle_image(1500 + steps, steps)
     par = chord_parametrization(c)
-    calls = []
-    real_meet = synthetic.meet
-    monkeypatch.setattr(synthetic, "meet", lambda l, m: calls.append(1) or real_meet(l, m))
-    for name, l in _pole_lines(c, h, par, random.Random(steps)).items():
-        calls.clear()
-        pole_by_construction(c, l)
-        assert len(calls) <= 9, name
-        if name == "through P(s0) and P(s1)":
-            assert len(calls) == 9
+    f = _random_exterior(random.Random(steps), c)
+    lines = _pole_lines(c, h, par, random.Random(steps))
+    expected = {"traversale": polar(c, f), **{name: pole(c, l) for name, l in lines.items()}}
+    events = []
+
+    def after(name, real):
+        return lambda *args: (real(*args), events.append(name))[0]
+
+    for owner, name, event in (
+        (PPoint, "__init__", "PPoint"),
+        (PLine, "__init__", "PLine"),
+        (Conic, "contains", "contains"),
+        (synthetic, "meet", "meet"),
+        (synthetic, "join", "join"),
+        (synthetic, "is_tangent_line", "gate"),
+    ):
+        monkeypatch.setattr(owner, name, after(event, getattr(owner, name)))
+    built = {"traversale": traversale_from_quadrangle(c, f)}
+    assert events == ["contains", "PLine"]  # the gate on f, then the traversale
+    for name, l in lines.items():
+        events.clear()
+        built[name] = pole_by_construction(c, l)
+        assert events[events.index("gate") + 1 :] == ["PPoint"], name
+    monkeypatch.undo()
+    assert built == expected
 
 
 @pytest.mark.parametrize(
