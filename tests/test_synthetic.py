@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -593,6 +594,48 @@ def test_pole_by_construction_equals_pole_on_deep_conics(steps):
     assert {"through P(s0)", "through P(s0) and P(s1)"} <= set(lines)
     for name, l in lines.items():
         assert pole_by_construction(c, l) == pole(c, l), name
+
+
+@pytest.mark.parametrize("steps", [0, 6, 64])
+def test_pole_by_construction_tests_each_cut_against_the_conic_once(steps, monkeypatch):
+    # the hub sweep tests every frame cut g on the model conic; the
+    # traversale of g, handed its secant, does not test it again
+    c, _ = _circle_image(80 + steps, steps)
+    l = polar(c, PPoint(3, 5, 7))
+    tested = []
+    real = synthetic._on_model_conic
+
+    def recording(x):
+        on = real(x)
+        tested.append((x, on))
+        return on
+
+    monkeypatch.setattr(synthetic, "_on_model_conic", recording)
+    assert pole_by_construction(c, l) == pole(c, l)
+    monkeypatch.undo()
+    off = Counter(x for x, on in tested if not on)
+    assert len(off) >= 2 and set(off.values()) == {1}
+
+
+@pytest.mark.parametrize("steps", [0, 1, 64])
+def test_pole_by_construction_meets_at_most_nine_lines(steps, monkeypatch):
+    # in the frame: two cuts of l, two meets per traversale and the final
+    # meet, plus at most two cuts skipped on the conic; each traversale
+    # also takes one join, its third cross product
+    c, h = _circle_image(1500 + steps, steps)
+    par = chord_parametrization(c)
+    cuts, crosses = [], []
+    real_cut, real_cross = synthetic._cut, synthetic.cross
+    monkeypatch.setattr(synthetic, "_cut", lambda *args: cuts.append(1) or real_cut(*args))
+    monkeypatch.setattr(synthetic, "cross", lambda *args: crosses.append(1) or real_cross(*args))
+    for name, l in _pole_lines(c, h, par, random.Random(steps)).items():
+        cuts.clear()
+        crosses.clear()
+        pole_by_construction(c, l)
+        meets = len(cuts) + len(crosses) - 2
+        assert len(crosses) == 7 and meets <= 9, name
+        if name == "through P(s0) and P(s1)":
+            assert meets == 9
 
 
 @pytest.mark.parametrize("steps", [0, 1, 6, 64])
