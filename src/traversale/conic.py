@@ -77,7 +77,7 @@ class Conic(Value):
             raise ValueError(f"conic matrix must be symmetric, got {mat}")
         if witness is not None and dot(mat_vec(mat, witness.coords), witness.coords) != 0:
             raise BasePointNotOnConic(f"witness {witness} is not on the conic")
-        self._set(matrix=mat, witness=witness, is_nondegenerate=det3(mat) != 0, _parametrization=None, _dual=None)
+        self._set(mat, witness, det3(mat) != 0, None, None)
 
     def __eq__(self, other):
         return self.matrix == other.matrix if type(other) is Conic else NotImplemented
@@ -143,7 +143,7 @@ class Classification(Value):
     def __init__(
         self, kind: ConicClass, signature: tuple[int, int], rank: int, point_double: PPoint | None = None, double_line: PLine | None = None
     ):
-        self._set(kind=kind, signature=signature, rank=rank, point_double=point_double, double_line=double_line)
+        self._set(kind, signature, rank, point_double, double_line)
 
 
 class AffineFeatures(Value):
@@ -154,7 +154,7 @@ class AffineFeatures(Value):
     def __init__(
         self, kind: AffineKind, center: PPoint, points_at_infinity: tuple[PPoint, ...], asymptotes: tuple[PLine, ...] | None
     ):
-        self._set(kind=kind, center=center, points_at_infinity=points_at_infinity, asymptotes=asymptotes)
+        self._set(kind, center, points_at_infinity, asymptotes)
 
 
 def conic_from_five_points(p1: PPoint, p2: PPoint, p3: PPoint, p4: PPoint, p5: PPoint) -> Conic:
@@ -461,7 +461,7 @@ class RationalParametrization(Value):
             tuple(2 * (phi_oi * bk - phi_bi * ok - phi_bo * ik) for bk, ok, ik in zip(b, o, i)),
             tuple(qo * bk - 2 * phi_bo * ok for bk, ok in zip(b, o)),
         )
-        self._set(conic=conic, base=base, _chart=chart, _quadratic=quadratic, _chord_form=None)
+        self._set(conic, base, chart, quadratic, None)
 
     def direction(self, t: ExtRat) -> PPoint:
         return self._chart.point_at(t)

@@ -41,7 +41,7 @@ class PointPair(Value):
         u, v = to_pair(first), to_pair(second)
         if pair_cross(u, v) > 0:  # with den >= 0 the sign orders them, INF last
             u, v = v, u
-        self._set(pairs=(u, v))
+        self._set((u, v))
 
     def __eq__(self, other):
         return self.pairs == other.pairs if type(other) is PointPair else NotImplemented
@@ -101,7 +101,7 @@ class InvolutionOnLine(Value):
             raise UnderdeterminedInvolution(f"matrix {m} is not involutive (trace != 0)")
         if det2(m) == 0:
             raise UnderdeterminedInvolution(f"matrix {m} is degenerate, not an involution")
-        self._set(chart=chart, matrix=m)
+        self._set(chart, m)
 
     def __eq__(self, other):
         return (self.chart, self.matrix) == (other.chart, other.matrix) if type(other) is InvolutionOnLine else NotImplemented

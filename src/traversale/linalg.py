@@ -56,47 +56,37 @@ def dot(a, b):
 
 
 def mat_vec(m, v):
-    return (dot(m[0], v), dot(m[1], v), dot(m[2], v))
+    (a, b, c), (d, e, f), (g, h, i) = m
+    x, y, z = v
+    return (a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z)
 
 
-def mat_mul(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
+def mat_mul(m, n):
+    (a, b, c), (d, e, f), (g, h, i) = m
+    (p, q, r), (s, t, u), (v, w, x) = n
+    return (
+        (a * p + b * s + c * v, a * q + b * t + c * w, a * r + b * u + c * x),
+        (d * p + e * s + f * v, d * q + e * t + f * w, d * r + e * u + f * x),
+        (g * p + h * s + i * v, g * q + h * t + i * w, g * r + h * u + i * x),
     )
 
 
 def transpose(m):
-    return tuple(tuple(m[j][i] for j in range(3)) for i in range(3))
+    return tuple(zip(*m))
 
 
 def det3(m) -> int:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def adjugate(m) -> Mat3:
     """Adjugate matrix: adj(m) @ m = det(m) * I, all integer."""
-    c = lambda i, j: m[i][j]
+    (a, b, c), (d, e, f), (g, h, i) = m
     return (
-        (
-            c(1, 1) * c(2, 2) - c(1, 2) * c(2, 1),
-            c(0, 2) * c(2, 1) - c(0, 1) * c(2, 2),
-            c(0, 1) * c(1, 2) - c(0, 2) * c(1, 1),
-        ),
-        (
-            c(1, 2) * c(2, 0) - c(1, 0) * c(2, 2),
-            c(0, 0) * c(2, 2) - c(0, 2) * c(2, 0),
-            c(0, 2) * c(1, 0) - c(0, 0) * c(1, 2),
-        ),
-        (
-            c(1, 0) * c(2, 1) - c(1, 1) * c(2, 0),
-            c(0, 1) * c(2, 0) - c(0, 0) * c(2, 1),
-            c(0, 0) * c(1, 1) - c(0, 1) * c(1, 0),
-        ),
+        (e * i - f * h, c * h - b * i, b * f - c * e),
+        (f * g - d * i, a * i - c * g, c * d - a * f),
+        (d * h - e * g, b * g - a * h, a * e - b * d),
     )
 
 

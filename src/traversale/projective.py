@@ -202,7 +202,7 @@ class LineChart(Value):
         lam, mu, _ = lam_mu  # unit = (lam*o + mu*i)/d, and the common 1/d is dropped
         g = math.gcd(lam, mu)
         reps = (tuple(lam // g * c for c in o), tuple(mu // g * c for c in i))
-        self._set(line=line, origin=origin, unit=unit, infinity_point=infinity_point, representatives=reps, _rows=rows)
+        self._set(line, origin, unit, infinity_point, reps, rows)
 
     def _key(self):
         return (self.line, self.origin, self.unit, self.infinity_point)
@@ -319,7 +319,7 @@ class Homography(Value):
         m = primitive_rows(rows)
         if det3(m) == 0:
             raise SingularMatrix(f"matrix {m} is singular")
-        self._set(matrix=m)
+        self._set(m)
 
     def __eq__(self, other):
         return self.matrix == other.matrix if type(other) is Homography else NotImplemented

@@ -44,7 +44,7 @@ class Drawable(Value):
     __slots__ = ("kind", "obj", "label")
 
     def __init__(self, kind: str, obj: object, label: str = ""):
-        self._set(kind=kind, obj=obj, label=label)
+        self._set(kind, obj, label)
 
 
 def parse_viewport(text: str) -> Viewport:

@@ -18,7 +18,7 @@ class PropertyResult(Value):
     __slots__ = ("name", "passed_cases", "total_cases", "counterexample")
 
     def __init__(self, name: str, passed_cases: int, total_cases: int, counterexample: str | None = None):
-        self._set(name=name, passed_cases=passed_cases, total_cases=total_cases, counterexample=counterexample)
+        self._set(name, passed_cases, total_cases, counterexample)
 
     @property
     def passed(self) -> bool:
@@ -35,7 +35,7 @@ class VerificationReport(Value):
     __slots__ = ("suite", "seed", "cases", "properties")
 
     def __init__(self, suite: str, seed: int, cases: int, properties: tuple[PropertyResult, ...] = ()):
-        self._set(suite=suite, seed=seed, cases=cases, properties=properties)
+        self._set(suite, seed, cases, properties)
 
     @property
     def passed(self) -> bool:

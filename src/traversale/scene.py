@@ -69,7 +69,7 @@ class _Token(Value):
     __slots__ = ("text", "column")
 
     def __init__(self, text: str, column: int):
-        self._set(text=text, column=column)
+        self._set(text, column)
 
 
 class _Command(Value):
@@ -78,7 +78,7 @@ class _Command(Value):
     __slots__ = ("line_no", "tokens")
 
     def __init__(self, line_no: int, tokens: tuple[_Token, ...]):
-        self._set(line_no=line_no, tokens=tokens)
+        self._set(line_no, tokens)
 
     @property
     def verb(self) -> str:

@@ -117,7 +117,7 @@ class InscribedQuadrangle(Value):
             if not conic.contains(p):
                 raise NotOnConic(f"borne {p} is not on the conic")
         _check_general_position(pts, "bornes", conic)
-        self._set(conic=conic, b=b, c=c, d=d, e=e)
+        self._set(conic, b, c, d, e)
 
     def __repr__(self):
         return f"InscribedQuadrangle({self.b}, {self.c}, {self.d}, {self.e})"
@@ -166,7 +166,7 @@ class PencilBase(Value):
             for p in points:
                 if not member.contains(p):
                     raise NotOnConic(f"member conic misses base point {p}")
-        self._set(points=points, member=member)
+        self._set(points, member)
 
     def degenerate_members(self) -> tuple[tuple[PLine, PLine], ...]:
         return _opposite_sides(*self.points)
@@ -431,7 +431,7 @@ class TwoInvolutions(Value):
     def __init__(
         self, pencil: InvolutionOnLine, polarity: InvolutionOnLine, conic_trace: tuple[PPoint, PPoint], traversale_point: PPoint
     ):
-        self._set(pencil=pencil, polarity=polarity, conic_trace=conic_trace, traversale_point=traversale_point)
+        self._set(pencil, polarity, conic_trace, traversale_point)
 
 
 def two_involutions(c: Conic, f: PPoint, l: PLine) -> TwoInvolutions:

@@ -5,7 +5,10 @@ its inputs from a PRNG keyed by suite, property, seed and k, so reports are
 byte-identical across runs and cases are independent (they could run in any
 order).  On a failing case the recorded draw genome is shrunk, halving
 integers toward zero while the failure persists, and the minimal case's
-construction transcript is embedded in the report.
+construction transcript is embedded in the report.  A case function returns
+``(ok, transcript)`` with the transcript as a thunk, so its points, lines
+and couples are formatted only for a failing case; the shrunk
+counterexample text is the same as if every case had formatted it.
 
 Suites and properties live in one registry: ``_suite`` declares a suite and
 its default case count, and the ``_property`` decorator registers each case
@@ -107,22 +110,33 @@ class _CaseUnbuildable(Exception):
 
 
 class Draws:
-    """Recorded integer draws, replayable for shrinking."""
+    """Recorded integer draws, replayable for shrinking.
+
+    A fresh draw is the one ``rng.randint(lo, hi)`` makes, taken straight
+    from ``rng.getrandbits`` by the rejection loop of CPython's
+    ``Random._randbelow_with_getrandbits`` (3.10 to 3.13): k = n.bit_length()
+    bits for n = hi - lo + 1 values, redrawn until below n.
+    """
 
     def __init__(self, rng: random.Random | None = None, replay: list[int] | None = None):
-        self.rng = rng
+        self._bits = None if rng is None else rng.getrandbits
         self.replay = replay
         self.record: list[int] = []
         self._i = 0
 
     def draw_int(self, lo: int, hi: int) -> int:
+        n = hi - lo + 1
         if self.replay is not None:
             if self._i >= len(self.replay):
                 raise _ReplayExhausted()
             v = self.replay[self._i]
             self._i += 1
-            return lo + (v - lo) % (hi - lo + 1)
-        v = self.rng.randint(lo, hi)
+            return lo + (v - lo) % n
+        k = n.bit_length()
+        r = self._bits(k)
+        while r >= n:
+            r = self._bits(k)
+        v = lo + r
         self.record.append(v)
         return v
 
@@ -173,22 +187,28 @@ def _shrink(case_fn, genome: list[int], transcript: list[str]) -> str:
             cand = best[:i] + [nv] + best[i + 1 :]
             try:
                 ok, tr = case_fn(Draws(replay=cand))
+                if not ok:
+                    best, best_tr = cand, tr()
+                    changed = True
             except Exception:
                 continue
-            if not ok:
-                best, best_tr = cand, tr
-                changed = True
     return "\n".join(best_tr)
 
 
 def _run_property(suite: str, prop: str, seed: int, cases: int, case_fn) -> PropertyResult:
-    """Run ``case_fn(draws)`` for ``cases`` seeded cases; an unbuildable case fails."""
+    """Run ``case_fn(draws)`` for ``cases`` seeded cases; an unbuildable case fails.
+
+    ``case_fn`` returns ``(ok, transcript)``, where ``transcript()`` gives the
+    case's lines; it is called only when the case fails.
+    """
     failures = 0
     counterexample = None
     for idx in range(cases):
         draws = Draws(random.Random(f"{suite}:{prop}:{seed}:{idx}"))
         try:
             ok, transcript = case_fn(draws)
+            if not ok:  # the transcript is formatted under the same guard as the case
+                transcript = transcript()
         except _CaseUnbuildable as exc:  # a case that was never checked is not a pass
             ok, transcript = False, [f"unbuildable: {exc}"]
         except Exception as exc:  # any crash is a failing case, not an aborted suite
@@ -265,8 +285,11 @@ def _draw_homography(d: Draws) -> Homography:
     )
 
 
+_UNIT_CIRCLE = Conic.unit_circle()
+
+
 def _draw_conic(d: Draws) -> Conic:
-    return transform(Conic.unit_circle(), _draw_homography(d))
+    return transform(_UNIT_CIRCLE, _draw_homography(d))
 
 
 def _draw_conic_points(d: Draws, c: Conic, n: int) -> list[PPoint]:
@@ -359,8 +382,9 @@ def _rectangle_vs_homographic(d: Draws):
         pairs = [PointPair(d.fraction(-6, 6, 4), d.fraction(-6, 6, 4)) for _ in range(3)]
     lhs = desargues_condition_check(pairs)
     rhs = in_single_involution(pairs, X_CHART)
-    tr = [f"couples {pairs[0]} {pairs[1]} {pairs[2]}", f"rectangle identities: {lhs}", f"homographic membership: {rhs}"]
-    return lhs == rhs and (lhs or not genuine), tr
+    return lhs == rhs and (lhs or not genuine), lambda: [
+        f"couples {pairs[0]} {pairs[1]} {pairs[2]}", f"rectangle identities: {lhs}", f"homographic membership: {rhs}"
+    ]
 
 
 def _couples_with_souche(d: Draws):
@@ -380,8 +404,9 @@ def _arbre_vs_involution(d: Draws):
     pairs, souche = d.until(_couples_with_souche)
     lhs = arbre_check(souche, pairs)
     rhs = in_single_involution(pairs, X_CHART)
-    tr = [f"souche {souche}", f"couples {pairs[0]} {pairs[1]} {pairs[2]}", f"arbre: {lhs}", f"membership: {rhs}"]
-    return lhs == rhs, tr
+    return lhs == rhs, lambda: [
+        f"souche {souche}", f"couples {pairs[0]} {pairs[1]} {pairs[2]}", f"arbre: {lhs}", f"membership: {rhs}"
+    ]
 
 
 @_property("involution-equivalence", "harmonic-bridge")
@@ -401,8 +426,9 @@ def _harmonic_bridge(d: Draws):
         if off != tx and off != c
         else False
     )
-    tr = [f"a={a} b={b} c={c}", f"conjugate={tx}", f"cross ratio {ratio}"]
-    return member and ratio == -1 and not member_off, tr
+    return member and ratio == -1 and not member_off, lambda: [
+        f"a={a} b={b} c={c}", f"conjugate={tx}", f"cross ratio {ratio}"
+    ]
 
 
 @_property("involution-equivalence", "midpoint-infinity")
@@ -416,8 +442,9 @@ def _midpoint_infinity(d: Draws):
     member_shifted = in_single_involution(
         [PointPair(shifted, INF), PointPair(c, c), PointPair(g, g)], X_CHART
     )
-    tr = [f"c={c} g={g} midpoint={b}", f"member: {member}", f"shifted member: {member_shifted}"]
-    return member and not member_shifted, tr
+    return member and not member_shifted, lambda: [
+        f"c={c} g={g} midpoint={b}", f"member: {member}", f"shifted member: {member_shifted}"
+    ]
 
 
 @_property("involution-equivalence", "agregativite")
@@ -428,7 +455,7 @@ def _agregativite(d: Draws):
     i13 = involution_from_two_pairs(pairs[0], pairs[2], X_CHART)
     i23 = involution_from_two_pairs(pairs[1], pairs[2], X_CHART)
     ok = i12 == i13 == i23 == inv
-    return ok, [f"couples {pairs}", f"matrices {i12.matrix} {i13.matrix} {i23.matrix}"]
+    return ok, lambda: [f"couples {pairs}", f"matrices {i12.matrix} {i13.matrix} {i23.matrix}"]
 
 
 @_property("ramee", "membership-and-kind-preserved")
@@ -439,8 +466,7 @@ def _ramee(d: Draws):
     center = d.until(_draw_finite_point, lambda p: not X_AXIS.contains(p) and not target_line.contains(p))
     projected = ramee_project(inv, center, target)
     pairs = _draw_involution_pairs(d, inv, 3)
-    ok = True
-    tr = [f"involution {inv.matrix} on {X_AXIS}", f"center {center}", f"target {target_line}"]
+    rows = []  # (couple, its image, membership)
     for p in pairs:
         imgs = []
         for t in (p.first, p.second):
@@ -448,15 +474,16 @@ def _ramee(d: Draws):
             img_pt = meet(join(center, src_pt), target_line)
             imgs.append(target.coordinate(img_pt))
         image_pair = PointPair(imgs[0], imgs[1])
-        member = contains_pair(projected, image_pair)
-        tr.append(f"couple {p} -> {image_pair}: member {member}")
-        ok = ok and member
+        rows.append((p, image_pair, contains_pair(projected, image_pair)))
     kind_src = classify_and_fixed_points(inv)[0]
     kind_dst = classify_and_fixed_points(projected)[0]
     hyper = {InvolutionKind.HYPERBOLIC, InvolutionKind.HYPERBOLIC_IRRATIONAL}
     kinds_match = (kind_src in hyper) == (kind_dst in hyper)
-    tr.append(f"kinds {kind_src.value} -> {kind_dst.value}")
-    return ok and kinds_match, tr
+    return all(member for _, _, member in rows) and kinds_match, lambda: [
+        f"involution {inv.matrix} on {X_AXIS}", f"center {center}", f"target {target_line}",
+        *(f"couple {p} -> {image}: member {member}" for p, image, member in rows),
+        f"kinds {kind_src.value} -> {kind_dst.value}",
+    ]
 
 
 @_property("biduality", "pole-of-polar-roundtrip")
@@ -468,9 +495,9 @@ def _biduality(d: Draws):
     back_point = pole(c, polar_m)
     pole_l = pole(c, l)
     back_line = polar(c, pole_l)
-    tr = [f"conic {c}", f"m {m} -> polar {polar_m} -> pole {back_point}",
-          f"l {l} -> pole {pole_l} -> polar {back_line}"]
-    return back_point == m and back_line == l, tr
+    return back_point == m and back_line == l, lambda: [
+        f"conic {c}", f"m {m} -> polar {polar_m} -> pole {back_point}", f"l {l} -> pole {pole_l} -> polar {back_line}"
+    ]
 
 
 @_property("incidence-duality", "collinear-points-concurrent-polars")
@@ -487,9 +514,9 @@ def _collinear_points(d: Draws):
     p1, p2, p3 = d.until(collinear_triple)
     polars = [polar(c, p) for p in (p1, p2, p3)]
     concur = meet(polars[0], polars[1])
-    ok = polars[2].contains(concur)
-    tr = [f"collinear {p1} {p2} {p3}", f"polars {polars[0]} {polars[1]} {polars[2]}"]
-    return ok, tr
+    return polars[2].contains(concur), lambda: [
+        f"collinear {p1} {p2} {p3}", f"polars {polars[0]} {polars[1]} {polars[2]}"
+    ]
 
 
 @_property("incidence-duality", "concurrent-lines-collinear-poles")
@@ -503,9 +530,7 @@ def _concurrent_lines(d: Draws):
 
     lines = d.distinct(3, line_through_apex, tries=40)
     poles = [pole(c, l) for l in lines]
-    ok = collinear(*poles)
-    tr = [f"concurrent at {apex}", f"poles {poles[0]} {poles[1]} {poles[2]}"]
-    return ok, tr
+    return collinear(*poles), lambda: [f"concurrent at {apex}", f"poles {poles[0]} {poles[1]} {poles[2]}"]
 
 
 @_property("quadrangle-independence", "traversale-equals-polar")
@@ -516,8 +541,9 @@ def _traversale_equals_polar(conics, d: Draws):
     tau1 = traversale_from_quadrangle(c, f)
     tau2 = traversale_from_quadrangle(c, f, offset=2)
     expected = polar(c, f)
-    tr = [f"conic {c}", f"f {f}", f"quadrangle line {tau1}", f"second quadrangle {tau2}", f"polar {expected}"]
-    return tau1 == expected and tau2 == expected, tr
+    return tau1 == expected and tau2 == expected, lambda: [
+        f"conic {c}", f"f {f}", f"quadrangle line {tau1}", f"second quadrangle {tau2}", f"polar {expected}"
+    ]
 
 
 @_property("quadrangle-independence", "pole-by-construction-equals-pole")
@@ -528,8 +554,7 @@ def _pole_by_construction(conics, d: Draws):
     l = join(p1, p2)
     built = pole_by_construction(c, l)
     expected = pole(c, l)
-    tr = [f"conic {c}", f"line {l}", f"constructed {built}", f"pole {expected}"]
-    return built == expected, tr
+    return built == expected, lambda: [f"conic {c}", f"line {l}", f"constructed {built}", f"pole {expected}"]
 
 
 @_property("pencil-theorem", "degenerate-and-conic-traces-members")
@@ -553,10 +578,11 @@ def _pencil_theorem(d: Draws):
     conic_pair = PointPair(chart.coordinate(pts[4]), chart.coordinate(pts[5]))
     ok_third = contains_pair(inv, third_pair)
     ok_conic = contains_pair(inv, conic_pair)
-    tr = [f"base {base.points}", f"line {l}",
-          f"third couple {third_pair}: member {ok_third}",
-          f"conic couple {conic_pair}: member {ok_conic}"]
-    return ok_third and ok_conic, tr
+    return ok_third and ok_conic, lambda: [
+        f"base {base.points}", f"line {l}",
+        f"third couple {third_pair}: member {ok_third}",
+        f"conic couple {conic_pair}: member {ok_conic}",
+    ]
 
 
 @_property("two-involutions", "pencil-vs-polarity")
@@ -584,10 +610,9 @@ def _two_involutions(d: Draws):
         "distinct": pair.pencil != pair.polarity,
         "harmonic": cross_ratio(lpt, mpt, f, pair.traversale_point, chart) == -1,
     }
-    tr = [f"conic {c}", f"f {f}", f"line {chart.line}"] + [
-        f"{k}: {v}" for k, v in checks.items()
+    return all(checks.values()), lambda: [
+        f"conic {c}", f"f {f}", f"line {chart.line}", *(f"{k}: {v}" for k, v in checks.items())
     ]
-    return all(checks.values()), tr
 
 
 @_property("harmonic-FGXY", "diagonal-harmonic-range")
@@ -596,8 +621,7 @@ def _harmonic_fgxy(d: Draws):
     quad = _draw_quadrangle(d, c)
     ok1 = harmonic_range_FGXY_check(quad)
     ok2 = secteur_identity_check(quad)
-    tr = [f"bornes {quad.bornes}", f"harmonic: {ok1}", f"secteur identities: {ok2}"]
-    return ok1 and ok2, tr
+    return ok1 and ok2, lambda: [f"bornes {quad.bornes}", f"harmonic: {ok1}", f"secteur identities: {ok2}"]
 
 
 @_property("transport", "polarity-moves-with-homographies")
@@ -619,14 +643,15 @@ def _transport(d: Draws):
     sample = canonical_chart(secant).point_at(d.fraction(-8, 8, 5))
     img = inv1.apply_point(sample)
     checks["polarity involution commutes"] = h.apply(img) == inv2.apply_point(h.apply(sample))
-    tr = [f"conic {c}", f"homography {h.matrix}"] + [f"{k}: {v}" for k, v in checks.items()]
-    return all(checks.values()), tr
+    return all(checks.values()), lambda: [
+        f"conic {c}", f"homography {h.matrix}", *(f"{k}: {v}" for k, v in checks.items())
+    ]
 
 
 @_property("classification", "secant-missing-tangent-trichotomy")
 def _classification(d: Draws):
     h = _draw_homography(d)
-    c = transform(Conic.unit_circle(), h)
+    c = transform(_UNIT_CIRCLE, h)
     p1, p2, p3 = _draw_conic_points(d, c, 3)
     secant = join(p1, p2)
     inv = polarity_involution_on_line(c, secant)
@@ -653,13 +678,12 @@ def _classification(d: Draws):
         ok_tangent = False
     except TangentLine:
         ok_tangent = len(line_intersect(c, tangent)) == 1
-    tr = [
+    return ok_secant and ok_missing and ok_tangent, lambda: [
         f"conic {c}",
         f"secant {secant}: {kind.value}, fixed {fixed}",
         f"missing {missing}: elliptic {ok_missing}",
         f"tangent {tangent}: degenerates {ok_tangent}",
     ]
-    return ok_secant and ok_missing and ok_tangent, tr
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +818,7 @@ def _perpendicular_circle(d: Draws):
     perpendicular = u1 * u2 + v1 * v2 == 0  # normals orthogonal
     symmetric = conjugate_diameters(circle, LINE_AT_INFINITY, conj) == diam
     ok = perpendicular and symmetric and conj.contains(center)
-    return ok, [f"diameter {diam}", f"conjugate {conj}"]
+    return ok, lambda: [f"diameter {diam}", f"conjugate {conj}"]
 
 
 def _central_conic(d: Draws):
@@ -819,7 +843,7 @@ def _center_from_diametrales(d: Draws):
     d2 = traversale_from_quadrangle(c, dirs[1])
     built = meet(d1, d2) if d1 != d2 else None
     ok = built == feats.center == pole(c, LINE_AT_INFINITY)
-    return ok, [f"conic {c}", f"diametrales {d1} {d2}", f"center {feats.center}"]
+    return ok, lambda: [f"conic {c}", f"diametrales {d1} {d2}", f"center {feats.center}"]
 
 
 @_property("affine-diameters", "center-transport-through-projection")
@@ -834,7 +858,7 @@ def _fig17(d: Draws):
     lam, h = d.until(
         line_and_map, lambda v: not is_tangent_line(c, v[0]), tries=40, catch=(SingularMatrix, ValueError)
     )
-    return central_projection_center_check(c, h, lam), [f"conic {c}", f"line {lam}", f"map {h.matrix}"]
+    return central_projection_center_check(c, h, lam), lambda: [f"conic {c}", f"line {lam}", f"map {h.matrix}"]
 
 
 @_property("self-polar", "diagonal-triangle-self-polar")
@@ -847,8 +871,7 @@ def _self_polar(d: Draws):
         polar(c, n) == join(f, g),
         polar(c, g) == join(f, n),
     )
-    tr = [f"bornes {quad.bornes}", f"diagonal {f} {n} {g}", f"self-polar {checks}"]
-    return all(checks), tr
+    return all(checks), lambda: [f"bornes {quad.bornes}", f"diagonal {f} {n} {g}", f"self-polar {checks}"]
 
 
 _FLOAT_RE = {

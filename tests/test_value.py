@@ -89,3 +89,17 @@ def test_cold_polar_call_does_not_import_dataclasses():
     run = subprocess.run([sys.executable, "-I", "-c", code, str(src)], capture_output=True, text=True, check=True)
     # the construction, verify, render, scene and report layers are loaded only by the verbs that use them
     assert run.stdout.splitlines() == ["[1, 0, -1/2]", "False", "[]"]
+
+
+def test_set_fills_the_slots_in_order_and_a_memo_by_name():
+    c = Conic(((1, 0, 0), (0, 1, 0), (0, 0, -1)), witness=PPoint(-1, 0, 1))
+    fields = {name: getattr(c, name) for name in Conic.__slots__}
+    assert fields == {
+        "matrix": ((1, 0, 0), (0, 1, 0), (0, 0, -1)),
+        "witness": PPoint(-1, 0, 1),
+        "is_nondegenerate": True,
+        "_parametrization": None,
+        "_dual": None,
+    }
+    c._set(_dual="memo")
+    assert (c.matrix, c._dual) == (fields["matrix"], "memo")

@@ -1,9 +1,14 @@
 """The suite runner: determinism, shrinking, suite registry."""
 
+import random
+
 import pytest
 
 from traversale import verify
-from traversale.errors import InvalidCaseCount, UnknownSuite
+from traversale.errors import GeometryError, InvalidCaseCount, UnknownSuite
+from traversale.involution import InvolutionOnLine
+from traversale.numbers import INF
+from traversale.projective import PLine
 from traversale.verify import (
     ALL_SUITES,
     Draws,
@@ -80,10 +85,43 @@ def test_draws_replay_clamps_into_range():
     assert d.draw_int(1, 3) == 1 + (-7 - 1) % 3
 
 
+def _ranges_verify_draws_from():
+    ranges = set()
+    real = Draws.draw_int
+
+    def recording(self, lo, hi):
+        ranges.add((lo, hi))
+        return real(self, lo, hi)
+
+    Draws.draw_int = recording
+    try:
+        verify_all(seed=2, cases=3)
+    finally:
+        Draws.draw_int = real
+    return ranges
+
+
+def test_draws_are_the_draws_of_randint():
+    verify_ranges = _ranges_verify_draws_from()
+    assert {(-4, 4), (-9, 9), (1, 9), (0, 1)} <= verify_ranges
+    # widths 1, 2^k - 1, 2^k and 2^k + 1, negative and large lower ends
+    widths = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 255, 256, 257, 2**31 - 1, 2**32, 2**32 + 1, 2**64 + 1]
+    ranges = sorted(verify_ranges) + [(lo, lo + w - 1) for w in widths for lo in (0, -3, -(2**40), 7)]
+    for seed in range(60):
+        draws = Draws(random.Random(f"draws:{seed}"))
+        reference = random.Random(f"draws:{seed}")
+        order = ranges[seed % len(ranges):] + ranges[:seed % len(ranges)]
+        drawn = [draws.draw_int(lo, hi) for _ in range(4) for lo, hi in order]
+        assert drawn == [reference.randint(lo, hi) for _ in range(4) for lo, hi in order]
+        assert draws.record == drawn
+        # both generators are left in the same state
+        assert draws.draw_int(0, 2**20) == reference.randint(0, 2**20)
+
+
 def test_failure_produces_shrunk_counterexample():
     def broken(d):
         a = d.draw_int(0, 64)
-        return a == 0, [f"a={a}"]
+        return a == 0, lambda: [f"a={a}"]
 
     res = _run_property("demo", "broken", seed=1, cases=40, case_fn=broken)
     assert not res.passed
@@ -97,7 +135,7 @@ def test_failure_produces_shrunk_counterexample():
 def test_unexpected_exception_is_a_failing_case():
     def crashes(d):
         a = d.draw_int(0, 3)
-        return 1 // a > 0, [f"a={a}"]  # ZeroDivisionError whenever a == 0
+        return 1 // a > 0, lambda: [f"a={a}"]  # ZeroDivisionError whenever a == 0
 
     res = _run_property("demo", "crashes", seed=1, cases=40, case_fn=crashes)
     assert 0 < res.passed_cases < res.total_cases == 40
@@ -177,11 +215,11 @@ def test_failed_setup_fails_only_the_properties_that_read_it(monkeypatch):
 
     @prop("drawn-reads")
     def _drawn_reads(pool, d):
-        return bool(pool()), []
+        return bool(pool()), list
 
     @prop("drawn-ignores")
     def _drawn_ignores(pool, d):
-        return d.draw_int(0, 9) <= 9, []
+        return d.draw_int(0, 9) <= 9, list
 
     report = verify_suite("demo", seed=7)
     assert [p.line() for p in report.properties] == [
@@ -192,3 +230,112 @@ def test_failed_setup_fails_only_the_properties_that_read_it(monkeypatch):
     ]
     assert report.properties[0].counterexample == "ValueError: no pool for seed 7"
     assert report.properties[2].counterexample == "case 0\nunexpected ValueError: no pool for seed 7"
+
+
+def test_transcripts_are_formatted_only_for_failing_cases():
+    formatted = []
+
+    def case(d):
+        a = d.draw_int(0, 9)
+        return a != 3, lambda: formatted.append(a) or [f"a={a}"]
+
+    res = _run_property("demo", "lazy", seed=1, cases=40, case_fn=case)
+    assert 0 < res.passed_cases < 40
+    assert set(formatted) == {3}
+    assert res.counterexample.endswith("\na=3")
+
+
+def test_a_transcript_that_raises_is_a_failing_case():
+    def case(d):
+        a = d.draw_int(0, 9)
+        return a < 5, lambda: [f"a={1 // 0}"]
+
+    res = _run_property("demo", "bad-transcript", seed=1, cases=40, case_fn=case)
+    assert 0 < res.passed_cases < 40
+    assert res.counterexample.endswith("\nunexpected ZeroDivisionError: integer division or modulo by zero")
+
+
+# Faults injected into the names a suite's case functions read, so that the
+# full report of a failing suite, shrunk counterexample and transcript
+# included, is pinned byte for byte.
+
+def _negative(t):
+    return t is not INF and t < 0
+
+
+def _reject_negative_couples(real):
+    return lambda inv, p: real(inv, p) and not _negative(p.first)
+
+
+def _wrong_polar_at_even_x(real):
+    return lambda c, p: PLine(1, 0, 0) if p.coords[0] % 2 == 0 else real(c, p)
+
+
+def _crash_at_even_x(real):
+    def polar(c, p):
+        if p.coords[0] % 2 == 0:
+            raise ZeroDivisionError("even first coordinate")
+        return real(c, p)
+    return polar
+
+
+def _swap_unless_negative(real):
+    return lambda p, q, chart: real(p, q, chart) if _negative(p.first) else InvolutionOnLine(chart, ((0, 1), (1, 0)))
+
+
+def _never_joins(real):
+    def join(p, q):
+        raise GeometryError("no join")
+    return join
+
+
+_PINNED_FAILURES = {
+    "ramee": ("ramee", "contains_pair", _reject_negative_couples, (
+        "suite: ramee\nseed: 3\ncases: 8\nFAIL membership-and-kind-preserved 0/8\n  | case 0\n"
+        "  | involution ((1, 0), (0, -1)) on [0, 1, 0]\n  | center (1, 1/2, 9/2)\n  | target [1, 0, 0]\n"
+        "  | couple {-2/5, 2/5} -> {1/14, 1/4}: member True\n  | couple {-1/5, 1/5} -> {-1, 1/19}: member False\n"
+        "  | couple {0, 0} -> {0, 0}: member True\n  | kinds hyperbolic -> hyperbolic\n"
+        'summary {"cases": 8, "failures": 1, "properties": 1, "seed": 3, "suite": "ramee"}\n'
+    )),
+    "two-involutions": ("two-involutions", "contains_pair", _reject_negative_couples, (
+        "suite: two-involutions\nseed: 3\ncases: 8\nFAIL pencil-vs-polarity 1/8\n  | case 0\n"
+        "  | conic 1 -1 1 0 0 0\n  | f (1, 6, -6)\n  | line [1, -1, -5/6]\n  | pencil fixes f: True\n"
+        "  | pencil fixes H: True\n  | pencil swaps L,M: False\n  | polarity fixes L: True\n"
+        "  | polarity fixes M: True\n  | polarity swaps f,H: False\n  | distinct: True\n  | harmonic: True\n"
+        'summary {"cases": 8, "failures": 1, "properties": 1, "seed": 3, "suite": "two-involutions"}\n'
+    )),
+    "transport": ("transport", "polar", _wrong_polar_at_even_x, (
+        "suite: transport\nseed: 3\ncases: 8\nFAIL polarity-moves-with-homographies 3/8\n  | case 0\n"
+        "  | conic 1 1 -1 0 0 0\n  | homography ((0, 1, 0), (0, 0, -1), (-1, 0, 0))\n"
+        "  | polar commutes: False\n  | pole commutes: True\n  | class preserved: True\n"
+        "  | polarity involution commutes: True\n"
+        'summary {"cases": 8, "failures": 1, "properties": 1, "seed": 3, "suite": "transport"}\n'
+    )),
+    "agregativite": ("involution-equivalence", "involution_from_two_pairs", _swap_unless_negative, (
+        "suite: involution-equivalence\nseed: 3\ncases: 8\nPASS rectangle-vs-homographic 8/8\n"
+        "PASS arbre-vs-involution 8/8\nPASS harmonic-bridge 8/8\nPASS midpoint-infinity 8/8\n"
+        "FAIL agregativite 6/8\n  | case 2\n"
+        "  | couples [PointPair(Fraction(2, 5), Fraction(15, 2)), PointPair(Fraction(1, 5), Fraction(15, 1)),"
+        " PointPair(Fraction(1, 1), Fraction(3, 1))]\n"
+        "  | matrices ((0, 1), (1, 0)) ((0, 1), (1, 0)) ((0, 1), (1, 0))\n"
+        'summary {"cases": 8, "failures": 1, "properties": 5, "seed": 3, "suite": "involution-equivalence"}\n'
+    )),
+    "unexpected": ("incidence-duality", "polar", _crash_at_even_x, (
+        "suite: incidence-duality\nseed: 3\ncases: 8\nFAIL collinear-points-concurrent-polars 1/8\n"
+        "  | case 1\n  | unexpected ZeroDivisionError: even first coordinate\n"
+        "PASS concurrent-lines-collinear-poles 8/8\n"
+        'summary {"cases": 8, "failures": 1, "properties": 2, "seed": 3, "suite": "incidence-duality"}\n'
+    )),
+    "unbuildable": ("biduality", "join", _never_joins, (
+        "suite: biduality\nseed: 3\ncases: 8\nFAIL pole-of-polar-roundtrip 0/8\n  | case 0\n"
+        "  | unbuildable: no draw accepted in 30 tries\n"
+        'summary {"cases": 8, "failures": 1, "properties": 1, "seed": 3, "suite": "biduality"}\n'
+    )),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_PINNED_FAILURES))
+def test_failing_reports_are_pinned(monkeypatch, fault):
+    suite, name, inject, pinned = _PINNED_FAILURES[fault]
+    monkeypatch.setattr(verify, name, inject(getattr(verify, name)))
+    assert verify_suite(suite, seed=3, cases=8).to_text() == pinned
