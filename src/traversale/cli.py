@@ -38,7 +38,7 @@ from .conic import Conic, classify, polar, pole
 from .errors import GeometryError, SceneError
 from .involution import PointPair, classify_and_fixed_points, involution_from_two_pairs, souche_of
 from .numbers import format_extended, parse_rational
-from .projective import PLine, PPoint, canonical_chart, join
+from .projective import PLine, PPoint, canonical_chart
 
 
 # The names the render and verify options list, spelled here so that
@@ -107,13 +107,11 @@ def _cmd_pole(args) -> int:
 
 
 def _cmd_traversale(args) -> int:
-    from .synthetic import inscribed_quadrangle_through, quadrangle_transcript
+    from .synthetic import inscribed_quadrangle_through, quadrangle_transcript, traversale_from_quadrangle
 
     conic = _parse_conic(args.conic)
     point = _parse_literal(PPoint.parse, args.point)
-    quad = inscribed_quadrangle_through(conic, point)
-    _, n, g = quad.diagonal_points()
-    constructed = join(g, n)
+    constructed = traversale_from_quadrangle(conic, point)
     algebraic = polar(conic, point)
     agree = constructed == algebraic
     print(f"traversale {constructed}")
@@ -121,7 +119,7 @@ def _cmd_traversale(args) -> int:
     print(f"agreement  {'exact' if agree else 'MISMATCH'}")
     if args.transcript:
         with open(args.transcript, "w", encoding="utf-8") as fh:
-            fh.write(quadrangle_transcript(quad))
+            fh.write(quadrangle_transcript(inscribed_quadrangle_through(conic, point)))
         print(f"transcript {args.transcript}")
     return 0 if agree else 1
 

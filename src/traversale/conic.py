@@ -202,11 +202,16 @@ def _dual_form(c: Conic) -> Mat3:
     return dual
 
 
-def pole(c: Conic, l: PLine) -> PPoint:
-    """The point whose polar is l; needs a rank-3 form."""
+def _pole_coords(c: Conic, l: PLine) -> Vec3:
+    """adj(M).l, the unreduced coordinates of the pole of l; needs a rank-3 form."""
     if not c.is_nondegenerate:
         raise DegenerateConic("pole needs a nondegenerate conic")
-    return PPoint(*mat_vec(_dual_form(c), l.coeffs))
+    return mat_vec(_dual_form(c), l.coeffs)
+
+
+def pole(c: Conic, l: PLine) -> PPoint:
+    """The point whose polar is l; needs a rank-3 form."""
+    return PPoint(*_pole_coords(c, l))
 
 
 def tangent_at(c: Conic, p: PPoint) -> PLine:
@@ -217,7 +222,8 @@ def tangent_at(c: Conic, p: PPoint) -> PLine:
 
 
 def is_tangent_line(c: Conic, l: PLine) -> bool:
-    return l.contains(pole(c, l))
+    """l contains its pole, read as l.adj(M).l = 0 with no point built; needs a rank-3 form."""
+    return dot(_pole_coords(c, l), l.coeffs) == 0
 
 
 def _line_points(l: PLine):
@@ -314,9 +320,9 @@ def tangents_from(c: Conic, f: PPoint) -> tuple[tuple[PLine, PPoint], ...]:
     """
     if not c.is_nondegenerate:
         raise DegenerateConic("tangents_from needs a nondegenerate conic")
-    if c.contains(f):
-        return ((polar(c, f), f),)
     tau = polar(c, f)
+    if tau.contains(f):
+        return ((tau, f),)
     contacts = line_intersect(c, tau)
     if not contacts:
         raise InteriorPoint(f"{f} is interior: {tau} misses the conic")

@@ -280,7 +280,7 @@ class Scene:
                     ) from None
             else:
                 raise ParseError(cmd.line_no, tok.column, f"unknown render option {tok.text!r}")
-        if out is None:
+        if not out:
             raise ParseError(cmd.line_no, cmd.tokens[0].column, "render needs out=PATH")
         if figspec == "scene":
             drawables = self.drawables()

@@ -17,8 +17,8 @@ conic is the model conic x1^2 = x0*x2, the borne of a chart pair s is
 (s0^2, s0*s1, s1^2), the chord through s = (a, b) and t = (c, d) is the
 frame line (bd, -(ad + bc), ac), and joins and meets are cross products of
 small frame vectors.  A construction maps its input into the frame once,
-after checking it against the conic, and maps only its result back into
-the plane.
+decides its precondition there (f off the conic: x1^2 != x0*x2; l not
+tangent: lam1^2 != 4*lam0*lam2) and maps only its result into the plane.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .conic import (
     RationalParametrization,
     affine_features,
     chord_parametrization,
-    is_tangent_line,
     line_intersect,
     polar,
     polarity_involution_on_line,
@@ -270,11 +269,15 @@ def _frame_traversale(
 
 
 def _frame_of_point_off_conic(c: Conic, f: PPoint) -> tuple[RationalParametrization, Vec3]:
-    """The conic's parametrization and the frame point of f, raising OnConic for f on the conic."""
-    if c.contains(f):
-        raise OnConic(f"{f} lies on the conic; no traversale quadrangle exists")
+    """The conic's parametrization and the frame point x of f, raising OnConic when x1^2 = x0*x2.
+
+    A conic the parametrization refuses names that error first, even for an f on it.
+    """
     par = chord_parametrization(c)
-    return par, par.frame_of_point(f)
+    x = par.frame_of_point(f)
+    if _on_model_conic(x):
+        raise OnConic(f"{f} lies on the conic; no traversale quadrangle exists")
+    return par, x
 
 
 def inscribed_quadrangle_through(c: Conic, f: PPoint, *, offset: int = 0) -> InscribedQuadrangle:
@@ -363,12 +366,15 @@ def pole_by_construction(c: Conic, l: PLine) -> PPoint:
     sweep never runs out: among its 64 parameters at most two bornes lie on
     l and at most two of the g are on the conic.  Like the traversale, the
     construction runs in the frame of the conic's parametrization and maps
-    only the pole into the plane.
+    only the pole into the plane.  Tangency is decided there first: the
+    model conic's points (s^2, s, 1) meet the frame line lam of l where
+    lam0 s^2 + lam1 s + lam2 = 0, a double root when lam1^2 = 4*lam0*lam2.
     """
-    if is_tangent_line(c, l):
-        raise TangentLine(f"{l} is tangent; its pole lies on it and the construction degenerates")
     par = chord_parametrization(c)
-    (g1, known1), (g2, known2) = islice(_frame_cuts(par.frame_of_line(l)), 2)
+    lam = par.frame_of_line(l)
+    if lam[1] * lam[1] == 4 * lam[0] * lam[2]:
+        raise TangentLine(f"{l} is tangent; its pole lies on it and the construction degenerates")
+    (g1, known1), (g2, known2) = islice(_frame_cuts(lam), 2)
     tau1, tau2 = _frame_traversale(par, g1, known=known1), _frame_traversale(par, g2, known=known2)
     return par.point_from_frame(cross(tau1, tau2))
 
@@ -440,18 +446,13 @@ def two_involutions(c: Conic, f: PPoint, l: PLine) -> TwoInvolutions:
         raise NotOnLine(f"{f} is not on {l}")
     if c.contains(f):
         raise OnConic(f"{f} lies on the conic")
-    if is_tangent_line(c, l):
-        raise TangentLine(f"{l} is tangent to the conic")
+    polarity = polarity_involution_on_line(c, l)  # DegenerateConic, TangentLine
     pts = line_intersect(c, l)
     if len(pts) != 2:
         raise LineMissesConic(f"{l} does not cut the conic in two points")
-    tau = polar(c, f)
-    h = meet(l, tau)
-    chart = canonical_chart(l)
-    tf = chart.coordinate(f)
-    th = chart.coordinate(h)
-    pencil = involution_from_two_pairs(PointPair(tf, tf), PointPair(th, th), chart)
-    polarity = polarity_involution_on_line(c, l)
+    h = meet(l, polar(c, f))
+    tf, th = polarity.chart.coordinate(f), polarity.chart.coordinate(h)
+    pencil = involution_from_two_pairs(PointPair(tf, tf), PointPair(th, th), polarity.chart)
     return TwoInvolutions(pencil, polarity, pts, h)
 
 
@@ -486,9 +487,9 @@ def conjugate_diameters(c: Conic, infinity: PLine, d: PLine) -> PLine:
     lies on the infinity line.  Conjugacy is symmetric, and a hyperbola's
     asymptotes are exactly the self-conjugate diameters.
     """
-    if is_tangent_line(c, infinity):
-        raise TangentLine("the infinity line is tangent: a parabola has no center at finite distance")
     center = pole(c, infinity)
+    if infinity.contains(center):
+        raise TangentLine("the infinity line is tangent: a parabola has no center at finite distance")
     if not d.contains(center):
         raise NotADiameter(f"{d} does not pass through the center {center}")
     return join(center, pole(c, d))
@@ -571,17 +572,12 @@ def secteur_identity_check(q: InscribedQuadrangle) -> bool:
     pts = (f, n, g, x, y, q.b, q.c, q.d, q.e)
     if any(p.is_infinite for p in pts):
         return True
-    coord_fg = chart_fg.coordinate
-    coord_dc = canonical_chart(join(q.d, q.c)).coordinate
-    coord_be = canonical_chart(join(q.b, q.e)).coordinate
-    gx, gy, gf = coord_fg(x), coord_fg(y), coord_fg(f)
-    dx, dn, dd = coord_dc(x), coord_dc(n), coord_dc(q.d)
-    bn, by, bb = coord_be(n), coord_be(y), coord_be(q.b)
-    en, ey, ee = coord_be(n), coord_be(y), coord_be(q.e)
-    g_ratio = (gx - coord_fg(g)) / (gy - coord_fg(g))
-    f_ratio = (gx - gf) / (gy - gf)
-    first = g_ratio == ((dx - dd) / (dn - dd)) * ((bn - bb) / (by - bb))
-    second = f_ratio == ((dx - dd) / (dn - dd)) * ((en - ee) / (ey - ee))
+    tx, ty, tf, tg = map(chart_fg.coordinate, (x, y, f, g))
+    dx, dn, dd = map(canonical_chart(join(q.d, q.c)).coordinate, (x, n, q.d))
+    bn, by, bb, be = map(canonical_chart(join(q.b, q.e)).coordinate, (n, y, q.b, q.e))
+    d_ratio = (dx - dd) / (dn - dd)
+    first = (tx - tg) / (ty - tg) == d_ratio * ((bn - bb) / (by - bb))
+    second = (tx - tf) / (ty - tf) == d_ratio * ((bn - be) / (by - be))
     return first and second
 
 

@@ -226,6 +226,28 @@ def test_pole_needs_rank_three():
         pole(degenerate, PLine(0, 1, 0))
 
 
+@pytest.mark.parametrize("seed, steps", [(90, 0), (91, 1), (92, 16), (93, 64), (94, 256)])
+def test_is_tangent_line_is_its_definition(seed, steps, monkeypatch):
+    # l.adj(M).l = 0 against the definition: l contains its pole
+    c, h = _circle_image_chain(seed, steps)
+    rng = random.Random(seed)
+    par = rational_parametrize(c, c.witness)
+    tangents = [tangent_at(c, par.point(F(rng.randint(-9, 9), rng.randint(1, 7)))) for _ in range(4)]
+    lines = tangents + [h.apply_line(PLine(1, 0, -1)), LINE_AT_INFINITY]
+    lines += [PLine(*(rng.randint(-9, 9) for _ in range(2)), rng.randint(1, 9)) for _ in range(8)]
+    expected = [l.contains(pole(c, l)) for l in lines]
+    assert expected[:5] == [True] * 5 and not all(expected)
+    monkeypatch.setattr(PPoint, "__init__", lambda *args: pytest.fail("is_tangent_line built a point"))
+    assert [is_tangent_line(c, l) for l in lines] == expected
+
+
+@pytest.mark.parametrize("rows", [((1, 0, 0), (0, -1, 0), (0, 0, 0)), ((1, 0, 0), (0, 0, 0), (0, 0, 0))], ids=["rank-2", "rank-1"])
+def test_is_tangent_line_needs_rank_three(rows):
+    with pytest.raises(DegenerateConic) as exc:
+        is_tangent_line(Conic(rows), PLine(1, 2, 3))
+    assert str(exc.value) == "pole needs a nondegenerate conic"
+
+
 def test_biduality_randomized():
     rng = random.Random(29)
     for _ in range(100):

@@ -77,6 +77,8 @@ def test_scene_parse_error_bad_token_column():
         ("render fig8\n", 1, 1, "render FIGSPEC out=PATH"),
         ("render fig8 out=a.svg dpi=3\n", 1, 23, "unknown render option 'dpi=3'"),
         ("render fig8 width=3 viewport=-1,-1,1,1\n", 1, 1, "render needs out=PATH"),
+        # an empty path names no file to write
+        ("render scene out= viewport=-2,-2,2,2\n", 1, 1, "render needs out=PATH"),
     ):
         with pytest.raises(ParseError) as exc:
             run_scene_text(text)
@@ -208,6 +210,25 @@ def test_cli_traversale_agreement(capsys):
     assert main(["traversale", "--conic", "1 1 -1 0 0 0", "--point", "(2, 0, 1)"]) == 0
     out = capsys.readouterr().out
     assert "agreement  exact" in out
+
+
+def test_cli_traversale_builds_no_quadrangle_without_transcript(monkeypatch, capsys):
+    from traversale import synthetic
+
+    built = []
+    real_init = synthetic.InscribedQuadrangle.__init__
+    monkeypatch.setattr(synthetic.InscribedQuadrangle, "__init__", lambda self, *args: built.append(args) or real_init(self, *args))
+    assert main(["traversale", "--conic", "1 1 -1 0 0 0", "--point", "(2, 0, 1)"]) == 0
+    assert capsys.readouterr().out == "traversale [1, 0, -1/2]\npolar      [1, 0, -1/2]\nagreement  exact\n"
+    assert built == []
+
+
+def test_cli_traversale_of_a_point_on_a_degenerate_conic_exits_2(capsys):
+    # (0, 0, 1) is on the line pair x^2 = y^2; the conic's error comes first
+    assert main(["traversale", "--conic", "1 -1 0 0 0 0", "--point", "(0, 0, 1)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rational parametrization needs a nondegenerate conic\n"
 
 
 def test_cli_traversale_transcript_builds_one_quadrangle(tmp_path, monkeypatch, capsys):

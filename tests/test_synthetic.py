@@ -44,7 +44,7 @@ from traversale import (
     transform,
 )
 from traversale import synthetic
-from traversale.conic import chord_parametrization
+from traversale.conic import chord_parametrization, find_rational_point
 from traversale.linalg import cross, det2, det3, dot, mat2_mul, mat2_vec, primitive
 from traversale.numbers import small_extended, to_pair
 from traversale.render import Drawable, render_svg
@@ -469,6 +469,39 @@ def test_traversale_rejects_a_degenerate_conic_before_any_borne(coefficients):
         assert str(exc.value) == "rational parametrization needs a nondegenerate conic"
 
 
+def test_a_point_on_a_degenerate_conic_gets_the_conic_error():
+    # (0, 0, 1) is the double point of the line pair x^2 = y^2: the
+    # parametrization refuses the conic before f is tested against it
+    line_pair = Conic.from_coefficients(1, -1, 0, 0, 0, 0)
+    assert line_pair.contains(PPoint(0, 0, 1))
+    for build in (traversale_from_quadrangle, inscribed_quadrangle_through):
+        with pytest.raises(DegenerateConic) as exc:
+            build(line_pair, PPoint(0, 0, 1))
+        assert str(exc.value) == "rational parametrization needs a nondegenerate conic"
+
+
+def test_a_missed_rational_point_is_named_before_the_point_or_line_test():
+    # the circle image keeps its witness; its bare twin's bounded search
+    # finds no rational point, so a point on it or a tangent to it cannot
+    # be tested in the frame
+    c, _ = _circle_image(84, 4)
+    bare = Conic(c.matrix)
+    assert find_rational_point(bare) is None
+    tangent = polar(c, c.witness)
+    for call in (
+        lambda: traversale_from_quadrangle(bare, c.witness),
+        lambda: inscribed_quadrangle_through(bare, c.witness),
+        lambda: pole_by_construction(bare, tangent),
+    ):
+        with pytest.raises(NoRationalSecants) as exc:
+            call()
+        assert str(exc.value) == "no rational point found on the conic within the search budget"
+    with pytest.raises(OnConic):
+        traversale_from_quadrangle(c, c.witness)
+    with pytest.raises(TangentLine):
+        pole_by_construction(c, tangent)
+
+
 def test_chord_parametrization_is_built_once_per_conic(circle):
     par = chord_parametrization(circle)
     assert par.base == circle.witness
@@ -640,9 +673,9 @@ def test_pole_by_construction_meets_at_most_nine_lines(steps, monkeypatch):
 
 @pytest.mark.parametrize("steps", [0, 1, 6, 64])
 def test_each_construction_builds_one_plane_object_after_its_gate(steps, monkeypatch):
-    # after the OnConic test of f (traversale) or the TangentLine test of l
-    # (pole), the construction runs in the parametrization's frame: no plane
-    # meet, join or Conic.contains, and one PLine or PPoint at the end
+    # the OnConic test of f (traversale) and the TangentLine test of l (pole)
+    # are made in the parametrization's frame, like the construction: no
+    # plane meet, join, pole or Conic.contains, and one PLine or PPoint at the end
     c, h = _circle_image(1500 + steps, steps)
     par = chord_parametrization(c)
     f = _random_exterior(random.Random(steps), c)
@@ -659,15 +692,15 @@ def test_each_construction_builds_one_plane_object_after_its_gate(steps, monkeyp
         (Conic, "contains", "contains"),
         (synthetic, "meet", "meet"),
         (synthetic, "join", "join"),
-        (synthetic, "is_tangent_line", "gate"),
+        (synthetic, "pole", "pole"),
     ):
         monkeypatch.setattr(owner, name, after(event, getattr(owner, name)))
     built = {"traversale": traversale_from_quadrangle(c, f)}
-    assert events == ["contains", "PLine"]  # the gate on f, then the traversale
+    assert events == ["PLine"]
     for name, l in lines.items():
         events.clear()
         built[name] = pole_by_construction(c, l)
-        assert events[events.index("gate") + 1 :] == ["PPoint"], name
+        assert events == ["PPoint"], name
     monkeypatch.undo()
     assert built == expected
 
@@ -678,9 +711,9 @@ def test_each_construction_builds_one_plane_object_after_its_gate(steps, monkeyp
         (Conic.from_coefficients(1, 1, -3, 0, 0, 0), PLine(1, 2, 3), NoRationalSecants,
          "no rational point found on the conic within the search budget"),
         (Conic.from_coefficients(1, -1, 0, 0, 0, 0), PLine(1, 2, 3), DegenerateConic,
-         "pole needs a nondegenerate conic"),
+         "rational parametrization needs a nondegenerate conic"),
         (Conic.from_coefficients(1, 0, 0, 0, 0, 0), PLine(1, 2, 3), DegenerateConic,
-         "pole needs a nondegenerate conic"),
+         "rational parametrization needs a nondegenerate conic"),
         (Conic.from_coefficients(1, 1, 1, 0, 0, 0), PLine(1, 2, 3), NoRationalSecants,
          "no rational point found on the conic within the search budget"),
         (Conic.unit_circle(), PLine(1, 0, -1), TangentLine,
@@ -843,6 +876,31 @@ def test_two_involutions_errors(circle):
         two_involutions(circle, PPoint(2, 0, 1), PLine(1, 0, -2))
 
 
+def test_two_involutions_takes_the_polarity_involution_errors(circle):
+    for c, f, l, error, message in (
+        (circle, PPoint(1, 5, 1), PLine(1, 0, -1), TangentLine,
+         "[1, 0, -1] is tangent; the polarity involution degenerates"),
+        (Conic.from_coefficients(1, -1, 0, 0, 0, 0), PPoint(2, 0, 1), PLine(0, 1, 0), DegenerateConic,
+         "the polarity involution needs a nondegenerate conic"),
+    ):
+        with pytest.raises(error) as exc:
+            two_involutions(c, f, l)
+        assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_two_involutions_builds_one_chart(circle, monkeypatch):
+    # the pencil involution is read in the chart of the polarity involution
+    import traversale.conic as conic_module
+
+    charts = []
+    for module in (synthetic, conic_module):
+        real = module.canonical_chart
+        monkeypatch.setattr(module, "canonical_chart", lambda l, real=real: charts.append(l) or real(l))
+    pair = two_involutions(circle, PPoint(2, 0, 1), PLine(0, 1, 0))
+    assert charts == [PLine(0, 1, 0)]
+    assert pair.pencil.chart == pair.polarity.chart == canonical_chart(PLine(0, 1, 0))
+
+
 # -- tangent via harmonic conjugate -------------------------------------------
 
 def test_tangent_via_harmonic_worked(circle):
@@ -893,6 +951,23 @@ def test_asymptotes_self_conjugate():
     hyp = Conic(((1, 0, 0), (0, -1, 0), (0, 0, -1)))
     for asym in (PLine(1, -1, 0), PLine(1, 1, 0)):
         assert conjugate_diameters(hyp, LINE_AT_INFINITY, asym) == asym
+
+
+def test_conjugate_diameters_computes_one_pole(circle, monkeypatch):
+    # the center is built once, and tested on the infinity line for a parabola
+    import traversale.conic as conic_module
+
+    poles = []
+    for module in (synthetic, conic_module):
+        monkeypatch.setattr(module, "pole", lambda c, l: poles.append(l) or pole(c, l))
+    assert conjugate_diameters(circle, LINE_AT_INFINITY, PLine(0, 1, 0)) == PLine(1, 0, 0)
+    assert poles == [LINE_AT_INFINITY, PLine(0, 1, 0)]
+    poles.clear()
+    parabola = Conic.from_coefficients(1, 0, 0, 0, 0, -1)  # x^2 = y z
+    with pytest.raises(TangentLine) as exc:
+        conjugate_diameters(parabola, LINE_AT_INFINITY, PLine(1, 0, 0))
+    assert str(exc.value) == "the infinity line is tangent: a parabola has no center at finite distance"
+    assert poles == [LINE_AT_INFINITY]
 
 
 def test_conjugate_diameter_requires_center(circle):
