@@ -16,6 +16,7 @@ from .projective import (
     LineChart,
     PLine,
     PPoint,
+    canonical_basis,
     canonical_chart,
     collinear,
     concurrent,
@@ -32,6 +33,7 @@ from .involution import (
     classify_and_fixed_points,
     contains_pair,
     desargues_condition_check,
+    fixed_pairs,
     interleaved,
     involution_from_two_pairs,
     ramee_project,

@@ -4,13 +4,14 @@ A conic is a symmetric 3x3 matrix up to scale; its zero set in the projective
 plane is the curve.  The polar of a point, the pole of a line, tangency,
 classification by the exact inertia of the form (Descartes' rule of signs
 on its characteristic polynomial), the polarity involution induced on every
-non-tangent line (read off the line's chart representatives through the
-bilinear form), affine features (center, asymptotes, the
-ellipse/hyperbola/parabola trichotomy) and transport under homographies are
-all computed without ever leaving the rationals.  When an intersection exists
-over the reals but not over Q the operation says so exactly
-(IrrationalIntersection with the offending discriminant) instead of
-approximating.
+non-tangent line and its fixed points (the conic's meet with the line, by
+Desargues' involution theorem), both read off one restricted form (q(o),
+q(i), phi(o, i)) on the line's canonical basis o, i, affine features
+(center, asymptotes, the ellipse/hyperbola/parabola trichotomy) and
+transport under homographies are all computed without ever leaving the
+rationals.  When an intersection exists over the reals but not over Q the
+operation says so exactly (IrrationalIntersection with the offending
+discriminant) instead of approximating.
 """
 
 from __future__ import annotations
@@ -32,15 +33,16 @@ from .errors import (
     TotallyIsotropicPoint,
     ZeroForm,
 )
-from .involution import InvolutionOnLine
+from .involution import InvolutionOnLine, fixed_pairs
 from .linalg import Mat3, Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, primitive, primitive_rows, transpose
 from .numbers import ExtRat, Pair, small_rationals, to_pair
 from .projective import (
     LINE_AT_INFINITY,
     Homography,
-    LineChart,
     PLine,
     PPoint,
+    basis_point,
+    canonical_basis,
     canonical_chart,
     join,
 )
@@ -226,64 +228,31 @@ def is_tangent_line(c: Conic, l: PLine) -> bool:
     return dot(_pole_coords(c, l), l.coeffs) == 0
 
 
-def _line_points(l: PLine):
-    """Two independent integer representatives of points on l."""
-    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    candidates = [v for v in (cross(l.coeffs, e) for e in basis) if any(v)]
-    p0 = candidates[0]
-    for v in candidates[1:]:
-        if any(cross(p0, v)):
-            return p0, v
-    raise AssertionError("a line always carries two independent points")
-
-
-def _point_on_line(p0: Vec3, p1: Vec3, lam: int, mu: int) -> PPoint:
-    """The point lam*p0 + mu*p1, with the pair (lam, mu) first divided by its gcd."""
-    g = math.gcd(lam, mu)
-    lam, mu = lam // g, mu // g
-    return PPoint(*(lam * a + mu * b for a, b in zip(p0, p1)))
+def _restricted_form(m: Mat3, o: Vec3, i: Vec3) -> tuple[int, int, int]:
+    """(qo, qi, phi) = (q(o), q(i), phi(o, i)), so q(den*o + num*i) = qo*den^2 + 2*phi*num*den + qi*num^2."""
+    mo = mat_vec(m, o)
+    return dot(mo, o), dot(mat_vec(m, i), i), dot(mo, i)
 
 
 def line_intersect(c: Conic, l: PLine) -> tuple[PPoint, ...]:
     """Exact intersection of a conic and a line: zero, one, or two points.
 
-    A multiplicity-two contact is returned as a single point.  When the
-    restricted quadratic has a positive non-square discriminant the real
-    intersections exist but are irrational: IrrationalIntersection is raised
-    carrying that discriminant, never an approximation.  The roots are
-    pairs (lam, mu) naming lam*p0 + mu*p1 on l, reduced by their gcd before
-    they are mapped onto the line, so the point's own gcd sees smaller
-    coordinates.
+    On the :func:`canonical_basis` o, i of l these are the fixed pairs of
+    the polarity involution's matrix [[phi, qo], [-qi, -phi]] (Desargues'
+    involution theorem), which is defined for degenerate conics too.  A
+    multiplicity-two contact is returned as a single point.  Irrational
+    points raise IrrationalIntersection carrying the discriminant
+    phi^2 - qo*qi, never an approximation; a line on which the form
+    vanishes raises LineOnConic.
     """
-    p0, p1 = _line_points(l)
-    m = c.matrix
-    alpha = dot(mat_vec(m, p1), p1)
-    beta = 2 * dot(mat_vec(m, p0), p1)
-    gamma = dot(mat_vec(m, p0), p0)
-    if alpha == 0 and beta == 0 and gamma == 0:
+    basis = canonical_basis(l)
+    qo, qi, phi = _restricted_form(c.matrix, *basis)
+    if qo == 0 and qi == 0 and phi == 0:
         raise LineOnConic(f"{l} is a component of the conic")
-    points: list[PPoint]
-    if alpha == 0:
-        if beta == 0:
-            points = [PPoint(*p1)]  # double root at p1: tangency
-        else:
-            points = [PPoint(*p1), _point_on_line(p0, p1, beta, -gamma)]
-    else:
-        disc = beta * beta - 4 * alpha * gamma
-        if disc < 0:
-            points = []
-        elif disc == 0:
-            points = [_point_on_line(p0, p1, 2 * alpha, -beta)]
-        else:
-            root = math.isqrt(disc)
-            if root * root != disc:
-                raise IrrationalIntersection(disc)
-            points = [
-                _point_on_line(p0, p1, 2 * alpha, -beta + root),
-                _point_on_line(p0, p1, 2 * alpha, -beta - root),
-            ]
-    points.sort(key=lambda p: p.coords)
-    return tuple(points)
+    pairs = fixed_pairs(((phi, qo), (-qi, -phi)))
+    if pairs is None:
+        raise IrrationalIntersection(phi * phi - qo * qi)
+    return tuple(sorted((basis_point(basis, p) for p in pairs), key=lambda p: p.coords))
 
 
 def polarity_involution_on_line(c: Conic, l: PLine) -> InvolutionOnLine:
@@ -294,20 +263,19 @@ def polarity_involution_on_line(c: Conic, l: PLine) -> InvolutionOnLine:
     degenerates and TangentLine is raised instead.  The chart is the
     canonical chart of l.
 
-    With chart representatives o, i the image of den*o + num*i is the point
-    of l conjugate to it, phi(den*o + num*i, den'*o + num'*i) = 0, which is
-    linear in (num, den): the matrix is [[phi(o,i), phi(o,o)], [-phi(i,i),
-    -phi(o,i)]], and its vanishing determinant is tangency.
+    With o, i the :func:`canonical_basis` of l, the image of den*o + num*i
+    is the point of l conjugate to it, phi(den*o + num*i, den'*o + num'*i)
+    = 0, which is linear in (num, den): the matrix is [[phi(o,i), phi(o,o)],
+    [-phi(i,i), -phi(o,i)]], and its vanishing determinant is tangency.  The
+    chart's representatives are o and i up to one common factor, which the
+    primitive matrix drops.
     """
     if not c.is_nondegenerate:
         raise DegenerateConic("the polarity involution needs a nondegenerate conic")
-    chart = canonical_chart(l)
-    o, i = chart.representatives
-    mo = mat_vec(c.matrix, o)
-    qo, qi, phi_oi = dot(mo, o), dot(mat_vec(c.matrix, i), i), dot(mo, i)
+    qo, qi, phi_oi = _restricted_form(c.matrix, *canonical_basis(l))
     if qo * qi == phi_oi * phi_oi:
         raise TangentLine(f"{l} is tangent; the polarity involution degenerates")
-    return InvolutionOnLine(chart, ((phi_oi, qo), (-qi, -phi_oi)))
+    return InvolutionOnLine(canonical_chart(l), ((phi_oi, qo), (-qi, -phi_oi)))
 
 
 def tangents_from(c: Conic, f: PPoint) -> tuple[tuple[PLine, PPoint], ...]:
@@ -415,12 +383,12 @@ class RationalParametrization(Value):
     """All rational points of a conic from one of them, by the chord trick.
 
     The parameter t names the direction of the chord through ``base`` (the
-    canonical chart of a fixed reference line not through the base), and the
+    canonical basis of a fixed reference line not through the base), and the
     value is the chord's second intersection, always rational by Vieta.  The
     tangent direction at the base maps back to the base point itself; away
     from it the map is injective.
 
-    With chart representatives o, i the direction of the pair (num, den) is
+    With that basis o, i the direction of the pair (num, den) is
     d = den*o + num*i, and its second intersection q(d)*base - 2*phi(base, d)*d
     is the quadratic form P(num, den) = A*num^2 + B*num*den + C*den^2 in the
     pair, whose integer vectors A, B, C are computed once here.
@@ -445,7 +413,7 @@ class RationalParametrization(Value):
     on first use.
     """
 
-    __slots__ = ("conic", "base", "_chart", "_quadratic", "_chord_form")
+    __slots__ = ("conic", "base", "_basis", "_quadratic", "_chord_form")
 
     def __init__(self, conic: Conic, base: PPoint):
         if not conic.is_nondegenerate:
@@ -457,20 +425,19 @@ class RationalParametrization(Value):
             for l in (LINE_AT_INFINITY, PLine(1, 0, 0), PLine(0, 1, 0))
             if not l.contains(base)
         )
-        chart = canonical_chart(ref)
-        m, b, (o, i) = conic.matrix, base.coords, chart.representatives
-        mo, mi = mat_vec(m, o), mat_vec(m, i)
-        qo, qi, phi_oi = dot(mo, o), dot(mi, i), dot(mo, i)
-        phi_bo, phi_bi = dot(mo, b), dot(mi, b)
+        m, b, (o, i) = conic.matrix, base.coords, canonical_basis(ref)
+        qo, qi, phi_oi = _restricted_form(m, o, i)
+        mb = mat_vec(m, b)
+        phi_bo, phi_bi = dot(mb, o), dot(mb, i)
         quadratic = (
             tuple(qi * bk - 2 * phi_bi * ik for bk, ik in zip(b, i)),
             tuple(2 * (phi_oi * bk - phi_bi * ok - phi_bo * ik) for bk, ok, ik in zip(b, o, i)),
             tuple(qo * bk - 2 * phi_bo * ok for bk, ok in zip(b, o)),
         )
-        self._set(conic, base, chart, quadratic, None)
+        self._set(conic, base, (o, i), quadratic, None)
 
     def direction(self, t: ExtRat) -> PPoint:
-        return self._chart.point_at(t)
+        return basis_point(self._basis, to_pair(t))
 
     def point(self, t: ExtRat) -> PPoint:
         return self.point_from_pair(to_pair(t))

@@ -4,12 +4,15 @@ An involution is carried by a trace-zero invertible 2x2 matrix acting on the
 homogeneous chart pairs of a :class:`~traversale.projective.LineChart`; that
 is the modern "involutive homography" view.  Couples are stored as integer
 chart pairs, and the perspectivity of the ramee is read off the chart
-representatives in closed form.  The classical characterisations
-are implemented independently alongside it: the three rectangle-ratio
-identities on signed segment products together with the interleaving clause
-(:func:`desargues_condition_check`), and the equal-products arbre form with
-its souche (:func:`arbre_check`).  The equivalence of the three views is a
-theorem, and the test suite treats it as one rather than assuming it.
+representatives in closed form.  :func:`fixed_pairs` is the package's one
+exact solver of a binary quadratic: the fixed points here, and through the
+polarity involution a conic's meet with a line.  The classical
+characterisations are implemented independently alongside: the three
+rectangle-ratio identities on signed segment products together with the
+interleaving clause (:func:`desargues_condition_check`), and the
+equal-products arbre form with its souche (:func:`arbre_check`).  The
+equivalence of the three views is a theorem, and the test suite treats it
+as one rather than assuming it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 
 from .errors import CenterOnLine, InfiniteNode, InvalidSouche, UnderdeterminedInvolution
 from .linalg import Mat2, adjugate2, cross, det2, mat2_mul, mat2_vec, primitive_rows
-from .numbers import INF, ExtRat, Pair, format_extended, from_pair, pair_cross, parse_extended, to_pair
+from .numbers import INF, ExtRat, Pair, format_extended, from_pair, lowest_terms, pair_cross, parse_extended, to_pair
 from .projective import LineChart, PPoint
 from .value import Value
 
@@ -151,30 +154,46 @@ def contains_pair(inv: InvolutionOnLine, p: PointPair) -> bool:
     return pair_cross(inv.apply_pair(u), v) == 0
 
 
+def fixed_pairs(matrix: Mat2) -> tuple[Pair, ...] | None:
+    """The pairs (num, den) fixed by the trace-zero matrix [[a, b], [c, -a]].
+
+    They are the zeros of c*num^2 - 2a*num*den - b*den^2, with quarter
+    discriminant a^2 + bc = -det: () when it is negative, None when it is
+    a positive non-square (irrational zeros, not materialized), one double
+    pair when it is zero.  With s^2 the discriminant the zeros are
+    num/den = (a + r)/c = -b/(a - r) for r = +-s, each named by whichever
+    form is not 0/0.  The pairs are in :func:`lowest_terms`, the smaller
+    first and INF last.
+    """
+    (a, b), (c, _) = matrix
+    if a == b == c == 0:
+        raise ValueError("the zero matrix fixes every pair")
+    disc = a * a + b * c
+    if disc < 0:
+        return ()
+    s = math.isqrt(disc)
+    if s * s != disc:
+        return None
+    u, v = (lowest_terms((a + r, c) if a + r or c else (-b, a - r)) for r in (s, -s))
+    if u == v:
+        return (u,)
+    return (v, u) if pair_cross(u, v) > 0 else (u, v)
+
+
 def classify_and_fixed_points(
     inv: InvolutionOnLine,
 ) -> tuple[InvolutionKind, tuple[ExtRat, ExtRat] | None]:
-    """Kind of the involution, with both fixed points when they are rational.
+    """Kind of the involution, with both fixed points (its :func:`fixed_pairs`) when they are rational.
 
-    Fixed points solve c*t^2 - 2a*t - b = 0 for matrix [[a, b], [c, -a]];
-    the discriminant has the sign of -det, so a negative determinant means
-    two real fixed points and a positive one means none.  A positive
-    non-square discriminant is reported as HYPERBOLIC_IRRATIONAL and the
-    fixed points are not materialized (no algebraic extension here).
+    Two real fixed points for a negative determinant, none for a positive
+    one; irrational ones are reported as HYPERBOLIC_IRRATIONAL.
     """
-    (a, b), (c, _) = inv.matrix
-    if c == 0:
-        # infinity is fixed; the finite fixed point solves 2a*t + b = 0
-        return (InvolutionKind.HYPERBOLIC, (Fraction(-b, 2 * a), INF))
-    disc = a * a + b * c
-    if disc < 0:
-        return (InvolutionKind.ELLIPTIC, None)
-    s = math.isqrt(disc)
-    if s * s != disc:
+    pairs = fixed_pairs(inv.matrix)
+    if pairs is None:
         return (InvolutionKind.HYPERBOLIC_IRRATIONAL, None)
-    t1 = Fraction(a + s, c)
-    t2 = Fraction(a - s, c)
-    return (InvolutionKind.HYPERBOLIC, tuple(sorted((t1, t2))))
+    if not pairs:
+        return (InvolutionKind.ELLIPTIC, None)
+    return (InvolutionKind.HYPERBOLIC, tuple(map(from_pair, pairs)))
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,15 @@ def from_pair(pair: Pair) -> ExtRat:
     return Fraction(num, den)
 
 
+def lowest_terms(pair: Pair) -> Pair:
+    """A nonzero pair in lowest terms with den >= 0, so INF is (1, 0), the form :func:`to_pair` gives."""
+    num, den = pair
+    g = math.gcd(num, den)
+    if den < 0 or (den == 0 and num < 0):
+        g = -g
+    return (num // g, den // g)
+
+
 def pair_cross(p: Pair, q: Pair) -> int:
     """Determinant |p q|; zero iff the pairs name the same point."""
     return p[0] * q[1] - p[1] * q[0]

@@ -237,11 +237,7 @@ class LineChart(Value):
         return from_pair(self.pair_of(point))
 
     def point_from_pair(self, pair: Pair) -> PPoint:
-        num, den = pair
-        if num == 0 and den == 0:
-            raise ValueError("zero pair")
-        o, i = self.representatives
-        return PPoint(*(den * a + num * b for a, b in zip(o, i)))
+        return basis_point(self.representatives, pair)
 
     def point_at(self, t: ExtRat) -> PPoint:
         return self.point_from_pair(to_pair(t))
@@ -256,23 +252,35 @@ def _independent_rows(a, b) -> tuple[int, int]:
     raise ValueError("proportional representatives")
 
 
-def canonical_chart(line: PLine) -> LineChart:
-    """A deterministic chart giving the everyday coordinate on the line.
+def basis_point(basis: tuple[Vec3, Vec3], pair: Pair) -> PPoint:
+    """The point den*o + num*i of the pair (num, den) on the basis (o, i) of a line."""
+    (o, i), (num, den) = basis, pair
+    if num == 0 and den == 0:
+        raise ValueError("zero pair")
+    return PPoint(*(den * a + num * b for a, b in zip(o, i)))
 
+
+def canonical_basis(line: PLine) -> tuple[Vec3, Vec3]:
+    """The integer vectors o, i of the canonical chart's origin and infinity point.
+
+    o + i is the unit point, so the chart's representatives are o and i up
+    to one common factor (it is +-1: the line's coefficients are coprime).
     Non-vertical affine lines are charted by x, vertical ones by y, and the
-    line at infinity by the slope y/x; the chart's infinity point is always
-    the line's own point at infinity.
+    line at infinity by the slope y/x; i is always the line's own point at
+    infinity.
     """
     u, v, w = line.coeffs
-    if line == LINE_AT_INFINITY:
-        return LineChart(line, PPoint(1, 0, 0), PPoint(1, 1, 0), PPoint(0, 1, 0))
     if v != 0:
-        origin = PPoint(0, -w, v)
-        unit = PPoint(v, -(w + u), v)
-        return LineChart(line, origin, unit, PPoint(v, -u, 0))
-    origin = PPoint(-w, 0, u)
-    unit = PPoint(-w, u, u)
-    return LineChart(line, origin, unit, PPoint(0, 1, 0))
+        return (0, -w, v), (v, -u, 0)
+    if u != 0:
+        return (-w, 0, u), (0, u, 0)
+    return (1, 0, 0), (0, 1, 0)
+
+
+def canonical_chart(line: PLine) -> LineChart:
+    """The chart of :func:`canonical_basis`, giving the everyday coordinate on the line."""
+    o, i = canonical_basis(line)
+    return LineChart(line, PPoint(*o), PPoint(*(a + b for a, b in zip(o, i))), PPoint(*i))
 
 
 def cross_ratio(a: PPoint, b: PPoint, c: PPoint, d: PPoint, chart: LineChart) -> ExtRat:

@@ -23,7 +23,6 @@ tangent: lam1^2 != 4*lam0*lam2) and maps only its result into the plane.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import islice
 
@@ -54,7 +53,7 @@ from .errors import (
 )
 from .involution import InvolutionOnLine, PointPair, involution_from_two_pairs
 from .linalg import Mat2, Vec3, cross, det3, dot, solve2
-from .numbers import Pair, format_rational, small_extended, to_pair
+from .numbers import Pair, format_rational, lowest_terms, small_extended, to_pair
 from .projective import (
     LINE_AT_INFINITY,
     Homography,
@@ -218,14 +217,13 @@ def _sweep(
     """The chart pairs of the bornes B, C, D, E of the quadrangle through the frame point x.
 
     The partner of a swept pair s is its image t under the involution of
-    x, reduced to the form of the swept pairs (lowest terms, positive
-    second entry, INF as (1, 0)).  The line through x and the borne of s is
-    tangent there exactly when t = s.  The pairs name the bornes one to
-    one, so `seen` tells the same chords apart as the points would.  `seen`
-    is closed under the involution, so a partner is never seen before its
-    pair.  A secant through x that the caller already knows, ``known`` =
-    (s, t) with s != t in that form, is the first secant and is not swept
-    again.
+    x, in the :func:`lowest_terms` form of the swept pairs.  The line
+    through x and the borne of s is tangent there exactly when t = s.  The
+    pairs name the bornes one to one, so `seen` tells the same chords apart
+    as the points would.  `seen` is closed under the involution, so a
+    partner is never seen before its pair.  A secant through x that the
+    caller already knows, ``known`` = (s, t) with s != t in that form, is
+    the first secant and is not swept again.
 
     The four pairs name an inscribed quadrangle with no check run: their
     bornes are on the conic, distinct because `seen` keeps the pairs
@@ -242,11 +240,7 @@ def _sweep(
         if s in seen:
             continue  # a chord already swept, revisited from its far end
         a, b = s
-        num, den = m00 * a + m01 * b, m10 * a + m11 * b
-        g = math.gcd(num, den)
-        if den < 0 or (den == 0 and num < 0):
-            g = -g
-        t = (num // g, den // g)
+        t = lowest_terms((m00 * a + m01 * b, m10 * a + m11 * b))
         if t == s:
             continue  # the line through x is tangent at the borne of s
         seen.update((s, t))

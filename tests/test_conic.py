@@ -27,6 +27,7 @@ from traversale import (
     TotallyIsotropicPoint,
     ZeroForm,
     affine_features,
+    canonical_basis,
     canonical_chart,
     classify,
     classify_and_fixed_points,
@@ -47,7 +48,6 @@ from traversale import (
     tangents_from,
     transform,
 )
-from traversale.conic import _line_points
 from traversale.linalg import cross, det3, dot, mat_mul, mat_vec, primitive_rows, solve2, transpose
 
 
@@ -291,7 +291,8 @@ def test_line_intersect_missing(circle):
 def test_line_intersect_irrational(circle):
     with pytest.raises(IrrationalIntersection) as exc:
         line_intersect(circle, PLine(0, 2, -1))  # y = 1/2: x^2 = 3/4
-    assert exc.value.discriminant > 0
+    # phi^2 - qo*qi on the basis o = (0, 1, 2), i = (2, 0, 0): 0 - (-3)(4)
+    assert exc.value.discriminant == 12
 
 
 def test_line_intersect_tangent_single(circle):
@@ -305,8 +306,12 @@ def test_line_on_degenerate_conic():
 
 
 def _unreduced_line_intersect(c, l):
-    """The intersection with each root pair mapped onto the line as it stands, not reduced first."""
-    p0, p1 = _line_points(l)
+    """The intersection with each root pair mapped onto the line as it stands, not reduced first.
+
+    The roots of alpha*lam^2 + beta*lam*mu + gamma*mu^2 on the canonical
+    basis, with the full discriminant beta^2 - 4*alpha*gamma.
+    """
+    p0, p1 = canonical_basis(l)
     m = c.matrix
     alpha, beta, gamma = dot(mat_vec(m, p1), p1), 2 * dot(mat_vec(m, p0), p1), dot(mat_vec(m, p0), p0)
     if alpha == 0:
@@ -346,7 +351,7 @@ def test_line_intersect_reduced_roots_match_the_unreduced_formula(steps):
         except IrrationalIntersection as exc:
             with pytest.raises(IrrationalIntersection) as info:
                 line_intersect(c, l)
-            assert info.value.discriminant == exc.discriminant, name
+            assert info.value.discriminant == exc.discriminant // 4, name
             continue
         assert line_intersect(c, l) == expected, name
         assert all(c.contains(p) and l.contains(p) for p in expected), name
@@ -439,12 +444,20 @@ def _circle_image_chain(seed, steps):
 @pytest.mark.parametrize("seed, steps", [(0, 0), (76, 1), (77, 60), (78, 256)])
 def test_polarity_involution_matrix_is_unchanged_by_reduced_representatives(seed, steps):
     # [[phi(o,i), phi(o,o)], [-phi(i,i), -phi(o,i)]] on the representatives
-    # before the gcd of the chart weights was divided out, made primitive
-    c, _ = _circle_image_chain(seed, steps)
+    # before the gcd of the chart weights was divided out, made primitive.
+    # The involution reads the matrix on the canonical basis, which holds
+    # because the chart's representatives are the basis times one common +-1
+    c, h = _circle_image_chain(seed, steps)
     rng = random.Random(seed)
-    for _ in range(12):
-        l = PLine(*(rng.getrandbits(rng.choice((3, 40, 300))) * rng.choice((-1, 1)) for _ in range(3)))
+    lines = [LINE_AT_INFINITY, PLine(1, 0, 0), PLine(2, 0, 5), PLine(0, 1, 0), PLine(0, 3, -7)]  # x = c, y = c
+    lines += [PLine(*(rng.getrandbits(rng.choice((3, 40, 300))) * rng.choice((-1, 1)) for _ in range(3))) for _ in range(12)]
+    # images of secants of the circle (w^2 < u^2 + v^2): deep lines on the deep images
+    lines += [h.apply_line(PLine(rng.randint(3, 9), rng.randint(-9, 9), rng.randint(-2, 2))) for _ in range(4)]
+    for l in lines:
         chart = canonical_chart(l)
+        (bo, bi), (ro, ri) = canonical_basis(l), chart.representatives
+        sign = next(r // b for r, b in zip(ro, bo) if b)
+        assert sign in (1, -1) and ro == tuple(sign * x for x in bo) and ri == tuple(sign * x for x in bi), l
         o, u, i = chart.origin.coords, chart.unit.coords, chart.infinity_point.coords
         r0, r1 = chart._rows
         lam, mu, _ = solve2((o[r0], o[r1]), (i[r0], i[r1]), (u[r0], u[r1]))

@@ -1,5 +1,7 @@
 """Involutions: the homographic view against Desargues' own conditions."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from traversale import (
     contains_pair,
     cross_ratio,
     desargues_condition_check,
+    fixed_pairs,
     interleaved,
     involution_from_two_pairs,
     join,
@@ -146,6 +149,42 @@ def test_classification_infinity_fixed(x_axis_chart):
     kind, fixed = classify_and_fixed_points(inv)
     assert kind == InvolutionKind.HYPERBOLIC
     assert fixed == (F(3, 2), INF)
+
+
+def _fixed_points_by_fractions(a, b, c):
+    """The kind and fixed points of [[a, b], [c, -a]], solved directly in Fraction."""
+    if c == 0:
+        return (InvolutionKind.HYPERBOLIC, (F(-b, 2 * a), INF))
+    disc = a * a + b * c
+    if disc < 0:
+        return (InvolutionKind.ELLIPTIC, None)
+    s = math.isqrt(disc)
+    if s * s != disc:
+        return (InvolutionKind.HYPERBOLIC_IRRATIONAL, None)
+    return (InvolutionKind.HYPERBOLIC, tuple(sorted((F(a + s, c), F(a - s, c)))))
+
+
+def test_fixed_pairs_over_every_small_trace_zero_matrix(x_axis_chart):
+    with pytest.raises(ValueError):
+        fixed_pairs(((0, 0), (0, 0)))
+    for a, b, c in itertools.product(range(-6, 7), repeat=3):
+        if a == b == c == 0:
+            continue
+        pairs = fixed_pairs(((a, b), (c, -a)))
+        disc = a * a + b * c
+        if disc > 0 and math.isqrt(disc) ** 2 != disc:
+            assert pairs is None, (a, b, c)
+            continue
+        assert len(pairs) == (disc > 0) - (disc < 0) + 1, (a, b, c)
+        for num, den in pairs:
+            assert c * num * num - 2 * a * num * den - b * den * den == 0, (a, b, c)
+            assert math.gcd(num, den) == 1 and den >= 0 and (den or num == 1), (a, b, c)
+        if len(pairs) == 2:
+            (n1, d1), (n2, d2) = pairs
+            assert d1 > 0 and (d2 == 0 or F(n1, d1) < F(n2, d2)), (a, b, c)
+        if disc != 0:  # -det: the invertible matrices are involutions
+            inv = InvolutionOnLine(x_axis_chart, ((a, b), (c, -a)))
+            assert classify_and_fixed_points(inv) == _fixed_points_by_fractions(a, b, c), (a, b, c)
 
 
 def test_desargues_condition_explicit_triple():

@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -12,6 +12,8 @@ from traversale.numbers import (
     INF,
     format_extended,
     format_rational,
+    from_pair,
+    lowest_terms,
     parse_extended,
     parse_rational,
     small_extended,
@@ -40,6 +42,13 @@ def test_extended_round_trip():
     assert parse_extended("5/3") == Fraction(5, 3)
     assert to_pair(INF) == (1, 0)
     assert to_pair(Fraction(-6, 8)) == (-3, 4) and to_pair(Fraction(5)) == (5, 1)
+
+
+def test_lowest_terms_is_the_form_to_pair_gives():
+    for pair in product(range(-6, 7), repeat=2):
+        if any(pair):
+            assert lowest_terms(pair) == to_pair(from_pair(pair)), pair
+    assert lowest_terms((-3 * 2**200, 0)) == (1, 0)
 
 
 def test_small_rationals_order_is_deterministic_by_height():

@@ -258,10 +258,17 @@ def test_cli_traversale_transcript_builds_one_quadrangle(tmp_path, monkeypatch, 
 
 
 def test_cli_involution(capsys):
-    code = main(["involution", "--pair", "{2/5, -8/5}", "--pair", "{8/5, -2/5}"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "kind elliptic" in out and "souche 0" in out
+    # the full stdout of each shape: fixed points rational (INF among them,
+    # or both finite), absent (elliptic) and irrational
+    shapes = {
+        ("{0, 0}", "{inf, inf}"): "matrix ((1, 0), (0, -1))\nkind hyperbolic\nfixed 0 inf\nsouche inf\n",
+        ("{1, 1}", "{2, 2}"): "matrix ((3, -4), (2, -3))\nkind hyperbolic\nfixed 1 2\nsouche 3/2\n",
+        ("{2/5, -8/5}", "{8/5, -2/5}"): "matrix ((0, 16), (-25, 0))\nkind elliptic\nsouche 0\n",
+        ("{0, 1}", "{2, inf}"): "matrix ((2, -2), (1, -2))\nkind hyperbolic-irrational\nsouche 2\n",
+    }
+    for (first, second), expected in shapes.items():
+        assert main(["involution", "--pair", first, "--pair", second]) == 0
+        assert capsys.readouterr().out == expected, (first, second)
 
 
 def test_cli_classify(capsys):
