@@ -10,7 +10,9 @@ polarity involution a conic's meet with a line.  The classical
 characterisations are implemented independently alongside: the three
 rectangle-ratio identities on signed segment products together with the
 interleaving clause (:func:`desargues_condition_check`), and the
-equal-products arbre form with its souche (:func:`arbre_check`).  The
+equal-products arbre form with its souche (:func:`arbre_check`).  They run
+on the node pairs: the segment x - y is pair_cross(x, y) / (x_den * y_den),
+and every identity clears to one between products of pair_cross values.  The
 equivalence of the three views is a theorem, and the test suite treats it
 as one rather than assuming it.
 """
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
 
 from .errors import CenterOnLine, InfiniteNode, InvalidSouche, UnderdeterminedInvolution
 from .linalg import Mat2, adjugate2, cross, det2, mat2_mul, mat2_vec, primitive_rows
@@ -41,10 +42,17 @@ class PointPair(Value):
     __slots__ = ("pairs",)
 
     def __init__(self, first: ExtRat, second: ExtRat):
-        u, v = to_pair(first), to_pair(second)
-        if pair_cross(u, v) > 0:  # with den >= 0 the sign orders them, INF last
-            u, v = v, u
-        self._set((u, v))
+        self._order(to_pair(first), to_pair(second))
+
+    @classmethod
+    def from_pairs(cls, u: Pair, v: Pair) -> PointPair:
+        """The couple of two nodes given as pairs already in :func:`lowest_terms`."""
+        couple = cls.__new__(cls)
+        couple._order(u, v)
+        return couple
+
+    def _order(self, u: Pair, v: Pair):  # with den >= 0 the sign of pair_cross(u, v) orders them, INF last
+        self._set((v, u) if u[0] * v[1] - u[1] * v[0] > 0 else (u, v))
 
     def __eq__(self, other):
         return self.pairs == other.pairs if type(other) is PointPair else NotImplemented
@@ -200,31 +208,30 @@ def classify_and_fixed_points(
 # Desargues' own characterisations
 # ---------------------------------------------------------------------------
 
-def _finite(values) -> list[Fraction]:
-    out = []
-    for v in values:
-        if v is INF:
+def _finite_nodes(*nodes: Pair) -> tuple[Pair, ...]:
+    """The node pairs, which segment products need finite (den != 0)."""
+    for _, den in nodes:
+        if den == 0:
             raise InfiniteNode("segment products need finite coordinates; use the homographic route")
-        out.append(Fraction(v))
-    return out
+    return nodes
 
 
-def _strictly_between(x: Fraction, a: Fraction, b: Fraction) -> bool:
-    lo, hi = (a, b) if a <= b else (b, a)
-    return lo < x < hi
+def _rectangle(x: Pair, nodes: tuple[Pair, Pair]) -> int:
+    """(x - u)(x - v) for the nodes u, v, times the positive x_den^2 * u_den * v_den."""
+    u, v = nodes
+    return pair_cross(x, u) * pair_cross(x, v)
 
 
 def interleaved(p: PointPair, q: PointPair) -> bool:
     """Are two finite couples meles (interleaved on the line)?
 
-    Exactly one endpoint of one couple falls strictly between the endpoints
-    of the other.  For four distinct finite nodes this is symmetric and
-    agrees with separation on the projective circle.
+    Exactly one endpoint x of one couple falls strictly between the ends a, b
+    of the other, (x - a)(x - b) < 0.  For four distinct finite nodes this is
+    symmetric and agrees with separation on the projective circle.
     """
-    a, b = _finite((p.first, p.second))
-    c, d = _finite((q.first, q.second))
-    in_p = sum(1 for x in (c, d) if _strictly_between(x, a, b))
-    in_q = sum(1 for x in (a, b) if _strictly_between(x, c, d))
+    ab, cd = _finite_nodes(*p.pairs), _finite_nodes(*q.pairs)
+    in_p = sum(_rectangle(x, ab) < 0 for x in cd)
+    in_q = sum(_rectangle(x, cd) < 0 for x in ab)
     return in_p == 1 or in_q == 1
 
 
@@ -241,45 +248,29 @@ def desargues_condition_check(
 
     are evaluated on signed segment products (cross-multiplied, so vanishing
     denominators need no special case), and all the couples must be pairwise
-    meles or pairwise demeles.  Two coincidence rules keep the test in exact
-    agreement with homographic membership, where the products alone go
-    blind: two different couples sharing a node can never be exchanged by
-    one involution, and neither can three distinct fixed nodes.  Raises
-    InfiniteNode on any infinite coordinate; the homographic membership test
-    covers those.
+    meles or pairwise demeles.  Both sides of an identity share one positive
+    denominator, so each is compared as a product of four pair_cross values.
+    Two coincidence rules keep the test in exact agreement with homographic
+    membership, where the products alone go blind: two different couples
+    sharing a node can never be exchanged by one involution, and neither
+    can three distinct fixed nodes.  Raises InfiniteNode on any infinite
+    coordinate; the homographic membership test covers those.
     """
-    p_bh, p_cg, p_df = pairs
-    bigb, h = _finite((p_bh.first, p_bh.second))
-    c, g = _finite((p_cg.first, p_cg.second))
-    d, f = _finite((p_df.first, p_df.second))
+    bh, cg, df = (_finite_nodes(*p.pairs) for p in pairs)
+    (b, h), (c, g), (d, f) = bh, cg, df
 
     for i in range(3):
         for j in range(i + 1, 3):
             if pairs[i] != pairs[j] and set(pairs[i].pairs) & set(pairs[j].pairs):
                 return False
-    if (
-        p_bh.is_degenerate
-        and p_cg.is_degenerate
-        and p_df.is_degenerate
-        and len({p_bh, p_cg, p_df}) == 3
-    ):
+    if all(p.is_degenerate for p in pairs) and len(set(pairs)) == 3:
         return False  # an involution has at most two fixed nodes
 
-    def q_bh(x):
-        return (x - bigb) * (x - h)
-
-    def q_cg(x):
-        return (x - c) * (x - g)
-
-    def q_df(x):
-        return (x - d) * (x - f)
-
-    identities = (
-        q_df(g) * q_bh(c) == q_bh(g) * q_df(c),
-        q_cg(f) * q_bh(d) == q_bh(f) * q_cg(d),
-        q_cg(h) * q_df(bigb) == q_df(h) * q_cg(bigb),
-    )
-    if not all(identities):
+    if not (
+        _rectangle(g, df) * _rectangle(c, bh) == _rectangle(g, bh) * _rectangle(c, df)
+        and _rectangle(f, cg) * _rectangle(d, bh) == _rectangle(f, bh) * _rectangle(d, cg)
+        and _rectangle(h, cg) * _rectangle(b, df) == _rectangle(h, df) * _rectangle(b, cg)
+    ):
         return False
     statuses = {
         interleaved(pairs[i], pairs[j])
@@ -298,14 +289,13 @@ def in_single_involution(pairs, chart: LineChart) -> bool:
     exists and the answer is yes) or where some two are outright
     incompatible (no).
     """
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        try:
-            inv = involution_from_two_pairs(pairs[i], pairs[j], chart)
-        except UnderdeterminedInvolution:
-            continue
-        return all(contains_pair(inv, p) for p in pairs)
     rows = [_pair_row(p) for p in pairs]
-    return not any(any(cross(rows[i], rows[j])) for i, j in ((0, 1), (0, 2), (1, 2)))
+    crosses = [cross(rows[i], rows[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
+    for a, b, c in crosses:
+        if a * a + b * c != 0:  # two couples pin down one invertible involution
+            inv = InvolutionOnLine(chart, ((a, b), (c, -a)))
+            return all(contains_pair(inv, p) for p in pairs)
+    return not any(map(any, crosses))
 
 
 def arbre_check(souche: ExtRat, pairs) -> bool:
@@ -317,15 +307,26 @@ def arbre_check(souche: ExtRat, pairs) -> bool:
     products force equal signs, so the engagement clause is checked
     explicitly only to mirror the classical statement.
     """
-    a = _finite((souche,))[0]
+    return arbre_check_pair(to_pair(souche), pairs)
+
+
+def arbre_check_pair(a: Pair, pairs) -> bool:
+    """:func:`arbre_check` for a souche given as its pair (a, a_den), a_den > 0.
+
+    (A-X)(A-Y) is P/(a_den^2 * D), with P the :func:`_rectangle` of A on the
+    couple and D = x_den * y_den > 0: products P_i/D_i compare by cross-multiplying.
+    """
+    _finite_nodes(a)
     products = []
     for p in pairs:
-        x, y = _finite((p.first, p.second))
-        if a == x or a == y:
-            raise InvalidSouche(f"souche {a} coincides with a node of {p}")
-        products.append((a - x) * (a - y))
-    equal = products[0] == products[1] == products[2]
-    engaged = {prod < 0 for prod in products}
+        (x, y) = nodes = _finite_nodes(*p.pairs)
+        prod = _rectangle(a, nodes)
+        if prod == 0:
+            raise InvalidSouche(f"souche {from_pair(a)} coincides with a node of {p}")
+        products.append((prod, x[1] * y[1]))
+    (p0, d0), (p1, d1), (p2, d2) = products[:3]
+    equal = p0 * d1 == p1 * d0 and p1 * d2 == p2 * d1
+    engaged = {prod < 0 for prod, _ in products}
     return equal and len(engaged) == 1
 
 

@@ -6,7 +6,9 @@ as rational coordinates.  A projective line needs one extra value, the point
 at infinity, represented by the singleton :data:`INF`.  Inside the kernel a
 point of a line is a homogeneous integer pair ``(num, den)`` with
 ``t = num/den`` and ``INF = (1, 0)``, so computations stay total;
-:func:`to_pair` and :func:`from_pair` convert at the boundary.
+:func:`to_pair` and :func:`from_pair` convert at the boundary.  For finite
+pairs with den > 0 the segment x - y is pair_cross(x, y) / (x_den * y_den),
+so its sign is the sign of :func:`pair_cross`.
 """
 
 from __future__ import annotations

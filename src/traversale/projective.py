@@ -26,7 +26,7 @@ from .errors import (
     SingularMatrix,
 )
 from .linalg import Mat3, Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, primitive, primitive_rows, solve2, transpose
-from .numbers import INF, ExtRat, Pair, format_rational, from_pair, pair_cross, parse_rational, to_pair
+from .numbers import ExtRat, Pair, format_rational, from_pair, pair_cross, parse_rational, to_pair
 from .value import Value
 
 
@@ -291,14 +291,15 @@ def cross_ratio(a: PPoint, b: PPoint, c: PPoint, d: PPoint, chart: LineChart) ->
     the chart chosen on the same line.  Requires a, b, c pairwise distinct;
     d is free (d = c gives 1, d = a gives INF, d = b gives 0).
     """
+    return from_pair(cross_ratio_pair(a, b, c, d, chart))
+
+
+def cross_ratio_pair(a: PPoint, b: PPoint, c: PPoint, d: PPoint, chart: LineChart) -> Pair:
+    """:func:`cross_ratio` as a homogeneous pair (num, den), not reduced and never (0, 0)."""
     pa, pb, pc, pd = (chart.pair_of(p) for p in (a, b, c, d))
     if pair_cross(pa, pb) == 0 or pair_cross(pa, pc) == 0 or pair_cross(pb, pc) == 0:
         raise DegenerateQuadruple("cross-ratio needs a, b, c pairwise distinct")
-    num = pair_cross(pa, pc) * pair_cross(pb, pd)
-    den = pair_cross(pa, pd) * pair_cross(pb, pc)
-    if den == 0:
-        return INF
-    return Fraction(num, den)
+    return (pair_cross(pa, pc) * pair_cross(pb, pd), pair_cross(pa, pd) * pair_cross(pb, pc))
 
 
 def harmonic_conjugate(c: PPoint, a: PPoint, b: PPoint, chart: LineChart) -> PPoint:

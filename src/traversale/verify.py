@@ -58,23 +58,25 @@ from .involution import (
     InvolutionKind,
     InvolutionOnLine,
     PointPair,
-    arbre_check,
+    arbre_check_pair,
     classify_and_fixed_points,
     contains_pair,
     desargues_condition_check,
+    fixed_pairs,
     in_single_involution,
     involution_from_two_pairs,
     ramee_project,
 )
-from .numbers import INF
+from .numbers import INF, Pair, from_pair, lowest_terms, pair_cross
 from .projective import (
     LINE_AT_INFINITY,
     Homography,
+    LineChart,
     PLine,
     PPoint,
     canonical_chart,
     collinear,
-    cross_ratio,
+    cross_ratio_pair,
     harmonic_conjugate,
     join,
     meet,
@@ -140,8 +142,9 @@ class Draws:
         self.record.append(v)
         return v
 
-    def fraction(self, lo: int = -9, hi: int = 9, dmax: int = 9) -> Fraction:
-        return Fraction(self.draw_int(lo, hi), self.draw_int(1, dmax))
+    def rational(self, lo: int = -9, hi: int = 9, dmax: int = 9) -> Pair:
+        """The pair of ``Fraction(draw_int(lo, hi), draw_int(1, dmax))``, in :func:`lowest_terms`."""
+        return lowest_terms((self.draw_int(lo, hi), self.draw_int(1, dmax)))
 
     def until(self, draw, accept=lambda v: v is not None, tries: int = 30, catch=()):
         """The first ``draw(self)`` that ``accept`` takes (by default: not None).
@@ -294,7 +297,7 @@ def _draw_conic(d: Draws) -> Conic:
 
 def _draw_conic_points(d: Draws, c: Conic, n: int) -> list[PPoint]:
     par = chord_parametrization(c)
-    return d.distinct(n, lambda d: par.point(d.fraction(-8, 8, 6)), tries=60)
+    return d.distinct(n, lambda d: par.point_from_pair(d.rational(-8, 8, 6)), tries=60)
 
 
 def _draw_exterior_point(d: Draws, c: Conic) -> PPoint:
@@ -303,7 +306,8 @@ def _draw_exterior_point(d: Draws, c: Conic) -> PPoint:
 
 
 def _draw_finite_point(d: Draws) -> PPoint:
-    return PPoint(d.fraction(), d.fraction(), 1)
+    (x, xd), (y, yd) = d.rational(), d.rational()
+    return PPoint(x * yd, y * xd, xd * yd)
 
 
 def _draw_line(d: Draws) -> PLine:
@@ -321,13 +325,18 @@ def _draw_involution(d: Draws) -> InvolutionOnLine:
 
 def _draw_involution_pairs(d: Draws, inv: InvolutionOnLine, n: int) -> list[PointPair]:
     def couple(d):
-        t = d.fraction(-9, 9, 5)
-        return t, inv.apply(t)
+        t = d.rational(-9, 9, 5)
+        return t, lowest_terms(inv.apply_pair(t))
 
     def fresh(v, kept):  # a finite couple sharing no node with the kept ones
-        return v[1] is not INF and not {*v} & {x for pair in kept for x in pair}
+        return v[1][1] != 0 and not {*v} & {x for pair in kept for x in pair}
 
-    return [PointPair(t, img) for t, img in d.distinct(n, couple, tries=60, fresh=fresh)]
+    return [PointPair.from_pairs(t, img) for t, img in d.distinct(n, couple, tries=60, fresh=fresh)]
+
+
+def _couple(chart: LineChart, p: PPoint, q: PPoint) -> PointPair:
+    """The couple of the chart coordinates of p and q."""
+    return PointPair.from_pairs(lowest_terms(chart.pair_of(p)), lowest_terms(chart.pair_of(q)))
 
 
 def _draw_quadrangle(d: Draws, c: Conic) -> InscribedQuadrangle:
@@ -379,7 +388,7 @@ def _rectangle_vs_homographic(d: Draws):
     if genuine:
         pairs = _draw_involution_pairs(d, _draw_involution(d), 3)
     else:
-        pairs = [PointPair(d.fraction(-6, 6, 4), d.fraction(-6, 6, 4)) for _ in range(3)]
+        pairs = [PointPair.from_pairs(d.rational(-6, 6, 4), d.rational(-6, 6, 4)) for _ in range(3)]
     lhs = desargues_condition_check(pairs)
     rhs = in_single_involution(pairs, X_CHART)
     return lhs == rhs and (lhs or not genuine), lambda: [
@@ -388,62 +397,58 @@ def _rectangle_vs_homographic(d: Draws):
 
 
 def _couples_with_souche(d: Draws):
-    """Three random couples and their souche, or None if it is undefined or a node."""
-    pairs = [PointPair(d.fraction(-6, 6, 4), d.fraction(-6, 6, 4)) for _ in range(3)]
-    b, h = pairs[0].first, pairs[0].second
-    c, g = pairs[1].first, pairs[1].second
-    denom = c + g - b - h
+    """Three random couples and their souche (cg - bh)/(c + g - b - h), or None if it is undefined or a node."""
+    pairs = [PointPair.from_pairs(d.rational(-6, 6, 4), d.rational(-6, 6, 4)) for _ in range(3)]
+    ((b, bd), (h, hd)), ((c, cd), (g, gd)) = pairs[0].pairs, pairs[1].pairs
+    bh, cg = bd * hd, cd * gd
+    denom = (c * gd + g * cd) * bh - (b * hd + h * bd) * cg
     if denom != 0:
-        souche = (c * g - b * h) / denom
-        if souche not in [x for p in pairs for x in (p.first, p.second)]:
+        souche = lowest_terms((c * g * bh - b * h * cg, denom))
+        if souche not in [x for p in pairs for x in p.pairs]:
             return pairs, souche
 
 
 @_property("involution-equivalence", "arbre-vs-involution")
 def _arbre_vs_involution(d: Draws):
     pairs, souche = d.until(_couples_with_souche)
-    lhs = arbre_check(souche, pairs)
+    lhs = arbre_check_pair(souche, pairs)
     rhs = in_single_involution(pairs, X_CHART)
     return lhs == rhs, lambda: [
-        f"souche {souche}", f"couples {pairs[0]} {pairs[1]} {pairs[2]}", f"arbre: {lhs}", f"membership: {rhs}"
+        f"souche {from_pair(souche)}", f"couples {pairs[0]} {pairs[1]} {pairs[2]}", f"arbre: {lhs}", f"membership: {rhs}"
     ]
 
 
 @_property("involution-equivalence", "harmonic-bridge")
 def _harmonic_bridge(d: Draws):
     # {a,a},{b,b},{c,x} in one involution iff (a,b;c,x) = -1
-    a, b, c = d.distinct(3, lambda d: d.fraction(-8, 8, 5))
-    pa, pb, pc = (X_CHART.point_at(v) for v in (a, b, c))
+    a, b, c = d.distinct(3, lambda d: d.rational(-8, 8, 5))
+    pa, pb, pc = (X_CHART.point_from_pair(v) for v in (a, b, c))
     x = harmonic_conjugate(pc, pa, pb, X_CHART)
-    tx = X_CHART.coordinate(x)
-    member = in_single_involution(
-        [PointPair(a, a), PointPair(b, b), PointPair(c, tx)], X_CHART
-    )
-    ratio = cross_ratio(pa, pb, pc, x, X_CHART)
-    off = c + Fraction(1, 3)
+    tx = lowest_terms(X_CHART.pair_of(x))
+    fixed_ab = [PointPair.from_pairs(a, a), PointPair.from_pairs(b, b)]
+    member = in_single_involution([*fixed_ab, PointPair.from_pairs(c, tx)], X_CHART)
+    ratio = cross_ratio_pair(pa, pb, pc, x, X_CHART)
+    off = lowest_terms((3 * c[0] + c[1], 3 * c[1]))  # c + 1/3
     member_off = (
-        in_single_involution([PointPair(a, a), PointPair(b, b), PointPair(c, off)], X_CHART)
+        in_single_involution([*fixed_ab, PointPair.from_pairs(c, off)], X_CHART)
         if off != tx and off != c
         else False
     )
-    return member and ratio == -1 and not member_off, lambda: [
-        f"a={a} b={b} c={c}", f"conjugate={tx}", f"cross ratio {ratio}"
+    return member and ratio[0] == -ratio[1] and not member_off, lambda: [
+        f"a={from_pair(a)} b={from_pair(b)} c={from_pair(c)}", f"conjugate={from_pair(tx)}", f"cross ratio {from_pair(ratio)}"
     ]
 
 
 @_property("involution-equivalence", "midpoint-infinity")
 def _midpoint_infinity(d: Draws):
-    c, g = d.until(lambda d: (d.fraction(-8, 8, 5), d.fraction(-8, 8, 5)), lambda v: v[0] != v[1])
-    b = (c + g) / 2
-    member = in_single_involution(
-        [PointPair(b, INF), PointPair(c, c), PointPair(g, g)], X_CHART
-    )
-    shifted = b + 1
-    member_shifted = in_single_involution(
-        [PointPair(shifted, INF), PointPair(c, c), PointPair(g, g)], X_CHART
-    )
+    c, g = d.until(lambda d: (d.rational(-8, 8, 5), d.rational(-8, 8, 5)), lambda v: v[0] != v[1])
+    b = lowest_terms((c[0] * g[1] + g[0] * c[1], 2 * c[1] * g[1]))  # (c + g)/2
+    fixed_cg = [PointPair.from_pairs(c, c), PointPair.from_pairs(g, g)]
+    member = in_single_involution([PointPair.from_pairs(b, (1, 0)), *fixed_cg], X_CHART)
+    shifted = (b[0] + b[1], b[1])  # b + 1, still in lowest terms
+    member_shifted = in_single_involution([PointPair.from_pairs(shifted, (1, 0)), *fixed_cg], X_CHART)
     return member and not member_shifted, lambda: [
-        f"c={c} g={g} midpoint={b}", f"member: {member}", f"shifted member: {member_shifted}"
+        f"c={from_pair(c)} g={from_pair(g)} midpoint={from_pair(b)}", f"member: {member}", f"shifted member: {member_shifted}"
     ]
 
 
@@ -468,12 +473,8 @@ def _ramee(d: Draws):
     pairs = _draw_involution_pairs(d, inv, 3)
     rows = []  # (couple, its image, membership)
     for p in pairs:
-        imgs = []
-        for t in (p.first, p.second):
-            src_pt = X_CHART.point_at(t)
-            img_pt = meet(join(center, src_pt), target_line)
-            imgs.append(target.coordinate(img_pt))
-        image_pair = PointPair(imgs[0], imgs[1])
+        images = (meet(join(center, X_CHART.point_from_pair(t)), target_line) for t in p.pairs)
+        image_pair = _couple(target, *images)
         rows.append((p, image_pair, contains_pair(projected, image_pair)))
     kind_src = classify_and_fixed_points(inv)[0]
     kind_dst = classify_and_fixed_points(projected)[0]
@@ -507,7 +508,7 @@ def _collinear_points(d: Draws):
     def collinear_triple(d):
         p1, p2 = _draw_finite_point(d), _draw_finite_point(d)
         if p1 != p2:
-            p3 = canonical_chart(join(p1, p2)).point_at(d.fraction(-8, 8, 5))
+            p3 = canonical_chart(join(p1, p2)).point_from_pair(d.rational(-8, 8, 5))
             if len({p1, p2, p3}) == 3 and not any(c.contains(p) for p in (p1, p2, p3)):
                 return p1, p2, p3
 
@@ -572,10 +573,8 @@ def _pencil_theorem(d: Draws):
     inv = pencil_involution_on_line(base, l)
     chart = inv.chart
     third = base.degenerate_members()[2]
-    third_pair = PointPair(
-        chart.coordinate(meet(third[0], l)), chart.coordinate(meet(third[1], l))
-    )
-    conic_pair = PointPair(chart.coordinate(pts[4]), chart.coordinate(pts[5]))
+    third_pair = _couple(chart, meet(third[0], l), meet(third[1], l))
+    conic_pair = _couple(chart, pts[4], pts[5])
     ok_third = contains_pair(inv, third_pair)
     ok_conic = contains_pair(inv, conic_pair)
     return ok_third and ok_conic, lambda: [
@@ -592,23 +591,23 @@ def _two_involutions(d: Draws):
     par = chord_parametrization(c)
 
     def through_f(d):
-        p = par.point(d.fraction(-8, 8, 6))
+        p = par.point_from_pair(d.rational(-8, 8, 6))
         return two_involutions(c, f, join(f, p)) if p != f else None
 
     pair = d.until(through_f, catch=GeometryError)
     chart = pair.pencil.chart
-    lpt, mpt = pair.conic_trace
-    tf, th = chart.coordinate(f), chart.coordinate(pair.traversale_point)
-    tl, tm = chart.coordinate(lpt), chart.coordinate(mpt)
-    checks = {
-        "pencil fixes f": pair.pencil.apply(tf) == tf,
-        "pencil fixes H": pair.pencil.apply(th) == th,
-        "pencil swaps L,M": contains_pair(pair.pencil, PointPair(tl, tm)),
-        "polarity fixes L": pair.polarity.apply(tl) == tl,
-        "polarity fixes M": pair.polarity.apply(tm) == tm,
-        "polarity swaps f,H": contains_pair(pair.polarity, PointPair(tf, th)),
+    (lpt, mpt), h = pair.conic_trace, pair.traversale_point
+    tf, th, tl, tm = (chart.pair_of(p) for p in (f, h, lpt, mpt))
+    ratio = cross_ratio_pair(lpt, mpt, f, h, chart)
+    checks = {  # an involution fixes t when it maps t to a multiple of itself
+        "pencil fixes f": pair_cross(pair.pencil.apply_pair(tf), tf) == 0,
+        "pencil fixes H": pair_cross(pair.pencil.apply_pair(th), th) == 0,
+        "pencil swaps L,M": contains_pair(pair.pencil, _couple(chart, lpt, mpt)),
+        "polarity fixes L": pair_cross(pair.polarity.apply_pair(tl), tl) == 0,
+        "polarity fixes M": pair_cross(pair.polarity.apply_pair(tm), tm) == 0,
+        "polarity swaps f,H": contains_pair(pair.polarity, _couple(chart, f, h)),
         "distinct": pair.pencil != pair.polarity,
-        "harmonic": cross_ratio(lpt, mpt, f, pair.traversale_point, chart) == -1,
+        "harmonic": ratio[0] == -ratio[1],
     }
     return all(checks.values()), lambda: [
         f"conic {c}", f"f {f}", f"line {chart.line}", *(f"{k}: {v}" for k, v in checks.items())
@@ -640,7 +639,7 @@ def _transport(d: Draws):
     secant = join(p1, p2)
     inv1 = polarity_involution_on_line(c, secant)
     inv2 = polarity_involution_on_line(c2, h.apply_line(secant))
-    sample = canonical_chart(secant).point_at(d.fraction(-8, 8, 5))
+    sample = canonical_chart(secant).point_from_pair(d.rational(-8, 8, 5))
     img = inv1.apply_point(sample)
     checks["polarity involution commutes"] = h.apply(img) == inv2.apply_point(h.apply(sample))
     return all(checks.values()), lambda: [
@@ -655,17 +654,13 @@ def _classification(d: Draws):
     p1, p2, p3 = _draw_conic_points(d, c, 3)
     secant = join(p1, p2)
     inv = polarity_involution_on_line(c, secant)
-    kind, fixed = classify_and_fixed_points(inv)
-    chart = inv.chart
-    ends = PointPair(chart.coordinate(p1), chart.coordinate(p2))
-    expected_fixed = (ends.first, ends.second)
-    ok_secant = kind == InvolutionKind.HYPERBOLIC and fixed == expected_fixed
+    ok_secant = fixed_pairs(inv.matrix) == _couple(inv.chart, p1, p2).pairs  # hyperbolic, fixing p1 and p2
     # a line missing the conic: the polar of an interior point
     a, b, dd = d.until(
         lambda d: (d.draw_int(-4, 4), d.draw_int(-4, 4), d.draw_int(1, 6)),
         lambda v: v[0] * v[0] + v[1] * v[1] < v[2] * v[2],
     )
-    interior = h.apply(PPoint(Fraction(a, dd), Fraction(b, dd), 1))
+    interior = h.apply(PPoint(a, b, dd))
     missing = polar(c, interior)
     ok_missing = (
         line_intersect(c, missing) == ()
@@ -678,12 +673,13 @@ def _classification(d: Draws):
         ok_tangent = False
     except TangentLine:
         ok_tangent = len(line_intersect(c, tangent)) == 1
-    return ok_secant and ok_missing and ok_tangent, lambda: [
-        f"conic {c}",
-        f"secant {secant}: {kind.value}, fixed {fixed}",
-        f"missing {missing}: elliptic {ok_missing}",
-        f"tangent {tangent}: degenerates {ok_tangent}",
-    ]
+
+    def transcript():
+        kind, fixed = classify_and_fixed_points(inv)
+        return [f"conic {c}", f"secant {secant}: {kind.value}, fixed {fixed}",
+                f"missing {missing}: elliptic {ok_missing}", f"tangent {tangent}: degenerates {ok_tangent}"]
+
+    return ok_secant and ok_missing and ok_tangent, transcript
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,109 @@ def test_arbre_explicit():
         arbre_check(F(2), pairs)
 
 
+# Reference segment tests on Fraction coordinates: the direct reading of
+# Desargues' signed segments, against which the pair-based tests are checked.
+
+def _ref_finite(values):
+    out = []
+    for v in values:
+        if v is INF:
+            raise InfiniteNode("segment products need finite coordinates")
+        out.append(Fraction(v))
+    return out
+
+
+def _ref_strictly_between(x, a, b):
+    lo, hi = (a, b) if a <= b else (b, a)
+    return lo < x < hi
+
+
+def _ref_interleaved(p, q):
+    a, b = _ref_finite((p.first, p.second))
+    c, d = _ref_finite((q.first, q.second))
+    in_p = sum(1 for x in (c, d) if _ref_strictly_between(x, a, b))
+    in_q = sum(1 for x in (a, b) if _ref_strictly_between(x, c, d))
+    return in_p == 1 or in_q == 1
+
+
+def _ref_desargues(pairs):
+    p_bh, p_cg, p_df = pairs
+    bigb, h = _ref_finite((p_bh.first, p_bh.second))
+    c, g = _ref_finite((p_cg.first, p_cg.second))
+    d, f = _ref_finite((p_df.first, p_df.second))
+    for i in range(3):
+        for j in range(i + 1, 3):
+            if pairs[i] != pairs[j] and set(pairs[i].pairs) & set(pairs[j].pairs):
+                return False
+    if all(p.is_degenerate for p in pairs) and len({p_bh, p_cg, p_df}) == 3:
+        return False
+
+    def q_bh(x):
+        return (x - bigb) * (x - h)
+
+    def q_cg(x):
+        return (x - c) * (x - g)
+
+    def q_df(x):
+        return (x - d) * (x - f)
+
+    identities = (
+        q_df(g) * q_bh(c) == q_bh(g) * q_df(c),
+        q_cg(f) * q_bh(d) == q_bh(f) * q_cg(d),
+        q_cg(h) * q_df(bigb) == q_df(h) * q_cg(bigb),
+    )
+    if not all(identities):
+        return False
+    statuses = {_ref_interleaved(pairs[i], pairs[j]) for i in range(3) for j in range(i + 1, 3) if pairs[i] != pairs[j]}
+    return len(statuses) <= 1
+
+
+def _ref_arbre(souche, pairs):
+    a = _ref_finite((souche,))[0]
+    products = []
+    for p in pairs:
+        x, y = _ref_finite((p.first, p.second))
+        if a == x or a == y:
+            raise InvalidSouche(f"souche {a} coincides with a node of {p}")
+        products.append((a - x) * (a - y))
+    return products[0] == products[1] == products[2] and len({prod < 0 for prod in products}) == 1
+
+
+def _outcome(fn, *args):
+    """The result of fn(*args), or the class of the exception it raised."""
+    try:
+        return fn(*args)
+    except (InfiniteNode, InvalidSouche) as exc:
+        return type(exc)
+
+
+# INF, 0 and its reciprocal partner, nodes of t -> 1/t, t -> -t and t -> -1/t
+_NODES = (INF, F(0), F(1), F(-1), F(2), F(1, 2), F(-1, 2))
+
+
+def test_segment_tests_match_the_fraction_reference_on_every_small_layout(x_axis_chart):
+    couples = [PointPair(s, t) for s, t in itertools.combinations_with_replacement(_NODES, 2)]
+    assert len(couples) == 28
+    outcomes = {}
+    for p, q in itertools.product(couples, repeat=2):
+        got = _outcome(interleaved, p, q)
+        assert got == _outcome(_ref_interleaved, p, q), (p, q)
+        outcomes[got] = outcomes.get(got, 0) + 1
+    for triple in itertools.combinations_with_replacement(couples, 3):
+        for pairs in {triple, triple[::-1], triple[1:] + triple[:1]}:
+            got = _outcome(desargues_condition_check, pairs)
+            assert got == _outcome(_ref_desargues, pairs), pairs
+            outcomes[got] = outcomes.get(got, 0) + 1
+            if got is not InfiniteNode:
+                assert got == in_single_involution(pairs, x_axis_chart), pairs
+        for souche in (INF, F(0), F(1), F(-1, 2), F(3), F(-3, 4)):
+            got = _outcome(arbre_check, souche, triple)
+            assert got == _outcome(_ref_arbre, souche, triple), (souche, triple)
+            outcomes[got] = outcomes.get(got, 0) + 1
+    # every outcome is reached many times: both answers and both refusals
+    assert min(outcomes.get(k, 0) for k in (True, False, InfiniteNode, InvalidSouche)) > 100, outcomes
+
+
 def test_equivalence_rectangle_vs_homographic(x_axis_chart):
     """Desargues' conditions agree with membership, coincidences included."""
     rng = random.Random(17)

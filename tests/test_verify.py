@@ -1,14 +1,17 @@
 """The suite runner: determinism, shrinking, suite registry."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from traversale import verify
+from traversale import linalg, verify
+from traversale.conic import chord_parametrization
 from traversale.errors import GeometryError, InvalidCaseCount, UnknownSuite
 from traversale.involution import InvolutionOnLine
-from traversale.numbers import INF
-from traversale.projective import PLine
+from traversale.numbers import INF, from_pair
+from traversale.projective import PLine, PPoint
 from traversale.verify import (
     ALL_SUITES,
     Draws,
@@ -116,6 +119,85 @@ def test_draws_are_the_draws_of_randint():
         assert draws.record == drawn
         # both generators are left in the same state
         assert draws.draw_int(0, 2**20) == reference.randint(0, 2**20)
+
+
+def _rational_draws_of_verify():
+    """The (lo, hi, dmax) of every rational that ``verify_all`` draws."""
+    ranges = set()
+    real = Draws.rational
+
+    def recording(self, lo=-9, hi=9, dmax=9):
+        ranges.add((lo, hi, dmax))
+        return real(self, lo, hi, dmax)
+
+    Draws.rational = recording
+    try:
+        verify_all(seed=2, cases=3)
+    finally:
+        Draws.rational = real
+    return sorted(ranges)
+
+
+def test_rational_draws_are_the_fractions_they_replace():
+    ranges = _rational_draws_of_verify()
+    assert {(-9, 9, 9), (-8, 8, 6), (-9, 9, 5), (-6, 6, 4), (-8, 8, 5)} <= set(ranges)
+    conics = verify._fixed_conics(1)
+    for seed in range(60):
+        for lo, hi, dmax in ranges:
+            draws, reference = (Draws(random.Random(f"rational:{seed}")) for _ in range(2))
+            pair = draws.rational(lo, hi, dmax)
+            fraction = Fraction(reference.draw_int(lo, hi), reference.draw_int(1, dmax))
+            assert draws.record == reference.record
+            assert pair == (fraction.numerator, fraction.denominator) and from_pair(pair) == fraction
+            assert Draws(replay=draws.record).rational(lo, hi, dmax) == pair
+            par = chord_parametrization(conics[seed % len(conics)])
+            assert par.point_from_pair(pair) == par.point(fraction)
+        draws, reference = (Draws(random.Random(f"point:{seed}")) for _ in range(2))
+        x, y = (Fraction(reference.draw_int(-9, 9), reference.draw_int(1, 9)) for _ in range(2))
+        assert verify._draw_finite_point(draws) == PPoint(x, y, 1)
+        assert draws.record == reference.record
+
+
+def test_drawn_cases_build_no_fraction(monkeypatch):
+    """No drawn case makes a Fraction or hands one to ``linalg.primitive``.
+
+    Fixed properties may keep their Fraction literals, so they run uncounted.
+    """
+    counts = {"fraction": 0, "primitive": 0}
+    counting = [True]
+    real_new = Fraction.__new__
+
+    def new(cls, *args, **kwargs):
+        counts["fraction"] += counting[0]
+        return real_new(cls, *args, **kwargs)
+
+    class CountingMath:  # linalg.primitive reads math.gcd; a Fraction entry makes it raise TypeError
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def gcd(self, *values):
+            try:
+                return math.gcd(*values)
+            except TypeError:
+                counts["primitive"] += counting[0]
+                raise
+
+    real_fixed = verify._run_fixed
+
+    def run_fixed(*args):
+        counting[0] = False
+        try:
+            return real_fixed(*args)
+        finally:
+            counting[0] = True
+
+    monkeypatch.setattr(Fraction, "__new__", new)
+    monkeypatch.setattr(linalg, "math", CountingMath())
+    monkeypatch.setattr(verify, "_run_fixed", run_fixed)
+    assert verify_suite("involution-equivalence", 1).passed
+    assert counts == {"fraction": 0, "primitive": 0}
+    assert all(report.passed for report in verify_all(1))
+    assert counts["primitive"] == 0
 
 
 def test_failure_produces_shrunk_counterexample():
@@ -283,6 +365,10 @@ def _swap_unless_negative(real):
     return lambda p, q, chart: real(p, q, chart) if _negative(p.first) else InvolutionOnLine(chart, ((0, 1), (1, 0)))
 
 
+def _flip_membership_if_first_couple_negative(real):
+    return lambda pairs, chart: real(pairs, chart) != _negative(pairs[0].first)
+
+
 def _never_joins(real):
     def join(p, q):
         raise GeometryError("no join")
@@ -319,6 +405,16 @@ _PINNED_FAILURES = {
         " PointPair(Fraction(1, 1), Fraction(3, 1))]\n"
         "  | matrices ((0, 1), (1, 0)) ((0, 1), (1, 0)) ((0, 1), (1, 0))\n"
         'summary {"cases": 8, "failures": 1, "properties": 5, "seed": 3, "suite": "involution-equivalence"}\n'
+    )),
+    "membership": ("involution-equivalence", "in_single_involution", _flip_membership_if_first_couple_negative, (
+        "suite: involution-equivalence\nseed: 3\ncases: 8\nFAIL rectangle-vs-homographic 2/8\n  | case 0\n"
+        "  | couples {-1/5, 5} {-3/5, 5/3} {-2/5, 5/2}\n  | rectangle identities: True\n"
+        "  | homographic membership: False\nFAIL arbre-vs-involution 3/8\n  | case 0\n  | souche -2/3\n"
+        "  | couples {-1/4, 0} {-1/2, 1} {0, 0}\n  | arbre: False\n  | membership: True\n"
+        "FAIL harmonic-bridge 5/8\n  | case 0\n  | a=-1/5 b=0 c=-2/5\n  | conjugate=-2/15\n  | cross ratio -1\n"
+        "FAIL midpoint-infinity 4/8\n  | case 1\n  | c=0 g=-1/5 midpoint=-1/10\n  | member: False\n"
+        "  | shifted member: False\nPASS agregativite 8/8\n"
+        'summary {"cases": 8, "failures": 4, "properties": 5, "seed": 3, "suite": "involution-equivalence"}\n'
     )),
     "unexpected": ("incidence-duality", "polar", _crash_at_even_x, (
         "suite: incidence-duality\nseed: 3\ncases: 8\nFAIL collinear-points-concurrent-polars 1/8\n"
