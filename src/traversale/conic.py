@@ -267,8 +267,7 @@ def polarity_involution_on_line(c: Conic, l: PLine) -> InvolutionOnLine:
     is the point of l conjugate to it, phi(den*o + num*i, den'*o + num'*i)
     = 0, which is linear in (num, den): the matrix is [[phi(o,i), phi(o,o)],
     [-phi(i,i), -phi(o,i)]], and its vanishing determinant is tangency.  The
-    chart's representatives are o and i up to one common factor, which the
-    primitive matrix drops.
+    chart's representatives are o and i up to a sign, which q and phi drop.
     """
     if not c.is_nondegenerate:
         raise DegenerateConic("the polarity involution needs a nondegenerate conic")

@@ -24,7 +24,7 @@ from enum import Enum
 
 from .errors import CenterOnLine, InfiniteNode, InvalidSouche, UnderdeterminedInvolution
 from .linalg import Mat2, adjugate2, cross, det2, mat2_mul, mat2_vec, primitive_rows
-from .numbers import INF, ExtRat, Pair, format_extended, from_pair, lowest_terms, pair_cross, parse_extended, to_pair
+from .numbers import INF, ExtRat, Pair, format_pair, from_pair, lowest_terms, pair_cross, parse_extended, to_pair
 from .projective import LineChart, PPoint
 from .value import Value
 
@@ -51,6 +51,11 @@ class PointPair(Value):
         couple._order(u, v)
         return couple
 
+    @classmethod
+    def of_points(cls, chart: LineChart, p: PPoint, q: PPoint) -> PointPair:
+        """The couple of the chart coordinates of the points p and q of the chart's line."""
+        return cls.from_pairs(lowest_terms(chart.pair_of(p)), lowest_terms(chart.pair_of(q)))
+
     def _order(self, u: Pair, v: Pair):  # with den >= 0 the sign of pair_cross(u, v) orders them, INF last
         self._set((v, u) if u[0] * v[1] - u[1] * v[0] > 0 else (u, v))
 
@@ -64,7 +69,7 @@ class PointPair(Value):
         return f"PointPair({self.first!r}, {self.second!r})"
 
     def __str__(self):
-        return "{" + format_extended(self.first) + ", " + format_extended(self.second) + "}"
+        return "{" + format_pair(self.pairs[0]) + ", " + format_pair(self.pairs[1]) + "}"
 
     @property
     def first(self) -> ExtRat:

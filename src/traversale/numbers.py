@@ -64,17 +64,21 @@ def parse_extended(text: str) -> ExtRat:
     return parse_rational(text)
 
 
+def format_pair(pair: Pair) -> str:
+    """Render the pair (num, den) as ``p/q`` in lowest terms, plain ``p`` for integers, ``inf`` for den = 0."""
+    num, den = lowest_terms(pair)
+    if den == 0:
+        return "inf"
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def format_rational(value: Fraction) -> str:
     """Render ``p/q`` in lowest terms, or plain ``p`` for integers."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return format_pair((value.numerator, value.denominator))
 
 
 def format_extended(value: ExtRat) -> str:
-    if value is INF:
-        return "inf"
-    return format_rational(value)
+    return format_pair(to_pair(value))
 
 
 def to_pair(value: ExtRat) -> Pair:

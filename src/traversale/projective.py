@@ -3,8 +3,8 @@
 Points and lines are homogeneous triples, built from ints or Fractions and
 stored in primitive integer form (coprime entries, first nonzero entry
 positive) so that equality up to scale is plain tuple equality and hashing
-is free.  All computation is on those integers; `Fraction` appears only at
-the boundary, in parsed literals, printed forms, affine coordinates and
+is free.  All computation and printing is on those integers; `Fraction`
+appears only at the boundary, in parsed literals, affine coordinates and
 chart coordinates handed back to callers.  Points with third coordinate
 zero are the points at infinity; the line ``[0, 0, 1]`` is the default line
 at infinity.  Everything here is an immutable value and every operation is
@@ -25,21 +25,16 @@ from .errors import (
     NotOnLine,
     SingularMatrix,
 )
-from .linalg import Mat3, Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, primitive, primitive_rows, solve2, transpose
-from .numbers import ExtRat, Pair, format_rational, from_pair, pair_cross, parse_rational, to_pair
+from .linalg import Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, primitive, primitive_rows, transpose
+from .numbers import ExtRat, Pair, format_pair, from_pair, pair_cross, parse_rational, to_pair
 from .value import Value
 
 
-def _canonical(triple: Vec3) -> tuple[Fraction, Fraction, Fraction]:
-    """Representative scaled so the first nonzero entry is 1."""
-    x, y, z = triple
-    lead = x or y or z
-    return (Fraction(x, lead), Fraction(y, lead), Fraction(z, lead))
-
-
 def _format_triple(triple: Vec3, brackets: str) -> str:
-    x, y, z = _canonical(triple)
-    return f"{brackets[0]}{format_rational(x)}, {format_rational(y)}, {format_rational(z)}{brackets[1]}"
+    """The triple scaled so the first nonzero entry is 1, as ``(x, y, z)`` or ``[u, v, w]``."""
+    lead = next(filter(None, triple))
+    x, y, z = (format_pair((a, lead)) for a in triple)
+    return f"{brackets[0]}{x}, {y}, {z}{brackets[1]}"
 
 
 def _parse_triple(text: str, kind: str, shape: str, entries: str) -> list[Fraction]:
@@ -78,7 +73,8 @@ class PPoint(Value):
 
     def canonical(self) -> tuple[Fraction, Fraction, Fraction]:
         """Representative scaled so the first nonzero coordinate is 1."""
-        return _canonical(self.coords)
+        lead = next(filter(None, self.coords))
+        return tuple(Fraction(a, lead) for a in self.coords)
 
     @property
     def is_infinite(self) -> bool:
@@ -169,52 +165,59 @@ def concurrent(*lines: PLine) -> bool:
 
 
 class LineChart(Value):
-    """A projective coordinate on a line.
+    """A projective coordinate on a line, held as its representatives.
 
-    The chart is fixed by three pairwise distinct reference points on the
-    line: ``origin`` gets coordinate 0, ``unit`` coordinate 1 and
-    ``infinity_point`` the value INF.  The points of the line are written
-    s*O + t*I against ``representatives`` = (O, I) = (lam*o, mu*i), where
-    o and i are the integer vectors of origin and infinity_point and the
-    weights lam, mu are the coprime integers for which O + I represents
-    unit: their common factor gcd(lam, mu) is divided out, so on a
-    canonical chart O and I are the size of the line's coefficients.  The
-    chart coordinate is t/s, kept as the homogeneous integer pair (t, s).
-    A map of the line that is linear in the point's vector has its chart
-    matrix read off O and I.
+    The points of the line are s*O + t*I for ``representatives`` = (O, I),
+    two independent integer vectors on it, and the chart coordinate is t/s,
+    kept as the integer pair (t, s); O, O + I and I are the ``origin``,
+    ``unit`` and ``infinity_point``.  From three reference points O and I
+    are lam*o and mu*i, with coprime weights for which O + I represents the
+    unit, and a canonical chart holds the line's :func:`canonical_basis`,
+    both up to the common sign that makes O's first nonzero entry positive;
+    so equal charts have equal representatives.  A map of the line that is
+    linear in the point's vector has its chart matrix read off O and I.
     """
 
-    __slots__ = ("line", "origin", "unit", "infinity_point", "representatives", "_rows")
+    __slots__ = ("line", "representatives", "_rows")
 
     def __init__(self, line: PLine, origin: PPoint, unit: PPoint, infinity_point: PPoint):
-        refs = (origin, unit, infinity_point)
         if len({origin, unit, infinity_point}) != 3:
             raise DegenerateChart("chart reference points must be pairwise distinct")
-        for p in refs:
+        for p in (origin, unit, infinity_point):
             if not line.contains(p):
                 raise NotOnLine(f"chart reference {p} is not on {line}")
         o, i, u = origin.coords, infinity_point.coords, unit.coords
-        rows = _independent_rows(o, i)
-        lam_mu = solve2(
-            (o[rows[0]], o[rows[1]]), (i[rows[0]], i[rows[1]]), (u[rows[0]], u[rows[1]])
-        )
-        assert lam_mu is not None, "collinear references always decompose"
-        lam, mu, _ = lam_mu  # unit = (lam*o + mu*i)/d, and the common 1/d is dropped
+        # unit = lam*o + mu*i up to scale, so u x i and o x u are lam and mu times o x i, a nonzero multiple of the line
+        lam, mu = dot(cross(u, i), line.coeffs), dot(cross(o, u), line.coeffs)
         g = math.gcd(lam, mu)
-        reps = (tuple(lam // g * c for c in o), tuple(mu // g * c for c in i))
-        self._set(line, origin, unit, infinity_point, reps, rows)
+        self._store(line, tuple(lam // g * c for c in o), tuple(mu // g * c for c in i))
 
-    def _key(self):
-        return (self.line, self.origin, self.unit, self.infinity_point)
+    def _store(self, line: PLine, o: Vec3, i: Vec3):
+        """Set the fields from the representatives o, i, scaled by the sign that makes o's lead positive."""
+        if next(filter(None, o)) < 0:
+            o, i = tuple(-c for c in o), tuple(-c for c in i)
+        self._set(line, (o, i), _independent_rows(o, i))
 
     def __eq__(self, other):
-        return self._key() == other._key() if type(other) is LineChart else NotImplemented
+        return self.representatives == other.representatives if type(other) is LineChart else NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self.representatives)
 
     def __repr__(self):
         return f"LineChart(line={self.line}, origin={self.origin}, unit={self.unit}, inf={self.infinity_point})"
+
+    @property
+    def origin(self) -> PPoint:
+        return PPoint(*self.representatives[0])
+
+    @property
+    def unit(self) -> PPoint:
+        return PPoint(*map(sum, zip(*self.representatives)))
+
+    @property
+    def infinity_point(self) -> PPoint:
+        return PPoint(*self.representatives[1])
 
     def pair_of(self, point: PPoint) -> Pair:
         """Homogeneous chart pair (num, den), coordinate = num/den."""
@@ -244,12 +247,8 @@ class LineChart(Value):
 
 
 def _independent_rows(a, b) -> tuple[int, int]:
-    """Two coordinate indices where the 3x2 matrix [a b] has full rank."""
-    for r0 in range(3):
-        for r1 in range(r0 + 1, 3):
-            if a[r0] * b[r1] - a[r1] * b[r0] != 0:
-                return (r0, r1)
-    raise ValueError("proportional representatives")
+    """The first two coordinate indices where the 3x2 matrix [a b] of independent a, b has full rank."""
+    return next((r0, r1) for r0, r1 in ((0, 1), (0, 2), (1, 2)) if a[r0] * b[r1] != a[r1] * b[r0])
 
 
 def basis_point(basis: tuple[Vec3, Vec3], pair: Pair) -> PPoint:
@@ -278,9 +277,10 @@ def canonical_basis(line: PLine) -> tuple[Vec3, Vec3]:
 
 
 def canonical_chart(line: PLine) -> LineChart:
-    """The chart of :func:`canonical_basis`, giving the everyday coordinate on the line."""
-    o, i = canonical_basis(line)
-    return LineChart(line, PPoint(*o), PPoint(*(a + b for a, b in zip(o, i))), PPoint(*i))
+    """The chart on :func:`canonical_basis`, giving the everyday coordinate on the line."""
+    chart = LineChart.__new__(LineChart)
+    chart._store(line, *canonical_basis(line))
+    return chart
 
 
 def cross_ratio(a: PPoint, b: PPoint, c: PPoint, d: PPoint, chart: LineChart) -> ExtRat:
@@ -307,10 +307,9 @@ def harmonic_conjugate(c: PPoint, a: PPoint, b: PPoint, chart: LineChart) -> PPo
     pa, pb, pc = (chart.pair_of(p) for p in (a, b, c))
     if pair_cross(pa, pb) == 0:
         raise ConjugateUndefined("base points of the harmonic pair coincide")
-    if pair_cross(pa, pc) == 0 or pair_cross(pb, pc) == 0:
+    ac, bc = pair_cross(pa, pc), pair_cross(pb, pc)
+    if ac == 0 or bc == 0:
         raise ConjugateUndefined(f"{c} is a base point of the pair")
-    ac = pair_cross(pa, pc)
-    bc = pair_cross(pb, pc)
     d = (ac * pb[0] + bc * pa[0], ac * pb[1] + bc * pa[1])
     return chart.point_from_pair(d)
 

@@ -53,14 +53,14 @@ from .errors import (
 )
 from .involution import InvolutionOnLine, PointPair, involution_from_two_pairs
 from .linalg import Mat2, Vec3, cross, det3, dot, solve2
-from .numbers import Pair, format_rational, lowest_terms, small_extended, to_pair
+from .numbers import Pair, format_rational, lowest_terms, pair_cross, small_extended, to_pair
 from .projective import (
     LINE_AT_INFINITY,
     Homography,
     PLine,
     PPoint,
     canonical_chart,
-    cross_ratio,
+    cross_ratio_pair,
     harmonic_conjugate,
     join,
     meet,
@@ -409,10 +409,7 @@ def pencil_involution_on_line(base: PencilBase, l: PLine) -> InvolutionOnLine:
         if l.contains(p):
             raise BasePointOnLine(f"base point {p} lies on {l}")
     chart = canonical_chart(l)
-    traces = [
-        PointPair(chart.coordinate(meet(m1, l)), chart.coordinate(meet(m2, l)))
-        for m1, m2 in base.degenerate_members()
-    ]
+    traces = [PointPair.of_points(chart, meet(m1, l), meet(m2, l)) for m1, m2 in base.degenerate_members()]
     return involution_from_two_pairs(traces[0], traces[1], chart)
 
 
@@ -445,8 +442,7 @@ def two_involutions(c: Conic, f: PPoint, l: PLine) -> TwoInvolutions:
     if len(pts) != 2:
         raise LineMissesConic(f"{l} does not cut the conic in two points")
     h = meet(l, polar(c, f))
-    tf, th = polarity.chart.coordinate(f), polarity.chart.coordinate(h)
-    pencil = involution_from_two_pairs(PointPair(tf, tf), PointPair(th, th), polarity.chart)
+    pencil = involution_from_two_pairs(*(PointPair.of_points(polarity.chart, p, p) for p in (f, h)), polarity.chart)
     return TwoInvolutions(pencil, polarity, pts, h)
 
 
@@ -548,7 +544,13 @@ def harmonic_range_FGXY_check(q: InscribedQuadrangle) -> bool:
     (X, Y; F, G) = -1.  True for every valid inscribed quadrangle.
     """
     f, _, g, fg, x, y = fgxy_points(q)
-    return cross_ratio(x, y, f, g, canonical_chart(fg)) == -1
+    num, den = cross_ratio_pair(x, y, f, g, canonical_chart(fg))
+    return num == -den
+
+
+def _segment_ratio(x: Pair, y: Pair, o: Pair) -> Pair:
+    """(x - o)/(y - o) for finite chart pairs, as the pair pair_cross(x, o)*y_den / (pair_cross(y, o)*x_den)."""
+    return (pair_cross(x, o) * y[1], pair_cross(y, o) * x[1])
 
 
 def secteur_identity_check(q: InscribedQuadrangle) -> bool:
@@ -557,22 +559,25 @@ def secteur_identity_check(q: InscribedQuadrangle) -> bool:
     Checks the squared-ratio identity projectively, and, whenever every
     involved point is at finite distance, also the two segment-product
     identities GX/GY = (DX/DN)(BN/BY) and FX/FY = (DX/DN)(EN/EY) from which
-    it follows.
+    it follows.  The segment ratios are chart pairs, compared cross-multiplied.
     """
     f, n, g, fg, x, y = fgxy_points(q)
     chart_fg = canonical_chart(fg)
-    if cross_ratio(x, y, f, g, chart_fg) != -1:
+    num, den = cross_ratio_pair(x, y, f, g, chart_fg)
+    if num != -den:
         return False
-    pts = (f, n, g, x, y, q.b, q.c, q.d, q.e)
-    if any(p.is_infinite for p in pts):
+    if any(p.is_infinite for p in (f, n, g, x, y, *q.bornes)):
         return True
-    tx, ty, tf, tg = map(chart_fg.coordinate, (x, y, f, g))
-    dx, dn, dd = map(canonical_chart(join(q.d, q.c)).coordinate, (x, n, q.d))
-    bn, by, bb, be = map(canonical_chart(join(q.b, q.e)).coordinate, (n, y, q.b, q.e))
-    d_ratio = (dx - dd) / (dn - dd)
-    first = (tx - tg) / (ty - tg) == d_ratio * ((bn - bb) / (by - bb))
-    second = (tx - tf) / (ty - tf) == d_ratio * ((bn - be) / (by - be))
-    return first and second
+    tx, ty, tf, tg = map(chart_fg.pair_of, (x, y, f, g))
+    dx, dn, dd = map(canonical_chart(join(q.d, q.c)).pair_of, (x, n, q.d))
+    bn, by, bb, be = map(canonical_chart(join(q.b, q.e)).pair_of, (n, y, q.b, q.e))
+    d_num, d_den = _segment_ratio(dx, dn, dd)
+
+    def holds(t: Pair, b: Pair) -> bool:  # (tx - t)/(ty - t) == (DX/DN) * (bn - b)/(by - b)
+        (t_num, t_den), (b_num, b_den) = _segment_ratio(tx, ty, t), _segment_ratio(bn, by, b)
+        return t_num * d_den * b_den == t_den * d_num * b_num
+
+    return holds(tg, bb) and holds(tf, be)
 
 
 def central_projection_center_check(c: Conic, h: Homography, designated: PLine) -> bool:

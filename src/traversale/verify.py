@@ -71,7 +71,6 @@ from .numbers import INF, Pair, from_pair, lowest_terms, pair_cross
 from .projective import (
     LINE_AT_INFINITY,
     Homography,
-    LineChart,
     PLine,
     PPoint,
     canonical_chart,
@@ -334,11 +333,6 @@ def _draw_involution_pairs(d: Draws, inv: InvolutionOnLine, n: int) -> list[Poin
     return [PointPair.from_pairs(t, img) for t, img in d.distinct(n, couple, tries=60, fresh=fresh)]
 
 
-def _couple(chart: LineChart, p: PPoint, q: PPoint) -> PointPair:
-    """The couple of the chart coordinates of p and q."""
-    return PointPair.from_pairs(lowest_terms(chart.pair_of(p)), lowest_terms(chart.pair_of(q)))
-
-
 def _draw_quadrangle(d: Draws, c: Conic) -> InscribedQuadrangle:
     return d.until(
         lambda d: InscribedQuadrangle(c, *_draw_conic_points(d, c, 4)), tries=20, catch=GeometryError
@@ -474,16 +468,13 @@ def _ramee(d: Draws):
     rows = []  # (couple, its image, membership)
     for p in pairs:
         images = (meet(join(center, X_CHART.point_from_pair(t)), target_line) for t in p.pairs)
-        image_pair = _couple(target, *images)
+        image_pair = PointPair.of_points(target, *images)
         rows.append((p, image_pair, contains_pair(projected, image_pair)))
-    kind_src = classify_and_fixed_points(inv)[0]
-    kind_dst = classify_and_fixed_points(projected)[0]
-    hyper = {InvolutionKind.HYPERBOLIC, InvolutionKind.HYPERBOLIC_IRRATIONAL}
-    kinds_match = (kind_src in hyper) == (kind_dst in hyper)
+    kinds_match = (fixed_pairs(inv.matrix) != ()) == (fixed_pairs(projected.matrix) != ())  # hyperbolic or not
     return all(member for _, _, member in rows) and kinds_match, lambda: [
         f"involution {inv.matrix} on {X_AXIS}", f"center {center}", f"target {target_line}",
         *(f"couple {p} -> {image}: member {member}" for p, image, member in rows),
-        f"kinds {kind_src.value} -> {kind_dst.value}",
+        f"kinds {classify_and_fixed_points(inv)[0].value} -> {classify_and_fixed_points(projected)[0].value}",
     ]
 
 
@@ -573,8 +564,8 @@ def _pencil_theorem(d: Draws):
     inv = pencil_involution_on_line(base, l)
     chart = inv.chart
     third = base.degenerate_members()[2]
-    third_pair = _couple(chart, meet(third[0], l), meet(third[1], l))
-    conic_pair = _couple(chart, pts[4], pts[5])
+    third_pair = PointPair.of_points(chart, meet(third[0], l), meet(third[1], l))
+    conic_pair = PointPair.of_points(chart, pts[4], pts[5])
     ok_third = contains_pair(inv, third_pair)
     ok_conic = contains_pair(inv, conic_pair)
     return ok_third and ok_conic, lambda: [
@@ -602,10 +593,10 @@ def _two_involutions(d: Draws):
     checks = {  # an involution fixes t when it maps t to a multiple of itself
         "pencil fixes f": pair_cross(pair.pencil.apply_pair(tf), tf) == 0,
         "pencil fixes H": pair_cross(pair.pencil.apply_pair(th), th) == 0,
-        "pencil swaps L,M": contains_pair(pair.pencil, _couple(chart, lpt, mpt)),
+        "pencil swaps L,M": contains_pair(pair.pencil, PointPair.of_points(chart, lpt, mpt)),
         "polarity fixes L": pair_cross(pair.polarity.apply_pair(tl), tl) == 0,
         "polarity fixes M": pair_cross(pair.polarity.apply_pair(tm), tm) == 0,
-        "polarity swaps f,H": contains_pair(pair.polarity, _couple(chart, f, h)),
+        "polarity swaps f,H": contains_pair(pair.polarity, PointPair.of_points(chart, f, h)),
         "distinct": pair.pencil != pair.polarity,
         "harmonic": ratio[0] == -ratio[1],
     }
@@ -654,7 +645,7 @@ def _classification(d: Draws):
     p1, p2, p3 = _draw_conic_points(d, c, 3)
     secant = join(p1, p2)
     inv = polarity_involution_on_line(c, secant)
-    ok_secant = fixed_pairs(inv.matrix) == _couple(inv.chart, p1, p2).pairs  # hyperbolic, fixing p1 and p2
+    ok_secant = fixed_pairs(inv.matrix) == PointPair.of_points(inv.chart, p1, p2).pairs  # hyperbolic, fixing p1 and p2
     # a line missing the conic: the polar of an interior point
     a, b, dd = d.until(
         lambda d: (d.draw_int(-4, 4), d.draw_int(-4, 4), d.draw_int(1, 6)),
@@ -662,11 +653,7 @@ def _classification(d: Draws):
     )
     interior = h.apply(PPoint(a, b, dd))
     missing = polar(c, interior)
-    ok_missing = (
-        line_intersect(c, missing) == ()
-        and classify_and_fixed_points(polarity_involution_on_line(c, missing))[0]
-        == InvolutionKind.ELLIPTIC
-    )
+    ok_missing = line_intersect(c, missing) == () and fixed_pairs(polarity_involution_on_line(c, missing).matrix) == ()
     tangent = tangent_at(c, p3)
     try:
         polarity_involution_on_line(c, tangent)

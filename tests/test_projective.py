@@ -11,6 +11,7 @@ import pytest
 
 from traversale import (
     INF,
+    LINE_AT_INFINITY,
     CoincidentLines,
     CoincidentPoints,
     ConjugateUndefined,
@@ -28,6 +29,7 @@ from traversale import (
     meet,
 )
 from traversale.linalg import solve2
+from traversale.projective import canonical_basis
 
 
 def _cross(a, b):
@@ -287,3 +289,65 @@ def test_chart_requires_distinct_collinear_references():
         LineChart(line, PPoint(0, 0, 1), PPoint(1, 1, 1), PPoint(1, 0, 0))
     with pytest.raises(ValueError):
         LineChart(line, PPoint(0, 0, 1), PPoint(0, 0, 1), PPoint(1, 0, 0))
+
+
+def _canonical_references(l):
+    """The canonical chart's origin, unit and infinity point: o, o + i and i of the canonical basis."""
+    o, i = canonical_basis(l)
+    return PPoint(*o), PPoint(*(a + b for a, b in zip(o, i))), PPoint(*i)
+
+
+@pytest.mark.parametrize("bits", [4, 64, 512, 2086])
+def test_canonical_chart_is_the_chart_on_its_reference_points(bits):
+    # the canonical chart stores the basis; the three-point constructor
+    # solves for the representatives of the same reference points
+    rng = random.Random(300 + bits)
+    lines = [_random_line(rng, bits) for _ in range(20)]
+    lines += [PLine(rng.getrandbits(bits) + 1, 0, rng.getrandbits(bits) * rng.choice((-1, 1))) for _ in range(4)]
+    lines += [LINE_AT_INFINITY, PLine(0, 1, 0), PLine(1, 0, 0), PLine(-3, 0, 7), PLine(0, -2, 5)]
+    for l in lines:
+        chart, built = canonical_chart(l), LineChart(l, *_canonical_references(l))
+        assert chart == built and hash(chart) == hash(built) and repr(chart) == repr(built), l
+        assert chart._rows == built._rows
+        assert (chart.origin, chart.unit, chart.infinity_point) == _canonical_references(l)
+        assert next(filter(None, chart.representatives[0])) > 0
+        pairs = [(rng.getrandbits(bits) - 2 ** (bits - 1), rng.getrandbits(8) + 1) for _ in range(4)]
+        for pair in [(1, 0), (0, 1), (1, 1), *pairs]:
+            p = chart.point_from_pair(pair)
+            u, v = chart.pair_of(p), built.pair_of(p)
+            assert u[0] * v[1] == u[1] * v[0] and u[0] * pair[1] == u[1] * pair[0] and any(u)
+        o, u, i = _canonical_references(l)
+        assert LineChart(l, i, u, o) != chart and LineChart(l, o, chart.point_from_pair((2, 1)), i) != chart
+
+
+def test_canonical_chart_builds_no_point_and_solves_nothing(monkeypatch):
+    from traversale import linalg, projective
+
+    rng = random.Random(7)
+    lines = [_random_line(rng, bits) for bits in (4, 64, 1900)] + [LINE_AT_INFINITY, PLine(5, 0, -3)]
+    origins = [_canonical_references(l)[0] for l in lines]
+    calls = []
+    real_init, real_solve2 = PPoint.__init__, linalg.solve2
+    monkeypatch.setattr(PPoint, "__init__", lambda self, *v: calls.append("PPoint") or real_init(self, *v))
+    monkeypatch.setattr(linalg, "solve2", lambda *a: calls.append("solve2") or real_solve2(*a))
+    monkeypatch.setattr(projective, "solve2", linalg.solve2, raising=False)
+    charts = [canonical_chart(l) for l in lines]
+    assert calls == []
+    assert [c.origin for c in charts] == origins  # the count sees the points a chart builds on demand
+    assert calls == ["PPoint"] * len(lines)
+
+
+def test_point_and_line_text_is_the_fraction_text():
+    # the triple is scaled so its first nonzero entry is 1 and each entry
+    # printed as str(Fraction) prints it: "p/q" in lowest terms or plain "p"
+    rng = random.Random(5)
+    for bits in (3, 40, 300):
+        for _ in range(30):
+            t = [rng.choice((0, 1, -1)) * rng.getrandbits(bits) for _ in range(3)]
+            if not any(t):
+                continue
+            p, l = PPoint(*t), PLine(*t)
+            lead = next(filter(None, p.coords))
+            text = ", ".join(str(Fraction(x, lead)) for x in p.coords)
+            assert str(p) == f"({text})" and str(l) == f"[{text}]"
+            assert PPoint.parse(str(p)) == p and PLine.parse(str(l)) == l

@@ -4,12 +4,15 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+import itertools
 from itertools import combinations, islice
 
 import pytest
 
 from traversale import (
     INF,
+    CoincidentLines,
+    CoincidentPoints,
     Conic,
     ConjugateUndefined,
     DegenerateConic,
@@ -1036,6 +1039,117 @@ def test_fgxy_randomized():
         quad = _random_quadrangle(rng, c)
         assert harmonic_range_FGXY_check(quad)
         assert secteur_identity_check(quad)
+
+
+# Reference checks on Fraction coordinates: the harmonic and secteur checks
+# as they read on chart coordinates, against which the pair-based checks are
+# compared.
+
+def _ref_harmonic_range(q):
+    f, _, g, fg, x, y = synthetic.fgxy_points(q)
+    return cross_ratio(x, y, f, g, canonical_chart(fg)) == -1
+
+
+def _ref_secteur_identity(q):
+    f, n, g, fg, x, y = synthetic.fgxy_points(q)
+    chart_fg = canonical_chart(fg)
+    if cross_ratio(x, y, f, g, chart_fg) != -1:
+        return False
+    if any(p.is_infinite for p in (f, n, g, x, y, *q.bornes)):
+        return True
+    tx, ty, tf, tg = map(chart_fg.coordinate, (x, y, f, g))
+    dx, dn, dd = map(canonical_chart(join(q.d, q.c)).coordinate, (x, n, q.d))
+    bn, by, bb, be = map(canonical_chart(join(q.b, q.e)).coordinate, (n, y, q.b, q.e))
+    d_ratio = (dx - dd) / (dn - dd)
+    first = (tx - tg) / (ty - tg) == d_ratio * ((bn - bb) / (by - bb))
+    second = (tx - tf) / (ty - tf) == d_ratio * ((bn - be) / (by - be))
+    return first and second
+
+
+_FGXY_CHECKS = ((harmonic_range_FGXY_check, _ref_harmonic_range), (secteur_identity_check, _ref_secteur_identity))
+
+
+def _outcome(fn, *args):
+    """The result of fn(*args), or the class of the exception it raised."""
+    try:
+        return fn(*args)
+    except (GeometryError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def _unchecked_quadrangle(c, pts):
+    """A quadrangle record on any four points, skipping the constructor's checks."""
+    q = InscribedQuadrangle.__new__(InscribedQuadrangle)
+    q._set(c, *pts)
+    return q
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 16, 64, 256])
+def test_fgxy_checks_match_the_fraction_reference(steps, monkeypatch):
+    # drawn quadrangles on small conics (steps 0: one small homography each)
+    # and on the circle moved by up to 256 homographies; the segment ratios
+    # must be reached, not only the projective cross-ratio
+    rng = random.Random(700 + steps)
+    conics = [_random_conic(rng)[0] for _ in range(12)] if steps == 0 else [_circle_image(700 + steps, steps)[0]] * 6
+    ratios = []
+    real_ratio = synthetic._segment_ratio
+    monkeypatch.setattr(synthetic, "_segment_ratio", lambda *v: ratios.append(v) or real_ratio(*v))
+    for c in conics:
+        for _ in range(3):
+            q = _random_quadrangle(rng, c)
+            for check, reference in _FGXY_CHECKS:
+                assert _outcome(check, q) is _outcome(reference, q) is True, q
+    assert len(ratios) >= 3 * len(conics)
+
+
+def test_secteur_identity_reads_every_segment_ratio(worked_quadrangle, circle, monkeypatch):
+    # DX/DN, then GX/GY with BN/BY, then FX/FY with EN/EY: moving any one
+    # of the five ratios by 1 breaks an identity, so each one is read
+    quads = [worked_quadrangle] + [_random_quadrangle(random.Random(k), circle) for k in range(3)]
+    real_ratio = synthetic._segment_ratio
+    for k in range(5):
+        calls = []
+
+        def shifted(*v):
+            calls.append(v)
+            num, den = real_ratio(*v)
+            return (num + den, den) if len(calls) == k + 1 else (num, den)
+
+        monkeypatch.setattr(synthetic, "_segment_ratio", shifted)
+        for q in quads:
+            calls.clear()
+            assert not secteur_identity_check(q) and len(calls) == (3 if k < 3 else 5), (k, q)
+    monkeypatch.setattr(synthetic, "_segment_ratio", real_ratio)
+    assert all(secteur_identity_check(q) for q in quads)
+
+
+def test_fgxy_checks_match_the_fraction_reference_on_degenerate_layouts(circle):
+    # any four of nine grid points and three points at infinity, in two
+    # orders: both answers agree, and so do the errors of the collinear ones
+    grid = [PPoint(x, y, 1) for x in (-1, 0, 1) for y in (-1, 0, 1)] + [PPoint(1, 0, 0), PPoint(0, 1, 0), PPoint(1, 1, 0)]
+    outcomes = Counter()
+    for pts in combinations(grid, 4):
+        for order in (pts, pts[::-1]):
+            q = _unchecked_quadrangle(circle, order)
+            for check, reference in _FGXY_CHECKS:
+                got = _outcome(check, q)
+                assert got == _outcome(reference, q), order
+                outcomes[got] += 1
+    assert set(outcomes) == {True, CoincidentLines, CoincidentPoints}, outcomes
+
+
+# finite chart pairs in and out of lowest terms, some with a negative den
+_RATIO_NODES = ((0, 1), (1, 1), (-1, 2), (3, -2), (4, 2), (-5, 3), (2, -4), (0, -3))
+
+
+def test_segment_ratio_is_the_fraction_ratio_on_every_ordered_triple():
+    outcomes = Counter()
+    for x, y, o in itertools.product(_RATIO_NODES, repeat=3):
+        fx, fy, fo = (F(*v) for v in (x, y, o))
+        got = _outcome(lambda: F(*synthetic._segment_ratio(x, y, o)))
+        assert got == _outcome(lambda: (fx - fo) / (fy - fo)), (x, y, o)
+        outcomes[got] += 1
+    assert outcomes[ZeroDivisionError] > 50 and len(outcomes) > 20, outcomes
 
 
 # -- self-polar diagonal triangle ----------------------------------------------

@@ -159,16 +159,22 @@ def test_rational_draws_are_the_fractions_they_replace():
 
 
 def test_drawn_cases_build_no_fraction(monkeypatch):
-    """No drawn case makes a Fraction or hands one to ``linalg.primitive``.
+    """No drawn case of ``verify_all(1)`` makes a Fraction or hands one to ``linalg.primitive``.
 
-    Fixed properties may keep their Fraction literals, so they run uncounted.
+    Counted per suite, so a failure names the suites that compute in
+    Fraction.  Fixed properties may keep their Fraction literals, so they
+    run uncounted.
     """
-    counts = {"fraction": 0, "primitive": 0}
-    counting = [True]
+    counts = {}
+    counting = [None]  # the suite being counted, None while a fixed property runs
     real_new = Fraction.__new__
 
+    def count(kind):
+        if counting[0] is not None:
+            counts[counting[0], kind] = counts.get((counting[0], kind), 0) + 1
+
     def new(cls, *args, **kwargs):
-        counts["fraction"] += counting[0]
+        count("fraction")
         return real_new(cls, *args, **kwargs)
 
     class CountingMath:  # linalg.primitive reads math.gcd; a Fraction entry makes it raise TypeError
@@ -179,25 +185,29 @@ def test_drawn_cases_build_no_fraction(monkeypatch):
             try:
                 return math.gcd(*values)
             except TypeError:
-                counts["primitive"] += counting[0]
+                count("primitive")
                 raise
 
     real_fixed = verify._run_fixed
 
     def run_fixed(*args):
-        counting[0] = False
+        suite, counting[0] = counting[0], None
         try:
             return real_fixed(*args)
         finally:
-            counting[0] = True
+            counting[0] = suite
 
     monkeypatch.setattr(Fraction, "__new__", new)
     monkeypatch.setattr(linalg, "math", CountingMath())
     monkeypatch.setattr(verify, "_run_fixed", run_fixed)
-    assert verify_suite("involution-equivalence", 1).passed
-    assert counts == {"fraction": 0, "primitive": 0}
-    assert all(report.passed for report in verify_all(1))
-    assert counts["primitive"] == 0
+    reports = []
+    for name in ALL_SUITES:
+        counting[0] = name
+        reports.append(verify_suite(name, 1))
+    counting[0] = None
+    assert [report.to_text() for report in reports] == [report.to_text() for report in verify_all(1)]
+    assert all(report.passed for report in reports)
+    assert counts == {}
 
 
 def test_failure_produces_shrunk_counterexample():
