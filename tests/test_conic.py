@@ -330,7 +330,11 @@ def _unreduced_line_intersect(c, l):
 
 
 @pytest.mark.parametrize("steps", [0, 1, 16, 64, 256])
-def test_line_intersect_reduced_roots_match_the_unreduced_formula(steps):
+def test_line_intersect_reduced_roots_match_the_unreduced_formula(steps, monkeypatch):
+    # each line twice: on the plane path, then read in the frame of the
+    # conic's chord parametrization once the conic carries it
+    import traversale.conic as conic_module
+
     c, h = _circle_image_chain(300 + steps, steps)
     par = rational_parametrize(c, c.witness)
     on = [par.point(t) for t in (F(0), F(1, 3), F(-2), INF)]
@@ -345,18 +349,34 @@ def test_line_intersect_reduced_roots_match_the_unreduced_formula(steps):
     rng = random.Random(steps)
     for n in range(6):
         lines[f"random-{n}"] = PLine(*(rng.randint(-9, 9) for _ in range(3)))
-    for name, l in lines.items():
-        try:
-            expected = _unreduced_line_intersect(c, l)
-        except IrrationalIntersection as exc:
-            with pytest.raises(IrrationalIntersection) as info:
-                line_intersect(c, l)
-            assert info.value.discriminant == exc.discriminant // 4, name
-            continue
-        assert line_intersect(c, l) == expected, name
-        assert all(c.contains(p) and l.contains(p) for p in expected), name
-        if name.startswith("tangent"):
-            assert len(expected) == 1, name
+    bases = []
+    monkeypatch.setattr(conic_module, "canonical_basis", lambda l: bases.append(l) or canonical_basis(l))
+    runs = []
+    for frame in (False, True):
+        if frame:
+            conic_module.chord_parametrization(c)
+        assert (c._parametrization is not None) is frame
+        results = {}
+        for name, l in lines.items():
+            bases.clear()
+            try:
+                expected = _unreduced_line_intersect(c, l)
+            except IrrationalIntersection as exc:
+                with pytest.raises(IrrationalIntersection) as info:
+                    line_intersect(c, l)
+                assert info.value.discriminant == exc.discriminant // 4, name
+                results[name] = info.value.discriminant
+                continue
+            results[name] = line_intersect(c, l)
+            assert results[name] == expected, name
+            assert all(c.contains(p) and l.contains(p) for p in expected), name
+            if name.startswith("tangent"):
+                assert len(expected) == 1, name
+            assert (bases == []) is frame, name  # a rational trace in the frame needs no canonical basis
+        runs.append(results)
+    assert runs[0] == runs[1]
+    assert {type(r) for r in runs[0].values()} == {tuple, int}  # rational and irrational traces both met
+    assert () in runs[0].values()
 
 
 def test_second_intersection_vieta(circle):

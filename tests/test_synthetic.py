@@ -189,6 +189,10 @@ def test_quadrangle_sweep_matches_second_intersection_reference(name):
             b, c2, d, e = reference_bornes(f, offset)
             quad = inscribed_quadrangle_through(c, f, offset=offset)
             assert quad.bornes == (b, c2, d, e), (kind, offset)
+            # the unchecked sweep quadrangle passes the checked constructor and equals what it builds
+            checked = InscribedQuadrangle(c, *quad.bornes)
+            fields = lambda q: (q.conic, q.bornes, repr(q), q.bornale_couples, q.diagonal_points())
+            assert fields(quad) == fields(checked), (kind, offset)
             n = meet(join(c2, d), join(b, e))
             g = meet(join(b, d), join(c2, e))
             assert traversale_from_quadrangle(c, f, offset=offset) == join(g, n), (kind, offset)
@@ -445,7 +449,9 @@ def test_traversale_and_pole_build_no_quadrangle(circle, monkeypatch):
         l = polar(c, PPoint(3, 5, 7))
         assert pole_by_construction(c, l) == pole(c, l)
     assert built == []
-    inscribed_quadrangle_through(circle, PPoint(2, 0, 1))  # the counter sees the checked path
+    quad = inscribed_quadrangle_through(circle, PPoint(2, 0, 1))  # the sweep's quadrangle, unchecked
+    assert type(quad) is InscribedQuadrangle and built == []
+    InscribedQuadrangle(circle, *quad.bornes)  # the counter sees the checked path
     assert len(built) == 1
 
 
