@@ -13,14 +13,15 @@ ellipse/hyperbola/parabola trichotomy) and transport under homographies
 are all computed without ever leaving the rationals.  When an
 intersection exists over the reals but not over Q the operation says so
 exactly (IrrationalIntersection with the offending discriminant) instead
-of approximating.
+of approximating.  A conic without a witness gets its first rational point
+from :func:`find_rational_point`, a bounded sweep of small-height lines
+built from integer pairs; every form here has integer entries.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
 
 from .errors import (
     BasePointNotOnConic,
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .involution import InvolutionOnLine, fixed_pairs
 from .linalg import Mat3, Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, primitive, primitive_rows, transpose
-from .numbers import ExtRat, Pair, small_rationals, to_pair
+from .numbers import ExtRat, Pair, small_pairs, to_pair
 from .projective import (
     LINE_AT_INFINITY,
     Homography,
@@ -113,13 +114,10 @@ class Conic(Value):
 
     @classmethod
     def from_coefficients(cls, a, b, c, d, e, f, witness: PPoint | None = None) -> "Conic":
-        a, b, c, d, e, f = (Fraction(x) for x in (a, b, c, d, e, f))
-        rows = (
-            (2 * a, d, e),
-            (d, 2 * b, f),
-            (e, f, 2 * c),
-        )
-        return cls(rows, witness=witness)
+        """The conic a x^2 + b y^2 + c z^2 + d xy + e xz + f yz = 0 from ints and Fractions."""
+        coeffs = (a, b, c, d, e, f)
+        a, b, c, d, e, f = primitive(coeffs) if any(coeffs) else coeffs
+        return cls(((2 * a, d, e), (d, 2 * b, f), (e, f, 2 * c)), witness=witness)
 
     @classmethod
     def unit_circle(cls) -> "Conic":
@@ -561,17 +559,19 @@ def find_rational_point(c: Conic) -> PPoint | None:
     Returns the carried witness if there is one (the Conic constructor
     has already checked it is on the curve), else sweeps small-height
     vertical, horizontal and through-origin lines, testing each restricted
-    discriminant exactly.  Returns None after ``_SEARCH_LINES`` lines; this
-    is a search, not a decision procedure.
+    discriminant exactly.  The lines are read off the integer pairs (n, d)
+    of :func:`small_pairs`, r = n/d, so the search builds no Fraction.
+    Returns None after ``_SEARCH_LINES`` lines; this is a search, not a
+    decision procedure.
     """
     if c.witness is not None:
         return c.witness
     tried = 0
-    for r in small_rationals():
+    for n, d in small_pairs():
         for l in (
-            PLine(1, 0, -r),  # x = r
-            PLine(0, 1, -r),  # y = r
-            PLine(r, -1, 0),  # y = r x
+            PLine(d, 0, -n),  # x = n/d
+            PLine(0, d, -n),  # y = n/d
+            PLine(n, -d, 0),  # y = (n/d) x
         ):
             tried += 1
             if tried > _SEARCH_LINES:

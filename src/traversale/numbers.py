@@ -8,7 +8,9 @@ point of a line is a homogeneous integer pair ``(num, den)`` with
 ``t = num/den`` and ``INF = (1, 0)``, so computations stay total;
 :func:`to_pair` and :func:`from_pair` convert at the boundary.  For finite
 pairs with den > 0 the segment x - y is pair_cross(x, y) / (x_den * y_den),
-so its sign is the sign of :func:`pair_cross`.
+so its sign is the sign of :func:`pair_cross`.  The bounded searches sweep
+the pairs of :func:`small_pairs` in height order, so they build no Fraction
+either.
 """
 
 from __future__ import annotations
@@ -111,35 +113,18 @@ def pair_cross(p: Pair, q: Pair) -> int:
     return p[0] * q[1] - p[1] * q[0]
 
 
-def small_rationals():
-    """Yield all rationals ordered by height max(|num|, den): 0, 1, -1, 2, ...
+def small_pairs():
+    """Yield every finite pair (num, den) in lowest terms, den > 0, by height max(|num|, den).
 
-    Deterministic; used by the bounded searches (rational points on a conic,
-    points on a line) so that repeated runs pick identical witnesses.
+    (0, 1), (1, 1), (-1, 1), (2, 1), (-2, 1), (1, 2), (-1, 2), ...  Deterministic;
+    the bounded searches (rational points on a conic, secant directions and
+    points on a line) run on it, so repeated runs pick identical witnesses.
     """
-    yield Fraction(0)
+    yield (0, 1)
     height = 1
     while True:
-        for num, den in _height_pairs(height):
-            yield Fraction(num, den)
-            yield Fraction(-num, den)
+        for num, den in [(height, q) for q in range(1, height + 1)] + [(p, height) for p in range(1, height)]:
+            if math.gcd(num, den) == 1:
+                yield (num, den)
+                yield (-num, den)
         height += 1
-
-
-def _height_pairs(h: int):
-    for q in range(1, h + 1):
-        if math.gcd(h, q) == 1:
-            yield (h, q)
-    for p in range(1, h):
-        if math.gcd(p, h) == 1:
-            yield (p, h)
-
-
-def small_extended():
-    """Like small_rationals but with INF second, for direction sweeps."""
-    yield Fraction(0)
-    yield INF
-    src = small_rationals()
-    next(src)  # drop the duplicate 0
-    yield from src
-

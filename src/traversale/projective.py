@@ -30,11 +30,15 @@ from .numbers import ExtRat, Pair, format_pair, from_pair, pair_cross, parse_rat
 from .value import Value
 
 
-def _format_triple(triple: Vec3, brackets: str) -> str:
-    """The triple scaled so the first nonzero entry is 1, as ``(x, y, z)`` or ``[u, v, w]``."""
+def canonical_entries(triple: Vec3) -> tuple[str, str, str]:
+    """The entries of the triple scaled so the first nonzero entry is 1, as text."""
     lead = next(filter(None, triple))
-    x, y, z = (format_pair((a, lead)) for a in triple)
-    return f"{brackets[0]}{x}, {y}, {z}{brackets[1]}"
+    return tuple([format_pair((a, lead)) for a in triple])
+
+
+def _format_triple(triple: Vec3, brackets: str) -> str:
+    """The :func:`canonical_entries` of the triple as ``(x, y, z)`` or ``[u, v, w]``."""
+    return f"{brackets[0]}{', '.join(canonical_entries(triple))}{brackets[1]}"
 
 
 def _parse_triple(text: str, kind: str, shape: str, entries: str) -> list[Fraction]:
@@ -70,11 +74,6 @@ class PPoint(Value):
 
     def __str__(self):
         return _format_triple(self.coords, "()")
-
-    def canonical(self) -> tuple[Fraction, Fraction, Fraction]:
-        """Representative scaled so the first nonzero coordinate is 1."""
-        lead = next(filter(None, self.coords))
-        return tuple(Fraction(a, lead) for a in self.coords)
 
     @property
     def is_infinite(self) -> bool:

@@ -23,7 +23,6 @@ tangent: lam1^2 != 4*lam0*lam2) and maps only its result into the plane.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice
 
 from .conic import (
@@ -53,13 +52,14 @@ from .errors import (
 )
 from .involution import InvolutionOnLine, PointPair, involution_from_two_pairs
 from .linalg import Mat2, Vec3, cross, det3, dot, solve2
-from .numbers import Pair, format_rational, lowest_terms, pair_cross, small_extended, to_pair
+from .numbers import ExtRat, Pair, from_pair, lowest_terms, pair_cross, small_pairs
 from .projective import (
     LINE_AT_INFINITY,
     Homography,
     PLine,
     PPoint,
     canonical_chart,
+    canonical_entries,
     cross_ratio_pair,
     harmonic_conjugate,
     join,
@@ -144,8 +144,8 @@ def worked_quadrangle() -> InscribedQuadrangle:
         Conic.unit_circle(),
         PPoint(1, 0, 1),
         PPoint(-1, 0, 1),
-        PPoint(Fraction(3, 5), Fraction(4, 5), 1),
-        PPoint(Fraction(5, 13), Fraction(12, 13), 1),
+        PPoint(3, 4, 5),
+        PPoint(5, 12, 13),
     )
 
 
@@ -170,9 +170,9 @@ class PencilBase(Value):
         return _opposite_sides(*self.points)
 
 
-# The first 64 parameters of small_extended() as chart pairs: the fixed
-# sweep of secant directions and of points on a line.
-_SWEEP_PAIRS = tuple(to_pair(t) for t in islice(small_extended(), 64))
+# 0, INF, then the next 62 pairs of small_pairs(): the fixed sweep of
+# secant directions and of points on a line.
+_SWEEP_PAIRS = ((0, 1), (1, 0), *islice(small_pairs(), 1, 63))
 
 
 def _borne(s: Pair) -> Vec3:
@@ -322,7 +322,7 @@ def quadrangle_transcript(quad: InscribedQuadrangle) -> str:
     f = meet(join(quad.b, quad.c), join(quad.d, quad.e))
 
     def coords(p: PPoint) -> str:
-        return " ".join(format_rational(x) for x in p.canonical())
+        return " ".join(canonical_entries(p.coords))
 
     lines = [
         "# traversale construction transcript",
@@ -489,8 +489,8 @@ def conjugate_diameters(c: Conic, infinity: PLine, d: PLine) -> PLine:
     return join(center, pole(c, d))
 
 
-def _section_ratio(p: PPoint, x: PPoint, q: PPoint) -> Fraction:
-    """Signed ratio px/xq for collinear p, x, q with p, q finite.
+def _section_ratio(p: PPoint, x: PPoint, q: PPoint) -> Pair:
+    """Signed ratio px/xq for collinear p, x, q with p, q finite, as the pair (num, den).
 
     Decomposes x = alpha*p + beta*q on the integer representatives; on the
     representatives with last coordinate 1 the ratio is (beta*qz)/(alpha*pz),
@@ -509,26 +509,25 @@ def _section_ratio(p: PPoint, x: PPoint, q: PPoint) -> Fraction:
         raise VertexOnTransversal(f"section point coincides with {q}")
     if beta == 0:
         raise VertexOnTransversal(f"section point coincides with {p}")
-    return Fraction(beta * qc[2], alpha * pc[2])
+    return (beta * qc[2], alpha * pc[2])
 
 
 def menelaus_check(
     triangle: tuple[PPoint, PPoint, PPoint], transversal: PLine
-) -> tuple[bool, tuple[Fraction, Fraction, Fraction]]:
+) -> tuple[bool, tuple[ExtRat, ExtRat, ExtRat]]:
     """Menelaus: a transversal cuts the sides in ratios multiplying to -1.
 
     Returns the verdict together with the three signed section ratios, in
     side order (A, B), (B, C), (C, A).  A cut at infinity contributes -1.
     Vertices must be at finite distance; a transversal through a vertex
-    raises VertexOnTransversal.
+    raises VertexOnTransversal.  The verdict is decided on the ratios'
+    integer pairs, n0*n1*n2 == -d0*d1*d2.
     """
     a, b, c = triangle
-    ratios = []
-    for p, q in ((a, b), (b, c), (c, a)):
-        x = meet(transversal, join(p, q))
-        ratios.append(_section_ratio(p, x, q))
-    product = ratios[0] * ratios[1] * ratios[2]
-    return (product == -1, tuple(ratios))
+    (n0, d0), (n1, d1), (n2, d2) = ratios = [
+        _section_ratio(p, meet(transversal, join(p, q)), q) for p, q in ((a, b), (b, c), (c, a))
+    ]
+    return (n0 * n1 * n2 == -d0 * d1 * d2, tuple(map(from_pair, ratios)))
 
 
 def fgxy_points(q: InscribedQuadrangle) -> tuple[PPoint, PPoint, PPoint, PLine, PPoint, PPoint]:

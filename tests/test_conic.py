@@ -180,9 +180,23 @@ def test_conic_coefficient_round_trip(circle):
     assert rebuilt == circle
 
 
+def test_from_coefficients_matches_the_fraction_rows():
+    # the reference: the matrix (2a, d, e; d, 2b, f; e, f, 2c) built on the
+    # Fractions themselves, against one primitive pass over the coefficients
+    rng = random.Random(26)
+    for _ in range(300):
+        coeffs = [rng.choice((rng.randint(-6, 6), F(rng.randint(-6, 6), rng.randint(1, 6)))) for _ in range(6)]
+        if not any(coeffs):
+            continue
+        a, b, c, d, e, f = (F(x) for x in coeffs)
+        assert Conic.from_coefficients(*coeffs) == Conic(((2 * a, d, e), (d, 2 * b, f), (e, f, 2 * c)))
+
+
 def test_zero_form_rejected():
     with pytest.raises(ZeroForm):
         Conic(((0, 0, 0), (0, 0, 0), (0, 0, 0)))
+    with pytest.raises(ZeroForm):
+        Conic.from_coefficients(0, 0, F(0), 0, 0, 0)
 
 
 # -- polar / pole -----------------------------------------------------------

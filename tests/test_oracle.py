@@ -81,6 +81,16 @@ def test_readme_traversale_stdout_and_transcript(tmp_path, capsys):
     assert _sha256(path.read_text()) == "ed105d566d3dd74212395b3cf55a438da47534bd9e1386094c4b499adf8c5b3c"
 
 
+def test_transcript_digest_of_a_conic_without_a_witness(tmp_path):
+    # the bornes come from the searched base point; their integer coordinates
+    # lead with entries other than 1 and hold zero and negative entries, which
+    # print as "point B 0 1 -2/3" and "point E 1 -6/35 37/105"
+    path = tmp_path / "t.scene"
+    argv = ["traversale", "--conic", "1 4 -9 0 0 0", "--point", "(5, 1, 3)", "--transcript", str(path)]
+    assert main(argv) == 0
+    assert _sha256(path.read_text()) == "b23a0a9e7cff78f8be24e4847732655aae5530905bc013ae75a62b6c5c912ca0"
+
+
 # -- the value contract ----------------------------------------------------------
 
 Y0 = canonical_chart(PLine(0, 1, 0))

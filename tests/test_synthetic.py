@@ -46,10 +46,10 @@ from traversale import (
     tangent_at,
     transform,
 )
-from traversale import synthetic
+from traversale import cli, projective, synthetic
 from traversale.conic import chord_parametrization, find_rational_point
 from traversale.linalg import cross, det2, det3, dot, mat2_mul, mat2_vec, primitive
-from traversale.numbers import small_extended, to_pair
+from traversale.numbers import small_pairs, to_pair
 from traversale.render import Drawable, render_svg
 from traversale.synthetic import (
     _SWEEP_PAIRS,
@@ -63,6 +63,7 @@ from traversale.synthetic import (
     menelaus_check,
     pencil_involution_on_line,
     pole_by_construction,
+    quadrangle_transcript,
     secteur_identity_check,
     tangent_via_harmonic,
     traversale_from_quadrangle,
@@ -170,8 +171,8 @@ def test_quadrangle_sweep_matches_second_intersection_reference(name):
 
     def reference_bornes(f, offset):
         seen, secants = set(), []
-        for t in islice(small_extended(), 64):
-            p = par.point(t)
+        for s in ((0, 1), (1, 0), *islice(small_pairs(), 1, 63)):
+            p = par.point_from_pair(s)
             if p in seen:
                 continue
             q = second_intersection(c, p, f)
@@ -551,6 +552,25 @@ def test_no_rational_point_gives_one_message_from_every_caller():
                 call()
             assert str(exc.value) == "no rational point found on the conic within the search budget"
         assert no_point._parametrization is None
+
+
+def test_point_search_transcript_and_cli_build_fractions_only_for_literals(fraction_count, monkeypatch, tmp_path):
+    # the search sweeps integer pairs, the transcript prints integer entries,
+    # and a witness-less CLI conic builds Fractions only in its parsed literals
+    no_point = Conic.from_coefficients(1, 1, -3, 0, 0, 0)  # x^2 + y^2 = 3 z^2
+    quad = synthetic.worked_quadrangle()
+    fraction_count.label = "search"
+    assert find_rational_point(no_point) is None
+    fraction_count.label = "transcript"
+    quadrangle_transcript(quad)
+    for module in (cli, projective):
+        monkeypatch.setattr(module, "parse_rational", fraction_count.uncounted(module.parse_rational))
+    fraction_count.label = "cli"
+    argv = ["traversale", "--conic", "1 4 -9 0 0 0", "--point", "(5, 1, 3)", "--transcript", str(tmp_path / "t.scene")]
+    assert cli.main(argv) == 0
+    fraction_count.label = None
+    # primitive reads each literal's Fractions once: the conic's six and the point's three
+    assert fraction_count.counts == {("cli", "primitive"): 2}
 
 
 def test_secant_budget_ends_the_offsets(circle):

@@ -1,12 +1,11 @@
 """The suite runner: determinism, shrinking, suite registry."""
 
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from traversale import linalg, verify
+from traversale import verify
 from traversale.conic import chord_parametrization
 from traversale.errors import GeometryError, InvalidCaseCount, UnknownSuite
 from traversale.involution import InvolutionOnLine
@@ -158,56 +157,22 @@ def test_rational_draws_are_the_fractions_they_replace():
         assert draws.record == reference.record
 
 
-def test_drawn_cases_build_no_fraction(monkeypatch):
+def test_drawn_cases_build_no_fraction(monkeypatch, fraction_count):
     """No drawn case of ``verify_all(1)`` makes a Fraction or hands one to ``linalg.primitive``.
 
     Counted per suite, so a failure names the suites that compute in
     Fraction.  Fixed properties may keep their Fraction literals, so they
     run uncounted.
     """
-    counts = {}
-    counting = [None]  # the suite being counted, None while a fixed property runs
-    real_new = Fraction.__new__
-
-    def count(kind):
-        if counting[0] is not None:
-            counts[counting[0], kind] = counts.get((counting[0], kind), 0) + 1
-
-    def new(cls, *args, **kwargs):
-        count("fraction")
-        return real_new(cls, *args, **kwargs)
-
-    class CountingMath:  # linalg.primitive reads math.gcd; a Fraction entry makes it raise TypeError
-        def __getattr__(self, name):
-            return getattr(math, name)
-
-        def gcd(self, *values):
-            try:
-                return math.gcd(*values)
-            except TypeError:
-                count("primitive")
-                raise
-
-    real_fixed = verify._run_fixed
-
-    def run_fixed(*args):
-        suite, counting[0] = counting[0], None
-        try:
-            return real_fixed(*args)
-        finally:
-            counting[0] = suite
-
-    monkeypatch.setattr(Fraction, "__new__", new)
-    monkeypatch.setattr(linalg, "math", CountingMath())
-    monkeypatch.setattr(verify, "_run_fixed", run_fixed)
+    monkeypatch.setattr(verify, "_run_fixed", fraction_count.uncounted(verify._run_fixed))
     reports = []
     for name in ALL_SUITES:
-        counting[0] = name
+        fraction_count.label = name
         reports.append(verify_suite(name, 1))
-    counting[0] = None
+    fraction_count.label = None
     assert [report.to_text() for report in reports] == [report.to_text() for report in verify_all(1)]
     assert all(report.passed for report in reports)
-    assert counts == {}
+    assert fraction_count.counts == {}
 
 
 def test_failure_produces_shrunk_counterexample():
