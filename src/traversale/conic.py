@@ -62,14 +62,13 @@ class Conic(Value):
     a known rational point on the curve used to seed rational secant
     searches; it is a cache, ignored by equality and hashing.  The chord
     parametrization that :func:`chord_parametrization` builds from the
-    conic's first rational point is memoized on the object; it too is a
-    cache, ignored by equality and hashing.  ``is_nondegenerate`` (a
-    nonzero determinant) is computed once, when the conic is built; the
-    dual form (the adjugate matrix, which :func:`pole` applies) is built
-    on first use and memoized like the parametrization.
+    conic's first rational point is memoized on the object, and so is a
+    search that found no point; it too is a cache, ignored by equality and
+    hashing.  ``is_nondegenerate`` (a nonzero determinant) is computed
+    once, when the conic is built.
     """
 
-    __slots__ = ("matrix", "witness", "is_nondegenerate", "_parametrization", "_dual")
+    __slots__ = ("matrix", "witness", "is_nondegenerate", "_parametrization")
 
     def __init__(self, rows, witness: PPoint | None = None):
         if len(rows) != 3 or any(len(row) != 3 for row in rows):
@@ -82,7 +81,7 @@ class Conic(Value):
             raise ValueError(f"conic matrix must be symmetric, got {mat}")
         if witness is not None and dot(mat_vec(mat, witness.coords), witness.coords) != 0:
             raise BasePointNotOnConic(f"witness {witness} is not on the conic")
-        self._set(mat, witness, det3(mat) != 0, None, None)
+        self._set(mat, witness, det3(mat) != 0, None)
 
     def __eq__(self, other):
         return self.matrix == other.matrix if type(other) is Conic else NotImplemented
@@ -195,20 +194,11 @@ def polar(c: Conic, m: PPoint) -> PLine:
     return PLine(*coeffs)
 
 
-def _dual_form(c: Conic) -> Mat3:
-    """adj(M), the form of the dual conic, built once per Conic object."""
-    dual = c._dual
-    if dual is None:
-        dual = adjugate(c.matrix)
-        c._set(_dual=dual)
-    return dual
-
-
 def _pole_coords(c: Conic, l: PLine) -> Vec3:
     """adj(M).l, the unreduced coordinates of the pole of l; needs a rank-3 form."""
     if not c.is_nondegenerate:
         raise DegenerateConic("pole needs a nondegenerate conic")
-    return mat_vec(_dual_form(c), l.coeffs)
+    return mat_vec(adjugate(c.matrix), l.coeffs)
 
 
 def pole(c: Conic, l: PLine) -> PPoint:
@@ -257,7 +247,7 @@ def line_intersect(c: Conic, l: PLine) -> tuple[PPoint, ...]:
     discriminant.
     """
     par = c._parametrization
-    if par is not None:
+    if par:
         lam0, lam1, lam2 = par.frame_of_line(l)
         pairs = fixed_pairs(((lam1, 2 * lam2), (-2 * lam0, -lam1)))
         if pairs is not None:
@@ -350,7 +340,7 @@ def classify(c: Conic) -> Classification:
         return Classification(kind, signature, rank)
     if rank == 2:
         # adj(M) of a rank-2 symmetric M is a multiple of k k^T, k spanning the kernel
-        double = PPoint(*next(r for r in _dual_form(c) if any(r)))
+        double = PPoint(*next(r for r in adjugate(c.matrix) if any(r)))
         return Classification(ConicClass.DEGENERATE_TWO_LINES, signature, rank, point_double=double)
     row = next(r for r in c.matrix if any(r))
     return Classification(
@@ -535,18 +525,18 @@ def rational_parametrize(c: Conic, base: PPoint) -> RationalParametrization:
 def chord_parametrization(c: Conic) -> RationalParametrization:
     """The parametrization from :func:`find_rational_point`, built once per Conic object.
 
-    Raises NoRationalSecants when the search finds no rational point, and
-    then memoizes nothing.  The memo lives on the object, not in a cache
-    keyed on the conic: equal conics may carry different witnesses, and so
-    different bases.
+    Raises NoRationalSecants when the search finds no rational point; the
+    failure is memoized too, as False, so the search runs once per object.
+    The memo lives on the object, not in a cache keyed on the conic: equal
+    conics may carry different witnesses, and so different bases.
     """
     par = c._parametrization
     if par is None:
         base = find_rational_point(c)
-        if base is None:
-            raise NoRationalSecants("no rational point found on the conic within the search budget")
-        par = RationalParametrization(c, base)
+        par = False if base is None else RationalParametrization(c, base)
         c._set(_parametrization=par)
+    if par is False:
+        raise NoRationalSecants("no rational point found on the conic within the search budget")
     return par
 
 

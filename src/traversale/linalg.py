@@ -7,8 +7,8 @@ scale a plain tuple comparison.  Every entry the kernel computes with is an
 in one place, :func:`primitive`: an all-`int` vector costs one gcd, and only
 a vector holding a `Fraction` (on which `math.gcd` raises TypeError) has its
 denominators cleared with integer lcm/gcd.  Matrices are 3x3 or 2x2, and
-every operation on them is a closed form: cross products, adjugates, and
-Cramer's rule in :func:`solve2`.
+every operation on them is a closed form: cross products, determinants and
+adjugates.
 """
 
 from __future__ import annotations
@@ -115,14 +115,3 @@ def adjugate2(m):
     """Adjugate of a 2x2 matrix: adjugate2(m) @ m = det2(m) * I."""
     return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
 
-
-def solve2(a, b, rhs):
-    """Solve [a b] (x, y) = rhs for 2-vectors a, b (columns), by Cramer's rule.
-
-    Returns integers (x, y, d) meaning the solution (x/d, y/d), d nonzero,
-    or None when the columns are dependent.
-    """
-    d = a[0] * b[1] - a[1] * b[0]
-    if d == 0:
-        return None
-    return (rhs[0] * b[1] - rhs[1] * b[0], a[0] * rhs[1] - a[1] * rhs[0], d)

@@ -140,27 +140,26 @@ def meet(l: PLine, m: PLine) -> PPoint:
     return PPoint(*cross(l.coeffs, m.coeffs))
 
 
+def _rank_at_most_two(triples) -> bool:
+    """True when the triples span at most a plane (trivially true for < 3).
+
+    The first nonzero cross product of the first triple with another spans
+    the plane's normal; with none, all the triples are multiples of one.
+    """
+    if len(triples) < 3:
+        return True
+    base = next((c for c in (cross(triples[0], t) for t in triples[1:]) if any(c)), None)
+    return base is None or all(dot(base, t) == 0 for t in triples)
+
+
 def collinear(*points: PPoint) -> bool:
     """True when all the points lie on one line (trivially true for < 3)."""
-    if len(points) < 3:
-        return True
-    base = None
-    for i in range(1, len(points)):
-        c = cross(points[0].coords, points[i].coords)
-        if any(c):
-            base = c
-            break
-    if base is None:
-        return True
-    return all(dot(base, p.coords) == 0 for p in points)
+    return _rank_at_most_two([p.coords for p in points])
 
 
 def concurrent(*lines: PLine) -> bool:
-    if len(lines) < 3:
-        return True
-    return all(
-        det3((lines[0].coeffs, lines[1].coeffs, l.coeffs)) == 0 for l in lines[2:]
-    )
+    """True when all the lines pass through one point (trivially true for < 3)."""
+    return _rank_at_most_two([l.coeffs for l in lines])
 
 
 class LineChart(Value):

@@ -51,7 +51,7 @@ from .errors import (
     VertexOnTransversal,
 )
 from .involution import InvolutionOnLine, PointPair, involution_from_two_pairs
-from .linalg import Mat2, Vec3, cross, det3, dot, solve2
+from .linalg import Mat2, Vec3, cross, det3, dot
 from .numbers import ExtRat, Pair, from_pair, lowest_terms, pair_cross, small_pairs
 from .projective import (
     LINE_AT_INFINITY,
@@ -68,19 +68,14 @@ from .projective import (
 from .value import Value
 
 
-def _check_general_position(pts: tuple[PPoint, ...], noun: str, conic: Conic | None = None) -> None:
+def _check_general_position(pts: tuple[PPoint, ...], noun: str) -> None:
     """Four points pairwise distinct with no three collinear.
 
     Three distinct points are collinear exactly when the determinant of
-    their coordinates vanishes.  Points known to lie on ``conic`` skip the
-    determinants when that conic is nondegenerate: a line meets such a
-    conic in at most two points, so three distinct points on it are never
-    collinear and the determinants could not fire.
+    their coordinates vanishes.
     """
     if len(set(pts)) != 4:
         raise DegenerateQuadrangle(f"{noun} must be pairwise distinct")
-    if conic is not None and conic.is_nondegenerate:
-        return
     for skip in range(4):
         trio = [p for i, p in enumerate(pts) if i != skip]
         if det3([p.coords for p in trio]) == 0:
@@ -102,9 +97,7 @@ class InscribedQuadrangle(Value):
     Labels follow the fixed convention: F is the meet of the couple
     {BC, DE}, N of {CD, BE} and G of {BD, CE}.  The bornes must be distinct
     with no three collinear; the diagonal points then form a genuine
-    triangle, any vertex of which may be at infinity.  On a nondegenerate
-    conic distinct bornes are never collinear, so only their distinctness
-    is tested there.
+    triangle, any vertex of which may be at infinity.
     """
 
     __slots__ = ("conic", "b", "c", "d", "e")
@@ -114,7 +107,7 @@ class InscribedQuadrangle(Value):
         for p in pts:
             if not conic.contains(p):
                 raise NotOnConic(f"borne {p} is not on the conic")
-        _check_general_position(pts, "bornes", conic)
+        _check_general_position(pts, "bornes")
         self._set(conic, b, c, d, e)
 
     def __repr__(self):
@@ -492,24 +485,21 @@ def conjugate_diameters(c: Conic, infinity: PLine, d: PLine) -> PLine:
 def _section_ratio(p: PPoint, x: PPoint, q: PPoint) -> Pair:
     """Signed ratio px/xq for collinear p, x, q with p, q finite, as the pair (num, den).
 
-    Decomposes x = alpha*p + beta*q on the integer representatives; on the
-    representatives with last coordinate 1 the ratio is (beta*qz)/(alpha*pz),
-    and it is -1 exactly when x is at infinity.
+    On the canonical chart of pq, an affine coordinate on the line, the
+    ratio is (x - p)/(q - x): the pair pair_cross(x, p)*q_den /
+    (pair_cross(q, x)*p_den), in which x's own den cancels.  It is -1
+    exactly when x is at infinity, the chart's infinity point.
     """
     for v in (p, q):
         if v.is_infinite:
             raise ValueError(f"{v} is at infinity")
-    pc, qc, xc = p.coords, q.coords, x.coords
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        alpha_beta = solve2((pc[i], pc[j]), (qc[i], qc[j]), (xc[i], xc[j]))
-        if alpha_beta is not None:
-            break
-    alpha, beta, _ = alpha_beta
-    if alpha == 0:
+    pp, px, pq = map(canonical_chart(join(p, q)).pair_of, (p, x, q))
+    xp, qx = pair_cross(px, pp), pair_cross(pq, px)
+    if qx == 0:
         raise VertexOnTransversal(f"section point coincides with {q}")
-    if beta == 0:
+    if xp == 0:
         raise VertexOnTransversal(f"section point coincides with {p}")
-    return (beta * qc[2], alpha * pc[2])
+    return (xp * pq[1], qx * pp[1])
 
 
 def menelaus_check(

@@ -23,13 +23,22 @@ from traversale import (
     PPoint,
     SingularMatrix,
     canonical_chart,
+    collinear,
+    concurrent,
     cross_ratio,
     harmonic_conjugate,
     join,
     meet,
 )
-from traversale.linalg import solve2
 from traversale.projective import canonical_basis
+
+
+def solve2(a, b, rhs):
+    """The reference Cramer solve of [a b] (x, y) = rhs for 2-vectors a, b: (x, y, d) for (x/d, y/d), None when d = 0."""
+    d = a[0] * b[1] - a[1] * b[0]
+    if d == 0:
+        return None
+    return (rhs[0] * b[1] - rhs[1] * b[0], a[0] * rhs[1] - a[1] * rhs[0], d)
 
 
 def _cross(a, b):
@@ -39,6 +48,11 @@ def _cross(a, b):
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
     )
+
+
+def _det3(a, b, c):
+    # the oracle: the determinant of three homogeneous triples
+    return sum(x * y for x, y in zip(a, _cross(b, c)))
 
 
 def test_join_matches_cross_product_oracle():
@@ -83,6 +97,23 @@ def test_join_meet_duality():
     line = join(PPoint(*p), PPoint(*q))
     point = meet(PLine(*p), PLine(*q))
     assert line.coeffs == point.coords
+
+
+def test_collinear_and_concurrent_agree_on_the_same_triples():
+    # duality: a set of triples spans at most a plane whether it is read as
+    # points or as lines, which is also every 3x3 determinant vanishing
+    assert not concurrent(PLine(1, 0, 0), PLine(1, 0, 0), PLine(0, 1, 0), PLine(0, 1, -1))
+    assert not collinear(PPoint(1, 0, 0), PPoint(1, 0, 0), PPoint(0, 1, 0), PPoint(0, 1, -1))
+    rng = random.Random(41)
+    pool = [t for t in ((a, b, c) for a in (-1, 0, 1, 2) for b in (-1, 0, 1) for c in (-1, 0, 1)) if any(t)]
+    seen = set()
+    for _ in range(3000):
+        triples = [rng.choice(pool) for _ in range(rng.randint(0, 5))]
+        expected = all(_det3(a, b, c) == 0 for a in triples for b in triples for c in triples)
+        points, lines = [PPoint(*t) for t in triples], [PLine(*t) for t in triples]
+        assert collinear(*points) == concurrent(*lines) == expected, triples
+        seen.add((len(set(points)), expected))
+    assert {(2, True), (3, True), (3, False), (4, False)} <= seen
 
 
 def test_canonical_equality_is_a_congruence():
@@ -321,16 +352,12 @@ def test_canonical_chart_is_the_chart_on_its_reference_points(bits):
 
 
 def test_canonical_chart_builds_no_point_and_solves_nothing(monkeypatch):
-    from traversale import linalg, projective
-
     rng = random.Random(7)
     lines = [_random_line(rng, bits) for bits in (4, 64, 1900)] + [LINE_AT_INFINITY, PLine(5, 0, -3)]
     origins = [_canonical_references(l)[0] for l in lines]
     calls = []
-    real_init, real_solve2 = PPoint.__init__, linalg.solve2
+    real_init = PPoint.__init__
     monkeypatch.setattr(PPoint, "__init__", lambda self, *v: calls.append("PPoint") or real_init(self, *v))
-    monkeypatch.setattr(linalg, "solve2", lambda *a: calls.append("solve2") or real_solve2(*a))
-    monkeypatch.setattr(projective, "solve2", linalg.solve2, raising=False)
     charts = [canonical_chart(l) for l in lines]
     assert calls == []
     assert [c.origin for c in charts] == origins  # the count sees the points a chart builds on demand

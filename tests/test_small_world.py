@@ -65,8 +65,6 @@ WITH_LINE = {
         {"DegenerateConic", "NotADiameter", "TangentLine"},
     ),
 }
-# These search for the conic's rational point before they read their point or line
-SEARCH_FIRST = {"traversale_from_quadrangle", "inscribed_quadrangle_through", "pole_by_construction"}
 
 
 def _conics():
@@ -113,18 +111,15 @@ def _raised(call, *args) -> str | None:
 
 
 def test_one_object_entry_points_end_in_a_result_or_a_geometry_error():
-    # On the 47 conics where the search finds no point, the three
-    # constructions take the first point and line only: each runs the whole
-    # search before it reads its point or line, so the other twelve calls
-    # would repeat that search.
+    # A conic remembers a failed search, so on the 47 conics where it finds
+    # no point the constructions search once, not once per point and line.
     raised = {name: set() for name in (*CONIC_ONLY, *WITH_POINT, *WITH_LINE)}
     for c in _conics():
-        pointless = find_rational_point(c) is None
         for name, (call, _) in CONIC_ONLY.items():
             raised[name].add(_raised(call, c))
         for table, objects in ((WITH_POINT, POINTS), (WITH_LINE, LINES)):
             for name, (call, _) in table.items():
-                for x in objects[:1] if pointless and name in SEARCH_FIRST else objects:
+                for x in objects:
                     raised[name].add(_raised(call, c, x))
     for name, (_, errors) in (*CONIC_ONLY.items(), *WITH_POINT.items(), *WITH_LINE.items()):
         assert raised[name] - {None} == errors, name

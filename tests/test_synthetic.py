@@ -49,7 +49,7 @@ from traversale import (
 from traversale import cli, projective, synthetic
 from traversale.conic import chord_parametrization, find_rational_point
 from traversale.linalg import cross, det2, det3, dot, mat2_mul, mat2_vec, primitive
-from traversale.numbers import small_pairs, to_pair
+from traversale.numbers import from_pair, small_pairs, to_pair
 from traversale.render import Drawable, render_svg
 from traversale.synthetic import (
     _SWEEP_PAIRS,
@@ -539,19 +539,26 @@ def test_equal_conics_with_other_witnesses_keep_their_own_base():
     assert quads[id(circle)] != quads[id(twin)]
 
 
-def test_no_rational_point_gives_one_message_from_every_caller():
+def test_no_rational_point_gives_one_message_from_every_caller(monkeypatch):
+    from traversale import conic
+
+    searches = []
+    real_search = conic.find_rational_point
+    monkeypatch.setattr(conic, "find_rational_point", lambda c: searches.append(c) or real_search(c))
     no_point = Conic.from_coefficients(1, 1, -3, 0, 0, 0)  # x^2 + y^2 = 3 z^2
     viewport = (Fraction(-2), Fraction(-2), Fraction(2), Fraction(2))
-    for _ in range(2):  # a failed search leaves no memo behind
+    for _ in range(2):
         for call in (
             lambda: chord_parametrization(no_point),
             lambda: traversale_from_quadrangle(no_point, PPoint(2, 0, 1)),
+            lambda: pole_by_construction(no_point, PLine(1, 0, -2)),
             lambda: render_svg([Drawable("conic", no_point)], viewport),
         ):
             with pytest.raises(NoRationalSecants) as exc:
                 call()
             assert str(exc.value) == "no rational point found on the conic within the search budget"
-        assert no_point._parametrization is None
+    # the failed search is remembered on the object, so it runs once
+    assert searches == [no_point]
 
 
 def test_point_search_transcript_and_cli_build_fractions_only_for_literals(fraction_count, monkeypatch, tmp_path):
@@ -1034,6 +1041,65 @@ def test_menelaus_randomized():
             continue
         assert ok and ratios[0] * ratios[1] * ratios[2] == -1
         done += 1
+
+
+def _section_ratio_by_decomposition(p, x, q):
+    """The signed ratio px/xq from x = alpha*p + beta*q, solved by Cramer's rule: (beta*qz)/(alpha*pz)."""
+    for v in (p, q):
+        if v.is_infinite:
+            raise ValueError(f"{v} is at infinity")
+    pc, qc, xc = p.coords, q.coords, x.coords
+    i, j = next((i, j) for i, j in ((0, 1), (0, 2), (1, 2)) if pc[i] * qc[j] != pc[j] * qc[i])
+    alpha, beta = xc[i] * qc[j] - xc[j] * qc[i], pc[i] * xc[j] - pc[j] * xc[i]
+    if alpha == 0:
+        raise VertexOnTransversal(f"section point coincides with {q}")
+    if beta == 0:
+        raise VertexOnTransversal(f"section point coincides with {p}")
+    return F(beta * qc[2], alpha * pc[2])
+
+
+def _menelaus_by_decomposition(triangle, transversal):
+    a, b, c = triangle
+    ratios = tuple(
+        _section_ratio_by_decomposition(p, meet(transversal, join(p, q)), q) for p, q in ((a, b), (b, c), (c, a))
+    )
+    return ratios[0] * ratios[1] * ratios[2] == -1, ratios
+
+
+def _outcome_text(call, *args):
+    """The result of call(*args), or the name and message of the error it raised."""
+    try:
+        return call(*args)
+    except (GeometryError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_menelaus_matches_the_decomposition_reference():
+    rng = random.Random(79)
+    points = [PPoint(x, y, z) for x in range(-4, 5) for y in range(-4, 5) for z in (1, 1, 1, 2, 3, 0) if x or y or z]
+    lines = [PLine(*t) for t in itertools.product(range(-3, 4), repeat=3) if any(t)]
+    outcomes = Counter()
+    for _ in range(3000):
+        tri = tuple(rng.choice(points) for _ in range(3))
+        l = rng.choice(lines)
+        expected = _outcome_text(_menelaus_by_decomposition, tri, l)
+        assert _outcome_text(menelaus_check, tri, l) == expected, (tri, l)
+        if isinstance(expected[0], bool):
+            assert expected[0]
+            outcomes["cut at infinity" if -1 in expected[1] else "finite cuts"] += 1
+        else:
+            outcomes[expected[0]] += 1
+        # both coincidences of a side's section point with its vertices
+        p, q = tri[:2]
+        if p != q and not (p.is_infinite or q.is_infinite):
+            for x in (p, q):
+                expected = _outcome_text(_section_ratio_by_decomposition, p, x, q)
+                assert _outcome_text(lambda *a: from_pair(synthetic._section_ratio(*a)), p, x, q) == expected
+                outcomes[expected[1].replace(str(p), "p").replace(str(q), "q")] += 1
+    assert set(outcomes) == {
+        "finite cuts", "cut at infinity", "VertexOnTransversal", "ValueError", "CoincidentPoints", "CoincidentLines",
+        "section point coincides with p", "section point coincides with q",
+    }, outcomes
 
 
 def test_menelaus_cut_at_infinity():

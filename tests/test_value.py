@@ -99,7 +99,6 @@ def test_set_fills_the_slots_in_order_and_a_memo_by_name():
         "witness": PPoint(-1, 0, 1),
         "is_nondegenerate": True,
         "_parametrization": None,
-        "_dual": None,
     }
-    c._set(_dual="memo")
-    assert (c.matrix, c._dual) == (fields["matrix"], "memo")
+    c._set(_parametrization="memo")
+    assert (c.matrix, c._parametrization) == (fields["matrix"], "memo")
