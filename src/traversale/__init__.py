@@ -12,6 +12,8 @@ from .numbers import INF, ExtRat, parse_extended, parse_rational
 from .errors import *  # noqa: F401,F403 -- the error names are part of the API
 from .projective import (
     LINE_AT_INFINITY,
+    FramedLine,
+    FramedPoint,
     Homography,
     LineChart,
     PLine,

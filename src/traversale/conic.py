@@ -28,6 +28,7 @@ from .errors import (
     CoincidentPoints,
     DegenerateConic,
     DegeneratePointSet,
+    GeometryError,
     InteriorPoint,
     IrrationalIntersection,
     LineOnConic,
@@ -41,6 +42,8 @@ from .linalg import Mat3, Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, pr
 from .numbers import ExtRat, Pair, small_pairs, to_pair
 from .projective import (
     LINE_AT_INFINITY,
+    FramedLine,
+    FramedPoint,
     Homography,
     PLine,
     PPoint,
@@ -48,6 +51,7 @@ from .projective import (
     canonical_basis,
     canonical_chart,
     join,
+    shares_frame,
 )
 from .value import Value
 
@@ -62,10 +66,11 @@ class Conic(Value):
     a known rational point on the curve used to seed rational secant
     searches; it is a cache, ignored by equality and hashing.  The chord
     parametrization that :func:`chord_parametrization` builds from the
-    conic's first rational point is memoized on the object, and so is a
-    search that found no point; it too is a cache, ignored by equality and
-    hashing.  ``is_nondegenerate`` (a nonzero determinant) is computed
-    once, when the conic is built.
+    conic's first rational point is memoized on the object, and so is the
+    error when it cannot be built (no point found, or a degenerate conic);
+    it too is a cache, ignored by equality and hashing.
+    ``is_nondegenerate`` (a nonzero determinant) is computed once, when the
+    conic is built.
     """
 
     __slots__ = ("matrix", "witness", "is_nondegenerate", "_parametrization")
@@ -186,8 +191,14 @@ def polar(c: Conic, m: PPoint) -> PLine:
 
     If m lies on the conic this is the tangent at m.  The only excluded
     points are those annihilated by the form (the point double of a
-    degenerate conic).
+    degenerate conic).  A point that carries a frame of this conic (see
+    :class:`RationalParametrization`) takes the model conic's polar
+    (-y2, 2*y1, -y0) of its frame vector y, mapped into the plane.
     """
+    frame = m.frame
+    if frame is not None and frame.conic == c:
+        y0, y1, y2 = m.frame_vector
+        return frame.line_from_frame((-y2, 2 * y1, -y0))
     coeffs = mat_vec(c.matrix, m.coords)
     if all(x == 0 for x in coeffs):
         raise TotallyIsotropicPoint(f"{m} annihilates the form; no polar")
@@ -202,7 +213,15 @@ def _pole_coords(c: Conic, l: PLine) -> Vec3:
 
 
 def pole(c: Conic, l: PLine) -> PPoint:
-    """The point whose polar is l; needs a rank-3 form."""
+    """The point whose polar is l; needs a rank-3 form.
+
+    A line that carries a frame of this conic takes the model conic's pole
+    (-2*lam2, lam1, -2*lam0) of its frame vector lam, mapped into the plane.
+    """
+    frame = l.frame
+    if frame is not None and frame.conic == c:
+        lam0, lam1, lam2 = l.frame_vector
+        return frame.point_from_frame((-2 * lam2, lam1, -2 * lam0))
     return PPoint(*_pole_coords(c, l))
 
 
@@ -247,7 +266,7 @@ def line_intersect(c: Conic, l: PLine) -> tuple[PPoint, ...]:
     discriminant.
     """
     par = c._parametrization
-    if par:
+    if isinstance(par, RationalParametrization):
         lam0, lam1, lam2 = par.frame_of_line(l)
         pairs = fixed_pairs(((lam1, 2 * lam2), (-2 * lam0, -lam1)))
         if pairs is not None:
@@ -417,9 +436,21 @@ class RationalParametrization(Value):
 
     The frame vectors come back in lowest terms.  The chord form is built
     on first use.
+
+    When A's entries are wider than ``_FRAME_BITS``, the points and lines
+    handed out (:meth:`point_from_pair`, :meth:`point_from_frame`,
+    :meth:`line_from_frame`) are a :class:`~traversale.projective.FramedPoint`
+    or :class:`~traversale.projective.FramedLine` recording this frame and
+    their frame vector; equality ignores it.  Then :func:`join`,
+    :func:`~traversale.projective.meet`, :func:`polar` and :func:`pole` on
+    them cross small frame vectors, and :meth:`frame_of_point` and
+    :meth:`frame_of_line` read the recorded vector.  Below the gate they are
+    plain values.  Two parametrizations with equal (A, B, C) are one frame
+    (:meth:`same_frame`), as those fix every map; as objects they still
+    compare by identity.
     """
 
-    __slots__ = ("conic", "base", "_basis", "_quadratic", "_chord_form")
+    __slots__ = ("conic", "base", "_basis", "_quadratic", "_framed", "_chord_form")
 
     def __init__(self, conic: Conic, base: PPoint):
         if not conic.is_nondegenerate:
@@ -440,7 +471,14 @@ class RationalParametrization(Value):
             tuple(2 * (phi_oi * bk - phi_bi * ok - phi_bo * ik) for bk, ok, ik in zip(b, o, i)),
             tuple(qo * bk - 2 * phi_bo * ok for bk, ok in zip(b, o)),
         )
-        self._set(conic, base, (o, i), quadratic, None)
+        a0, a1, a2 = quadratic[0]
+        # the widest of A's entries has the bit length of their absolute values' or
+        framed = (abs(a0) | abs(a1) | abs(a2)).bit_length() > _FRAME_BITS
+        self._set(conic, base, (o, i), quadratic, framed, None)
+
+    def same_frame(self, other: "RationalParametrization") -> bool:
+        """True when other has the same (A, B, C), which fix every map of the frame."""
+        return self._quadratic == other._quadratic
 
     def direction(self, t: ExtRat) -> PPoint:
         return basis_point(self._basis, to_pair(t))
@@ -449,8 +487,12 @@ class RationalParametrization(Value):
         return self.point_from_pair(to_pair(t))
 
     def point_from_pair(self, pair: Pair) -> PPoint:
-        """The point of the homogeneous chart pair (num, den), t = num/den."""
-        return PPoint(*self.triple_from_pair(pair))
+        """The point of the homogeneous chart pair (num, den), t = num/den, at frame vector (num^2, num*den, den^2)."""
+        coords = self.triple_from_pair(pair)
+        if not self._framed:
+            return PPoint(*coords)
+        num, den = pair
+        return FramedPoint(self, primitive((num * num, num * den, den * den)), *coords)
 
     def triple_from_pair(self, pair: Pair) -> Vec3:
         """The unreduced coordinates A*num^2 + B*num*den + C*den^2 of the point of the pair.
@@ -478,22 +520,34 @@ class RationalParametrization(Value):
 
     def frame_of_point(self, p: PPoint) -> Vec3:
         """The frame coordinates x of p, with p = x0*A + x1*B + x2*C up to scale."""
+        if p.frame is not None and shares_frame(p, self):
+            return p.frame_vector
         u, v, w = self._chords()
         return primitive((dot(w, p.coords), -dot(v, p.coords), dot(u, p.coords)))
 
     def frame_of_line(self, l: PLine) -> Vec3:
         """The frame line of l: the frame points x with x0*A + x1*B + x2*C on l."""
+        if l.frame is not None and shares_frame(l, self):
+            return l.frame_vector
         return primitive(tuple(dot(l.coeffs, x) for x in self._quadratic))
 
     def point_from_frame(self, x: Vec3) -> PPoint:
         """The plane point x0*A + x1*B + x2*C."""
+        if self._framed:
+            x = primitive(x)
         x0, x1, x2 = x
-        return PPoint(*(a * x0 + b * x1 + c * x2 for a, b, c in zip(*self._quadratic)))
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = self._quadratic
+        coords = (a0 * x0 + b0 * x1 + c0 * x2, a1 * x0 + b1 * x1 + c1 * x2, a2 * x0 + b2 * x1 + c2 * x2)
+        return FramedPoint(self, x, *coords) if self._framed else PPoint(*coords)
 
     def line_from_frame(self, lam: Vec3) -> PLine:
         """The plane line lam2*U - lam1*V + lam0*W of the frame line lam."""
+        if self._framed:
+            lam = primitive(lam)
         l0, l1, l2 = lam
-        return PLine(*(u * l2 - v * l1 + w * l0 for u, v, w in zip(*self._chords())))
+        (u0, u1, u2), (v0, v1, v2), (w0, w1, w2) = self._chords()
+        coeffs = (u0 * l2 - v0 * l1 + w0 * l0, u1 * l2 - v1 * l1 + w1 * l0, u2 * l2 - v2 * l1 + w2 * l0)
+        return FramedLine(self, lam, *coeffs) if self._framed else PLine(*coeffs)
 
 
 def second_intersection(c: Conic, base: PPoint, other: PPoint) -> PPoint:
@@ -518,6 +572,19 @@ def second_intersection(c: Conic, base: PPoint, other: PPoint) -> PPoint:
     return PPoint(*coords)
 
 
+# A parametrization hands out framed points and lines only when A's entries
+# are wider than this many bits.  Below it the frame route's fixed cost (a
+# small cross product and gcd, and the framed value) outweighs what it saves.
+# Timeit of join, meet and polar, frame route over plane route, on the unit
+# circle under k random homographies with entries in [-4, 4] (6 conics per
+# k; Python 3.11.7, 2 vCPU): k = 1, 2, 4, 8 (A 5-58 bits) 1.5-1.9x,
+# k = 16 (94-125 bits) 1.2-1.4x, k = 24 (147-178 bits) 1.17x, k = 32
+# (205-230 bits) 0.96-1.16x, k = 48 (305-368 bits) 0.79-0.97x, k = 128
+# (834-902 bits) 0.47-0.51x, k = 256 (1,743-1,828 bits) 0.31x.  The whole
+# perfbench construction task crosses over at the same k = 32.
+_FRAME_BITS = 200
+
+
 def rational_parametrize(c: Conic, base: PPoint) -> RationalParametrization:
     return RationalParametrization(c, base)
 
@@ -525,18 +592,26 @@ def rational_parametrize(c: Conic, base: PPoint) -> RationalParametrization:
 def chord_parametrization(c: Conic) -> RationalParametrization:
     """The parametrization from :func:`find_rational_point`, built once per Conic object.
 
-    Raises NoRationalSecants when the search finds no rational point; the
-    failure is memoized too, as False, so the search runs once per object.
-    The memo lives on the object, not in a cache keyed on the conic: equal
-    conics may carry different witnesses, and so different bases.
+    Raises NoRationalSecants when the search finds no rational point, and
+    DegenerateConic when it finds one on a degenerate conic.  The failure
+    is memoized too, as that error, so the search runs once per object and
+    each call raises a fresh copy.  The memo lives on the object, not in a
+    cache keyed on the conic: equal conics may carry different witnesses,
+    and so different bases.
     """
     par = c._parametrization
     if par is None:
         base = find_rational_point(c)
-        par = False if base is None else RationalParametrization(c, base)
+        if base is None:
+            par = NoRationalSecants("no rational point found on the conic within the search budget")
+        else:
+            try:
+                par = RationalParametrization(c, base)
+            except DegenerateConic as exc:
+                par = exc.with_traceback(None)
         c._set(_parametrization=par)
-    if par is False:
-        raise NoRationalSecants("no rational point found on the conic within the search budget")
+    if isinstance(par, GeometryError):
+        raise type(par)(*par.args)
     return par
 
 

@@ -9,6 +9,19 @@ chart coordinates handed back to callers.  Points with third coordinate
 zero are the points at infinity; the line ``[0, 0, 1]`` is the default line
 at infinity.  Everything here is an immutable value and every operation is
 a pure function.
+
+A point or line may also carry a frame.  A :class:`FramedPoint` or
+:class:`FramedLine` records ``frame``, the object that maps small frame
+vectors onto the plane (a conic's chord parametrization, see
+:class:`traversale.conic.RationalParametrization`), and its own primitive
+``frame_vector``, whose image is the plane triple.  Equality, hashing and
+text ignore the frame, so a framed value equals the plain value of its
+triple.  :func:`join` and :func:`meet` of two values with one frame cross
+the small frame vectors and let the frame map the result into the plane,
+which on a deep conic costs far less than crossing the plane triples; two
+frame objects for which ``same_frame`` holds are one frame.  Plain points
+and lines read ``frame`` as None.  A parametrization hands out framed
+values only above a size gate on its entries, where the frame route pays.
 """
 
 from __future__ import annotations
@@ -56,6 +69,7 @@ class PPoint(Value):
     """A point of the projective plane, equal up to nonzero scale."""
 
     __slots__ = ("coords",)
+    frame = None
 
     def __init__(self, x, y, z):
         try:
@@ -64,7 +78,7 @@ class PPoint(Value):
             raise CoincidentPoints("(0, 0, 0) is not a projective point") from None
 
     def __eq__(self, other):
-        return self.coords == other.coords if type(other) is PPoint else NotImplemented
+        return self.coords == other.coords if isinstance(other, PPoint) else NotImplemented
 
     def __hash__(self):
         return hash(self.coords)
@@ -96,6 +110,7 @@ class PLine(Value):
     """A line ux + vy + wz = 0, equal up to nonzero scale."""
 
     __slots__ = ("coeffs",)
+    frame = None
 
     def __init__(self, u, v, w):
         try:
@@ -104,7 +119,7 @@ class PLine(Value):
             raise CoincidentLines("[0, 0, 0] is not a line") from None
 
     def __eq__(self, other):
-        return self.coeffs == other.coeffs if type(other) is PLine else NotImplemented
+        return self.coeffs == other.coeffs if isinstance(other, PLine) else NotImplemented
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -123,20 +138,58 @@ class PLine(Value):
         return cls(*_parse_triple(text, "line", "[u, v, w]", "coefficients"))
 
 
+class FramedPoint(PPoint):
+    """A point that also records its frame and its primitive vector there; it equals the plain point of its coords."""
+
+    __slots__ = ("frame", "frame_vector")
+
+    def __init__(self, frame, frame_vector: Vec3, x, y, z):
+        PPoint.__init__(self, x, y, z)
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "frame_vector", frame_vector)
+
+
+class FramedLine(PLine):
+    """A line that also records its frame and its primitive vector there; it equals the plain line of its coeffs."""
+
+    __slots__ = ("frame", "frame_vector")
+
+    def __init__(self, frame, frame_vector: Vec3, u, v, w):
+        PLine.__init__(self, u, v, w)
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "frame_vector", frame_vector)
+
+
 LINE_AT_INFINITY = PLine(0, 0, 1)
 
 
+def shares_frame(value, frame) -> bool:
+    """True when the point or line carries the frame ``frame`` (not None), or one with the same maps."""
+    own = value.frame
+    return own is frame or (own is not None and own.same_frame(frame))
+
+
 def join(p: PPoint, q: PPoint) -> PLine:
-    """The unique line through two distinct points."""
+    """The unique line through two distinct points.
+
+    Two points with one frame are joined there: the frame line is the cross
+    product of their frame vectors, and the frame maps it into the plane.
+    """
     if p == q:
         raise CoincidentPoints(f"join needs distinct points, got {p} twice")
+    frame = p.frame
+    if frame is not None and shares_frame(q, frame):
+        return frame.line_from_frame(cross(p.frame_vector, q.frame_vector))
     return PLine(*cross(p.coords, q.coords))
 
 
 def meet(l: PLine, m: PLine) -> PPoint:
-    """The unique common point of two distinct lines (possibly at infinity)."""
+    """The unique common point of two distinct lines (possibly at infinity); in their frame when they share one."""
     if l == m:
         raise CoincidentLines(f"meet needs distinct lines, got {l} twice")
+    frame = l.frame
+    if frame is not None and shares_frame(m, frame):
+        return frame.point_from_frame(cross(l.frame_vector, m.frame_vector))
     return PPoint(*cross(l.coeffs, m.coeffs))
 
 

@@ -1,0 +1,188 @@
+"""Points and lines that keep their frame coordinates: the frame route against the plane route."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from traversale import (
+    CoincidentLines,
+    CoincidentPoints,
+    Conic,
+    FramedLine,
+    FramedPoint,
+    Homography,
+    PLine,
+    PPoint,
+    SingularMatrix,
+    join,
+    line_intersect,
+    meet,
+    polar,
+    pole,
+    rational_parametrize,
+    transform,
+)
+from traversale import conic, projective
+from traversale.conic import chord_parametrization
+from traversale.synthetic import pole_by_construction, traversale_from_quadrangle
+
+PARAMETERS = [Fraction(n, d) for n, d in ((2, 3), (-5, 4), (1, 5), (7, 2), (-3, 7))]
+
+
+def _circle_image(seed, steps):
+    """The unit circle (witness included) under `steps` seeded random homographies with entries in [-4, 4]."""
+    rng = random.Random(seed)
+    h = Homography.identity()
+    while steps:
+        try:
+            h = Homography([[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]).compose(h)
+        except SingularMatrix:
+            continue
+        steps -= 1
+    return transform(Conic.unit_circle(), h)
+
+
+def _plain(value):
+    """The plain point or line with the same triple."""
+    return PPoint(*value.coords) if isinstance(value, PPoint) else PLine(*value.coeffs)
+
+
+def _triple(value):
+    return value.coords if isinstance(value, PPoint) else value.coeffs
+
+
+@pytest.fixture
+def every_frame_recorded(monkeypatch):
+    """Parametrizations built in the test hand out framed values at every size."""
+    monkeypatch.setattr(conic, "_FRAME_BITS", -1)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 4, 16, 64, 256])
+def test_frame_route_gives_the_plane_route_triple(steps, every_frame_recorded):
+    c = _circle_image(2800 + steps, steps)
+    par = chord_parametrization(c)
+    pts = [par.point(t) for t in PARAMETERS]
+    chords = [join(pts[0], pts[1]), join(pts[2], pts[3]), join(pts[1], pts[4])]
+    off = meet(chords[0], chords[1])  # a framed point off the conic
+    framed = {
+        **{f"join {i}": l for i, l in enumerate(chords)},
+        "meet": off,
+        "meet of polars": meet(polar(c, pts[0]), polar(c, pts[2])),
+        **{f"polar {i}": polar(c, p) for i, p in enumerate((*pts, off))},
+        **{f"pole {i}": pole(c, l) for i, l in enumerate(chords)},
+        "traversale": traversale_from_quadrangle(c, off),
+        **{f"pole_by_construction {i}": pole_by_construction(c, l) for i, l in enumerate(chords)},
+    }
+    pp = [_plain(p) for p in pts]
+    pl = [_plain(l) for l in chords]
+    plane = {
+        **{f"join {i}": join(pp[a], pp[b]) for i, (a, b) in enumerate(((0, 1), (2, 3), (1, 4)))},
+        "meet": meet(pl[0], pl[1]),
+        "meet of polars": meet(polar(c, pp[0]), polar(c, pp[2])),
+        **{f"polar {i}": polar(c, p) for i, p in enumerate((*pp, _plain(off)))},
+        **{f"pole {i}": pole(c, l) for i, l in enumerate(pl)},
+        "traversale": traversale_from_quadrangle(c, _plain(off)),
+        **{f"pole_by_construction {i}": pole_by_construction(c, l) for i, l in enumerate(pl)},
+    }
+    for name, value in framed.items():
+        assert isinstance(value, (FramedPoint, FramedLine)) and value.frame is par, name
+        assert _triple(value) == _triple(plane[name]), name
+        # the constructions map their result through the conic's frame on both routes
+        if not name.startswith(("traversale", "pole_by_construction")):
+            assert type(plane[name]) in (PPoint, PLine), name
+    # the recorded frame vector is the one the plane triple gives
+    for name, value in framed.items():
+        read = par.frame_of_point if isinstance(value, PPoint) else par.frame_of_line
+        assert read(_plain(value)) == value.frame_vector, name
+    # line_intersect reads the recorded frame line; a conic without the memo takes the plane path
+    bare = Conic(c.matrix)
+    for framed_chord, plain_chord in zip(chords, pl):
+        cut = line_intersect(c, framed_chord)
+        assert [p.coords for p in cut] == [p.coords for p in line_intersect(c, plain_chord)]
+        assert [p.coords for p in cut] == [p.coords for p in line_intersect(bare, plain_chord)]
+
+
+def test_parametrizations_with_equal_maps_share_a_frame(every_frame_recorded):
+    c = _circle_image(2900, 8)
+    first, second = rational_parametrize(c, c.witness), chord_parametrization(c)
+    assert first is not second and first != second and first.same_frame(second)
+    p, q = first.point(PARAMETERS[0]), second.point(PARAMETERS[1])
+    line = join(p, q)
+    assert type(line) is FramedLine and line == join(_plain(p), _plain(q))
+    assert polar(c, p).frame is first and pole(c, line).frame is first
+
+
+def test_parametrizations_with_different_bases_fall_back_to_the_plane(every_frame_recorded):
+    c = _circle_image(2901, 64)
+    first = rational_parametrize(c, c.witness)
+    second = rational_parametrize(c, first.point(Fraction(3)))
+    assert not first.same_frame(second)
+    p, q = first.point(PARAMETERS[0]), second.point(PARAMETERS[1])
+    assert type(join(p, q)) is PLine and join(p, q) == join(_plain(p), _plain(q))
+    l, m = join(p, first.point(PARAMETERS[2])), join(q, second.point(PARAMETERS[3]))
+    assert type(meet(l, m)) is PPoint and meet(l, m) == meet(_plain(l), _plain(m))
+    # a recorded vector is read only in its own frame
+    assert second.frame_of_point(p) == second.frame_of_point(_plain(p)) != p.frame_vector
+    assert second.frame_of_line(l) == second.frame_of_line(_plain(l)) != l.frame_vector
+    # a frame of another conic is not read by polar or pole
+    other = Conic(((1, 0, 0), (0, 1, 0), (0, 0, -4)))
+    assert type(polar(other, p)) is PLine and polar(other, p) == polar(other, _plain(p))
+    assert type(pole(other, l)) is PPoint and pole(other, l) == pole(other, _plain(l))
+
+
+def test_coincident_frame_operands_raise_the_plane_message(every_frame_recorded):
+    c = _circle_image(2902, 64)
+    par = chord_parametrization(c)
+    p = par.point(PARAMETERS[0])
+    l = join(p, par.point(PARAMETERS[1]))
+    for call, a, error in ((join, p, CoincidentPoints), (meet, l, CoincidentLines)):
+        messages = []
+        for b in (a, _plain(a)):
+            with pytest.raises(error) as exc:
+                call(a, b)
+            messages.append(str(exc.value))
+        with pytest.raises(error) as exc:
+            call(_plain(a), _plain(a))
+        assert messages == [str(exc.value)] * 2
+
+
+@pytest.mark.parametrize("steps, framed", [(1, False), (16, False), (64, True), (256, True)])
+def test_a_parametrization_under_the_gate_hands_out_plain_values(steps, framed):
+    c = _circle_image(3000 + steps, steps)
+    par = rational_parametrize(c, c.witness)
+    assert (max(map(abs, par._quadratic[0])).bit_length() > conic._FRAME_BITS) is framed
+    point_type, line_type = (FramedPoint, FramedLine) if framed else (PPoint, PLine)
+    values = [
+        par.point(PARAMETERS[0]),
+        par.point_from_pair((2, 5)),
+        par.point_from_frame((1, 2, 3)),
+        par.line_from_frame((1, 2, 3)),
+        join(par.point(PARAMETERS[0]), par.point(PARAMETERS[1])),
+        polar(c, par.point(PARAMETERS[0])),
+    ]
+    assert [type(v) for v in values] == [point_type] * 3 + [line_type] * 3
+
+
+def test_deep_frame_joins_meets_and_polars_cross_no_plane_vector(monkeypatch):
+    # k = 256: the conic's entries have about 1,800 bits and its points
+    # about 1,700; the frame vectors of the points and chords stay small
+    c = _circle_image(3100, 256)
+    par = chord_parametrization(c)
+    p, q, r, s = (par.point(t) for t in PARAMETERS[:4])
+    par.line_from_frame((1, 2, 3))  # the chord form, built once per parametrization
+    assert min(x.bit_length() for x in p.coords if x) > 1000
+    widths = []
+
+    def recording(a, b):
+        widths.append(max(abs(x).bit_length() for x in (*a, *b)))
+        return real(a, b)
+
+    real = projective.cross
+    for module in (projective, conic):
+        monkeypatch.setattr(module, "cross", recording)
+    first, second = join(p, q), join(r, s)
+    meet(first, second)
+    polar(c, p)
+    pole(c, first)
+    assert len(widths) == 3 and max(widths) < 64

@@ -17,6 +17,8 @@ from traversale import (
     ConjugateUndefined,
     DegenerateConic,
     DegenerateQuadrangle,
+    FramedLine,
+    FramedPoint,
     GeometryError,
     Homography,
     InvolutionKind,
@@ -47,7 +49,7 @@ from traversale import (
     transform,
 )
 from traversale import cli, projective, synthetic
-from traversale.conic import chord_parametrization, find_rational_point
+from traversale.conic import _FRAME_BITS, chord_parametrization, find_rational_point
 from traversale.linalg import cross, det2, det3, dot, mat2_mul, mat2_vec, primitive
 from traversale.numbers import from_pair, small_pairs, to_pair
 from traversale.render import Drawable, render_svg
@@ -561,6 +563,26 @@ def test_no_rational_point_gives_one_message_from_every_caller(monkeypatch):
     assert searches == [no_point]
 
 
+def test_degenerate_conic_with_a_point_is_searched_once(monkeypatch):
+    from traversale import conic
+
+    searches = []
+    real_search = conic.find_rational_point
+    monkeypatch.setattr(conic, "find_rational_point", lambda c: searches.append(c) or real_search(c))
+    line_pair = Conic.from_coefficients(1, -1, 0, 0, 0, 0)  # x^2 = y^2
+    raised = []
+    for _ in range(5):
+        with pytest.raises(DegenerateConic) as exc:
+            traversale_from_quadrangle(line_pair, PPoint(2, 0, 1))
+        assert type(exc.value) is DegenerateConic
+        assert str(exc.value) == "rational parametrization needs a nondegenerate conic"
+        raised.append(exc.value)
+    # each call raises its own error, so no traceback grows on the remembered one
+    assert len(set(map(id, raised))) == 5
+    # the search found a point, and the refused parametrization is remembered
+    assert searches == [line_pair] and real_search(line_pair) is not None
+
+
 def test_point_search_transcript_and_cli_build_fractions_only_for_literals(fraction_count, monkeypatch, tmp_path):
     # the search sweeps integer pairs, the transcript prints integer entries,
     # and a witness-less CLI conic builds Fractions only in its parsed literals
@@ -711,7 +733,10 @@ def test_pole_by_construction_meets_at_most_nine_lines(steps, monkeypatch):
 def test_each_construction_builds_one_plane_object_after_its_gate(steps, monkeypatch):
     # the OnConic test of f (traversale) and the TangentLine test of l (pole)
     # are made in the parametrization's frame, like the construction: no
-    # plane meet, join, pole or Conic.contains, and one PLine or PPoint at the end
+    # plane meet, join, pole or Conic.contains, and one PLine or PPoint at the
+    # end.  Above the size gate (steps = 64) that one is a FramedLine or
+    # FramedPoint, whose constructor builds its plane triple through PLine's
+    # or PPoint's, so it is still one event.
     c, h = _circle_image(1500 + steps, steps)
     par = chord_parametrization(c)
     f = _random_exterior(random.Random(steps), c)
@@ -739,6 +764,9 @@ def test_each_construction_builds_one_plane_object_after_its_gate(steps, monkeyp
         assert events == ["PPoint"], name
     monkeypatch.undo()
     assert built == expected
+    framed = steps == 64
+    assert {isinstance(v, (FramedLine, FramedPoint)) for v in built.values()} == {framed}
+    assert (max(map(abs, chord_parametrization(c)._quadratic[0])).bit_length() > _FRAME_BITS) is framed
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,8 @@ import pytest
 from traversale import (
     INF,
     Conic,
+    FramedLine,
+    FramedPoint,
     Homography,
     PLine,
     PointPair,
@@ -18,6 +20,7 @@ from traversale import (
     canonical_chart,
     classify,
     polarity_involution_on_line,
+    transform,
 )
 from traversale.render import Drawable
 from traversale.report import PropertyResult, VerificationReport
@@ -26,10 +29,15 @@ from traversale.synthetic import PencilBase, two_involutions, worked_quadrangle
 from traversale.value import Value
 
 _CIRCLE = Conic.unit_circle()
+# a circle image with 600-bit frame entries, above the size gate, so its parametrization hands out framed values
+_DEEP_CONIC = transform(_CIRCLE, Homography(((2**200 + 1, 1, 0), (1, 1, 0), (0, 0, 1))))
+_DEEP = RationalParametrization(_DEEP_CONIC, _DEEP_CONIC.witness)
 
 SAMPLES = {
     "PPoint": lambda: PPoint(1, 2, 3),
     "PLine": lambda: PLine(1, 2, 3),
+    "FramedPoint": lambda: _DEEP.point_from_pair((2, 3)),
+    "FramedLine": lambda: _DEEP.line_from_frame((1, -5, 6)),
     "LineChart": lambda: canonical_chart(PLine(0, 1, 0)),
     "Homography": lambda: Homography.scaling(2, 3),
     "Conic": lambda: Conic.unit_circle(),
@@ -60,19 +68,37 @@ def test_every_value_class_has_a_sample():
     assert {cls.__name__ for cls in _subclasses(Value)} == set(SAMPLES)
 
 
+def _fields(value):
+    """Every slot of the value's class and of its bases."""
+    return [name for cls in type(value).__mro__ for name in getattr(cls, "__slots__", ())]
+
+
 @pytest.mark.parametrize("name", sorted(SAMPLES))
 def test_setting_or_deleting_any_name_raises(name):
     value = SAMPLES[name]()
     assert type(value).__name__ == name and isinstance(value, Value)
     assert not hasattr(value, "__dict__")
-    before = {field: getattr(value, field) for field in type(value).__slots__}
-    for field in (*type(value).__slots__, "extra"):
+    before = {field: getattr(value, field) for field in _fields(value)}
+    for field in (*_fields(value), "extra"):
         with pytest.raises(AttributeError):
             setattr(value, field, None)
         with pytest.raises(AttributeError):
             delattr(value, field)
-    assert {field: getattr(value, field) for field in type(value).__slots__} == before
+    assert {field: getattr(value, field) for field in _fields(value)} == before
     assert not hasattr(value, "extra")
+
+
+@pytest.mark.parametrize("name, plain", [("FramedPoint", PPoint), ("FramedLine", PLine)])
+def test_a_framed_value_is_the_plain_value_of_its_triple(name, plain):
+    framed = SAMPLES[name]()
+    assert framed.frame is _DEEP and isinstance(framed, plain)
+    twin = plain(*(framed.coords if plain is PPoint else framed.coeffs))
+    assert type(twin) is plain and twin.frame is None
+    assert framed == twin and twin == framed and not (framed != twin)
+    assert framed == SAMPLES[name]() and len({framed, SAMPLES[name](), twin}) == 1
+    assert hash(framed) == hash(twin) and len({framed, twin}) == 1
+    assert (repr(framed), str(framed)) == (repr(twin), str(twin))
+    assert repr(framed).startswith(f"{plain.__name__}(")
 
 
 def test_cold_polar_call_does_not_import_dataclasses():
