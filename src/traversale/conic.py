@@ -226,10 +226,11 @@ def pole(c: Conic, l: PLine) -> PPoint:
 
 
 def tangent_at(c: Conic, p: PPoint) -> PLine:
-    """Tangent line at a point of the conic (the polar, specialised)."""
-    if not c.contains(p):
+    """Tangent line at a point of the conic: its polar, which passes through p exactly when p is on the conic."""
+    t = polar(c, p)
+    if not t.contains(p):
         raise BasePointNotOnConic(f"{p} is not on the conic")
-    return polar(c, p)
+    return t
 
 
 def is_tangent_line(c: Conic, l: PLine) -> bool:

@@ -74,11 +74,6 @@ def format_pair(pair: Pair) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def format_rational(value: Fraction) -> str:
-    """Render ``p/q`` in lowest terms, or plain ``p`` for integers."""
-    return format_pair((value.numerator, value.denominator))
-
-
 def format_extended(value: ExtRat) -> str:
     return format_pair(to_pair(value))
 

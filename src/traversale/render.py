@@ -23,7 +23,7 @@ from functools import cache
 from .conic import Conic, chord_parametrization, polar, tangents_from
 from .errors import EmptyViewport, UnknownReference
 from .linalg import Vec3
-from .numbers import Pair, format_rational, parse_rational
+from .numbers import Pair, format_extended, parse_rational
 from .projective import LINE_AT_INFINITY, PLine, PPoint, join, meet
 from .synthetic import fgxy_points, worked_quadrangle
 from .value import Value
@@ -82,7 +82,7 @@ class _Frame:
         bounds = [Fraction(v) for v in viewport]
         xmin, ymin, xmax, ymax = bounds
         if xmax <= xmin or ymax <= ymin:
-            raise EmptyViewport(f"viewport {','.join(map(format_rational, bounds))} has no area")
+            raise EmptyViewport(f"viewport {','.join(map(format_extended, bounds))} has no area")
         if width < 1:
             raise EmptyViewport(f"width {width} must be at least 1 pixel")
         den = math.lcm(*(v.denominator for v in bounds))

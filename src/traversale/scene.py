@@ -25,6 +25,12 @@ checks that OP(A, B) equals NAME, for the same five operations: join (two
 points), meet (two lines), polar and traversale (a conic and a point), pole
 (a conic and a line).
 
+The tables below are the grammar: ``_DEFINITIONS`` (the definition verbs),
+``_operations()`` (construct and check), ``_PREDICATES`` (check incident, on,
+equal) and ``_RENDER_OPTIONS``.  ``Scene._read`` reads the arguments of each
+definition, construct and check from its row, and its literal reader reads
+the render options, so a new verb, operation or option is a new row.
+
 Parsing reports 1-based line and column, a malformed ``viewport=`` with the
 CLI's message; executing reports unknown names and failed checks.  Checks
 never abort the run; their verdicts are collected into a deterministic
@@ -33,6 +39,7 @@ report.
 
 from __future__ import annotations
 
+import operator
 import os
 from fractions import Fraction
 
@@ -46,6 +53,49 @@ from .synthetic import InscribedQuadrangle, traversale_from_quadrangle
 from .value import Value
 
 _CLASS_NAMES = {k.value for k in ConicClass}
+
+
+def _equals(text: str) -> str:
+    if text != "=":
+        raise ValueError("expected '='")
+    return text
+
+
+def _class_name(text: str) -> str:
+    if text not in _CLASS_NAMES:
+        raise ValueError(f"unknown class {text!r}; one of {sorted(_CLASS_NAMES)}")
+    return text
+
+
+def _width(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"width must be an integer, got {text!r}") from None
+
+
+# An argument kind is a type (the name of a defined object of that type), a
+# (key, type) pair (the token key=NAME) or a reader of the token's text that
+# raises ValueError, such as parse_rational.
+
+# verb NAME ARG... -> (constructor, argument kinds)
+_DEFINITIONS = {
+    "point": (PPoint, (parse_rational,) * 3),
+    "line": (PLine, (parse_rational,) * 3),
+    "conic": (Conic.from_coefficients, (parse_rational,) * 6),
+    "quadrangle": (InscribedQuadrangle, (("conic", Conic),) + (PPoint,) * 4),
+    "chart": (LineChart, (("line", PLine), ("origin", PPoint), ("unit", PPoint), ("infinity", PPoint))),
+}
+
+# check OP A B -> (predicate, argument types, failure text formatted with the arguments)
+_PREDICATES = {
+    "incident": (lambda p, l: l.contains(p), (PPoint, PLine), "{0} is not on {1}"),
+    "on": (Conic.contains, (Conic, PPoint), "{1} is not on the conic"),
+    "equal": (operator.eq, (object, object), "{0} != {1}"),
+}
+
+# render FIGSPEC KEY=TEXT... -> reader of TEXT
+_RENDER_OPTIONS = {"out": str, "viewport": parse_viewport, "width": _width}
 
 
 def _operations() -> dict[str, tuple]:
@@ -118,49 +168,79 @@ class Scene:
 
     # -- helpers ------------------------------------------------------------
 
-    def _define(self, cmd: _Command, name_token: _Token, value) -> None:
+    def _define(self, cmd: _Command, index: int, value) -> None:
+        name_token = cmd.tokens[index]
         name = name_token.text
         if name in self.objects:
             raise ParseError(cmd.line_no, name_token.column, f"name {name!r} already defined")
         self.objects[name] = value
 
-    def _lookup(self, cmd: _Command, token: _Token, types) -> object:
+    def _lookup(self, cmd: _Command, token: _Token, kind) -> object:
         name = token.text
+        if isinstance(kind, tuple):
+            key, kind = kind
+            if not name.startswith(key + "="):
+                raise ParseError(cmd.line_no, token.column, f"expected {key}=..., got {name!r}")
+            name = name[len(key) + 1 :]
         if name not in self.objects:
             raise UnknownReference(f"line {cmd.line_no}: unknown name {name!r}")
         obj = self.objects[name]
-        if not isinstance(obj, types):
-            wanted = " or ".join(t.__name__ for t in types)
+        if not isinstance(obj, kind):
             raise UnknownReference(
-                f"line {cmd.line_no}: {name!r} is {type(obj).__name__}, expected {wanted}"
+                f"line {cmd.line_no}: {name!r} is {type(obj).__name__}, expected {kind.__name__}"
             )
         return obj
 
-    def _rat(self, cmd: _Command, token: _Token) -> Fraction:
+    @staticmethod
+    def _literal(cmd: _Command, token: _Token, reader, text: str):
         try:
-            return parse_rational(token.text)
+            return reader(text)
         except ValueError as exc:
             raise ParseError(cmd.line_no, token.column, str(exc)) from None
 
-    def _arity(self, cmd: _Command, n: int) -> None:
-        if len(cmd.tokens) != n:
+    def _read(self, cmd: _Command, first: int, kinds: tuple) -> list:
+        """The values of ``cmd.tokens[first:]``, one token per kind.
+
+        Every literal is read before any name is looked up, so a malformed
+        ``=`` or class name is reported before an unknown object.
+        """
+        tokens = cmd.tokens[first:]
+        if len(tokens) != len(kinds):
             raise ParseError(
                 cmd.line_no,
                 cmd.tokens[0].column,
-                f"{cmd.verb} takes {n - 1} arguments, got {len(cmd.tokens) - 1}",
+                f"{cmd.verb} takes {first - 1 + len(kinds)} arguments, got {len(cmd.tokens) - 1}",
             )
+        values = list(kinds)
+        names = []
+        for i, (tok, kind) in enumerate(zip(tokens, kinds)):
+            if isinstance(kind, (type, tuple)):
+                names.append(i)
+            else:
+                values[i] = self._literal(cmd, tok, kind, tok.text)
+        for i in names:
+            values[i] = self._lookup(cmd, tokens[i], kinds[i])
+        return values
 
     @staticmethod
-    def _keyed(cmd: _Command, token: _Token, key: str) -> _Token:
-        if not token.text.startswith(key + "="):
-            raise ParseError(cmd.line_no, token.column, f"expected {key}=..., got {token.text!r}")
-        return _Token(token.text[len(key) + 1 :], token.column + len(key) + 1)
+    def _op(cmd: _Command, known) -> str:
+        """The operation token's text; a ParseError if it is missing or not one of ``known``."""
+        if len(cmd.tokens) < 2:
+            raise ParseError(cmd.line_no, cmd.tokens[0].column, f"{cmd.verb} needs an operation")
+        op = cmd.tokens[1].text
+        if op not in known:
+            raise ParseError(cmd.line_no, cmd.tokens[1].column, f"unknown {cmd.verb} op {op!r}")
+        return op
 
     # -- command execution ----------------------------------------------------
 
     def execute(self, cmd: _Command, base_dir: str = ".") -> None:
         verb = cmd.verb
         try:
+            if verb in _DEFINITIONS:
+                build, kinds = _DEFINITIONS[verb]
+                self._define(cmd, 1, build(*self._read(cmd, 2, kinds)))
+                return
             handler = getattr(self, f"_cmd_{verb}", None)
             if handler is None:
                 raise ParseError(cmd.line_no, cmd.tokens[0].column, f"unknown command {verb!r}")
@@ -168,130 +248,50 @@ class Scene:
         except (GeometryError, EmptyViewport, OSError) as exc:
             raise CommandError(cmd.line_no, " ".join(t.text for t in cmd.tokens), exc) from exc
 
-    def _cmd_point(self, cmd: _Command, base_dir: str) -> None:
-        self._arity(cmd, 5)
-        coords = [self._rat(cmd, t) for t in cmd.tokens[2:5]]
-        self._define(cmd, cmd.tokens[1], PPoint(*coords))
-
-    def _cmd_line(self, cmd: _Command, base_dir: str) -> None:
-        self._arity(cmd, 5)
-        coeffs = [self._rat(cmd, t) for t in cmd.tokens[2:5]]
-        self._define(cmd, cmd.tokens[1], PLine(*coeffs))
-
-    def _cmd_conic(self, cmd: _Command, base_dir: str) -> None:
-        self._arity(cmd, 8)
-        c = [self._rat(cmd, t) for t in cmd.tokens[2:8]]
-        self._define(cmd, cmd.tokens[1], Conic.from_coefficients(*c))
-
-    def _cmd_quadrangle(self, cmd: _Command, base_dir: str) -> None:
-        self._arity(cmd, 7)
-        conic_tok = self._keyed(cmd, cmd.tokens[2], "conic")
-        conic = self._lookup(cmd, conic_tok, (Conic,))
-        pts = [self._lookup(cmd, t, (PPoint,)) for t in cmd.tokens[3:7]]
-        self._define(cmd, cmd.tokens[1], InscribedQuadrangle(conic, *pts))
-
-    def _cmd_chart(self, cmd: _Command, base_dir: str) -> None:
-        self._arity(cmd, 6)
-        line = self._lookup(cmd, self._keyed(cmd, cmd.tokens[2], "line"), (PLine,))
-        origin = self._lookup(cmd, self._keyed(cmd, cmd.tokens[3], "origin"), (PPoint,))
-        unit = self._lookup(cmd, self._keyed(cmd, cmd.tokens[4], "unit"), (PPoint,))
-        inf = self._lookup(cmd, self._keyed(cmd, cmd.tokens[5], "infinity"), (PPoint,))
-        self._define(cmd, cmd.tokens[1], LineChart(line, origin, unit, inf))
-
     def _cmd_construct(self, cmd: _Command, base_dir: str) -> None:
-        if len(cmd.tokens) < 2:
-            raise ParseError(cmd.line_no, cmd.tokens[0].column, "construct needs an operation")
-        op = cmd.tokens[1].text
         ops = _operations()
-        if op not in ops:
-            raise ParseError(cmd.line_no, cmd.tokens[1].column, f"unknown construct op {op!r}")
-        fn, arg_types, _ = ops[op]
-        self._arity(cmd, 5)
-        args = [self._lookup(cmd, t, (typ,)) for t, typ in zip(cmd.tokens[3:5], arg_types)]
-        self._define(cmd, cmd.tokens[2], fn(*args))
+        fn, arg_types, _ = ops[self._op(cmd, ops)]
+        self._define(cmd, 2, fn(*self._read(cmd, 3, arg_types)))
 
     def _cmd_check(self, cmd: _Command, base_dir: str) -> None:
-        if len(cmd.tokens) < 2:
-            raise ParseError(cmd.line_no, cmd.tokens[0].column, "check needs an operation")
-        op = cmd.tokens[1].text
-        label = f"L{cmd.line_no} check {' '.join(t.text for t in cmd.tokens[1:])}"
         ops = _operations()
-        if op in ops:
-            fn, arg_types, result_type = ops[op]
-            self._arity(cmd, 6)
-            if cmd.tokens[4].text != "=":
-                raise ParseError(cmd.line_no, cmd.tokens[4].column, "expected '='")
-            args = [self._lookup(cmd, t, (typ,)) for t, typ in zip(cmd.tokens[2:4], arg_types)]
-            expected = self._lookup(cmd, cmd.tokens[5], (result_type,))
-            actual = fn(*args)
-            self._record(label, actual == expected, f"expected {expected}, got {actual}")
-        elif op == "classify":
-            self._arity(cmd, 5)
-            if cmd.tokens[3].text != "=":
-                raise ParseError(cmd.line_no, cmd.tokens[3].column, "expected '='")
-            kind = cmd.tokens[4].text
-            if kind not in _CLASS_NAMES:
-                raise ParseError(
-                    cmd.line_no, cmd.tokens[4].column,
-                    f"unknown class {kind!r}; one of {sorted(_CLASS_NAMES)}",
-                )
-            conic = self._lookup(cmd, cmd.tokens[2], (Conic,))
+        op = self._op(cmd, (*ops, *_PREDICATES, "classify"))
+        label = f"L{cmd.line_no} check {' '.join(t.text for t in cmd.tokens[1:])}"
+        if op in _PREDICATES:
+            fn, arg_types, failure = _PREDICATES[op]
+            args = self._read(cmd, 2, arg_types)
+            self._record(label, fn(*args), lambda: failure.format(*args))
+            return
+        if op == "classify":
+            conic, _, expected = self._read(cmd, 2, (Conic, _equals, _class_name))
             actual = classify(conic).kind.value
-            self._record(label, actual == kind, f"expected {kind}, got {actual}")
-        elif op == "incident":
-            self._arity(cmd, 4)
-            p = self._lookup(cmd, cmd.tokens[2], (PPoint,))
-            l = self._lookup(cmd, cmd.tokens[3], (PLine,))
-            self._record(label, l.contains(p), f"{p} is not on {l}")
-        elif op == "on":
-            self._arity(cmd, 4)
-            conic = self._lookup(cmd, cmd.tokens[2], (Conic,))
-            p = self._lookup(cmd, cmd.tokens[3], (PPoint,))
-            self._record(label, conic.contains(p), f"{p} is not on the conic")
-        elif op == "equal":
-            self._arity(cmd, 4)
-            a = self._lookup(cmd, cmd.tokens[2], (object,))
-            b = self._lookup(cmd, cmd.tokens[3], (object,))
-            self._record(label, a == b, f"{a} != {b}")
         else:
-            raise ParseError(cmd.line_no, cmd.tokens[1].column, f"unknown check op {op!r}")
+            fn, arg_types, result_type = ops[op]
+            *args, _, expected = self._read(cmd, 2, (*arg_types, _equals, result_type))
+            actual = fn(*args)
+        self._record(label, actual == expected, lambda: f"expected {expected}, got {actual}")
 
     def _cmd_render(self, cmd: _Command, base_dir: str) -> None:
         if len(cmd.tokens) < 3:
             raise ParseError(cmd.line_no, cmd.tokens[0].column, "render FIGSPEC out=PATH")
-        figspec = cmd.tokens[1].text
-        out = None
-        viewport = None
-        width = 640
+        figspec = cmd.tokens[1]
+        options = {"out": "", "viewport": None, "width": 640}
         for tok in cmd.tokens[2:]:
-            if tok.text.startswith("out="):
-                out = tok.text[4:]
-            elif tok.text.startswith("viewport="):
-                try:
-                    viewport = parse_viewport(tok.text[len("viewport=") :])
-                except ValueError as exc:
-                    raise ParseError(cmd.line_no, tok.column, str(exc)) from None
-            elif tok.text.startswith("width="):
-                try:
-                    width = int(tok.text[6:])
-                except ValueError:
-                    raise ParseError(
-                        cmd.line_no, tok.column, f"width must be an integer, got {tok.text[6:]!r}"
-                    ) from None
-            else:
+            key, eq, text = tok.text.partition("=")
+            if not eq or key not in _RENDER_OPTIONS:
                 raise ParseError(cmd.line_no, tok.column, f"unknown render option {tok.text!r}")
+            options[key] = self._literal(cmd, tok, _RENDER_OPTIONS[key], text)
+        out = options["out"]
         if not out:
             raise ParseError(cmd.line_no, cmd.tokens[0].column, "render needs out=PATH")
-        if figspec == "scene":
-            drawables = self.drawables()
-            vp = viewport or (Fraction(-3), Fraction(-3), Fraction(3), Fraction(3))
-            svg = render_svg(drawables, vp, width)
+        if figspec.text == "scene":
+            drawables, viewport = self.drawables(), (Fraction(-3), Fraction(-3), Fraction(3), Fraction(3))
         else:
             try:
-                figure_drawables, default_vp = build_figure(figspec)
+                drawables, viewport = build_figure(figspec.text)
             except UnknownReference as exc:
-                raise ParseError(cmd.line_no, cmd.tokens[1].column, str(exc)) from None
-            svg = render_svg(figure_drawables, viewport or default_vp, width)
+                raise ParseError(cmd.line_no, figspec.column, str(exc)) from None
+        svg = render_svg(drawables, options["viewport"] or viewport, options["width"])
         path = out if os.path.isabs(out) else os.path.join(base_dir, out)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(svg)
@@ -312,10 +312,9 @@ class Scene:
                 out.append(Drawable("point", obj, name))
         return out
 
-    def _record(self, label: str, ok: bool, detail: str) -> None:
-        self.checks.append(
-            PropertyResult(label, 1 if ok else 0, 1, None if ok else detail)
-        )
+    def _record(self, label: str, ok: bool, detail) -> None:
+        """Record a verdict; ``detail()`` formats the counterexample of a failed check only."""
+        self.checks.append(PropertyResult(label, 1 if ok else 0, 1, None if ok else detail()))
 
 
 def run_scene_text(text: str, name: str = "scene", base_dir: str = ".") -> VerificationReport:

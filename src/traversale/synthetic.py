@@ -193,13 +193,6 @@ def _involution(x: Vec3) -> Mat2:
     return ((-x1, x0), (-x2, x1))
 
 
-def _cut(lam: Vec3, h: Pair, s: Pair) -> Vec3:
-    """The meet of the frame line lam with the chord through the bornes of h and s."""
-    ph, ps = _borne(h), _borne(s)
-    at_h, at_s = dot(lam, ph), dot(lam, ps)
-    return tuple([at_s * a - at_h * b for a, b in zip(ph, ps)])
-
-
 def _on_model_conic(x: Vec3) -> bool:
     return x[1] * x[1] == x[0] * x[2]
 
@@ -373,7 +366,7 @@ def pole_by_construction(c: Conic, l: PLine) -> PPoint:
 def _frame_cuts(lam: Vec3):
     """The cuts g of the frame line lam off the conic, in sweep order, each with its secant (hub, s) through g."""
     hub = next(h for h in _SWEEP_PAIRS if dot(lam, _borne(h)))
-    cuts = ((_cut(lam, hub, s), (hub, s)) for s in _SWEEP_PAIRS if s != hub)
+    cuts = ((cross(lam, _chord(hub, s)), (hub, s)) for s in _SWEEP_PAIRS if s != hub)
     return ((g, known) for g, known in cuts if not _on_model_conic(g))
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from traversale import (
+    BasePointNotOnConic,
     CoincidentLines,
     CoincidentPoints,
     Conic,
@@ -21,6 +22,7 @@ from traversale import (
     polar,
     pole,
     rational_parametrize,
+    tangent_at,
     transform,
 )
 from traversale import conic, projective
@@ -186,3 +188,21 @@ def test_deep_frame_joins_meets_and_polars_cross_no_plane_vector(monkeypatch):
     polar(c, p)
     pole(c, first)
     assert len(widths) == 3 and max(widths) < 64
+
+
+def test_tangent_at_a_deep_framed_point_evaluates_no_plane_form(monkeypatch):
+    c = _circle_image(3100, 256)
+    par = chord_parametrization(c)
+    p, q, r, s = (par.point(t) for t in PARAMETERS[:4])
+    off = meet(join(p, q), join(r, s))
+    expected = polar(c, _plain(p))
+    evaluated = []
+    real = Conic.evaluate
+    monkeypatch.setattr(Conic, "evaluate", lambda *args: evaluated.append(1) or real(*args))
+    tangent = tangent_at(c, p)
+    assert isinstance(tangent, FramedLine) and tangent.frame is par
+    assert tangent.coeffs == expected.coeffs
+    with pytest.raises(BasePointNotOnConic) as exc:
+        tangent_at(c, off)
+    assert str(exc.value) == f"{off} is not on the conic"
+    assert evaluated == []

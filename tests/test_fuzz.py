@@ -7,12 +7,14 @@ valid rationals with the edge cases of the parser: ``3/-4``, ``1/0``,
 ``-0``, ``+5``, 25-digit integers and non-numbers.
 """
 
+import hashlib
 import random
 
 import pytest
 
 from traversale.cli import main
 from traversale.render import FIGURES
+from traversale.scene import run_scene_text
 from traversale.verify import ALL_SUITES
 
 RATIONALS = (
@@ -161,3 +163,19 @@ def test_fuzz_cli_and_scenes_end_in_a_named_exit(seed, tmp_path, capsys, monkeyp
         if code == 2:
             error_lines = [line for line in err.splitlines() if "error:" in line]
             assert len(error_lines) == 1, (argv, err)
+
+
+# sha256 of the outcomes of _scene(random.Random(i)) for i in range(1000)
+SCENE_OUTCOMES_SHA256 = "c85da8339560112bfdd23a70e903f0bef5f1e395a404b4755b4d94db9b3ea564"
+
+
+def test_fuzz_scene_outcomes_are_pinned(tmp_path):
+    """Each scene's report text, or the class and message of what it raised, is unchanged."""
+    digest = hashlib.sha256()
+    for i in range(1000):
+        try:
+            outcome = run_scene_text(_scene(random.Random(i)), base_dir=str(tmp_path)).to_text()
+        except Exception as exc:
+            outcome = f"{type(exc).__name__}: {exc}".replace(str(tmp_path), "<tmp>")
+        digest.update(outcome.encode("utf-8") + b"\0")
+    assert digest.hexdigest() == SCENE_OUTCOMES_SHA256

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from traversale import scene
+from traversale import PLine, PPoint, scene
 from traversale.cli import _FIGURE_NAMES, _SUITE_IDS, _build_parser, main
 from traversale.errors import ParseError, UnknownReference
 from traversale.render import FIGURES, render_figure
@@ -79,6 +79,26 @@ def test_scene_parse_error_bad_token_column():
         ("render fig8 width=3 viewport=-1,-1,1,1\n", 1, 1, "render needs out=PATH"),
         # an empty path names no file to write
         ("render scene out= viewport=-2,-2,2,2\n", 1, 1, "render needs out=PATH"),
+        ("render fig8 out viewport=-1,-1,1,1\n", 1, 13, "unknown render option 'out'"),
+        ("point P 1 0\n", 1, 1, "point takes 4 arguments, got 3"),
+        ("construct join l\n", 1, 1, "construct takes 4 arguments, got 2"),
+        ("check incident P\n", 1, 1, "check takes 3 arguments, got 2"),
+        ("check classify k =\n", 1, 1, "check takes 4 arguments, got 3"),
+        ("conic k 1 1 -1 0 0 0\nquadrangle q cone=k a b c d\n", 2, 14, "expected conic=..., got 'cone=k'"),
+        ("point P 1 0 1\npoint P 2 0 1\n", 2, 7, "name 'P' already defined"),
+        # a definition's literals are read before its name is defined
+        ("point P 1 0 1\npoint P x 0 1\n", 2, 9, "not a rational literal: 'x'"),
+        ("frob a b\n", 1, 1, "unknown command 'frob'"),
+        ("check spin a b = c\n", 1, 7, "unknown check op 'spin'"),
+        (
+            "conic k 1 1 -1 0 0 0\ncheck classify k = round\n", 2, 20,
+            "unknown class 'round'; one of ['double-line', 'empty', 'nondegenerate-real', 'two-lines']",
+        ),
+        # the class name is read before the conic's name is looked up
+        (
+            "check classify ghost = round\n", 1, 24,
+            "unknown class 'round'; one of ['double-line', 'empty', 'nondegenerate-real', 'two-lines']",
+        ),
     ):
         with pytest.raises(ParseError) as exc:
             run_scene_text(text)
@@ -87,8 +107,16 @@ def test_scene_parse_error_bad_token_column():
 
 
 def test_scene_unknown_reference():
-    with pytest.raises(UnknownReference):
-        run_scene_text("conic unit 1 1 -1 0 0 0\ncheck polar ghost F = tau\n")
+    for text, message in (
+        ("conic unit 1 1 -1 0 0 0\ncheck polar ghost F = tau\n", "line 2: unknown name 'ghost'"),
+        ("line l 1 0 0\npoint F 2 0 1\nconstruct join m l F\n", "line 3: 'l' is PLine, expected PPoint"),
+        ("point P 1 0 1\nline l 1 0 -1\ncheck on l P\n", "line 3: 'l' is PLine, expected Conic"),
+        # each key=NAME is looked up before the next key is read
+        ("line l 0 1 0\nchart c line=l origin=ghost unit=U infin=O\n", "line 2: unknown name 'ghost'"),
+    ):
+        with pytest.raises(UnknownReference) as exc:
+            run_scene_text(text)
+        assert str(exc.value) == message
 
 
 def test_scene_duplicate_name():
@@ -97,17 +125,35 @@ def test_scene_duplicate_name():
 
 
 def test_scene_domain_error_names_command(tmp_path):
-    for text, line in (
-        ("point P 1 0 1\npoint Q 2 0 2\nconstruct join l P Q\n", "line 3"),
+    for text, message in (
+        (
+            "point P 1 0 1\npoint Q 2 0 2\nconstruct join l P Q\n",
+            "line 3: construct join l P Q: join needs distinct points, got (1, 0, 1) twice",
+        ),
         # x^2 + y^2 = 3 z^2 has no rational point, so the conic cannot be drawn
-        ("conic k 1 1 -3 0 0 0\nrender scene out=x.svg\n", "line 2"),
-        ("point P 1 0 1\nline l 0 1 0\nchart c line=l origin=P unit=P infinity=P\n", "line 3"),
-        ("point F 2 0 1\nrender scene out=x.svg width=0\n", "line 2"),
-        ("point F 2 0 1\nrender scene out=missing/x.svg\n", "line 2"),
+        (
+            "conic k 1 1 -3 0 0 0\nrender scene out=x.svg\n",
+            "line 2: render scene out=x.svg: no rational point found on the conic within the search budget",
+        ),
+        (
+            "point P 1 0 1\nline l 0 1 0\nchart c line=l origin=P unit=P infinity=P\n",
+            "line 3: chart c line=l origin=P unit=P infinity=P: chart reference points must be pairwise distinct",
+        ),
+        (
+            "point F 2 0 1\nrender scene out=x.svg width=0\n",
+            "line 2: render scene out=x.svg width=0: width 0 must be at least 1 pixel",
+        ),
+        ("point F 2 0 1\nrender scene out=missing/x.svg\n", "line 2: render scene out=missing/x.svg: "),
+        # a value is built before its name is defined
+        (
+            "point P 1 0 1\nconstruct join P P P\n",
+            "line 2: construct join P P P: join needs distinct points, got (1, 0, 1) twice",
+        ),
+        ("point P 1 0 1\npoint P 0 0 0\n", "line 2: point P 0 0 0: (0, 0, 0) is not a projective point"),
     ):
         with pytest.raises(CommandError) as exc:
             run_scene_text(text, base_dir=str(tmp_path))
-        assert line in str(exc.value)
+        assert str(exc.value).startswith(message)
     assert not (tmp_path / "x.svg").exists()
 
 
@@ -144,6 +190,19 @@ def test_scene_check_join_and_meet():
     assert report.properties[3].counterexample == "expected (0, 0, 1), got (0, 1, 1)"
     with pytest.raises(UnknownReference):  # join takes points, not lines
         run_scene_text("line l 0 1 -1\nline m 1 0 0\npoint X 0 1 1\ncheck join l m = X\n")
+
+
+def test_scene_check_formats_its_counterexample_only_on_failure(monkeypatch):
+    formatted = []
+    for cls in (PPoint, PLine):
+        monkeypatch.setattr(cls, "__str__", lambda self, real=cls.__str__: formatted.append(1) or real(self))
+    passing = (
+        "conic k 1 1 -1 0 0 0\npoint F 2 0 1\nline tau 2 0 -1\npoint A 1 0 1\npoint T 1 0 2\n"
+        "check polar k F = tau\ncheck incident T tau\ncheck on k A\ncheck equal F F\n"
+    )
+    assert run_scene_text(passing).passed and formatted == []
+    report = run_scene_text(passing + "check equal F A\ncheck on k F\n")
+    assert [p.counterexample for p in report.properties[-2:]] == ["(1, 0, 1/2) != (1, 0, 1)", "(1, 0, 1/2) is not on the conic"]
 
 
 def test_scene_operations_read_rebound_names(monkeypatch):

@@ -8,6 +8,7 @@ coefficients, degenerate conics and conics with no rational point.
 """
 
 import hashlib
+from collections import Counter
 from itertools import product
 
 from traversale import Conic, PLine, PPoint
@@ -23,7 +24,7 @@ from traversale.conic import (
     tangent_at,
     tangents_from,
 )
-from traversale.errors import GeometryError
+from traversale.errors import BasePointNotOnConic, GeometryError
 from traversale.linalg import primitive
 from traversale.projective import LINE_AT_INFINITY
 from traversale.synthetic import (
@@ -123,6 +124,29 @@ def test_one_object_entry_points_end_in_a_result_or_a_geometry_error():
                     raised[name].add(_raised(call, c, x))
     for name, (_, errors) in (*CONIC_ONLY.items(), *WITH_POINT.items(), *WITH_LINE.items()):
         assert raised[name] - {None} == errors, name
+
+
+def _outcome(call, *args):
+    """The result, or the class and message of the GeometryError raised."""
+    try:
+        return call(*args)
+    except GeometryError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _tangent_by_definition(c, p):
+    if not c.contains(p):
+        raise BasePointNotOnConic(f"{p} is not on the conic")
+    return polar(c, p)
+
+
+def test_tangent_at_is_its_definition_on_every_conic_and_point():
+    # the polar of p passes through p exactly when p is on the conic, so
+    # taking the polar first raises what testing the form first raises
+    outcomes = [(_outcome(tangent_at, c, p), _outcome(_tangent_by_definition, c, p)) for c in _conics() for p in POINTS]
+    assert all(new == old for new, old in outcomes)
+    kinds = Counter(new[0] if isinstance(new, tuple) else type(new).__name__ for new, _ in outcomes)
+    assert kinds == {"PLine": 1128, "BasePointNotOnConic": 3525, "TotallyIsotropicPoint": 79}
 
 
 def test_two_involutions_ends_in_a_result_or_a_geometry_error_on_a_fixed_sample():

@@ -339,7 +339,7 @@ def test_frame_meets_and_cuts_match_the_plane(name):
             for s in pairs:
                 if s == hub:
                     continue
-                x = synthetic._cut(lam, hub, s)
+                x = cross(lam, synthetic._chord(hub, s))
                 g = meet(l, join(point(hub), point(s)))
                 assert par.point_from_frame(x) == g, (l, hub, s)
                 assert synthetic._on_model_conic(x) == c.contains(g) == (g == point(s)), (l, hub, s)
@@ -715,16 +715,19 @@ def test_pole_by_construction_meets_at_most_nine_lines(steps, monkeypatch):
     # also takes one join, its third cross product
     c, h = _circle_image(1500 + steps, steps)
     par = chord_parametrization(c)
-    cuts, crosses = [], []
-    real_cut, real_cross = synthetic._cut, synthetic.cross
-    monkeypatch.setattr(synthetic, "_cut", lambda *args: cuts.append(1) or real_cut(*args))
-    monkeypatch.setattr(synthetic, "cross", lambda *args: crosses.append(1) or real_cross(*args))
+    lams, firsts = [], []
+    real_cuts, real_cross = synthetic._frame_cuts, synthetic.cross
+    monkeypatch.setattr(synthetic, "_frame_cuts", lambda lam: lams.append(lam) or real_cuts(lam))
+    monkeypatch.setattr(synthetic, "cross", lambda a, b: firsts.append(a) or real_cross(a, b))
     for name, l in _pole_lines(c, h, par, random.Random(steps)).items():
-        cuts.clear()
-        crosses.clear()
+        lams.clear()
+        firsts.clear()
         pole_by_construction(c, l)
-        meets = len(cuts) + len(crosses) - 2
-        assert len(crosses) == 7 and meets <= 9, name
+        # a cut of l is a cross whose first operand is l's frame line itself
+        # (a chord of the sweep may equal it)
+        cuts = sum(first is lams[0] for first in firsts)
+        meets = len(firsts) - 2
+        assert len(firsts) - cuts == 7 and meets <= 9, name
         if name == "through P(s0) and P(s1)":
             assert meets == 9
 
