@@ -193,7 +193,7 @@ def polar(c: Conic, m: PPoint) -> PLine:
     points are those annihilated by the form (the point double of a
     degenerate conic).  A point that carries a frame of this conic (see
     :class:`RationalParametrization`) takes the model conic's polar
-    (-y2, 2*y1, -y0) of its frame vector y, mapped into the plane.
+    (-y2, 2*y1, -y0) of its frame vector y, as a framed line.
     """
     frame = m.frame
     if frame is not None and frame.conic == c:
@@ -216,7 +216,7 @@ def pole(c: Conic, l: PLine) -> PPoint:
     """The point whose polar is l; needs a rank-3 form.
 
     A line that carries a frame of this conic takes the model conic's pole
-    (-2*lam2, lam1, -2*lam0) of its frame vector lam, mapped into the plane.
+    (-2*lam2, lam1, -2*lam0) of its frame vector lam, as a framed point.
     """
     frame = l.frame
     if frame is not None and frame.conic == c:
@@ -226,15 +226,34 @@ def pole(c: Conic, l: PLine) -> PPoint:
 
 
 def tangent_at(c: Conic, p: PPoint) -> PLine:
-    """Tangent line at a point of the conic: its polar, which passes through p exactly when p is on the conic."""
+    """Tangent line at a point of the conic: its polar, which passes through p exactly when p is on the conic.
+
+    A point that carries a frame of this conic is on it when its frame
+    vector y is on the model conic, y1^2 = y0*y2; no plane triple is read.
+    """
     t = polar(c, p)
-    if not t.contains(p):
+    frame = p.frame
+    if frame is not None and frame.conic == c:
+        y0, y1, y2 = p.frame_vector
+        on_conic = y1 * y1 == y0 * y2
+    else:
+        on_conic = t.contains(p)
+    if not on_conic:
         raise BasePointNotOnConic(f"{p} is not on the conic")
     return t
 
 
 def is_tangent_line(c: Conic, l: PLine) -> bool:
-    """l contains its pole, read as l.adj(M).l = 0 with no point built; needs a rank-3 form."""
+    """l contains its pole, read as l.adj(M).l = 0 with no point built; needs a rank-3 form.
+
+    A line that carries a frame of this conic (whose form has rank 3) is
+    tangent when its frame vector lam meets the model conic in a double
+    root, lam1^2 = 4*lam0*lam2.
+    """
+    frame = l.frame
+    if frame is not None and frame.conic == c:
+        lam0, lam1, lam2 = l.frame_vector
+        return lam1 * lam1 == 4 * lam0 * lam2
     return dot(_pole_coords(c, l), l.coeffs) == 0
 
 
@@ -441,10 +460,13 @@ class RationalParametrization(Value):
     When A's entries are wider than ``_FRAME_BITS``, the points and lines
     handed out (:meth:`point_from_pair`, :meth:`point_from_frame`,
     :meth:`line_from_frame`) are a :class:`~traversale.projective.FramedPoint`
-    or :class:`~traversale.projective.FramedLine` recording this frame and
-    their frame vector; equality ignores it.  Then :func:`join`,
-    :func:`~traversale.projective.meet`, :func:`polar` and :func:`pole` on
-    them cross small frame vectors, and :meth:`frame_of_point` and
+    or :class:`~traversale.projective.FramedLine` holding this frame and
+    their primitive frame vector, and no plane triple: the first read of
+    its ``coords`` or ``coeffs`` maps it (:meth:`_point_triple`,
+    :meth:`_line_triple`).  Then :func:`join`,
+    :func:`~traversale.projective.meet`, :func:`polar`, :func:`pole`,
+    :func:`tangent_at`, :func:`is_tangent_line` and equality within the frame
+    work on small frame vectors, and :meth:`frame_of_point` and
     :meth:`frame_of_line` read the recorded vector.  Below the gate they are
     plain values.  Two parametrizations with equal (A, B, C) are one frame
     (:meth:`same_frame`), as those fix every map; as objects they still
@@ -489,11 +511,10 @@ class RationalParametrization(Value):
 
     def point_from_pair(self, pair: Pair) -> PPoint:
         """The point of the homogeneous chart pair (num, den), t = num/den, at frame vector (num^2, num*den, den^2)."""
-        coords = self.triple_from_pair(pair)
         if not self._framed:
-            return PPoint(*coords)
+            return PPoint(*self.triple_from_pair(pair))
         num, den = pair
-        return FramedPoint(self, primitive((num * num, num * den, den * den)), *coords)
+        return FramedPoint(self, primitive((num * num, num * den, den * den)))
 
     def triple_from_pair(self, pair: Pair) -> Vec3:
         """The unreduced coordinates A*num^2 + B*num*den + C*den^2 of the point of the pair.
@@ -535,20 +556,26 @@ class RationalParametrization(Value):
     def point_from_frame(self, x: Vec3) -> PPoint:
         """The plane point x0*A + x1*B + x2*C."""
         if self._framed:
-            x = primitive(x)
-        x0, x1, x2 = x
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = self._quadratic
-        coords = (a0 * x0 + b0 * x1 + c0 * x2, a1 * x0 + b1 * x1 + c1 * x2, a2 * x0 + b2 * x1 + c2 * x2)
-        return FramedPoint(self, x, *coords) if self._framed else PPoint(*coords)
+            return FramedPoint(self, primitive(x))
+        return PPoint(*self._point_triple(x))
 
     def line_from_frame(self, lam: Vec3) -> PLine:
         """The plane line lam2*U - lam1*V + lam0*W of the frame line lam."""
         if self._framed:
-            lam = primitive(lam)
+            return FramedLine(self, primitive(lam))
+        return PLine(*self._line_triple(lam))
+
+    def _point_triple(self, x: Vec3) -> Vec3:
+        """The unreduced triple x0*A + x1*B + x2*C of the frame point x."""
+        x0, x1, x2 = x
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = self._quadratic
+        return (a0 * x0 + b0 * x1 + c0 * x2, a1 * x0 + b1 * x1 + c1 * x2, a2 * x0 + b2 * x1 + c2 * x2)
+
+    def _line_triple(self, lam: Vec3) -> Vec3:
+        """The unreduced triple lam2*U - lam1*V + lam0*W of the frame line lam."""
         l0, l1, l2 = lam
         (u0, u1, u2), (v0, v1, v2), (w0, w1, w2) = self._chords()
-        coeffs = (u0 * l2 - v0 * l1 + w0 * l0, u1 * l2 - v1 * l1 + w1 * l0, u2 * l2 - v2 * l1 + w2 * l0)
-        return FramedLine(self, lam, *coeffs) if self._framed else PLine(*coeffs)
+        return (u0 * l2 - v0 * l1 + w0 * l0, u1 * l2 - v1 * l1 + w1 * l0, u2 * l2 - v2 * l1 + w2 * l0)
 
 
 def second_intersection(c: Conic, base: PPoint, other: PPoint) -> PPoint:

@@ -11,17 +11,19 @@ at infinity.  Everything here is an immutable value and every operation is
 a pure function.
 
 A point or line may also carry a frame.  A :class:`FramedPoint` or
-:class:`FramedLine` records ``frame``, the object that maps small frame
+:class:`FramedLine` holds only ``frame``, the object that maps small frame
 vectors onto the plane (a conic's chord parametrization, see
 :class:`traversale.conic.RationalParametrization`), and its own primitive
-``frame_vector``, whose image is the plane triple.  Equality, hashing and
-text ignore the frame, so a framed value equals the plain value of its
-triple.  :func:`join` and :func:`meet` of two values with one frame cross
-the small frame vectors and let the frame map the result into the plane,
-which on a deep conic costs far less than crossing the plane triples; two
-frame objects for which ``same_frame`` holds are one frame.  Plain points
-and lines read ``frame`` as None.  A parametrization hands out framed
-values only above a size gate on its entries, where the frame route pays.
+``frame_vector``.  Its plane triple is mapped by the frame and reduced on
+first read, then stored.  Two framed values of one frame compare their
+frame vectors, and every other comparison compares triples; hashing and
+text read the triple, so a framed value equals and hashes like the plain
+value of its triple.  :func:`join` and :func:`meet` of two values with one
+frame cross the small frame vectors and hand the result back framed, which
+on a deep conic costs far less than crossing the plane triples; two frame
+objects for which ``same_frame`` holds are one frame.  Plain points and
+lines read ``frame`` as None.  A parametrization hands out framed values
+only above a size gate on its entries, where the frame route pays.
 """
 
 from __future__ import annotations
@@ -139,25 +141,60 @@ class PLine(Value):
 
 
 class FramedPoint(PPoint):
-    """A point that also records its frame and its primitive vector there; it equals the plain point of its coords."""
+    """A point held as its frame and its primitive vector there; ``coords`` is mapped on first read.
+
+    It equals and hashes like the plain point of its coords.  A point of
+    the same frame is compared by frame vector: both are primitive and the
+    frame map is a bijection, so the vectors agree exactly when the points do.
+    """
 
     __slots__ = ("frame", "frame_vector")
 
-    def __init__(self, frame, frame_vector: Vec3, x, y, z):
-        PPoint.__init__(self, x, y, z)
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "frame_vector", frame_vector)
+    def __init__(self, frame, frame_vector: Vec3):
+        self._set(frame, frame_vector)
+
+    def __getattr__(self, name):
+        # called only while a slot is empty: the first read of coords maps the frame vector
+        if name != "coords":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        coords = primitive(self.frame._point_triple(self.frame_vector))
+        self._set(coords=coords)
+        return coords
+
+    def __eq__(self, other):
+        if isinstance(other, PPoint) and shares_frame(other, self.frame):
+            return self.frame_vector == other.frame_vector
+        return PPoint.__eq__(self, other)
+
+    __hash__ = PPoint.__hash__
 
 
 class FramedLine(PLine):
-    """A line that also records its frame and its primitive vector there; it equals the plain line of its coeffs."""
+    """A line held as its frame and its primitive vector there; ``coeffs`` is mapped on first read.
+
+    It equals and hashes like the plain line of its coeffs; a line of the
+    same frame is compared by frame vector, as for :class:`FramedPoint`.
+    """
 
     __slots__ = ("frame", "frame_vector")
 
-    def __init__(self, frame, frame_vector: Vec3, u, v, w):
-        PLine.__init__(self, u, v, w)
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "frame_vector", frame_vector)
+    def __init__(self, frame, frame_vector: Vec3):
+        self._set(frame, frame_vector)
+
+    def __getattr__(self, name):
+        # called only while a slot is empty: the first read of coeffs maps the frame vector
+        if name != "coeffs":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        coeffs = primitive(self.frame._line_triple(self.frame_vector))
+        self._set(coeffs=coeffs)
+        return coeffs
+
+    def __eq__(self, other):
+        if isinstance(other, PLine) and shares_frame(other, self.frame):
+            return self.frame_vector == other.frame_vector
+        return PLine.__eq__(self, other)
+
+    __hash__ = PLine.__hash__
 
 
 LINE_AT_INFINITY = PLine(0, 0, 1)
@@ -173,7 +210,7 @@ def join(p: PPoint, q: PPoint) -> PLine:
     """The unique line through two distinct points.
 
     Two points with one frame are joined there: the frame line is the cross
-    product of their frame vectors, and the frame maps it into the plane.
+    product of their frame vectors, returned framed.
     """
     if p == q:
         raise CoincidentPoints(f"join needs distinct points, got {p} twice")

@@ -15,12 +15,14 @@ from traversale import (
     Homography,
     PLine,
     PPoint,
+    RationalParametrization,
     SingularMatrix,
     join,
     line_intersect,
     meet,
     polar,
     pole,
+    is_tangent_line,
     rational_parametrize,
     tangent_at,
     transform,
@@ -58,6 +60,16 @@ def _triple(value):
 def every_frame_recorded(monkeypatch):
     """Parametrizations built in the test hand out framed values at every size."""
     monkeypatch.setattr(conic, "_FRAME_BITS", -1)
+
+
+@pytest.fixture
+def maps(monkeypatch):
+    """The frame vectors that the two frame maps turn into plane triples, as they are mapped."""
+    mapped = []
+    for name in ("_point_triple", "_line_triple"):
+        real = getattr(RationalParametrization, name)
+        monkeypatch.setattr(RationalParametrization, name, lambda par, v, real=real: mapped.append(v) or real(par, v))
+    return mapped
 
 
 @pytest.mark.parametrize("steps", [1, 2, 4, 16, 64, 256])
@@ -206,3 +218,88 @@ def test_tangent_at_a_deep_framed_point_evaluates_no_plane_form(monkeypatch):
         tangent_at(c, off)
     assert str(exc.value) == f"{off} is not on the conic"
     assert evaluated == []
+
+
+def _frame_values(c, pars):
+    """Framed points and lines built on the conic in the given parametrizations, no triple read.
+
+    Each parameter's point is built once per parametrization, and so are the
+    joins (in both orders), meets, polars and poles, so equal values of
+    distinct objects occur in one parametrization and across them.
+    """
+    values = []
+    for par in pars:
+        p = [par.point(t) for t in PARAMETERS[:4]]
+        chords = [join(p[0], p[1]), join(p[1], p[0]), join(p[2], p[3])]
+        values += [*p, *chords, meet(chords[0], chords[2]), meet(polar(c, p[0]), polar(c, p[1]))]
+        values += [polar(c, p[2]), pole(c, chords[0]), pole(c, chords[2]), par.line_from_frame((1, -5, 6))]
+    return values
+
+
+@pytest.mark.parametrize("steps", [1, 2, 4, 16, 64, 256])
+def test_equality_in_one_frame_maps_no_triple_and_agrees_with_the_triples(steps, every_frame_recorded, maps):
+    c = _circle_image(3200 + steps, steps)
+    first, second = rational_parametrize(c, c.witness), chord_parametrization(c)
+    assert first is not second and first.same_frame(second)
+    values = _frame_values(c, (first, second))
+    assert all(isinstance(v, (FramedPoint, FramedLine)) for v in values) and maps == []
+    equal = [[a == b for b in values] for a in values]
+    unequal = [[a != b for b in values] for a in values]
+    assert maps == []
+    by_triple = [[type(a) is type(b) and _triple(a) == _triple(b) for b in values] for a in values]
+    assert equal == by_triple and unequal == [[not e for e in row] for row in by_triple]
+    # the two parametrizations give equal values, and one of them equal values of distinct objects
+    assert values[:len(values) // 2] == values[len(values) // 2:]
+    assert values[4] == values[5] and values[4] is not values[5]
+    assert values[8] == values[10] and values[8] is not values[10]
+
+
+def test_framed_values_of_different_frames_compare_by_triple(every_frame_recorded, maps):
+    c = _circle_image(3300, 64)
+    first = rational_parametrize(c, c.witness)
+    second = rational_parametrize(c, first.point(Fraction(3)))
+    assert not first.same_frame(second)
+    ours = _frame_values(c, (first,))
+    theirs = [
+        (second.point_from_frame if isinstance(v, PPoint) else second.line_from_frame)(
+            (second.frame_of_point if isinstance(v, PPoint) else second.frame_of_line)(_plain(v))
+        )
+        for v in ours
+    ]
+    maps.clear()
+    equal = [[a == b for b in theirs] for a in ours]
+    assert maps  # the triples were mapped to be compared
+    assert equal == [[type(a) is type(b) and _triple(a) == _triple(b) for b in theirs] for a in ours]
+    assert all(row[i] for i, row in enumerate(equal))
+    assert all(a.frame is first and b.frame is second for a, b in zip(ours, theirs))
+
+
+@pytest.mark.parametrize("steps", [1, 64, 256])
+def test_tangency_of_a_framed_value_is_decided_on_its_frame_vector(steps, every_frame_recorded, maps):
+    c = _circle_image(3400 + steps, steps)
+    par = chord_parametrization(c)
+    p = [par.point(t) for t in PARAMETERS]
+    off = meet(join(p[0], p[1]), join(p[2], p[3]))
+    lines = [join(p[0], p[1]), polar(c, off), tangent_at(c, p[4]), polar(c, p[2]), par.line_from_frame((1, -5, 6))]
+    tangent = [is_tangent_line(c, l) for l in lines]
+    tangents = [tangent_at(c, q) for q in p]
+    assert maps == []
+    with pytest.raises(BasePointNotOnConic) as framed_error:
+        tangent_at(c, off)
+    assert maps == [off.frame_vector]  # only the error's text reads a triple
+    assert tangent == [False, False, True, True, False]
+    assert tangent == [is_tangent_line(c, _plain(l)) for l in lines]
+    assert [t.frame for t in tangents] == [par] * len(p)
+    assert tangents == [tangent_at(c, _plain(q)) for q in p]
+    with pytest.raises(BasePointNotOnConic) as plain_error:
+        tangent_at(c, _plain(off))
+    assert str(framed_error.value) == str(plain_error.value)
+    # a frame of another conic is not read: the plane route decides
+    other = transform(c, Homography.scaling(2, 3))
+    assert [is_tangent_line(other, l) for l in lines] == [is_tangent_line(other, _plain(l)) for l in lines]
+    for q in p:
+        with pytest.raises(BasePointNotOnConic) as framed_error:
+            tangent_at(other, q)
+        with pytest.raises(BasePointNotOnConic) as plain_error:
+            tangent_at(other, _plain(q))
+        assert str(framed_error.value) == str(plain_error.value)

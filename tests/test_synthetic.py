@@ -32,6 +32,7 @@ from traversale import (
     PLine,
     PPoint,
     PointPair,
+    RationalParametrization,
     TangentLine,
     VertexOnTransversal,
     canonical_chart,
@@ -736,15 +737,17 @@ def test_pole_by_construction_meets_at_most_nine_lines(steps, monkeypatch):
 def test_each_construction_builds_one_plane_object_after_its_gate(steps, monkeypatch):
     # the OnConic test of f (traversale) and the TangentLine test of l (pole)
     # are made in the parametrization's frame, like the construction: no
-    # plane meet, join, pole or Conic.contains, and one PLine or PPoint at the
-    # end.  Above the size gate (steps = 64) that one is a FramedLine or
-    # FramedPoint, whose constructor builds its plane triple through PLine's
-    # or PPoint's, so it is still one event.
+    # plane meet, join, pole or Conic.contains.  Below the size gate the
+    # result is one PLine or PPoint, whose triple the frame maps once.
+    # Above it (steps = 64) the result is a FramedLine or FramedPoint and
+    # no triple is mapped until the first read of coeffs or coords; a
+    # second read maps nothing.
     c, h = _circle_image(1500 + steps, steps)
     par = chord_parametrization(c)
     f = _random_exterior(random.Random(steps), c)
     lines = _pole_lines(c, h, par, random.Random(steps))
     expected = {"traversale": polar(c, f), **{name: pole(c, l) for name, l in lines.items()}}
+    framed = steps == 64
     events = []
 
     def after(name, real):
@@ -753,21 +756,29 @@ def test_each_construction_builds_one_plane_object_after_its_gate(steps, monkeyp
     for owner, name, event in (
         (PPoint, "__init__", "PPoint"),
         (PLine, "__init__", "PLine"),
+        (RationalParametrization, "_point_triple", "point map"),
+        (RationalParametrization, "_line_triple", "line map"),
         (Conic, "contains", "contains"),
         (synthetic, "meet", "meet"),
         (synthetic, "join", "join"),
         (synthetic, "pole", "pole"),
     ):
         monkeypatch.setattr(owner, name, after(event, getattr(owner, name)))
-    built = {"traversale": traversale_from_quadrangle(c, f)}
-    assert events == ["PLine"]
-    for name, l in lines.items():
+    built = {}
+    for name, construct, arg, kind, read in (
+        ("traversale", traversale_from_quadrangle, f, "line", "coeffs"),
+        *((name, pole_by_construction, l, "point", "coords") for name, l in lines.items()),
+    ):
         events.clear()
-        built[name] = pole_by_construction(c, l)
-        assert events == ["PPoint"], name
+        built[name] = construct(c, arg)
+        map_event, plain_event = f"{kind} map", "PLine" if kind == "line" else "PPoint"
+        assert events == ([] if framed else [map_event, plain_event]), name
+        events.clear()
+        first = getattr(built[name], read)
+        assert events == ([map_event] if framed else []), name
+        assert getattr(built[name], read) is first and events == ([map_event] if framed else []), name
     monkeypatch.undo()
     assert built == expected
-    framed = steps == 64
     assert {isinstance(v, (FramedLine, FramedPoint)) for v in built.values()} == {framed}
     assert (max(map(abs, chord_parametrization(c)._quadratic[0])).bit_length() > _FRAME_BITS) is framed
 

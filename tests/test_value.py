@@ -101,6 +101,51 @@ def test_a_framed_value_is_the_plain_value_of_its_triple(name, plain):
     assert repr(framed).startswith(f"{plain.__name__}(")
 
 
+def _unread(value, plain):
+    """True while the framed value's plane triple slot is empty; reading the slot descriptor maps nothing."""
+    try:
+        (plain.coords if plain is PPoint else plain.coeffs).__get__(value)
+    except AttributeError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("name, plain", [("FramedPoint", PPoint), ("FramedLine", PLine)])
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+def test_a_framed_value_equals_and_hashes_like_its_twin_before_and_after_its_triple_is_read(name, plain, read_first):
+    triple = "coords" if plain is PPoint else "coeffs"
+    twin = plain(*getattr(SAMPLES[name](), triple))
+    checks = (
+        lambda v: v == twin,
+        lambda v: twin == v,
+        lambda v: not (v != twin) and not (twin != v),
+        lambda v: hash(v) == hash(twin),
+        lambda v: len({v, twin}) == 1 and {twin: 1}[v] == 1,
+    )
+    for check in checks:
+        value = SAMPLES[name]()
+        assert _unread(value, plain)
+        if read_first:
+            getattr(value, triple)
+            assert not _unread(value, plain)
+        assert check(value)
+
+
+@pytest.mark.parametrize("name, plain", [("FramedPoint", PPoint), ("FramedLine", PLine)])
+def test_the_unread_triple_of_a_framed_value_cannot_be_set_or_deleted(name, plain):
+    triple = "coords" if plain is PPoint else "coeffs"
+    value = SAMPLES[name]()
+    for field in (triple, "frame", "frame_vector"):
+        with pytest.raises(AttributeError):
+            setattr(value, field, (1, 2, 3))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert _unread(value, plain)
+    assert getattr(value, triple) == getattr(SAMPLES[name](), triple)
+    with pytest.raises(AttributeError, match="object has no attribute 'extra'"):
+        value.extra
+
+
 def test_cold_polar_call_does_not_import_dataclasses():
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
