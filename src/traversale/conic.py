@@ -226,34 +226,15 @@ def pole(c: Conic, l: PLine) -> PPoint:
 
 
 def tangent_at(c: Conic, p: PPoint) -> PLine:
-    """Tangent line at a point of the conic: its polar, which passes through p exactly when p is on the conic.
-
-    A point that carries a frame of this conic is on it when its frame
-    vector y is on the model conic, y1^2 = y0*y2; no plane triple is read.
-    """
+    """Tangent line at a point of the conic: its polar, which passes through p exactly when p is on the conic."""
     t = polar(c, p)
-    frame = p.frame
-    if frame is not None and frame.conic == c:
-        y0, y1, y2 = p.frame_vector
-        on_conic = y1 * y1 == y0 * y2
-    else:
-        on_conic = t.contains(p)
-    if not on_conic:
+    if not t.contains(p):
         raise BasePointNotOnConic(f"{p} is not on the conic")
     return t
 
 
 def is_tangent_line(c: Conic, l: PLine) -> bool:
-    """l contains its pole, read as l.adj(M).l = 0 with no point built; needs a rank-3 form.
-
-    A line that carries a frame of this conic (whose form has rank 3) is
-    tangent when its frame vector lam meets the model conic in a double
-    root, lam1^2 = 4*lam0*lam2.
-    """
-    frame = l.frame
-    if frame is not None and frame.conic == c:
-        lam0, lam1, lam2 = l.frame_vector
-        return lam1 * lam1 == 4 * lam0 * lam2
+    """l contains its pole, read as l.adj(M).l = 0 with no point built; needs a rank-3 form."""
     return dot(_pole_coords(c, l), l.coeffs) == 0
 
 
@@ -464,10 +445,10 @@ class RationalParametrization(Value):
     their primitive frame vector, and no plane triple: the first read of
     its ``coords`` or ``coeffs`` maps it (:meth:`_point_triple`,
     :meth:`_line_triple`).  Then :func:`join`,
-    :func:`~traversale.projective.meet`, :func:`polar`, :func:`pole`,
-    :func:`tangent_at`, :func:`is_tangent_line` and equality within the frame
-    work on small frame vectors, and :meth:`frame_of_point` and
-    :meth:`frame_of_line` read the recorded vector.  Below the gate they are
+    :func:`~traversale.projective.meet`, :func:`polar`, :func:`pole` and
+    equality within the frame work on small frame vectors, and
+    :meth:`frame_of_point` and :meth:`frame_of_line` read the recorded
+    vector.  Below the gate they are
     plain values.  Two parametrizations with equal (A, B, C) are one frame
     (:meth:`same_frame`), as those fix every map; as objects they still
     compare by identity.

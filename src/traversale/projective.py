@@ -140,61 +140,49 @@ class PLine(Value):
         return cls(*_parse_triple(text, "line", "[u, v, w]", "coefficients"))
 
 
-class FramedPoint(PPoint):
-    """A point held as its frame and its primitive vector there; ``coords`` is mapped on first read.
+class _Framed:
+    """A value held as its frame and its primitive vector there; its plane triple is mapped on first read.
 
-    It equals and hashes like the plain point of its coords.  A point of
-    the same frame is compared by frame vector: both are primitive and the
-    frame map is a bijection, so the vectors agree exactly when the points do.
+    It equals and hashes like the plain value of its triple.  A value of the
+    same frame is compared by frame vector: both are primitive and the frame
+    map is a bijection, so the vectors agree exactly when the values do.  A
+    subclass names its plain base, its triple's slot and the frame's map.
     """
 
-    __slots__ = ("frame", "frame_vector")
+    __slots__ = ()
 
     def __init__(self, frame, frame_vector: Vec3):
         self._set(frame, frame_vector)
 
     def __getattr__(self, name):
-        # called only while a slot is empty: the first read of coords maps the frame vector
-        if name != "coords":
+        # called only while a slot is empty: the first read of the triple maps the frame vector
+        if name != self._triple:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        coords = primitive(self.frame._point_triple(self.frame_vector))
-        self._set(coords=coords)
-        return coords
+        triple = primitive(getattr(self.frame, self._map)(self.frame_vector))
+        self._set(**{name: triple})
+        return triple
 
     def __eq__(self, other):
-        if isinstance(other, PPoint) and shares_frame(other, self.frame):
+        if isinstance(other, self._plain) and shares_frame(other, self.frame):
             return self.frame_vector == other.frame_vector
-        return PPoint.__eq__(self, other)
+        return super().__eq__(other)
 
-    __hash__ = PPoint.__hash__
+    def __hash__(self):
+        return super().__hash__()
 
 
-class FramedLine(PLine):
-    """A line held as its frame and its primitive vector there; ``coeffs`` is mapped on first read.
-
-    It equals and hashes like the plain line of its coeffs; a line of the
-    same frame is compared by frame vector, as for :class:`FramedPoint`.
-    """
+class FramedPoint(_Framed, PPoint):
+    """A point held as its frame and its primitive vector there; ``coords`` is mapped on first read."""
 
     __slots__ = ("frame", "frame_vector")
+    _plain, _triple, _map = PPoint, "coords", "_point_triple"
 
-    def __init__(self, frame, frame_vector: Vec3):
-        self._set(frame, frame_vector)
 
-    def __getattr__(self, name):
-        # called only while a slot is empty: the first read of coeffs maps the frame vector
-        if name != "coeffs":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        coeffs = primitive(self.frame._line_triple(self.frame_vector))
-        self._set(coeffs=coeffs)
-        return coeffs
+class FramedLine(_Framed, PLine):
+    """A line held as its frame and its primitive vector there; ``coeffs`` is mapped on first read."""
 
-    def __eq__(self, other):
-        if isinstance(other, PLine) and shares_frame(other, self.frame):
-            return self.frame_vector == other.frame_vector
-        return PLine.__eq__(self, other)
-
-    __hash__ = PLine.__hash__
+    __slots__ = ("frame", "frame_vector")
+    _plain, _triple, _map = PLine, "coeffs", "_line_triple"
 
 
 LINE_AT_INFINITY = PLine(0, 0, 1)
