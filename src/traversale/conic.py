@@ -39,7 +39,7 @@ from .errors import (
 )
 from .involution import InvolutionOnLine, fixed_pairs
 from .linalg import Mat3, Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, primitive, primitive_rows, transpose
-from .numbers import ExtRat, Pair, small_pairs, to_pair
+from .numbers import ExtRat, Pair, format_int, small_pairs, to_pair
 from .projective import (
     LINE_AT_INFINITY,
     FramedLine,
@@ -51,7 +51,6 @@ from .projective import (
     canonical_basis,
     canonical_chart,
     join,
-    shares_frame,
 )
 from .value import Value
 
@@ -68,7 +67,8 @@ class Conic(Value):
     parametrization that :func:`chord_parametrization` builds from the
     conic's first rational point is memoized on the object, and so is the
     error when it cannot be built (no point found, or a degenerate conic);
-    it too is a cache, ignored by equality and hashing.
+    it too is a cache, ignored by equality and hashing, and it is the
+    object's one frame (see :class:`RationalParametrization`).
     ``is_nondegenerate`` (a nonzero determinant) is computed once, when the
     conic is built.
     """
@@ -98,7 +98,7 @@ class Conic(Value):
         return f"Conic{self.matrix}"
 
     def __str__(self):
-        return " ".join(str(c) for c in self.coefficients())
+        return " ".join(map(format_int, self.coefficients()))
 
     def evaluate(self, p: PPoint) -> int:
         """q(p) on the stored representative; only sign and zero matter."""
@@ -196,7 +196,7 @@ def polar(c: Conic, m: PPoint) -> PLine:
     (-y2, 2*y1, -y0) of its frame vector y, as a framed line.
     """
     frame = m.frame
-    if frame is not None and frame.conic == c:
+    if frame is not None and frame.conic is c:
         y0, y1, y2 = m.frame_vector
         return frame.line_from_frame((-y2, 2 * y1, -y0))
     coeffs = mat_vec(c.matrix, m.coords)
@@ -219,7 +219,7 @@ def pole(c: Conic, l: PLine) -> PPoint:
     (-2*lam2, lam1, -2*lam0) of its frame vector lam, as a framed point.
     """
     frame = l.frame
-    if frame is not None and frame.conic == c:
+    if frame is not None and frame.conic is c:
         lam0, lam1, lam2 = l.frame_vector
         return frame.point_from_frame((-2 * lam2, lam1, -2 * lam0))
     return PPoint(*_pole_coords(c, l))
@@ -448,10 +448,10 @@ class RationalParametrization(Value):
     :func:`~traversale.projective.meet`, :func:`polar`, :func:`pole` and
     equality within the frame work on small frame vectors, and
     :meth:`frame_of_point` and :meth:`frame_of_line` read the recorded
-    vector.  Below the gate they are
-    plain values.  Two parametrizations with equal (A, B, C) are one frame
-    (:meth:`same_frame`), as those fix every map; as objects they still
-    compare by identity.
+    vector.  Below the gate they are plain values.  The frame is this
+    object, and :func:`polar` and :func:`pole` read it only on
+    ``self.conic``; values of other parametrizations, even with equal
+    (A, B, C), take the plane route to the same result.
     """
 
     __slots__ = ("conic", "base", "_basis", "_quadratic", "_framed", "_chord_form")
@@ -479,10 +479,6 @@ class RationalParametrization(Value):
         # the widest of A's entries has the bit length of their absolute values' or
         framed = (abs(a0) | abs(a1) | abs(a2)).bit_length() > _FRAME_BITS
         self._set(conic, base, (o, i), quadratic, framed, None)
-
-    def same_frame(self, other: "RationalParametrization") -> bool:
-        """True when other has the same (A, B, C), which fix every map of the frame."""
-        return self._quadratic == other._quadratic
 
     def direction(self, t: ExtRat) -> PPoint:
         return basis_point(self._basis, to_pair(t))
@@ -523,14 +519,14 @@ class RationalParametrization(Value):
 
     def frame_of_point(self, p: PPoint) -> Vec3:
         """The frame coordinates x of p, with p = x0*A + x1*B + x2*C up to scale."""
-        if p.frame is not None and shares_frame(p, self):
+        if p.frame is self:
             return p.frame_vector
         u, v, w = self._chords()
         return primitive((dot(w, p.coords), -dot(v, p.coords), dot(u, p.coords)))
 
     def frame_of_line(self, l: PLine) -> Vec3:
         """The frame line of l: the frame points x with x0*A + x1*B + x2*C on l."""
-        if l.frame is not None and shares_frame(l, self):
+        if l.frame is self:
             return l.frame_vector
         return primitive(tuple(dot(l.coeffs, x) for x in self._quadratic))
 
@@ -595,6 +591,9 @@ _FRAME_BITS = 200
 
 
 def rational_parametrize(c: Conic, base: PPoint) -> RationalParametrization:
+    """The parametrization from ``base``; at the witness it is the conic's own, :func:`chord_parametrization`."""
+    if base == c.witness:
+        return chord_parametrization(c)
     return RationalParametrization(c, base)
 
 

@@ -13,6 +13,17 @@ class GeometryError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+# numbers -------------------------------------------------------------------
+
+class TooManyDigits(GeometryError, ValueError):
+    """An integer has more decimal digits than Python converts to or from text.
+
+    The limit is ``sys.get_int_max_str_digits()`` (4300 by default); it
+    guards against quadratic-time conversion and is left in place.  Also a
+    ValueError, so that a literal over the limit is a malformed literal.
+    """
+
+
 # projective core -----------------------------------------------------------
 
 class CoincidentPoints(GeometryError):
@@ -92,7 +103,12 @@ class IrrationalIntersection(GeometryError):
 
     def __init__(self, discriminant, message: str = ""):
         self.discriminant = discriminant
-        super().__init__(message or f"irrational intersection, discriminant {discriminant}")
+        if not message:
+            try:
+                message = f"irrational intersection, discriminant {discriminant}"
+            except ValueError:  # too many digits to print; the search that raised it may go on
+                message = f"irrational intersection, discriminant of {discriminant.bit_length()} bits"
+        super().__init__(message)
 
 
 class LineOnConic(GeometryError):

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
+from .errors import TooManyDigits
 from .value import Value
 
 
@@ -46,17 +48,21 @@ def parse_rational(text: str) -> Fraction:
     """Parse ``"p"`` or ``"p/q"`` into an exact Fraction.
 
     Raises ValueError on malformed input or a zero denominator, so scene
-    parsing can report the offending token.
+    parsing can report the offending token; an integer with more digits
+    than Python reads raises TooManyDigits, a ValueError too.
     """
     token = text.strip()
     if not _RAT_RE.match(token):
         raise ValueError(f"not a rational literal: {text!r}")
-    if "/" in token:
-        num, den = token.split("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(token))
+    num, _, den = token.partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:  # the pattern matched, so only the digit limit is left
+        limit = sys.get_int_max_str_digits()
+        raise TooManyDigits(f"a literal integer of more than {limit} digits is too long to read") from None
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(num, den)
 
 
 def parse_extended(text: str) -> ExtRat:
@@ -71,7 +77,16 @@ def format_pair(pair: Pair) -> str:
     num, den = lowest_terms(pair)
     if den == 0:
         return "inf"
-    return str(num) if den == 1 else f"{num}/{den}"
+    return format_int(num) if den == 1 else f"{format_int(num)}/{format_int(den)}"
+
+
+def format_int(n: int) -> str:
+    """The decimal text of n; TooManyDigits when it has more digits than Python prints."""
+    try:
+        return str(n)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise TooManyDigits(f"an integer of more than {limit} digits is too long to print") from None
 
 
 def format_extended(value: ExtRat) -> str:

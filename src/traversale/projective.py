@@ -15,13 +15,13 @@ A point or line may also carry a frame.  A :class:`FramedPoint` or
 vectors onto the plane (a conic's chord parametrization, see
 :class:`traversale.conic.RationalParametrization`), and its own primitive
 ``frame_vector``.  Its plane triple is mapped by the frame and reduced on
-first read, then stored.  Two framed values of one frame compare their
-frame vectors, and every other comparison compares triples; hashing and
-text read the triple, so a framed value equals and hashes like the plain
-value of its triple.  :func:`join` and :func:`meet` of two values with one
-frame cross the small frame vectors and hand the result back framed, which
-on a deep conic costs far less than crossing the plane triples; two frame
-objects for which ``same_frame`` holds are one frame.  Plain points and
+first read, then stored.  Two framed values of one frame (one frame
+object, as each conic object has one) compare their frame vectors, and
+every other comparison compares triples; hashing and text read the
+triple, so a framed value equals and hashes like the plain value of its
+triple.  :func:`join` and :func:`meet` of two values with one frame cross
+the small frame vectors and hand the result back framed, which on a deep
+conic costs far less than crossing the plane triples.  Plain points and
 lines read ``frame`` as None.  A parametrization hands out framed values
 only above a size gate on its entries, where the frame route pays.
 """
@@ -163,7 +163,7 @@ class _Framed:
         return triple
 
     def __eq__(self, other):
-        if isinstance(other, self._plain) and shares_frame(other, self.frame):
+        if isinstance(other, self._plain) and other.frame is self.frame:
             return self.frame_vector == other.frame_vector
         return super().__eq__(other)
 
@@ -188,12 +188,6 @@ class FramedLine(_Framed, PLine):
 LINE_AT_INFINITY = PLine(0, 0, 1)
 
 
-def shares_frame(value, frame) -> bool:
-    """True when the point or line carries the frame ``frame`` (not None), or one with the same maps."""
-    own = value.frame
-    return own is frame or (own is not None and own.same_frame(frame))
-
-
 def join(p: PPoint, q: PPoint) -> PLine:
     """The unique line through two distinct points.
 
@@ -203,7 +197,7 @@ def join(p: PPoint, q: PPoint) -> PLine:
     if p == q:
         raise CoincidentPoints(f"join needs distinct points, got {p} twice")
     frame = p.frame
-    if frame is not None and shares_frame(q, frame):
+    if frame is not None and q.frame is frame:
         return frame.line_from_frame(cross(p.frame_vector, q.frame_vector))
     return PLine(*cross(p.coords, q.coords))
 
@@ -213,7 +207,7 @@ def meet(l: PLine, m: PLine) -> PPoint:
     if l == m:
         raise CoincidentLines(f"meet needs distinct lines, got {l} twice")
     frame = l.frame
-    if frame is not None and shares_frame(m, frame):
+    if frame is not None and m.frame is frame:
         return frame.point_from_frame(cross(l.frame_vector, m.frame_vector))
     return PPoint(*cross(l.coeffs, m.coeffs))
 

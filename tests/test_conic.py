@@ -23,6 +23,7 @@ from traversale import (
     LineOnConic,
     PLine,
     PPoint,
+    RationalParametrization,
     TangentLine,
     TotallyIsotropicPoint,
     ZeroForm,
@@ -351,7 +352,7 @@ def test_line_intersect_reduced_roots_match_the_unreduced_formula(steps, monkeyp
     import traversale.conic as conic_module
 
     c, h = _circle_image_chain(300 + steps, steps)
-    par = rational_parametrize(c, c.witness)
+    par = RationalParametrization(c, c.witness)  # a frame of its own, so the conic's memo stays empty
     on = [par.point(t) for t in (F(0), F(1, 3), F(-2), INF)]
     lines = {
         "infinity": LINE_AT_INFINITY,

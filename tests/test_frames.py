@@ -17,10 +17,12 @@ from traversale import (
     PPoint,
     RationalParametrization,
     SingularMatrix,
+    classify,
     join,
     line_intersect,
     meet,
     polar,
+    polarity_involution_on_line,
     pole,
     rational_parametrize,
     tangent_at,
@@ -28,7 +30,7 @@ from traversale import (
 )
 from traversale import conic, projective
 from traversale.conic import chord_parametrization
-from traversale.synthetic import pole_by_construction, traversale_from_quadrangle
+from traversale.synthetic import inscribed_quadrangle_through, pole_by_construction, traversale_from_quadrangle
 
 PARAMETERS = [Fraction(n, d) for n, d in ((2, 3), (-5, 4), (1, 5), (7, 2), (-3, 7))]
 
@@ -116,21 +118,45 @@ def test_frame_route_gives_the_plane_route_triple(steps, every_frame_recorded):
         assert [p.coords for p in cut] == [p.coords for p in line_intersect(bare, plain_chord)]
 
 
-def test_parametrizations_with_equal_maps_share_a_frame(every_frame_recorded):
+def test_rational_parametrize_at_the_witness_is_the_conic_frame(every_frame_recorded):
     c = _circle_image(2900, 8)
-    first, second = rational_parametrize(c, c.witness), chord_parametrization(c)
-    assert first is not second and first != second and first.same_frame(second)
-    p, q = first.point(PARAMETERS[0]), second.point(PARAMETERS[1])
+    par = rational_parametrize(c, c.witness)
+    assert par is chord_parametrization(c) is c._parametrization
+    p, q = par.point(PARAMETERS[0]), par.point(PARAMETERS[1])
     line = join(p, q)
-    assert type(line) is FramedLine and line == join(_plain(p), _plain(q))
-    assert polar(c, p).frame is first and pole(c, line).frame is first
+    assert type(line) is FramedLine and line.frame is par and line == join(_plain(p), _plain(q))
+    assert polar(c, p).frame is par and pole(c, line).frame is par
+    # any other base is a frame of its own
+    assert rational_parametrize(c, _plain(p)) is not par
+
+
+def test_equal_but_distinct_frames_and_conics_take_the_plane_route(every_frame_recorded):
+    # twin has the maps of the conic's frame, built on an equal but distinct conic object
+    c = _circle_image(2900, 8)
+    same = Conic(c.matrix, witness=c.witness)
+    par, twin = chord_parametrization(c), RationalParametrization(same, same.witness)
+    assert same == c and same is not c and twin._quadratic == par._quadratic
+    p, q = par.point(PARAMETERS[0]), par.point(PARAMETERS[1])
+    r, s = twin.point(PARAMETERS[1]), twin.point(PARAMETERS[2])
+    assert r == q and r.frame is twin
+    assert type(join(p, r)) is PLine and join(p, r) == join(p, q)
+    line, other = join(p, q), join(r, s)
+    assert type(meet(line, other)) is PPoint and meet(line, other) == meet(_plain(line), _plain(other))
+    assert par.frame_of_point(r) == q.frame_vector
+    assert par.frame_of_line(other) == join(q, par.point(PARAMETERS[2])).frame_vector
+    # polar and pole read a frame only with the frame's own conic object
+    assert type(polar(c, r)) is PLine and polar(c, r) == polar(c, q)
+    assert type(polar(same, p)) is PLine and polar(same, p) == polar(c, p)
+    assert type(pole(same, line)) is PPoint and pole(same, line) == pole(c, line)
+    assert type(pole(c, other)) is PPoint and pole(c, other) == pole(same, other)
+    assert polar(same, r).frame is twin and pole(same, other).frame is twin
 
 
 def test_parametrizations_with_different_bases_fall_back_to_the_plane(every_frame_recorded):
     c = _circle_image(2901, 64)
     first = rational_parametrize(c, c.witness)
     second = rational_parametrize(c, first.point(Fraction(3)))
-    assert not first.same_frame(second)
+    assert second is not first
     p, q = first.point(PARAMETERS[0]), second.point(PARAMETERS[1])
     assert type(join(p, q)) is PLine and join(p, q) == join(_plain(p), _plain(q))
     l, m = join(p, first.point(PARAMETERS[2])), join(q, second.point(PARAMETERS[3]))
@@ -240,16 +266,15 @@ def _frame_values(c, pars):
 @pytest.mark.parametrize("steps", [1, 2, 4, 16, 64, 256])
 def test_equality_in_one_frame_maps_no_triple_and_agrees_with_the_triples(steps, every_frame_recorded, maps):
     c = _circle_image(3200 + steps, steps)
-    first, second = rational_parametrize(c, c.witness), chord_parametrization(c)
-    assert first is not second and first.same_frame(second)
-    values = _frame_values(c, (first, second))
+    par = chord_parametrization(c)
+    values = _frame_values(c, (par, par))
     assert all(isinstance(v, (FramedPoint, FramedLine)) for v in values) and maps == []
     equal = [[a == b for b in values] for a in values]
     unequal = [[a != b for b in values] for a in values]
     assert maps == []
     by_triple = [[type(a) is type(b) and _triple(a) == _triple(b) for b in values] for a in values]
     assert equal == by_triple and unequal == [[not e for e in row] for row in by_triple]
-    # the two parametrizations give equal values, and one of them equal values of distinct objects
+    # the two passes give equal values of distinct objects, and so does one pass
     assert values[:len(values) // 2] == values[len(values) // 2:]
     assert values[4] == values[5] and values[4] is not values[5]
     assert values[8] == values[10] and values[8] is not values[10]
@@ -257,19 +282,43 @@ def test_equality_in_one_frame_maps_no_triple_and_agrees_with_the_triples(steps,
 
 def test_framed_values_of_different_frames_compare_by_triple(every_frame_recorded, maps):
     c = _circle_image(3300, 64)
-    first = rational_parametrize(c, c.witness)
-    second = rational_parametrize(c, first.point(Fraction(3)))
-    assert not first.same_frame(second)
+    first = chord_parametrization(c)
     ours = _frame_values(c, (first,))
-    theirs = [
-        (second.point_from_frame if isinstance(v, PPoint) else second.line_from_frame)(
-            (second.frame_of_point if isinstance(v, PPoint) else second.frame_of_line)(_plain(v))
-        )
-        for v in ours
-    ]
-    maps.clear()
-    equal = [[a == b for b in theirs] for a in ours]
-    assert maps  # the triples were mapped to be compared
-    assert equal == [[type(a) is type(b) and _triple(a) == _triple(b) for b in theirs] for a in ours]
-    assert all(row[i] for i, row in enumerate(equal))
-    assert all(a.frame is first and b.frame is second for a, b in zip(ours, theirs))
+    # an equal but distinct object with the maps of the first, then a frame from another base
+    for second in (RationalParametrization(c, c.witness), RationalParametrization(c, first.point(Fraction(3)))):
+        theirs = [
+            (second.point_from_frame if isinstance(v, PPoint) else second.line_from_frame)(
+                (second.frame_of_point if isinstance(v, PPoint) else second.frame_of_line)(_plain(v))
+            )
+            for v in ours
+        ]
+        maps.clear()
+        equal = [[a == b for b in theirs] for a in ours]
+        assert maps  # the triples were mapped to be compared
+        assert equal == [[type(a) is type(b) and _triple(a) == _triple(b) for b in theirs] for a in ours]
+        assert all(row[i] for i, row in enumerate(equal))
+        assert all(a.frame is first and b.frame is second for a, b in zip(ours, theirs))
+
+
+def test_a_construction_task_builds_one_parametrization(monkeypatch):
+    # the steps of one construction task of the benchmark on a k = 64 circle
+    # image: the parametrization at the witness is the frame that the ruler
+    # constructions and line_intersect read, so it is built once
+    c = _circle_image(3400, 64)
+    built = []
+    real = RationalParametrization.__init__
+    monkeypatch.setattr(RationalParametrization, "__init__", lambda *args: built.append(args[0]) or real(*args))
+    par = rational_parametrize(c, c.witness)
+    p1, p2 = par.point(PARAMETERS[0]), par.point(PARAMETERS[1])
+    f = meet(polar(c, p1), polar(c, p2))
+    tau = polar(c, f)
+    b, c2, d, e = inscribed_quadrangle_through(c, f).bornes
+    assert meet(join(b, c2), join(d, e)) == f
+    assert join(meet(join(b, d), join(c2, e)), meet(join(c2, d), join(b, e))) == tau
+    chord = join(p1, p2)
+    assert traversale_from_quadrangle(c, f) == tau == chord
+    assert pole_by_construction(c, chord) == pole(c, chord) == f
+    polarity_involution_on_line(c, chord)
+    assert set(line_intersect(c, chord)) == {p1, p2}
+    classify(c)
+    assert built == [par] and isinstance(tau, FramedLine) and tau.frame is par

@@ -4,15 +4,19 @@ Random argv for every verb and random scene text are fed to ``cli.main``
 in-process.  No exception may escape, and an exit code of 2 (bad input)
 must come with exactly one ``error:`` line on stderr.  The literals mix
 valid rationals with the edge cases of the parser: ``3/-4``, ``1/0``,
-``-0``, ``+5``, 25-digit integers and non-numbers.
+``-0``, ``+5``, 25-digit integers and non-numbers.  Integers at Python's
+int/str digit limit, and products over it, end the same way.
 """
 
 import hashlib
 import random
+import sys
 
 import pytest
 
+from traversale import TooManyDigits
 from traversale.cli import main
+from traversale.numbers import format_int
 from traversale.render import FIGURES
 from traversale.scene import run_scene_text
 from traversale.verify import ALL_SUITES
@@ -179,3 +183,61 @@ def test_fuzz_scene_outcomes_are_pinned(tmp_path):
             outcome = f"{type(exc).__name__}: {exc}".replace(str(tmp_path), "<tmp>")
         digest.update(outcome.encode("utf-8") + b"\0")
     assert digest.hexdigest() == SCENE_OUTCOMES_SHA256
+
+
+# Python converts ints of at most this many digits to and from text
+LIMIT = sys.get_int_max_str_digits()
+HUGE = str(10**3000)  # a literal under the limit whose products are over it
+
+
+def _digit_cases():
+    """argv, or scene text, and the expected exit code at the digit limit, and across it by a product."""
+    cases = []
+    for digits in (LIMIT - 1, LIMIT, LIMIT + 1):
+        n, code = "7" * digits, 2 if digits > LIMIT else 0
+        cases += [
+            pytest.param(["polar", "--conic", "1 1 -1 0 0 0", "--point", f"(2, 0, {n})"], code, id=f"polar-{digits}"),
+            pytest.param(["pole", "--conic", "1 1 -1 0 0 0", "--line", f"[2, 0, {n}]"], code, id=f"pole-{digits}"),
+            pytest.param(
+                ["traversale", "--conic", "1 1 -1 0 0 0", "--point", f"({n}, 0, 1)"], code, id=f"traversale-{digits}"
+            ),
+            pytest.param(
+                f"conic k 1 1 -1 0 0 0\npoint F {n} 0 1\nline tau 1 0 0\ncheck traversale k F = tau\n",
+                code or 1,
+                id=f"scene-{digits}",
+            ),
+        ]
+    return cases + [
+        pytest.param(["polar", "--conic", f"1 1 -{HUGE} 0 0 0", "--point", f"(2, 0, {HUGE})"], 2, id="polar-product"),
+        pytest.param(["pole", "--conic", f"{HUGE} 1 -1 0 0 0", "--line", f"[1, {HUGE}, 1]"], 2, id="pole-product"),
+        pytest.param(
+            ["traversale", "--conic", f"1 1 -{HUGE} 0 0 0", "--point", f"(2, 0, {HUGE})"], 2, id="traversale-product"
+        ),
+        # the point search meets irrational traces whose discriminants have too many digits to print
+        pytest.param(
+            ["traversale", "--conic", f"{HUGE}1 1 -{HUGE}3 0 0 0", "--point", "(2, 0, 1)"], 2, id="search-product"
+        ),
+        pytest.param(
+            f"conic k 1 1 -{HUGE} 0 0 0\npoint F 2 0 {HUGE}\nline tau 1 0 0\ncheck polar k F = tau\n",
+            2,
+            id="scene-product",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("case, code", _digit_cases())
+def test_integers_at_the_digit_limit_end_in_a_named_exit(case, code, tmp_path, capsys):
+    if isinstance(case, str):
+        (tmp_path / "digits.scene").write_text(case)
+        case = ["run", str(tmp_path / "digits.scene")]
+    exit_code, err = _outcome(capsys, case)
+    assert exit_code == code, err
+    # a bad input is named on one error line; nothing else reaches stderr
+    assert "Traceback" not in err and err.count("\n") == err.count("error:") == (code == 2)
+
+
+def test_a_product_over_the_digit_limit_prints_the_named_error(capsys):
+    with pytest.raises(TooManyDigits) as exc:
+        format_int(10**6000)
+    argv = ["polar", "--conic", f"1 1 -{HUGE} 0 0 0", "--point", f"(2, 0, {HUGE})"]
+    assert _outcome(capsys, argv) == (2, f"error: {exc.value}\n")

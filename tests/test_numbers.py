@@ -2,15 +2,19 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import islice, product
 
 import pytest
 
+from traversale import Conic, GeometryError, IrrationalIntersection, TooManyDigits
 from traversale.linalg import primitive
 from traversale.numbers import (
     INF,
     format_extended,
+    format_int,
+    format_pair,
     from_pair,
     lowest_terms,
     parse_extended,
@@ -32,6 +36,26 @@ def test_rational_text_round_trip():
 def test_rational_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+def test_integers_over_the_digit_limit_raise_the_named_error():
+    # Python converts ints of at most `limit` digits to and from text, and the limit stays in place
+    limit = sys.get_int_max_str_digits()
+    assert issubclass(TooManyDigits, GeometryError) and issubclass(TooManyDigits, ValueError)
+    assert parse_rational("-" + "7" * limit) == -int("7" * limit)
+    for text in ("7" * (limit + 1), "1/" + "7" * (limit + 1), "-" + "0" * (limit + 1) + "/3"):
+        with pytest.raises(TooManyDigits, match=f"^a literal integer of more than {limit} digits is too long to read$"):
+            parse_rational(text)
+    assert format_int(-(10 ** (limit - 1))) == "-1" + "0" * (limit - 1)
+    over = 10**limit
+    conic = Conic.from_coefficients(over, 1, -1, 0, 0, 0)
+    for call, value in ((format_int, over), (format_pair, (1, over)), (str, conic)):
+        with pytest.raises(TooManyDigits, match=f"^an integer of more than {limit} digits is too long to print$"):
+            call(value)
+    # an exception's own message never raises: the search that meets it goes on
+    assert str(IrrationalIntersection(over + 1)) == f"irrational intersection, discriminant of {over.bit_length()} bits"
+    assert str(IrrationalIntersection(12)) == "irrational intersection, discriminant 12"
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_extended_round_trip():

@@ -259,7 +259,7 @@ def test_chord_form_crosses_back_to_the_frame(name):
     # UxV = rA, UxW = rB and VxW = rC with one r = det(A, B, C)/g^2, g the
     # content that the chord form (AxB, AxC, BxC)/g divides out
     c, _ = _HUB_CONICS[name]
-    par = rational_parametrize(c, chord_parametrization(c).base)
+    par = RationalParametrization(c, chord_parametrization(c).base)
     assert par._chord_form is None  # built on first use, not with the parametrization
     a, b, cc = par._quadratic
     u, v, w = par._chords()
