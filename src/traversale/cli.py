@@ -16,7 +16,8 @@ viewports as "--viewport=-2,-2,2,2" (in the spaced form "--viewport
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 bad input (an unknown
 option, parse errors, unknown references, geometric preconditions,
-unreadable or directory paths, a width below 1, a case count below 1).
+unreadable or directory paths, a width below 1, a case count below 1, a
+viewport too large for float coordinates).
 DESARGUES_SEED, when set, overrides verify's --seed.
 
 Only the kernel is imported with this module.  The construction, scene,
@@ -37,7 +38,7 @@ from functools import cache
 from .conic import Conic, classify, polar, pole
 from .errors import GeometryError, SceneError
 from .involution import PointPair, classify_and_fixed_points, involution_from_two_pairs, souche_of
-from .numbers import format_extended, parse_rational
+from .numbers import format_extended, format_rows, parse_rational
 from .projective import PLine, PPoint, canonical_chart
 
 
@@ -131,7 +132,7 @@ def _cmd_involution(args) -> int:
     first, second = (_parse_literal(PointPair.parse, text) for text in args.pair)
     inv = involution_from_two_pairs(first, second, chart)
     kind, fixed = classify_and_fixed_points(inv)
-    print(f"matrix {inv.matrix}")
+    print(f"matrix {format_rows(inv.matrix)}")
     print(f"kind {kind.value}")
     if fixed is not None:
         print("fixed " + " ".join(format_extended(t) for t in fixed))

@@ -38,7 +38,9 @@ from .errors import (
     ZeroForm,
 )
 from .involution import InvolutionOnLine, fixed_pairs
-from .linalg import Mat3, Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, primitive, primitive_rows, transpose
+from .linalg import (
+    Mat3, Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, primitive, primitive_rows, primitive_triple, transpose,
+)
 from .numbers import ExtRat, Pair, format_int, small_pairs, to_pair
 from .projective import (
     LINE_AT_INFINITY,
@@ -491,7 +493,7 @@ class RationalParametrization(Value):
         if not self._framed:
             return PPoint(*self.triple_from_pair(pair))
         num, den = pair
-        return FramedPoint(self, primitive((num * num, num * den, den * den)))
+        return FramedPoint(self, primitive_triple(num * num, num * den, den * den))
 
     def triple_from_pair(self, pair: Pair) -> Vec3:
         """The unreduced coordinates A*num^2 + B*num*den + C*den^2 of the point of the pair.
@@ -522,24 +524,25 @@ class RationalParametrization(Value):
         if p.frame is self:
             return p.frame_vector
         u, v, w = self._chords()
-        return primitive((dot(w, p.coords), -dot(v, p.coords), dot(u, p.coords)))
+        return primitive_triple(dot(w, p.coords), -dot(v, p.coords), dot(u, p.coords))
 
     def frame_of_line(self, l: PLine) -> Vec3:
         """The frame line of l: the frame points x with x0*A + x1*B + x2*C on l."""
         if l.frame is self:
             return l.frame_vector
-        return primitive(tuple(dot(l.coeffs, x) for x in self._quadratic))
+        a, b, c = self._quadratic
+        return primitive_triple(dot(l.coeffs, a), dot(l.coeffs, b), dot(l.coeffs, c))
 
     def point_from_frame(self, x: Vec3) -> PPoint:
         """The plane point x0*A + x1*B + x2*C."""
         if self._framed:
-            return FramedPoint(self, primitive(x))
+            return FramedPoint(self, primitive_triple(*x))
         return PPoint(*self._point_triple(x))
 
     def line_from_frame(self, lam: Vec3) -> PLine:
         """The plane line lam2*U - lam1*V + lam0*W of the frame line lam."""
         if self._framed:
-            return FramedLine(self, primitive(lam))
+            return FramedLine(self, primitive_triple(*lam))
         return PLine(*self._line_triple(lam))
 
     def _point_triple(self, x: Vec3) -> Vec3:

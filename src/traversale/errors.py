@@ -190,3 +190,7 @@ class InvalidCaseCount(SceneError):
 
 class EmptyViewport(SceneError):
     """Rendering viewport has zero or negative area."""
+
+
+class ViewportOutOfRange(SceneError):
+    """Rendering viewport whose size or aspect ratio overflows a float."""

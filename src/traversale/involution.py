@@ -23,8 +23,8 @@ import math
 from enum import Enum
 
 from .errors import CenterOnLine, InfiniteNode, InvalidSouche, UnderdeterminedInvolution
-from .linalg import Mat2, adjugate2, cross, det2, mat2_mul, mat2_vec, primitive_rows
-from .numbers import INF, ExtRat, Pair, format_pair, from_pair, lowest_terms, pair_cross, parse_extended, to_pair
+from .linalg import Mat2, adjugate2, cross, det2, mat2_mul, mat2_vec, primitive_rows2
+from .numbers import INF, ExtRat, Pair, format_pair, format_rows, from_pair, lowest_terms, pair_cross, parse_extended, to_pair
 from .projective import LineChart, PPoint
 from .value import Value
 
@@ -112,11 +112,11 @@ class InvolutionOnLine(Value):
     __slots__ = ("chart", "matrix")
 
     def __init__(self, chart: LineChart, matrix):
-        m = primitive_rows(matrix)
+        m = primitive_rows2(matrix)
         if m[0][0] + m[1][1] != 0:
-            raise UnderdeterminedInvolution(f"matrix {m} is not involutive (trace != 0)")
+            raise UnderdeterminedInvolution(f"matrix {format_rows(m)} is not involutive (trace != 0)")
         if det2(m) == 0:
-            raise UnderdeterminedInvolution(f"matrix {m} is degenerate, not an involution")
+            raise UnderdeterminedInvolution(f"matrix {format_rows(m)} is degenerate, not an involution")
         self._set(chart, m)
 
     def __eq__(self, other):

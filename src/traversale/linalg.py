@@ -4,17 +4,21 @@ Projective objects are stored as primitive integer vectors and matrices
 (coprime entries, first nonzero entry positive), which makes equality up to
 scale a plain tuple comparison.  Every entry the kernel computes with is an
 `int`, and this module builds no `Fraction`.  Rational input becomes integer
-in one place, :func:`primitive`: an all-`int` vector costs one gcd, and only
-a vector holding a `Fraction` (on which `math.gcd` raises TypeError) has its
-denominators cleared with integer lcm/gcd.  Matrices are 3x3 or 2x2, and
-every operation on them is a closed form: cross products, determinants and
+in one place: an entry list holding a `Fraction` (on which `math.gcd`
+raises TypeError) has its denominators cleared with integer lcm/gcd, once.
+Each shape the kernel stores has its own closed-form reduction, one gcd and
+one tuple of floor divisions over unpacked entries: :func:`primitive_triple`
+for points, lines and frame vectors, :func:`primitive_rows2` for the 2x2
+involution matrices and :func:`primitive_rows` for the 3x3 conic and
+homography matrices.  The generic :func:`primitive` serves other lengths,
+such as a conic's six coefficients.  Matrices are 3x3 or 2x2, and every
+operation on them is a closed form: cross products, determinants and
 adjugates.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice
 
 Vec3 = tuple[int, int, int]
 Mat3 = tuple[Vec3, Vec3, Vec3]
@@ -30,17 +34,34 @@ def primitive(values) -> tuple[int, ...]:
     """
     try:
         g = math.gcd(*values)
-        ints = values
     except TypeError:
-        dens = [v.denominator for v in values]
-        den = math.lcm(*dens)
-        ints = [v.numerator * (den // d) for v, d in zip(values, dens)]
-        g = math.gcd(*ints)
+        return primitive(_cleared(values))
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    if next(filter(None, ints)) < 0:
+    if next(filter(None, values)) < 0:
         g = -g
-    return tuple([n // g for n in ints])
+    return tuple([n // g for n in values])
+
+
+def _cleared(values) -> list[int]:
+    """Entries holding a Fraction times the lcm of their denominators: integers in the same ratio."""
+    dens = [v.denominator for v in values]
+    den = math.lcm(*dens)
+    return [v.numerator * (den // d) for v, d in zip(values, dens)]
+
+
+def primitive_triple(a, b, c) -> Vec3:
+    """:func:`primitive` of the triple (a, b, c), in closed form."""
+    try:
+        g = math.gcd(a, b, c)
+    except TypeError:
+        a, b, c = _cleared((a, b, c))
+        g = math.gcd(a, b, c)
+    if g == 0:
+        raise ValueError("zero vector has no primitive form")
+    if (a or b or c) < 0:
+        g = -g
+    return (a // g, b // g, c // g)
 
 
 def cross(a, b) -> Vec3:
@@ -90,10 +111,34 @@ def adjugate(m) -> Mat3:
     )
 
 
-def primitive_rows(rows) -> tuple[tuple[int, ...], ...]:
-    """:func:`primitive` applied to a whole matrix, keeping its row shape."""
-    flat = iter(primitive([x for row in rows for x in row]))
-    return tuple(tuple(islice(flat, len(row))) for row in rows)
+def primitive_rows(rows) -> Mat3:
+    """:func:`primitive` of a 3x3 matrix's nine entries, in closed form, keeping its row shape."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    try:
+        n = math.gcd(a, b, c, d, e, f, g, h, i)
+    except TypeError:
+        a, b, c, d, e, f, g, h, i = _cleared((a, b, c, d, e, f, g, h, i))
+        n = math.gcd(a, b, c, d, e, f, g, h, i)
+    if n == 0:
+        raise ValueError("zero vector has no primitive form")
+    if (a or b or c or d or e or f or g or h or i) < 0:
+        n = -n
+    return ((a // n, b // n, c // n), (d // n, e // n, f // n), (g // n, h // n, i // n))
+
+
+def primitive_rows2(rows) -> Mat2:
+    """:func:`primitive` of a 2x2 matrix's four entries, in closed form, keeping its row shape."""
+    (a, b), (c, d) = rows
+    try:
+        n = math.gcd(a, b, c, d)
+    except TypeError:
+        a, b, c, d = _cleared((a, b, c, d))
+        n = math.gcd(a, b, c, d)
+    if n == 0:
+        raise ValueError("zero vector has no primitive form")
+    if (a or b or c or d) < 0:
+        n = -n
+    return ((a // n, b // n), (c // n, d // n))
 
 
 def mat2_vec(m, v):

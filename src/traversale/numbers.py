@@ -89,6 +89,11 @@ def format_int(n: int) -> str:
         raise TooManyDigits(f"an integer of more than {limit} digits is too long to print") from None
 
 
+def format_rows(rows) -> str:
+    """A matrix's text as Python prints its tuple of rows, ``((a, b), (c, d))``, each entry through :func:`format_int`."""
+    return "(" + ", ".join("(" + ", ".join(map(format_int, row)) + ")" for row in rows) + ")"
+
+
 def format_extended(value: ExtRat) -> str:
     return format_pair(to_pair(value))
 

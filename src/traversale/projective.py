@@ -40,7 +40,7 @@ from .errors import (
     NotOnLine,
     SingularMatrix,
 )
-from .linalg import Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, primitive, primitive_rows, transpose
+from .linalg import Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, primitive_rows, primitive_triple, transpose
 from .numbers import ExtRat, Pair, format_pair, from_pair, pair_cross, parse_rational, to_pair
 from .value import Value
 
@@ -75,7 +75,7 @@ class PPoint(Value):
 
     def __init__(self, x, y, z):
         try:
-            object.__setattr__(self, "coords", primitive((x, y, z)))
+            object.__setattr__(self, "coords", primitive_triple(x, y, z))
         except ValueError:
             raise CoincidentPoints("(0, 0, 0) is not a projective point") from None
 
@@ -116,7 +116,7 @@ class PLine(Value):
 
     def __init__(self, u, v, w):
         try:
-            object.__setattr__(self, "coeffs", primitive((u, v, w)))
+            object.__setattr__(self, "coeffs", primitive_triple(u, v, w))
         except ValueError:
             raise CoincidentLines("[0, 0, 0] is not a line") from None
 
@@ -158,7 +158,7 @@ class _Framed:
         # called only while a slot is empty: the first read of the triple maps the frame vector
         if name != self._triple:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        triple = primitive(getattr(self.frame, self._map)(self.frame_vector))
+        triple = primitive_triple(*getattr(self.frame, self._map)(self.frame_vector))
         self._set(**{name: triple})
         return triple
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cache
 
 from .conic import Conic, chord_parametrization, polar, tangents_from
-from .errors import EmptyViewport, UnknownReference
+from .errors import EmptyViewport, UnknownReference, ViewportOutOfRange
 from .linalg import Vec3
 from .numbers import Pair, format_extended, parse_rational
 from .projective import LINE_AT_INFINITY, PLine, PPoint, join, meet
@@ -91,8 +91,11 @@ class _Frame:
         self.width = width
         self.box: Box = (a, b, c, e)
         self.margin_box: Box = (3 * a - 2 * c, 3 * b - 2 * e, 3 * c - 2 * a, 3 * e - 2 * b)
-        self.height = (e - b) * width / (c - a)
-        self.pixel = (c - a) / den / width  # world units per pixel
+        try:
+            self.height = (e - b) * width / (c - a)
+            self.pixel = (c - a) / den / width  # world units per pixel
+        except OverflowError:
+            raise ViewportOutOfRange("viewport size or aspect ratio is out of float range") from None
         self.borders = (PLine(den, 0, -a), PLine(den, 0, -c), PLine(0, den, -b), PLine(0, den, -e))
 
     def inside(self, s: Vec3, box: Box) -> bool:
@@ -181,16 +184,20 @@ def _refine(triple, t1, t2, p1, p2, frame, tol, depth):
 
 
 def _point_segment_distance(p, a, b) -> float:
-    px, py = p[0] / p[2], p[1] / p[2]
-    ax, ay = a[0] / a[2], a[1] / a[2]
-    bx, by = b[0] / b[2], b[1] / b[2]
-    dx, dy = bx - ax, by - ay
-    length2 = dx * dx + dy * dy
-    if length2 == 0:
-        return ((px - ax) ** 2 + (py - ay) ** 2) ** 0.5
-    t = max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / length2))
-    qx, qy = ax + t * dx, ay + t * dy
-    return ((px - qx) ** 2 + (py - qy) ** 2) ** 0.5
+    """The float distance of p from the segment ab; infinite when a coordinate is out of float range."""
+    try:
+        px, py = p[0] / p[2], p[1] / p[2]
+        ax, ay = a[0] / a[2], a[1] / a[2]
+        bx, by = b[0] / b[2], b[1] / b[2]
+        dx, dy = bx - ax, by - ay
+        length2 = dx * dx + dy * dy
+        if length2 == 0:
+            return ((px - ax) ** 2 + (py - ay) ** 2) ** 0.5
+        t = max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / length2))
+        qx, qy = ax + t * dx, ay + t * dy
+        return ((px - qx) ** 2 + (py - qy) ** 2) ** 0.5
+    except OverflowError:  # such a sample lies far outside the viewport
+        return math.inf
 
 
 def _polyline_runs(samples, frame: _Frame) -> list[list[tuple[float, float]]]:

@@ -44,7 +44,7 @@ import os
 from fractions import Fraction
 
 from .conic import Conic, ConicClass, classify, polar, pole
-from .errors import EmptyViewport, GeometryError, ParseError, SceneError, UnknownReference
+from .errors import EmptyViewport, GeometryError, ParseError, SceneError, UnknownReference, ViewportOutOfRange
 from .numbers import parse_rational
 from .projective import LineChart, PLine, PPoint, join, meet
 from .render import Drawable, build_figure, parse_viewport, render_svg
@@ -245,7 +245,7 @@ class Scene:
             if handler is None:
                 raise ParseError(cmd.line_no, cmd.tokens[0].column, f"unknown command {verb!r}")
             handler(cmd, base_dir)
-        except (GeometryError, EmptyViewport, OSError) as exc:
+        except (GeometryError, EmptyViewport, ViewportOutOfRange, OSError) as exc:
             raise CommandError(cmd.line_no, " ".join(t.text for t in cmd.tokens), exc) from exc
 
     def _cmd_construct(self, cmd: _Command, base_dir: str) -> None:

@@ -31,11 +31,11 @@ def seed_1_reports():
 
 
 class FractionCount:
-    """Fraction constructions and ``linalg.primitive`` Fraction readings, counted while ``label`` is set.
+    """Fraction constructions and ``linalg`` Fraction readings, counted while ``label`` is set.
 
     ``counts`` maps (label, kind) to a count; kind is "fraction" for a
-    built Fraction and "primitive" for a vector holding a Fraction, on
-    which ``math.gcd`` raises TypeError inside ``linalg.primitive``.
+    built Fraction and "primitive" for entries holding a Fraction, on
+    which ``math.gcd`` raises TypeError inside a ``linalg`` reduction.
     """
 
     def __init__(self):

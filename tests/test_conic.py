@@ -49,7 +49,7 @@ from traversale import (
     tangents_from,
     transform,
 )
-from traversale.linalg import cross, det3, dot, mat_mul, mat_vec, primitive_rows, transpose
+from traversale.linalg import cross, det3, dot, mat_mul, mat_vec, primitive_rows2, transpose
 
 
 def solve2(a, b, rhs):
@@ -499,7 +499,7 @@ def test_polarity_involution_matrix_is_unchanged_by_reduced_representatives(seed
         lam, mu, _ = solve2((o[r0], o[r1]), (i[r0], i[r1]), (u[r0], u[r1]))
         o, i = tuple(lam * x for x in o), tuple(mu * x for x in i)
         phi = lambda a, b: sum(a[j] * c.matrix[j][k] * b[k] for j in range(3) for k in range(3))
-        old = primitive_rows(((phi(o, i), phi(o, o)), (-phi(i, i), -phi(o, i))))
+        old = primitive_rows2(((phi(o, i), phi(o, o)), (-phi(i, i), -phi(o, i))))
         assert polarity_involution_on_line(c, l).matrix == old
 
 

@@ -5,7 +5,8 @@ in-process.  No exception may escape, and an exit code of 2 (bad input)
 must come with exactly one ``error:`` line on stderr.  The literals mix
 valid rationals with the edge cases of the parser: ``3/-4``, ``1/0``,
 ``-0``, ``+5``, 25-digit integers and non-numbers.  Integers at Python's
-int/str digit limit, and products over it, end the same way.
+int/str digit limit, and products over it, end the same way, as do
+3,000-digit involution couples and viewport bounds.
 """
 
 import hashlib
@@ -209,6 +210,15 @@ def _digit_cases():
         ]
     return cases + [
         pytest.param(["polar", "--conic", f"1 1 -{HUGE} 0 0 0", "--point", f"(2, 0, {HUGE})"], 2, id="polar-product"),
+        # the involution's matrix has products of the couples' entries, printed in its text or its error
+        pytest.param(["involution", "--pair", f"{{{HUGE}, 1}}", "--pair", f"{{{HUGE}, 3}}"], 2, id="involution-degenerate"),
+        pytest.param(
+            ["involution", "--pair", f"{{{HUGE}, {10**2000 + 7}}}", "--pair", "{2, 3}"], 2, id="involution-matrix"
+        ),
+        # a viewport bound too large for a float, and a conic whose samples are
+        pytest.param(["render", "fig8", f"--viewport=-{HUGE},-2,2,2", "--out", "f.svg"], 2, id="render-viewport"),
+        pytest.param(f"render fig8 out=f.svg viewport=-{HUGE},-2,2,2\n", 2, id="scene-render-viewport"),
+        pytest.param(f"conic k 1 1 -1 {HUGE} 0 0\nrender scene out=f.svg width=64\n", 0, id="scene-render-conic"),
         pytest.param(["pole", "--conic", f"{HUGE} 1 -1 0 0 0", "--line", f"[1, {HUGE}, 1]"], 2, id="pole-product"),
         pytest.param(
             ["traversale", "--conic", f"1 1 -{HUGE} 0 0 0", "--point", f"(2, 0, {HUGE})"], 2, id="traversale-product"
@@ -226,7 +236,8 @@ def _digit_cases():
 
 
 @pytest.mark.parametrize("case, code", _digit_cases())
-def test_integers_at_the_digit_limit_end_in_a_named_exit(case, code, tmp_path, capsys):
+def test_integers_at_the_digit_limit_end_in_a_named_exit(case, code, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     if isinstance(case, str):
         (tmp_path / "digits.scene").write_text(case)
         case = ["run", str(tmp_path / "digits.scene")]

@@ -599,7 +599,7 @@ def test_point_search_transcript_and_cli_build_fractions_only_for_literals(fract
     argv = ["traversale", "--conic", "1 4 -9 0 0 0", "--point", "(5, 1, 3)", "--transcript", str(tmp_path / "t.scene")]
     assert cli.main(argv) == 0
     fraction_count.label = None
-    # primitive reads each literal's Fractions once: the conic's six and the point's three
+    # linalg reads each literal's Fractions once: the conic's six in primitive, the point's three in primitive_triple
     assert fraction_count.counts == {("cli", "primitive"): 2}
 
 

@@ -158,7 +158,7 @@ def test_rational_draws_are_the_fractions_they_replace():
 
 
 def test_drawn_cases_build_no_fraction(monkeypatch, fraction_count):
-    """No drawn case of ``verify_all(1)`` makes a Fraction or hands one to ``linalg.primitive``.
+    """No drawn case of ``verify_all(1)`` makes a Fraction or hands one to a ``linalg`` reduction.
 
     Counted per suite, so a failure names the suites that compute in
     Fraction.  Fixed properties may keep their Fraction literals, so they
