@@ -1,11 +1,11 @@
 """Exhaustive oracles over small conics, runnable outside the test suite.
 
-    PYTHONPATH=src python tests/oracles.py search-digest [--bound N]
+    PYTHONPATH=src python tests/oracles.py search-digest
 
 ``search-digest`` prints the number of conics with coefficients in
-[-N, N] up to scale, and the sha256 of one line per conic: its
+[-2, 2] up to scale, and the sha256 of one line per conic: its
 coefficients and the bounded search's witness, or None.  CI pins the
-N = 2 line, ``7448 e70ef7cc...973e``.  The conics are enumerated as the
+line, ``7448 e70ef7cc...973e``.  The conics are enumerated as the
 coefficient vectors ``v`` with ``primitive(v) == v``, so the digest also
 guards the generic ``linalg.primitive``.  Standard library only.
 """
@@ -19,15 +19,10 @@ from traversale.conic import find_rational_point
 from traversale.linalg import primitive
 
 
-def primitive_coefficients(bound: int) -> list[tuple[int, ...]]:
-    """Every nonzero coefficient vector with entries in [-bound, bound] that is its own primitive form."""
-    values = range(-bound, bound + 1)
-    return [v for v in product(values, repeat=6) if any(v) and primitive(v) == v]
-
-
 def search_digest(bound: int) -> str:
-    """``"<count> <sha256>"`` of find_rational_point's answer on each conic of :func:`primitive_coefficients`."""
-    coefficients = primitive_coefficients(bound)
+    """``"<count> <sha256>"`` of find_rational_point's answer on each conic with coefficients in [-bound, bound]."""
+    values = range(-bound, bound + 1)
+    coefficients = [v for v in product(values, repeat=6) if any(v) and primitive(v) == v]
     text = "".join(f"{v} {find_rational_point(Conic.from_coefficients(*v))!r}\n" for v in coefficients)
     return f"{len(coefficients)} {hashlib.sha256(text.encode()).hexdigest()}"
 
@@ -35,10 +30,9 @@ def search_digest(bound: int) -> str:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="oracle", required=True)
-    p = sub.add_parser("search-digest", help="count and sha256 of the rational-point search over small conics")
-    p.add_argument("--bound", type=int, default=2, help="coefficients range over [-N, N] (default 2)")
-    args = parser.parse_args(argv)
-    print(search_digest(args.bound))
+    sub.add_parser("search-digest", help="count and sha256 of the rational-point search over the [-2, 2] conics")
+    parser.parse_args(argv)
+    print(search_digest(2))
 
 
 if __name__ == "__main__":

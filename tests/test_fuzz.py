@@ -210,15 +210,6 @@ def _digit_cases():
         ]
     return cases + [
         pytest.param(["polar", "--conic", f"1 1 -{HUGE} 0 0 0", "--point", f"(2, 0, {HUGE})"], 2, id="polar-product"),
-        # the involution's matrix has products of the couples' entries, printed in its text or its error
-        pytest.param(["involution", "--pair", f"{{{HUGE}, 1}}", "--pair", f"{{{HUGE}, 3}}"], 2, id="involution-degenerate"),
-        pytest.param(
-            ["involution", "--pair", f"{{{HUGE}, {10**2000 + 7}}}", "--pair", "{2, 3}"], 2, id="involution-matrix"
-        ),
-        # a viewport bound too large for a float, and a conic whose samples are
-        pytest.param(["render", "fig8", f"--viewport=-{HUGE},-2,2,2", "--out", "f.svg"], 2, id="render-viewport"),
-        pytest.param(f"render fig8 out=f.svg viewport=-{HUGE},-2,2,2\n", 2, id="scene-render-viewport"),
-        pytest.param(f"conic k 1 1 -1 {HUGE} 0 0\nrender scene out=f.svg width=64\n", 0, id="scene-render-conic"),
         pytest.param(["pole", "--conic", f"{HUGE} 1 -1 0 0 0", "--line", f"[1, {HUGE}, 1]"], 2, id="pole-product"),
         pytest.param(
             ["traversale", "--conic", f"1 1 -{HUGE} 0 0 0", "--point", f"(2, 0, {HUGE})"], 2, id="traversale-product"
@@ -232,6 +223,15 @@ def _digit_cases():
             2,
             id="scene-product",
         ),
+        # the involution's matrix holds products of the couples' entries, printed in its text or its error
+        pytest.param(["involution", "--pair", f"{{{HUGE}, 1}}", "--pair", f"{{{HUGE}, 3}}"], 2, id="involution-degenerate"),
+        pytest.param(
+            ["involution", "--pair", f"{{{HUGE}, {10**2000 + 7}}}", "--pair", "{2, 3}"], 2, id="involution-matrix"
+        ),
+        # a viewport too large for a float is bad input; conic samples beyond float range are still drawn
+        pytest.param(["render", "fig8", f"--viewport=-{HUGE},-2,2,2", "--out", "f.svg"], 2, id="render-viewport"),
+        pytest.param(f"render fig8 out=f.svg viewport=-{HUGE},-2,2,2\n", 2, id="scene-render-viewport"),
+        pytest.param(f"conic k 1 1 -1 {HUGE} 0 0\nrender scene out=f.svg width=64\n", 0, id="scene-render-conic"),
     ]
 
 
