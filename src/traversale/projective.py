@@ -41,7 +41,7 @@ from .errors import (
     SingularMatrix,
 )
 from .linalg import Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, primitive_rows, primitive_triple, transpose
-from .numbers import ExtRat, Pair, format_pair, from_pair, pair_cross, parse_rational, to_pair
+from .numbers import ExtRat, Pair, format_pair, format_rows, from_pair, pair_cross, parse_rational, to_pair
 from .value import Value
 
 
@@ -396,7 +396,7 @@ class Homography(Value):
     def __init__(self, rows):
         m = primitive_rows(rows)
         if det3(m) == 0:
-            raise SingularMatrix(f"matrix {m} is singular")
+            raise SingularMatrix(f"matrix {format_rows(m)} is singular")
         self._set(m)
 
     def __eq__(self, other):

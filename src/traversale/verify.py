@@ -1,14 +1,17 @@
 """Seeded verification suites driving the package's theorems at desk scale.
 
-Every suite is deterministic in (seed, cases): case k of a property draws
-its inputs from a PRNG keyed by suite, property, seed and k, so reports are
-byte-identical across runs and cases are independent (they could run in any
-order).  On a failing case the recorded draw genome is shrunk, halving
-integers toward zero while the failure persists, and the minimal case's
-construction transcript is embedded in the report.  A case function returns
-``(ok, transcript)`` with the transcript as a thunk, so its points, lines
-and couples are formatted only for a failing case; the shrunk
-counterexample text is the same as if every case had formatted it.
+Every suite is deterministic in (seed, cases): each property draws its
+cases in order from one PRNG keyed by suite, property and seed, so reports
+are byte-identical across runs, and a run with more cases repeats a shorter
+run's cases as its first ones.  Cases are not independent: case k draws
+where case k - 1 stopped, so it depends on the draws of cases 0 to k - 1
+and cannot be run alone or out of order.  On a failing case the recorded
+draw genome is shrunk, halving integers toward zero while the failure
+persists, and the minimal case's construction transcript is embedded in
+the report.  A case function returns ``(ok, transcript)`` with the
+transcript as a thunk, so its points, lines and couples are formatted only
+for a failing case; the shrunk counterexample text is the same as if every
+case had formatted it.
 
 Suites and properties live in one registry: ``_suite`` declares a suite and
 its default case count, and the ``_property`` decorator registers each case
@@ -198,15 +201,16 @@ def _shrink(case_fn, genome: list[int], transcript: list[str]) -> str:
 
 
 def _run_property(suite: str, prop: str, seed: int, cases: int, case_fn) -> PropertyResult:
-    """Run ``case_fn(draws)`` for ``cases`` seeded cases; an unbuildable case fails.
+    """Run ``case_fn(draws)`` for ``cases`` cases drawn in turn from one seeded stream; an unbuildable case fails.
 
     ``case_fn`` returns ``(ok, transcript)``, where ``transcript()`` gives the
     case's lines; it is called only when the case fails.
     """
     failures = 0
     counterexample = None
+    rng = random.Random(f"{suite}:{prop}:{seed}")
     for idx in range(cases):
-        draws = Draws(random.Random(f"{suite}:{prop}:{seed}:{idx}"))
+        draws = Draws(rng)
         try:
             ok, transcript = case_fn(draws)
             if not ok:  # the transcript is formatted under the same guard as the case
@@ -340,7 +344,8 @@ def _draw_quadrangle(d: Draws, c: Conic) -> InscribedQuadrangle:
 
 
 def _fixed_conics(seed: int, n: int = 5) -> list[Conic]:
-    return [_draw_conic(Draws(random.Random(f"conic-pool:{seed}:{i}"))) for i in range(n)]
+    rng = random.Random(f"conic-pool:{seed}")
+    return [_draw_conic(Draws(rng)) for _ in range(n)]
 
 
 def _render_figures(seed: int) -> dict:

@@ -8,7 +8,7 @@ from itertools import islice, product
 
 import pytest
 
-from traversale import Conic, GeometryError, IrrationalIntersection, TooManyDigits
+from traversale import Conic, GeometryError, Homography, IrrationalIntersection, TooManyDigits
 from traversale.linalg import primitive
 from traversale.numbers import (
     INF,
@@ -49,7 +49,9 @@ def test_integers_over_the_digit_limit_raise_the_named_error():
     assert format_int(-(10 ** (limit - 1))) == "-1" + "0" * (limit - 1)
     over = 10**limit
     conic = Conic.from_coefficients(over, 1, -1, 0, 0, 0)
-    for call, value in ((format_int, over), (format_pair, (1, over)), (str, conic)):
+    big = (10**3000) ** 2  # the messages of a singular homography and an asymmetric conic matrix
+    singular, asymmetric = ((big, 1, 0), (big, 1, 0), (0, 0, 1)), ((big, 1, 0), (0, 1, 0), (0, 0, 1))
+    for call, value in ((format_int, over), (format_pair, (1, over)), (str, conic), (Homography, singular), (Conic, asymmetric)):
         with pytest.raises(TooManyDigits, match=f"^an integer of more than {limit} digits is too long to print$"):
             call(value)
     # an exception's own message never raises: the search that meets it goes on

@@ -245,7 +245,7 @@ def test_homography_identity_and_scaling():
 
 
 def test_homography_singular_rejected():
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(SingularMatrix, match=r"^matrix \(\(1, 0, 0\), \(0, 1, 0\), \(1, 1, 0\)\) is singular$"):
         Homography(((1, 0, 0), (0, 1, 0), (1, 1, 0)))
 
 

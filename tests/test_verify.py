@@ -192,7 +192,7 @@ def test_failure_produces_shrunk_counterexample():
 def test_unexpected_exception_is_a_failing_case():
     def crashes(d):
         a = d.draw_int(0, 3)
-        return 1 // a > 0, lambda: [f"a={a}"]  # ZeroDivisionError whenever a == 0
+        return 1 // a >= 0, lambda: [f"a={a}"]  # fails only by ZeroDivisionError, whenever a == 0
 
     res = _run_property("demo", "crashes", seed=1, cases=40, case_fn=crashes)
     assert 0 < res.passed_cases < res.total_cases == 40
@@ -312,6 +312,33 @@ def test_a_transcript_that_raises_is_a_failing_case():
     assert res.counterexample.endswith("\nunexpected ZeroDivisionError: integer division or modulo by zero")
 
 
+def test_verify_all_seeds_one_stream_per_randomized_property(monkeypatch):
+    keys = []
+    real = random.Random
+    monkeypatch.setattr(verify.random, "Random", lambda key: keys.append(key) or real(key))
+    assert all(report.passed for report in verify_all(1))
+    # the 20 randomized properties and the pool of fixed conics
+    assert len(keys) == len(set(keys)) == 21
+    assert "conic-pool:1" in keys
+
+
+def test_more_cases_repeat_the_shorter_run_as_their_first_cases():
+    def recording(records):
+        def case(d):
+            d.until(lambda d: d.draw_int(-9, 9), lambda v: v != 0)
+            d.rational()
+            records.append(list(d.record))
+            return True, list
+        return case
+
+    short, long = [], []
+    _run_property("demo", "prefix", seed=1, cases=5, case_fn=recording(short))
+    _run_property("demo", "prefix", seed=1, cases=12, case_fn=recording(long))
+    assert len(short) == 5 and len(long) == 12
+    assert long[:5] == short
+    assert len({tuple(r) for r in long}) > 1
+
+
 # Faults injected into the names a suite's case functions read, so that the
 # full report of a failing suite, shrunk counterexample and transcript
 # included, is pinned byte for byte.
@@ -352,22 +379,22 @@ def _never_joins(real):
 
 _PINNED_FAILURES = {
     "ramee": ("ramee", "contains_pair", _reject_negative_couples, (
-        "suite: ramee\nseed: 3\ncases: 8\nFAIL membership-and-kind-preserved 0/8\n  | case 0\n"
-        "  | involution ((1, 0), (0, -1)) on [0, 1, 0]\n  | center (1, 1/2, 9/2)\n  | target [1, 0, 0]\n"
-        "  | couple {-2/5, 2/5} -> {1/14, 1/4}: member True\n  | couple {-1/5, 1/5} -> {-1, 1/19}: member False\n"
-        "  | couple {0, 0} -> {0, 0}: member True\n  | kinds hyperbolic -> hyperbolic\n"
+        "suite: ramee\nseed: 3\ncases: 8\nFAIL membership-and-kind-preserved 1/8\n  | case 0\n"
+        "  | involution ((1, -1), (0, -1)) on [0, 1, 0]\n  | center (0, 1, -1)\n  | target [1, 1, 1/9]\n"
+        "  | couple {-1/5, 6/5} -> {-2/9, 16/33}: member False\n  | couple {1/5, 4/5} -> {4/27, 32/81}: member True\n"
+        "  | couple {0, 1} -> {0, 4/9}: member True\n  | kinds hyperbolic -> hyperbolic\n"
         'summary {"cases": 8, "failures": 1, "properties": 1, "seed": 3, "suite": "ramee"}\n'
     )),
     "two-involutions": ("two-involutions", "contains_pair", _reject_negative_couples, (
         "suite: two-involutions\nseed: 3\ncases: 8\nFAIL pencil-vs-polarity 1/8\n  | case 0\n"
-        "  | conic 1 -1 1 0 0 0\n  | f (1, 6, -6)\n  | line [1, -1, -5/6]\n  | pencil fixes f: True\n"
+        "  | conic 1 1 -1 0 0 0\n  | f (1, 6, -6)\n  | line [1, -109/12, -107/12]\n  | pencil fixes f: True\n"
         "  | pencil fixes H: True\n  | pencil swaps L,M: False\n  | polarity fixes L: True\n"
         "  | polarity fixes M: True\n  | polarity swaps f,H: False\n  | distinct: True\n  | harmonic: True\n"
         'summary {"cases": 8, "failures": 1, "properties": 1, "seed": 3, "suite": "two-involutions"}\n'
     )),
     "transport": ("transport", "polar", _wrong_polar_at_even_x, (
-        "suite: transport\nseed: 3\ncases: 8\nFAIL polarity-moves-with-homographies 3/8\n  | case 0\n"
-        "  | conic 1 1 -1 0 0 0\n  | homography ((0, 1, 0), (0, 0, -1), (-1, 0, 0))\n"
+        "suite: transport\nseed: 3\ncases: 8\nFAIL polarity-moves-with-homographies 2/8\n  | case 1\n"
+        "  | conic 1 -1 -1 0 0 0\n  | homography ((0, 0, 1), (1, 0, 0), (0, -1, 0))\n"
         "  | polar commutes: False\n  | pole commutes: True\n  | class preserved: True\n"
         "  | polarity involution commutes: True\n"
         'summary {"cases": 8, "failures": 1, "properties": 1, "seed": 3, "suite": "transport"}\n'
@@ -375,25 +402,25 @@ _PINNED_FAILURES = {
     "agregativite": ("involution-equivalence", "involution_from_two_pairs", _swap_unless_negative, (
         "suite: involution-equivalence\nseed: 3\ncases: 8\nPASS rectangle-vs-homographic 8/8\n"
         "PASS arbre-vs-involution 8/8\nPASS harmonic-bridge 8/8\nPASS midpoint-infinity 8/8\n"
-        "FAIL agregativite 6/8\n  | case 2\n"
-        "  | couples [PointPair(Fraction(2, 5), Fraction(15, 2)), PointPair(Fraction(1, 5), Fraction(15, 1)),"
-        " PointPair(Fraction(1, 1), Fraction(3, 1))]\n"
+        "FAIL agregativite 4/8\n  | case 2\n"
+        "  | couples [PointPair(Fraction(0, 1), Fraction(1, 1)), PointPair(Fraction(1, 5), Fraction(4, 5)),"
+        " PointPair(Fraction(-1, 5), Fraction(6, 5))]\n"
         "  | matrices ((0, 1), (1, 0)) ((0, 1), (1, 0)) ((0, 1), (1, 0))\n"
         'summary {"cases": 8, "failures": 1, "properties": 5, "seed": 3, "suite": "involution-equivalence"}\n'
     )),
     "membership": ("involution-equivalence", "in_single_involution", _flip_membership_if_first_couple_negative, (
-        "suite: involution-equivalence\nseed: 3\ncases: 8\nFAIL rectangle-vs-homographic 2/8\n  | case 0\n"
-        "  | couples {-1/5, 5} {-3/5, 5/3} {-2/5, 5/2}\n  | rectangle identities: True\n"
-        "  | homographic membership: False\nFAIL arbre-vs-involution 3/8\n  | case 0\n  | souche -2/3\n"
-        "  | couples {-1/4, 0} {-1/2, 1} {0, 0}\n  | arbre: False\n  | membership: True\n"
-        "FAIL harmonic-bridge 5/8\n  | case 0\n  | a=-1/5 b=0 c=-2/5\n  | conjugate=-2/15\n  | cross ratio -1\n"
-        "FAIL midpoint-infinity 4/8\n  | case 1\n  | c=0 g=-1/5 midpoint=-1/10\n  | member: False\n"
+        "suite: involution-equivalence\nseed: 3\ncases: 8\nFAIL rectangle-vs-homographic 3/8\n  | case 1\n"
+        "  | couples {-1, 1} {-4, 1/4} {-5, 1/5}\n  | rectangle identities: True\n"
+        "  | homographic membership: False\nFAIL arbre-vs-involution 4/8\n  | case 0\n  | souche 1/12\n"
+        "  | couples {-1/4, 1/4} {0, 3/4} {0, 0}\n  | arbre: False\n  | membership: True\n"
+        "FAIL harmonic-bridge 3/8\n  | case 0\n  | a=-1/5 b=0 c=1/5\n  | conjugate=-1/15\n  | cross ratio -1\n"
+        "FAIL midpoint-infinity 5/8\n  | case 2\n  | c=0 g=-1/5 midpoint=-1/10\n  | member: False\n"
         "  | shifted member: False\nPASS agregativite 8/8\n"
         'summary {"cases": 8, "failures": 4, "properties": 5, "seed": 3, "suite": "involution-equivalence"}\n'
     )),
     "unexpected": ("incidence-duality", "polar", _crash_at_even_x, (
-        "suite: incidence-duality\nseed: 3\ncases: 8\nFAIL collinear-points-concurrent-polars 1/8\n"
-        "  | case 1\n  | unexpected ZeroDivisionError: even first coordinate\n"
+        "suite: incidence-duality\nseed: 3\ncases: 8\nFAIL collinear-points-concurrent-polars 0/8\n"
+        "  | case 0\n  | unexpected ZeroDivisionError: even first coordinate\n"
         "PASS concurrent-lines-collinear-poles 8/8\n"
         'summary {"cases": 8, "failures": 1, "properties": 2, "seed": 3, "suite": "incidence-duality"}\n'
     )),
