@@ -24,7 +24,7 @@ from enum import Enum
 
 from .errors import CenterOnLine, InfiniteNode, InvalidSouche, UnderdeterminedInvolution
 from .linalg import Mat2, adjugate2, cross, det2, mat2_mul, mat2_vec, primitive_rows2
-from .numbers import INF, ExtRat, Pair, format_pair, format_rows, from_pair, lowest_terms, pair_cross, parse_extended, to_pair
+from .numbers import INF, ExtRat, Pair, format_int, format_pair, format_rows, from_pair, lowest_terms, pair_cross, parse_extended, to_pair
 from .projective import LineChart, PPoint
 from .value import Value
 
@@ -129,7 +129,7 @@ class InvolutionOnLine(Value):
         return f"InvolutionOnLine(matrix={self.matrix}, line={self.chart.line})"
 
     def __str__(self):
-        (a, b), (c, d) = self.matrix
+        (a, b), (c, d) = (map(format_int, row) for row in self.matrix)
         return f"[[{a}, {b}], [{c}, {d}]] on {self.chart.line}"
 
     def apply_pair(self, pair: Pair) -> Pair:
@@ -327,7 +327,7 @@ def arbre_check_pair(a: Pair, pairs) -> bool:
         (x, y) = nodes = _finite_nodes(*p.pairs)
         prod = _rectangle(a, nodes)
         if prod == 0:
-            raise InvalidSouche(f"souche {from_pair(a)} coincides with a node of {p}")
+            raise InvalidSouche(f"souche {format_pair(a)} coincides with a node of {p}")
         products.append((prod, x[1] * y[1]))
     (p0, d0), (p1, d1), (p2, d2) = products[:3]
     equal = p0 * d1 == p1 * d0 and p1 * d2 == p2 * d1

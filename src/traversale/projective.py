@@ -41,7 +41,7 @@ from .errors import (
     SingularMatrix,
 )
 from .linalg import Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, primitive_rows, primitive_triple, transpose
-from .numbers import ExtRat, Pair, format_pair, format_rows, from_pair, pair_cross, parse_rational, to_pair
+from .numbers import ExtRat, Pair, format_int, format_pair, format_rows, from_pair, pair_cross, parse_rational, to_pair
 from .value import Value
 
 
@@ -86,7 +86,7 @@ class PPoint(Value):
         return hash(self.coords)
 
     def __repr__(self):
-        return f"PPoint{self.coords}"
+        return f"PPoint({', '.join(map(format_int, self.coords))})"
 
     def __str__(self):
         return _format_triple(self.coords, "()")
@@ -127,7 +127,7 @@ class PLine(Value):
         return hash(self.coeffs)
 
     def __repr__(self):
-        return f"PLine{self.coeffs}"
+        return f"PLine({', '.join(map(format_int, self.coeffs))})"
 
     def __str__(self):
         return _format_triple(self.coeffs, "[]")

@@ -6,7 +6,8 @@ must come with exactly one ``error:`` line on stderr.  The literals mix
 valid rationals with the edge cases of the parser: ``3/-4``, ``1/0``,
 ``-0``, ``+5``, 25-digit integers and non-numbers.  Integers at Python's
 int/str digit limit, and products over it, end the same way, as do
-3,000-digit involution couples and viewport bounds.
+3,000-digit involution couples and viewport bounds, and a quadrangle whose
+collinear bornes have coordinates over the limit.
 """
 
 import hashlib
@@ -208,6 +209,7 @@ def _digit_cases():
                 id=f"scene-{digits}",
             ),
         ]
+    a, b, c, d = (10**4199 + k for k in (1, 3, 7, 9))  # odd, 4,200 digits
     return cases + [
         pytest.param(["polar", "--conic", f"1 1 -{HUGE} 0 0 0", "--point", f"(2, 0, {HUGE})"], 2, id="polar-product"),
         pytest.param(["pole", "--conic", f"{HUGE} 1 -1 0 0 0", "--line", f"[1, {HUGE}, 1]"], 2, id="pole-product"),
@@ -232,6 +234,13 @@ def _digit_cases():
         pytest.param(["render", "fig8", f"--viewport=-{HUGE},-2,2,2", "--out", "f.svg"], 2, id="render-viewport"),
         pytest.param(f"render fig8 out=f.svg viewport=-{HUGE},-2,2,2\n", 2, id="scene-render-viewport"),
         pytest.param(f"conic k 1 1 -1 {HUGE} 0 0\nrender scene out=f.svg width=64\n", 0, id="scene-render-conic"),
+        # three collinear bornes on a line pair, named in the quadrangle's error by coordinates over the limit
+        pytest.param(
+            f"conic k 0 0 0 1 0 0\npoint A 0 {a}/{b} {c}/{d}\npoint B 0 {a}/{b} 1\npoint C 0 {c}/{d} 1\n"
+            "point D 1 0 1\nquadrangle q conic=k A B C D\n",
+            2,
+            id="scene-quadrangle",
+        ),
     ]
 
 

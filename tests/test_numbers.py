@@ -8,7 +8,19 @@ from itertools import islice, product
 
 import pytest
 
-from traversale import Conic, GeometryError, Homography, IrrationalIntersection, TooManyDigits
+from traversale import (
+    Conic,
+    GeometryError,
+    Homography,
+    InvolutionOnLine,
+    IrrationalIntersection,
+    PLine,
+    PPoint,
+    PointPair,
+    TooManyDigits,
+    canonical_chart,
+)
+from traversale.involution import arbre_check_pair
 from traversale.linalg import primitive
 from traversale.numbers import (
     INF,
@@ -22,6 +34,7 @@ from traversale.numbers import (
     small_pairs,
     to_pair,
 )
+from traversale.synthetic import InscribedQuadrangle, PencilBase
 
 
 def test_rational_text_round_trip():
@@ -49,9 +62,23 @@ def test_integers_over_the_digit_limit_raise_the_named_error():
     assert format_int(-(10 ** (limit - 1))) == "-1" + "0" * (limit - 1)
     over = 10**limit
     conic = Conic.from_coefficients(over, 1, -1, 0, 0, 0)
-    big = (10**3000) ** 2  # the messages of a singular homography and an asymmetric conic matrix
+    big = (10**3000) ** 2  # an entry the messages below must print
     singular, asymmetric = ((big, 1, 0), (big, 1, 0), (0, 0, 1)), ((big, 1, 0), (0, 1, 0), (0, 0, 1))
-    for call, value in ((format_int, over), (format_pair, (1, over)), (str, conic), (Homography, singular), (Conic, asymmetric)):
+    # three points on the line x = 0 of the line pair xy = 0: the quadrangle's and the pencil's messages name them
+    collinear = (PPoint(0, big, 1), PPoint(0, 1, 1), PPoint(0, 2, 1), PPoint(1, 0, 1))
+    line_pair = Conic.from_coefficients(0, 0, 0, 1, 0, 0)
+    involution = InvolutionOnLine(canonical_chart(PLine(0, 1, 0)), ((big, 1), (1, -big)))
+    for call, value in (
+        (format_int, over),
+        (format_pair, (1, over)),
+        (str, conic),
+        (Homography, singular),
+        (Conic, asymmetric),
+        (PencilBase, collinear),
+        (lambda pts: InscribedQuadrangle(line_pair, *pts), collinear),
+        (lambda souche: arbre_check_pair(souche, [PointPair(big, 1)] * 3), (big, 1)),
+        (str, involution),
+    ):
         with pytest.raises(TooManyDigits, match=f"^an integer of more than {limit} digits is too long to print$"):
             call(value)
     # an exception's own message never raises: the search that meets it goes on
