@@ -7,6 +7,8 @@ the world and owns its oracles; run as a script, it runs them at bound 2.
 
 from collections import Counter
 
+import pytest
+
 from traversale.conic import find_rational_point, polar, tangent_at
 from traversale.errors import BasePointNotOnConic, GeometryError
 
@@ -30,9 +32,20 @@ def test_constructions_equal_polar_and_pole_on_every_pointed_conic():
     assert equality_run(1) == {"conics": 235, "traversale": 4574, "pole": 5102, "framed": 4838, "twins": 4838}
 
 
-def test_one_object_entry_points_end_in_a_result_or_a_geometry_error():
-    raised, outcomes = one_object(1)
+@pytest.fixture(scope="module")
+def one_object_run():
+    """one_object at bound 1, run once for the two tests that read it."""
+    return one_object(1)
+
+
+def test_one_object_entry_points_end_in_a_result_or_a_geometry_error(one_object_run):
+    raised, _ = one_object_run
     assert raised == {name: errors for name, (_, errors) in (*CONIC_ONLY.items(), *WITH_POINT.items(), *WITH_LINE.items())}
+
+
+def test_two_involutions_ends_in_a_result_or_a_geometry_error_on_a_fixed_sample(one_object_run):
+    # the fixed sample is the whole world at bound 1: every conic with each of the 169 (point, line) pairs
+    _, outcomes = one_object_run
     assert outcomes == {
         "result": 3204, "NotOnLine": 44044, "LineMissesConic": 3432, "IrrationalIntersection": 2604,
         "OnConic": 4548, "DegenerateConic": 2292, "TangentLine": 1392,
