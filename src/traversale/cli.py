@@ -38,7 +38,7 @@ from functools import cache
 from .conic import Conic, classify, polar, pole
 from .errors import GeometryError, SceneError
 from .involution import PointPair, classify_and_fixed_points, involution_from_two_pairs, souche_of
-from .numbers import format_extended, format_rows, parse_rational
+from .numbers import format_extended, format_repr, parse_rational
 from .projective import PLine, PPoint, canonical_chart
 
 
@@ -132,7 +132,7 @@ def _cmd_involution(args) -> int:
     first, second = (_parse_literal(PointPair.parse, text) for text in args.pair)
     inv = involution_from_two_pairs(first, second, chart)
     kind, fixed = classify_and_fixed_points(inv)
-    print(f"matrix {format_rows(inv.matrix)}")
+    print(f"matrix {format_repr(inv.matrix)}")
     print(f"kind {kind.value}")
     if fixed is not None:
         print("fixed " + " ".join(format_extended(t) for t in fixed))
@@ -143,7 +143,7 @@ def _cmd_involution(args) -> int:
 def _cmd_classify(args) -> int:
     result = classify(_parse_conic(args.conic))
     print(f"class {result.kind.value}")
-    print(f"signature ({result.signature[0]}, {result.signature[1]})")
+    print("signature " + format_repr(result.signature))
     print(f"rank {result.rank}")
     if result.point_double is not None:
         print(f"point-double {result.point_double}")

@@ -41,7 +41,7 @@ from .involution import InvolutionOnLine, fixed_pairs
 from .linalg import (
     Mat3, Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, primitive, primitive_rows, primitive_triple, transpose,
 )
-from .numbers import ExtRat, Pair, format_int, format_rows, small_pairs, to_pair
+from .numbers import ExtRat, Pair, format_int, format_repr, small_pairs, to_pair
 from .projective import (
     LINE_AT_INFINITY,
     FramedLine,
@@ -85,7 +85,7 @@ class Conic(Value):
         except ValueError:
             raise ZeroForm("the zero form defines no conic") from None
         if mat[0][1] != mat[1][0] or mat[0][2] != mat[2][0] or mat[1][2] != mat[2][1]:
-            raise ValueError(f"conic matrix must be symmetric, got {format_rows(mat)}")
+            raise ValueError(f"conic matrix must be symmetric, got {format_repr(mat)}")
         if witness is not None and dot(mat_vec(mat, witness.coords), witness.coords) != 0:
             raise BasePointNotOnConic(f"witness {witness} is not on the conic")
         self._set(mat, witness, det3(mat) != 0, None)
@@ -97,7 +97,7 @@ class Conic(Value):
         return hash(self.matrix)
 
     def __repr__(self):
-        return f"Conic{self.matrix}"
+        return "Conic" + format_repr(self.matrix)
 
     def __str__(self):
         return " ".join(map(format_int, self.coefficients()))

@@ -24,7 +24,9 @@ from enum import Enum
 
 from .errors import CenterOnLine, InfiniteNode, InvalidSouche, UnderdeterminedInvolution
 from .linalg import Mat2, adjugate2, cross, det2, mat2_mul, mat2_vec, primitive_rows2
-from .numbers import INF, ExtRat, Pair, format_int, format_pair, format_rows, from_pair, lowest_terms, pair_cross, parse_extended, to_pair
+from .numbers import (
+    INF, ExtRat, Pair, format_int, format_pair, format_repr, from_pair, lowest_terms, pair_cross, parse_extended, parse_literal, to_pair,
+)
 from .projective import LineChart, PPoint
 from .value import Value
 
@@ -66,7 +68,7 @@ class PointPair(Value):
         return hash(self.pairs)
 
     def __repr__(self):
-        return f"PointPair({self.first!r}, {self.second!r})"
+        return "PointPair" + format_repr((self.first, self.second))
 
     def __str__(self):
         return "{" + format_pair(self.pairs[0]) + ", " + format_pair(self.pairs[1]) + "}"
@@ -85,13 +87,7 @@ class PointPair(Value):
 
     @classmethod
     def parse(cls, text: str) -> "PointPair":
-        inner = text.strip()
-        if not (inner.startswith("{") and inner.endswith("}")):
-            raise ValueError(f"pair literal must look like {{t1, t2}}: {text!r}")
-        parts = inner[1:-1].split(",")
-        if len(parts) != 2:
-            raise ValueError(f"pair literal needs two coordinates: {text!r}")
-        return cls(parse_extended(parts[0]), parse_extended(parts[1]))
+        return cls(*parse_literal(text, "pair", "{t1, t2}", "two coordinates", parse_extended))
 
 
 class InvolutionKind(Enum):
@@ -114,9 +110,9 @@ class InvolutionOnLine(Value):
     def __init__(self, chart: LineChart, matrix):
         m = primitive_rows2(matrix)
         if m[0][0] + m[1][1] != 0:
-            raise UnderdeterminedInvolution(f"matrix {format_rows(m)} is not involutive (trace != 0)")
+            raise UnderdeterminedInvolution(f"matrix {format_repr(m)} is not involutive (trace != 0)")
         if det2(m) == 0:
-            raise UnderdeterminedInvolution(f"matrix {format_rows(m)} is degenerate, not an involution")
+            raise UnderdeterminedInvolution(f"matrix {format_repr(m)} is degenerate, not an involution")
         self._set(chart, m)
 
     def __eq__(self, other):
@@ -126,7 +122,7 @@ class InvolutionOnLine(Value):
         return hash((self.chart, self.matrix))
 
     def __repr__(self):
-        return f"InvolutionOnLine(matrix={self.matrix}, line={self.chart.line})"
+        return f"InvolutionOnLine(matrix={format_repr(self.matrix)}, line={self.chart.line})"
 
     def __str__(self):
         (a, b), (c, d) = (map(format_int, row) for row in self.matrix)

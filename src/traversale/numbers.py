@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: rationals, the extended rational line, text forms.
+"""Exact scalar arithmetic: rationals, the extended rational line, and the text boundary.
 
 The kernel computes on integers; ``fractions.Fraction`` appears only at the
 boundary, for values parsed from text, printed, or handed back to callers
@@ -11,6 +11,15 @@ pairs with den > 0 the segment x - y is pair_cross(x, y) / (x_den * y_den),
 so its sign is the sign of :func:`pair_cross`.  The bounded searches sweep
 the pairs of :func:`small_pairs` in height order, so they build no Fraction
 either.
+
+This module is the package's one text boundary.  Every integer, pair,
+Fraction and matrix that becomes text goes through a formatter here
+(:func:`format_int`, :func:`format_pair`, :func:`format_extended`,
+:func:`format_repr`), and every literal is read here (:func:`parse_rational`,
+:func:`parse_extended`, and :func:`parse_literal` for the bracketed point,
+line and couple literals).  An integer longer than Python converts to or
+from text raises :class:`~traversale.errors.TooManyDigits`, never Python's
+own ValueError; the interpreter's limit itself stays in place.
 """
 
 from __future__ import annotations
@@ -72,6 +81,21 @@ def parse_extended(text: str) -> ExtRat:
     return parse_rational(text)
 
 
+def parse_literal(text: str, kind: str, shape: str, entries: str, read) -> list:
+    """The entries of a bracketed literal such as ``(x, y, z)`` or ``{t1, t2}``, each read by ``read``.
+
+    ``shape`` gives the brackets and, by its commas, the number of entries;
+    ``kind`` and ``entries`` name them in the ValueError for a malformed literal.
+    """
+    inner = text.strip()
+    if not (inner.startswith(shape[0]) and inner.endswith(shape[-1])):
+        raise ValueError(f"{kind} literal must look like {shape}: {text!r}")
+    parts = inner[1:-1].split(",")
+    if len(parts) != shape.count(",") + 1:
+        raise ValueError(f"{kind} literal needs {entries}: {text!r}")
+    return [read(p) for p in parts]
+
+
 def format_pair(pair: Pair) -> str:
     """Render the pair (num, den) as ``p/q`` in lowest terms, plain ``p`` for integers, ``inf`` for den = 0."""
     num, den = lowest_terms(pair)
@@ -82,16 +106,21 @@ def format_pair(pair: Pair) -> str:
 
 def format_int(n: int) -> str:
     """The decimal text of n; TooManyDigits when it has more digits than Python prints."""
+    return format_repr(n)
+
+
+def format_repr(value) -> str:
+    """The text ``repr`` gives for an int, a Fraction, INF, None or a nested tuple of these.
+
+    A matrix prints as its tuple of rows, ``((a, b), (c, d))``.  An integer
+    with more digits than Python prints raises TooManyDigits in place of
+    Python's own ValueError.
+    """
     try:
-        return str(n)
+        return repr(value)
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise TooManyDigits(f"an integer of more than {limit} digits is too long to print") from None
-
-
-def format_rows(rows) -> str:
-    """A matrix's text as Python prints its tuple of rows, ``((a, b), (c, d))``, each entry through :func:`format_int`."""
-    return "(" + ", ".join("(" + ", ".join(map(format_int, row)) + ")" for row in rows) + ")"
 
 
 def format_extended(value: ExtRat) -> str:

@@ -41,7 +41,7 @@ from .errors import (
     SingularMatrix,
 )
 from .linalg import Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, primitive_rows, primitive_triple, transpose
-from .numbers import ExtRat, Pair, format_int, format_pair, format_rows, from_pair, pair_cross, parse_rational, to_pair
+from .numbers import ExtRat, Pair, format_pair, format_repr, from_pair, pair_cross, parse_literal, parse_rational, to_pair
 from .value import Value
 
 
@@ -54,17 +54,6 @@ def canonical_entries(triple: Vec3) -> tuple[str, str, str]:
 def _format_triple(triple: Vec3, brackets: str) -> str:
     """The :func:`canonical_entries` of the triple as ``(x, y, z)`` or ``[u, v, w]``."""
     return f"{brackets[0]}{', '.join(canonical_entries(triple))}{brackets[1]}"
-
-
-def _parse_triple(text: str, kind: str, shape: str, entries: str) -> list[Fraction]:
-    """The three rationals of a literal such as ``(x, y, z)`` or ``[u, v, w]``."""
-    inner = text.strip()
-    if not (inner.startswith(shape[0]) and inner.endswith(shape[-1])):
-        raise ValueError(f"{kind} literal must look like {shape}: {text!r}")
-    parts = inner[1:-1].split(",")
-    if len(parts) != 3:
-        raise ValueError(f"{kind} literal needs three {entries}: {text!r}")
-    return [parse_rational(p) for p in parts]
 
 
 class PPoint(Value):
@@ -86,7 +75,7 @@ class PPoint(Value):
         return hash(self.coords)
 
     def __repr__(self):
-        return f"PPoint({', '.join(map(format_int, self.coords))})"
+        return "PPoint" + format_repr(self.coords)
 
     def __str__(self):
         return _format_triple(self.coords, "()")
@@ -105,7 +94,7 @@ class PPoint(Value):
     @classmethod
     def parse(cls, text: str) -> "PPoint":
         """Inverse of str(): ``(x, y, z)`` with rational entries."""
-        return cls(*_parse_triple(text, "point", "(x, y, z)", "coordinates"))
+        return cls(*parse_literal(text, "point", "(x, y, z)", "three coordinates", parse_rational))
 
 
 class PLine(Value):
@@ -127,7 +116,7 @@ class PLine(Value):
         return hash(self.coeffs)
 
     def __repr__(self):
-        return f"PLine({', '.join(map(format_int, self.coeffs))})"
+        return "PLine" + format_repr(self.coeffs)
 
     def __str__(self):
         return _format_triple(self.coeffs, "[]")
@@ -137,7 +126,7 @@ class PLine(Value):
 
     @classmethod
     def parse(cls, text: str) -> "PLine":
-        return cls(*_parse_triple(text, "line", "[u, v, w]", "coefficients"))
+        return cls(*parse_literal(text, "line", "[u, v, w]", "three coefficients", parse_rational))
 
 
 class _Framed:
@@ -396,7 +385,7 @@ class Homography(Value):
     def __init__(self, rows):
         m = primitive_rows(rows)
         if det3(m) == 0:
-            raise SingularMatrix(f"matrix {format_rows(m)} is singular")
+            raise SingularMatrix(f"matrix {format_repr(m)} is singular")
         self._set(m)
 
     def __eq__(self, other):
@@ -406,7 +395,7 @@ class Homography(Value):
         return hash(self.matrix)
 
     def __repr__(self):
-        return f"Homography{self.matrix}"
+        return "Homography" + format_repr(self.matrix)
 
     def apply(self, p: PPoint) -> PPoint:
         return PPoint(*mat_vec(self.matrix, p.coords))

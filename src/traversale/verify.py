@@ -70,7 +70,7 @@ from .involution import (
     involution_from_two_pairs,
     ramee_project,
 )
-from .numbers import INF, Pair, from_pair, lowest_terms, pair_cross
+from .numbers import INF, Pair, format_extended, format_pair, format_repr, lowest_terms, pair_cross
 from .projective import (
     LINE_AT_INFINITY,
     Homography,
@@ -413,7 +413,7 @@ def _arbre_vs_involution(d: Draws):
     lhs = arbre_check_pair(souche, pairs)
     rhs = in_single_involution(pairs, X_CHART)
     return lhs == rhs, lambda: [
-        f"souche {from_pair(souche)}", f"couples {pairs[0]} {pairs[1]} {pairs[2]}", f"arbre: {lhs}", f"membership: {rhs}"
+        f"souche {format_pair(souche)}", f"couples {pairs[0]} {pairs[1]} {pairs[2]}", f"arbre: {lhs}", f"membership: {rhs}"
     ]
 
 
@@ -434,7 +434,7 @@ def _harmonic_bridge(d: Draws):
         else False
     )
     return member and ratio[0] == -ratio[1] and not member_off, lambda: [
-        f"a={from_pair(a)} b={from_pair(b)} c={from_pair(c)}", f"conjugate={from_pair(tx)}", f"cross ratio {from_pair(ratio)}"
+        f"a={format_pair(a)} b={format_pair(b)} c={format_pair(c)}", f"conjugate={format_pair(tx)}", f"cross ratio {format_pair(ratio)}"
     ]
 
 
@@ -447,7 +447,7 @@ def _midpoint_infinity(d: Draws):
     shifted = (b[0] + b[1], b[1])  # b + 1, still in lowest terms
     member_shifted = in_single_involution([PointPair.from_pairs(shifted, (1, 0)), *fixed_cg], X_CHART)
     return member and not member_shifted, lambda: [
-        f"c={from_pair(c)} g={from_pair(g)} midpoint={from_pair(b)}", f"member: {member}", f"shifted member: {member_shifted}"
+        f"c={format_pair(c)} g={format_pair(g)} midpoint={format_pair(b)}", f"member: {member}", f"shifted member: {member_shifted}"
     ]
 
 
@@ -459,7 +459,7 @@ def _agregativite(d: Draws):
     i13 = involution_from_two_pairs(pairs[0], pairs[2], X_CHART)
     i23 = involution_from_two_pairs(pairs[1], pairs[2], X_CHART)
     ok = i12 == i13 == i23 == inv
-    return ok, lambda: [f"couples {pairs}", f"matrices {i12.matrix} {i13.matrix} {i23.matrix}"]
+    return ok, lambda: [f"couples {pairs}", "matrices " + " ".join(format_repr(i.matrix) for i in (i12, i13, i23))]
 
 
 @_property("ramee", "membership-and-kind-preserved")
@@ -477,7 +477,7 @@ def _ramee(d: Draws):
         rows.append((p, image_pair, contains_pair(projected, image_pair)))
     kinds_match = (fixed_pairs(inv.matrix) != ()) == (fixed_pairs(projected.matrix) != ())  # hyperbolic or not
     return all(member for _, _, member in rows) and kinds_match, lambda: [
-        f"involution {inv.matrix} on {X_AXIS}", f"center {center}", f"target {target_line}",
+        f"involution {format_repr(inv.matrix)} on {X_AXIS}", f"center {center}", f"target {target_line}",
         *(f"couple {p} -> {image}: member {member}" for p, image, member in rows),
         f"kinds {classify_and_fixed_points(inv)[0].value} -> {classify_and_fixed_points(projected)[0].value}",
     ]
@@ -639,7 +639,7 @@ def _transport(d: Draws):
     img = inv1.apply_point(sample)
     checks["polarity involution commutes"] = h.apply(img) == inv2.apply_point(h.apply(sample))
     return all(checks.values()), lambda: [
-        f"conic {c}", f"homography {h.matrix}", *(f"{k}: {v}" for k, v in checks.items())
+        f"conic {c}", f"homography {format_repr(h.matrix)}", *(f"{k}: {v}" for k, v in checks.items())
     ]
 
 
@@ -668,7 +668,7 @@ def _classification(d: Draws):
 
     def transcript():
         kind, fixed = classify_and_fixed_points(inv)
-        return [f"conic {c}", f"secant {secant}: {kind.value}, fixed {fixed}",
+        return [f"conic {c}", f"secant {secant}: {kind.value}, fixed {format_repr(fixed)}",
                 f"missing {missing}: elliptic {ok_missing}", f"tangent {tangent}: degenerates {ok_tangent}"]
 
     return ok_secant and ok_missing and ok_tangent, transcript
@@ -725,7 +725,7 @@ def _desargues_triple():
 
     lhs, rhs = sides(pairs[2]), sides(pairs[0])
     ok = desargues_condition_check(pairs) and lhs == rhs == Fraction(1, 9)
-    return ok, f"sides {lhs} {rhs}"
+    return ok, f"sides {format_extended(lhs)} {format_extended(rhs)}"
 
 
 @_property("worked-example", "pencil-square-base", fixed=True)
@@ -741,7 +741,7 @@ def _pencil_square_base():
         and contains_pair(inv, PointPair(Fraction(0), INF))
         and contains_pair(inv, PointPair(Fraction(4, 5), Fraction(-4, 5)))
     )
-    return ok, f"matrix {inv.matrix}"
+    return ok, f"matrix {format_repr(inv.matrix)}"
 
 
 @_property("worked-example", "two-involutions-x-axis", fixed=True)
@@ -755,7 +755,7 @@ def _two_involutions_x_axis():
         and pair.polarity.apply(Fraction(-1)) == Fraction(-1)
         and pair.pencil != pair.polarity
     )
-    return ok, f"pencil fixed {fixed_p}, polarity {pair.polarity.matrix}"
+    return ok, f"pencil fixed {format_repr(fixed_p)}, polarity {format_repr(pair.polarity.matrix)}"
 
 
 @_property("worked-example", "ordinale-x-2-elliptic", fixed=True)
@@ -763,7 +763,7 @@ def _ordinale():
     inv = polarity_involution_on_line(Conic.unit_circle(), PLine(1, 0, -2))
     kind, _ = classify_and_fixed_points(inv)
     ok = inv.apply(Fraction(1)) == Fraction(-3) and kind == InvolutionKind.ELLIPTIC
-    return ok, f"matrix {inv.matrix} kind {kind.value}"
+    return ok, f"matrix {format_repr(inv.matrix)} kind {kind.value}"
 
 
 @_property("worked-example", "midpoint-gives-infinity", fixed=True)
@@ -846,7 +846,7 @@ def _fig17(d: Draws):
     lam, h = d.until(
         line_and_map, lambda v: not is_tangent_line(c, v[0]), tries=40, catch=(SingularMatrix, ValueError)
     )
-    return central_projection_center_check(c, h, lam), lambda: [f"conic {c}", f"line {lam}", f"map {h.matrix}"]
+    return central_projection_center_check(c, h, lam), lambda: [f"conic {c}", f"line {lam}", f"map {format_repr(h.matrix)}"]
 
 
 @_property("self-polar", "diagonal-triangle-self-polar")

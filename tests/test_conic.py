@@ -50,6 +50,7 @@ from traversale import (
     transform,
 )
 from traversale.linalg import cross, det3, dot, mat_mul, mat_vec, primitive_rows2, transpose
+from traversale.numbers import parse_rational
 
 
 def solve2(a, b, rhs):
@@ -187,6 +188,16 @@ def test_conic_coefficient_round_trip(circle):
     assert circle.coefficients() == (1, 1, -1, 0, 0, 0)
     rebuilt = Conic.from_coefficients(*circle.coefficients())
     assert rebuilt == circle
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1, -1, 1, 0, 0), (1, 1, -1, 0, 1, 0), (1, 1, -1, 0, 0, 1), (3, -2, 5, 4, -6, 7)])
+def test_cross_term_coefficients_round_trip(coeffs):
+    # each cross term is twice its off-diagonal matrix entry; a factor lost on
+    # one of xy, xz, yz changes that coefficient and no other
+    c = Conic.from_coefficients(*coeffs)
+    assert c.coefficients() == coeffs
+    assert Conic.from_coefficients(*c.coefficients()) == c
+    assert Conic.from_coefficients(*map(parse_rational, str(c).split())) == c
 
 
 def test_from_coefficients_matches_the_fraction_rows():

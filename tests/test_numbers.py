@@ -12,13 +12,11 @@ from traversale import (
     Conic,
     GeometryError,
     Homography,
-    InvolutionOnLine,
     IrrationalIntersection,
     PLine,
     PPoint,
     PointPair,
     TooManyDigits,
-    canonical_chart,
 )
 from traversale.involution import arbre_check_pair
 from traversale.linalg import primitive
@@ -27,6 +25,7 @@ from traversale.numbers import (
     format_extended,
     format_int,
     format_pair,
+    format_repr,
     from_pair,
     lowest_terms,
     parse_extended,
@@ -61,23 +60,19 @@ def test_integers_over_the_digit_limit_raise_the_named_error():
             parse_rational(text)
     assert format_int(-(10 ** (limit - 1))) == "-1" + "0" * (limit - 1)
     over = 10**limit
-    conic = Conic.from_coefficients(over, 1, -1, 0, 0, 0)
     big = (10**3000) ** 2  # an entry the messages below must print
     singular, asymmetric = ((big, 1, 0), (big, 1, 0), (0, 0, 1)), ((big, 1, 0), (0, 1, 0), (0, 0, 1))
     # three points on the line x = 0 of the line pair xy = 0: the quadrangle's and the pencil's messages name them
     collinear = (PPoint(0, big, 1), PPoint(0, 1, 1), PPoint(0, 2, 1), PPoint(1, 0, 1))
     line_pair = Conic.from_coefficients(0, 0, 0, 1, 0, 0)
-    involution = InvolutionOnLine(canonical_chart(PLine(0, 1, 0)), ((big, 1), (1, -big)))
     for call, value in (
         (format_int, over),
         (format_pair, (1, over)),
-        (str, conic),
         (Homography, singular),
         (Conic, asymmetric),
         (PencilBase, collinear),
         (lambda pts: InscribedQuadrangle(line_pair, *pts), collinear),
         (lambda souche: arbre_check_pair(souche, [PointPair(big, 1)] * 3), (big, 1)),
-        (str, involution),
     ):
         with pytest.raises(TooManyDigits, match=f"^an integer of more than {limit} digits is too long to print$"):
             call(value)
@@ -85,6 +80,36 @@ def test_integers_over_the_digit_limit_raise_the_named_error():
     assert str(IrrationalIntersection(over + 1)) == f"irrational intersection, discriminant of {over.bit_length()} bits"
     assert str(IrrationalIntersection(12)) == "irrational intersection, discriminant 12"
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_format_repr_is_repr_or_the_named_error():
+    values = (0, -7, True, Fraction(-3, 4), Fraction(5), INF, None, (), (1,), ((1, -2), (3, 4)), (Fraction(1, 2), INF))
+    for value in (*values, values, (PPoint(1, 0, 1),)):
+        assert format_repr(value) == repr(value)
+    over = 10 ** sys.get_int_max_str_digits()
+    for value in (over, Fraction(1, over), ((1, 0), (0, over))):
+        with pytest.raises(TooManyDigits):
+            format_repr(value)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (PPoint.parse, "1, 2, 3", "point literal must look like (x, y, z): '1, 2, 3'"),
+        (PPoint.parse, " (1, 2) ", "point literal needs three coordinates: ' (1, 2) '"),
+        (PPoint.parse, "(1, x, 3)", "not a rational literal: ' x'"),
+        (PLine.parse, "(1, 2, 3)", "line literal must look like [u, v, w]: '(1, 2, 3)'"),
+        (PLine.parse, "[1, 2, 3, 4]", "line literal needs three coefficients: '[1, 2, 3, 4]'"),
+        (PointPair.parse, "[0, 1]", "pair literal must look like {t1, t2}: '[0, 1]'"),
+        (PointPair.parse, "{0, 1, 2}", "pair literal needs two coordinates: '{0, 1, 2}'"),
+        (PointPair.parse, "{}", "pair literal needs two coordinates: '{}'"),
+        (PointPair.parse, "{0, 1/0}", "zero denominator in ' 1/0'"),
+    ],
+)
+def test_a_malformed_bracketed_literal_names_its_fault(parse, text, message):
+    with pytest.raises(ValueError) as raised:
+        parse(text)
+    assert str(raised.value) == message
 
 
 def test_extended_round_trip():

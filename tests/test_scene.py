@@ -316,6 +316,17 @@ def test_cli_traversale_transcript_builds_one_quadrangle(tmp_path, monkeypatch, 
     assert len(calls) == 1 and built == []  # the sweep's quadrangle skips the checked constructor
 
 
+def test_cli_transcript_of_a_cross_term_conic_runs(tmp_path, capsys):
+    # the transcript prints the conic's yz coefficient as given, and the scene re-checks the construction
+    path = tmp_path / "t.scene"
+    argv = ["traversale", "--conic", "1 1 -1 0 0 1", "--point", "(2, 0, 1)", "--transcript", str(path)]
+    assert main(argv) == 0
+    assert "conic k 1 1 -1 0 0 1" in path.read_text().splitlines()
+    capsys.readouterr()
+    assert main(["run", str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_cli_involution(capsys):
     # the full stdout of each shape: fixed points rational (INF among them,
     # or both finite), absent (elliptic) and irrational

@@ -16,6 +16,7 @@ from traversale import (
     PointPair,
     PPoint,
     RationalParametrization,
+    TooManyDigits,
     affine_features,
     canonical_chart,
     classify,
@@ -25,7 +26,7 @@ from traversale import (
 from traversale.render import Drawable
 from traversale.report import PropertyResult, VerificationReport
 from traversale.scene import _Command, _Token
-from traversale.synthetic import PencilBase, two_involutions, worked_quadrangle
+from traversale.synthetic import InscribedQuadrangle, PencilBase, two_involutions, worked_quadrangle
 from traversale.value import Value
 
 _CIRCLE = Conic.unit_circle()
@@ -71,6 +72,71 @@ def test_every_value_class_has_a_sample():
 def _fields(value):
     """Every slot of the value's class and of its bases."""
     return [name for cls in type(value).__mro__ for name in getattr(cls, "__slots__", ())]
+
+
+# an integer of 6,001 digits, over the 4,300 that Python converts to text
+_BIG = (10**3000) ** 2
+# the unit circle about (_BIG, 0), (x - _BIG z)^2 + y^2 = z^2, and four of its points
+_BIG_CIRCLE = Conic.from_coefficients(1, 1, _BIG * _BIG - 1, 0, -2 * _BIG, 0, witness=PPoint(_BIG + 1, 0, 1))
+_BIG_BORNES = (PPoint(_BIG + 1, 0, 1), PPoint(_BIG, 1, 1), PPoint(_BIG - 1, 0, 1), PPoint(_BIG, -1, 1))
+_BIG_FRAME = RationalParametrization(_BIG_CIRCLE, _BIG_CIRCLE.witness)
+
+# one sample of each Value class that holds integers, with an integer over the digit limit
+OVER_LIMIT = {
+    "PPoint": lambda: PPoint(_BIG, 1, 1),
+    "PLine": lambda: PLine(_BIG, 1, 1),
+    "FramedPoint": lambda: _BIG_FRAME.point_from_pair((2, 3)),
+    "FramedLine": lambda: _BIG_FRAME.line_from_frame((1, -5, 6)),
+    "LineChart": lambda: canonical_chart(PLine(0, 1, -_BIG)),
+    "Homography": lambda: Homography.scaling(_BIG, 1),
+    "Conic": lambda: _BIG_CIRCLE,
+    "RationalParametrization": lambda: _BIG_FRAME,
+    "PointPair": lambda: PointPair(_BIG, 1),
+    "InvolutionOnLine": lambda: polarity_involution_on_line(_BIG_CIRCLE, PLine(0, 1, 0)),
+    "InscribedQuadrangle": lambda: InscribedQuadrangle(_BIG_CIRCLE, *_BIG_BORNES),
+    "PencilBase": lambda: PencilBase(_BIG_BORNES, member=_BIG_CIRCLE),
+    # the line pair y (x - _BIG z) = 0, whose lines cross at (_BIG, 0, 1)
+    "Classification": lambda: classify(Conic.from_coefficients(0, 0, 0, 1, 0, -_BIG)),
+    "AffineFeatures": lambda: affine_features(_BIG_CIRCLE),
+    "TwoInvolutions": lambda: two_involutions(_BIG_CIRCLE, PPoint(_BIG + 2, 0, 1), PLine(0, 1, 0)),
+    "Drawable": lambda: Drawable("point", PPoint(_BIG, 1, 1), "O"),
+    "PropertyResult": lambda: PropertyResult("p", _BIG, _BIG),
+    "VerificationReport": lambda: VerificationReport("s", _BIG, _BIG, (PropertyResult("p", _BIG, _BIG),)),
+    "_Token": lambda: _Token("point", _BIG),
+    "_Command": lambda: _Command(_BIG, (_Token("point", _BIG),)),
+}
+HOLDS_NO_INTS = {"_Infinity"}
+
+
+def _ints(obj, seen):
+    """Every int the object holds, through tuples and the slots of nested values."""
+    if isinstance(obj, int):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _ints(item, seen)
+    elif isinstance(obj, Value) and id(obj) not in seen:
+        seen.add(id(obj))
+        for field in _fields(obj):
+            yield from _ints(getattr(obj, field), seen)
+
+
+def test_every_value_class_holding_integers_has_an_over_limit_sample():
+    assert {cls.__name__ for cls in _subclasses(Value)} == set(OVER_LIMIT) | HOLDS_NO_INTS
+
+
+@pytest.mark.parametrize("name", sorted(OVER_LIMIT))
+def test_the_text_of_a_value_over_the_digit_limit_prints_or_raises_the_named_error(name):
+    # a class whose repr or str printed a raw int would raise Python's plain ValueError here
+    value = OVER_LIMIT[name]()
+    assert type(value).__name__ == name
+    for text in (repr, str):
+        try:
+            assert isinstance(text(value), str)
+        except ValueError as exc:
+            assert isinstance(exc, TooManyDigits), f"{text.__name__} of {name} raised {exc!r}"
+    limit = sys.get_int_max_str_digits()
+    assert any(abs(n) >= 10**limit for n in _ints(value, set()))
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLES))
