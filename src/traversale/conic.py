@@ -509,6 +509,15 @@ class RationalParametrization(Value):
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = self._quadratic
         return (a0 * nn + b0 * nd + c0 * dd, a1 * nn + b1 * nd + c1 * dd, a2 * nn + b2 * nd + c2 * dd)
 
+    def point_triples(self, xs) -> list[Vec3]:
+        """:meth:`_point_triple` of each frame point of xs, in order.
+
+        The frame point of the pair (num, den) is (num^2, num*den, den^2), so
+        a caller that evaluates a fixed set of pairs for many conics can hold
+        those vectors once and map them in one call.
+        """
+        return list(map(self._point_triple, xs))
+
     def _chords(self) -> tuple[Vec3, Vec3, Vec3]:
         form = self._chord_form
         if form is None:

@@ -6,12 +6,24 @@ quadratic parametrization at an integer parameter pair with its sign
 turned so that Z > 0; no point is built and no gcd is taken, because every
 use below is unchanged by a positive scale.  The viewport is held as
 integer bounds over one common denominator, so a containment test is a
-few integer comparisons and lines are clipped exactly.  Each emitted value
-is one correctly rounded ``int / int`` division, the same float that the
-exact rational would round to; the sag test of the adaptive refinement
-uses such floats too.  Identical input yields byte-identical SVG.  The
-five classical figure configurations shipped with the package are built
-here as well.
+few integer comparisons, and a line is clipped exactly at the cross
+products of its coefficients with the borders'.
+
+A conic is drawn in one pass over a fixed parameter sweep.  The frame
+points of the sweep pairs and of the midpoints of their intervals are
+built once per process, and the conic's parametrization maps them all in
+one bulk call.  Each of those samples is tested against the margin box,
+and divided into floats for the sag test, once; only an interval whose
+midpoint sags more than a fraction of a pixel is bisected further.  The
+polyline pass then maps each kept sample to SVG once.
+
+Each emitted value is one correctly rounded ``int / int`` division, the
+same float that the exact rational would round to, printed as its
+shortest round-trip repr: deterministic, and precise enough that the
+emitted coordinates keep exact incidences to well under 1e-9 relative.
+The sag test uses such floats too.  Identical input yields byte-identical
+SVG.  The five classical figure configurations shipped with the package
+are built here as well.
 """
 
 from __future__ import annotations
@@ -22,9 +34,9 @@ from functools import cache
 
 from .conic import Conic, chord_parametrization, polar, tangents_from
 from .errors import EmptyViewport, UnknownReference, ViewportOutOfRange
-from .linalg import Vec3
+from .linalg import Vec3, cross
 from .numbers import Pair, format_extended, parse_rational
-from .projective import LINE_AT_INFINITY, PLine, PPoint, join, meet
+from .projective import PLine, PPoint, join, meet
 from .synthetic import fgxy_points, worked_quadrangle
 from .value import Value
 
@@ -55,12 +67,6 @@ def parse_viewport(text: str) -> Viewport:
     return tuple(parse_rational(p) for p in parts)
 
 
-def _fmt(x: float) -> str:
-    # shortest round-trip repr: deterministic, and precise enough that the
-    # emitted coordinates keep exact incidences to well under 1e-9 relative
-    return repr(x)
-
-
 def _sample(v: Vec3) -> Vec3 | None:
     """The triple v or -v, whichever has Z > 0; None for a point at infinity."""
     x, y, z = v
@@ -74,7 +80,9 @@ class _Frame:
 
     ``box`` holds (a, b, c, e) and ``margin_box`` the same for the viewport
     grown by twice its size on every side, the region where conic samples
-    are kept.  A sample (X, Y, Z), Z > 0, maps to the SVG point
+    are kept.  ``borders`` holds the coefficient triples of the border lines
+    x = a/D, x = c/D, y = b/D and y = e/D.  A sample (X, Y, Z), Z > 0, maps
+    to the SVG point
     ((X*D - a*Z) * width / (Z*(c - a)), (e*Z - Y*D) * width / (Z*(c - a))).
     """
 
@@ -96,7 +104,7 @@ class _Frame:
             self.pixel = (c - a) / den / width  # world units per pixel
         except OverflowError:
             raise ViewportOutOfRange("viewport size or aspect ratio is out of float range") from None
-        self.borders = (PLine(den, 0, -a), PLine(den, 0, -c), PLine(0, den, -b), PLine(0, den, -e))
+        self.borders = ((den, 0, -a), (den, 0, -c), (0, den, -b), (0, den, -e))
 
     def inside(self, s: Vec3, box: Box) -> bool:
         x, y, z = s
@@ -113,15 +121,20 @@ class _Frame:
 
 
 def _clip_line(l: PLine, frame: _Frame) -> tuple[Vec3, Vec3] | None:
-    """Exact clip of a projective line against the viewport rectangle."""
-    if l == LINE_AT_INFINITY:
-        return None
+    """Exact clip of a projective line against the viewport rectangle.
+
+    Each border meets the line at the unreduced cross product of their
+    coefficients.  A border equal to the line gives (0, 0, 0), and the line
+    at infinity meets every border at infinity, so neither leaves a hit.
+    Two hits are one point when their triples are proportional.
+    """
+    coeffs = l.coeffs
     hits = []
     for b in frame.borders:
-        if b == l:
-            continue
-        s = _sample(meet(l, b).coords)
-        if s is not None and frame.inside(s, frame.box) and s not in hits:
+        s = _sample(cross(coeffs, b))
+        if s is not None and frame.inside(s, frame.box) and all(
+            s[0] * h[2] != h[0] * s[2] or s[1] * h[2] != h[1] * s[2] for h in hits
+        ):
             hits.append(s)
     if len(hits) < 2:
         return None
@@ -132,81 +145,141 @@ def _clip_line(l: PLine, frame: _Frame) -> tuple[Vec3, Vec3] | None:
     return (p, q)
 
 
+def _midpoint(t1: Pair, t2: Pair) -> Pair:
+    """The unreduced pair of the mean of the parameters t1 and t2, both with den >= 0."""
+    (n1, d1), (n2, d2) = t1, t2
+    return (n1 * d2 + n2 * d1, 2 * d1 * d2)
+
+
 @cache
-def _sweep() -> tuple[Pair, ...]:
-    """The fixed parameter sweep as sorted integer pairs (num, den), den > 0."""
+def _sweep() -> tuple[tuple[Pair, ...], tuple[Vec3, ...]]:
+    """The fixed parameter sweep and the frame points of every pair it evaluates at level 0.
+
+    The sweep is the sorted integer pairs (num, den), den > 0.  The frame
+    points (num^2, num*den, den^2) are those of the sweep pairs, then of
+    the midpoint of each interval between consecutive pairs, then of the
+    wrap pair (1, 0).
+    """
     params = {Fraction(k, 4) for k in range(-4 * 24, 4 * 24 + 1)}
     params |= {Fraction(96, k) for k in range(-23, 24) if k != 0}
-    return tuple((t.numerator, t.denominator) for t in sorted(params))
+    pairs = tuple((t.numerator, t.denominator) for t in sorted(params))
+    mids = tuple(map(_midpoint, pairs, pairs[1:]))
+    return pairs, tuple((n * n, n * d, d * d) for n, d in pairs + mids + ((1, 0),))
 
 
 def _conic_samples(c: Conic, frame: _Frame) -> list[Vec3 | None]:
-    """Samples around the whole conic, None marking breaks.
+    """Samples around the whole conic, None marking breaks: a point at infinity or a sample outside the margin box.
 
     A fixed parameter sweep (dense in the chord-slope parameter, wrapping
     through the slope at infinity) is refined adaptively: between any two
     consecutive samples whose chord sags more than a fraction of a pixel,
-    the parameter interval is bisected, exactly.
+    the parameter interval is bisected, exactly.  The sweep pairs and the
+    midpoints of their intervals are mapped in one bulk call, and each of
+    those samples is tested against the margin box and divided into floats
+    once.  The loop below is the first bisection level; only the halves
+    of an interval whose midpoint sags too far go on to :func:`_refine`.
     """
-    triple = chord_parametrization(c).triple_from_pair
+    par = chord_parametrization(c)
+    pairs, vectors = _sweep()
+    n = len(pairs)
+    samples = [None if z == 0 else (x, y, z) if z > 0 else (-x, -y, -z) for x, y, z in par.point_triples(vectors)]
+    den = frame.den
+    xmin, ymin, xmax, ymax = frame.margin_box
+    kept = [  # Frame.inside(s, margin_box) of each sweep sample
+        s is not None and xmin * s[2] <= s[0] * den <= xmax * s[2] and ymin * s[2] <= s[1] * den <= ymax * s[2]
+        for s in samples[:n]
+    ]
+    world = [None if s is None else _world(s) for s in samples]
     tol = frame.pixel * 0.75
-    out: list[Vec3 | None] = []
-    prev_t = None
-    prev_pt = None
-    for t in _sweep():
-        pt = _sample(triple(t))
-        if prev_t is not None:
-            out.extend(_refine(triple, prev_t, t, prev_pt, pt, frame, tol, depth=6))
-        out.append(pt)
-        prev_t, prev_pt = t, pt
-    out.append(_sample(triple((1, 0))))  # the wrap point of the sweep
+    out = [samples[0] if kept[0] else None]
+    for i in range(1, n):
+        p1, p2 = samples[i - 1], samples[i]
+        if p1 is not None and p2 is not None and (kept[i - 1] or kept[i]):
+            pm = samples[n + i - 1]
+            if pm is None:
+                out.append(None)
+            else:
+                wm, w1, w2 = world[n + i - 1], world[i - 1], world[i]
+                if _sag(wm, w1, w2) > tol:
+                    t1, t2 = pairs[i - 1], pairs[i]
+                    tm = _midpoint(t1, t2)
+                    e1, e2 = (p1, w1, kept[i - 1]), (p2, w2, kept[i])
+                    em = (pm, wm, frame.inside(pm, frame.margin_box))
+                    out += _refine(par, t1, tm, e1, em, frame, tol, 5)
+                    out.append(pm if em[2] else None)
+                    out += _refine(par, tm, t2, em, e2, frame, tol, 5)
+        out.append(p2 if kept[i] else None)
+    wrap = samples[-1]  # the wrap point of the sweep
+    out.append(wrap if wrap is not None and frame.inside(wrap, frame.margin_box) else None)
     out.append(out[0])  # close the loop
     return out
 
 
-def _refine(triple, t1, t2, p1, p2, frame, tol, depth):
-    """Extra samples strictly between the pairs t1 and t2 where the chord is too flat."""
-    if depth == 0 or p1 is None or p2 is None:
+def _refine(par, t1, t2, e1, e2, frame, tol, depth):
+    """Extra samples strictly between the pairs t1 and t2 where the chord is too flat, as :func:`_conic_samples` lists them.
+
+    Each end e is its sample, the sample's float position (see
+    :func:`_world`) and whether the sample lies in the margin box.
+    """
+    (p1, w1, k1), (p2, w2, k2) = e1, e2
+    if depth == 0 or p1 is None or p2 is None or not (k1 or k2):
         return []
-    if not (frame.inside(p1, frame.margin_box) or frame.inside(p2, frame.margin_box)):
-        return []
-    (n1, d1), (n2, d2) = t1, t2
-    tm = (n1 * d2 + n2 * d1, 2 * d1 * d2)
-    pm = _sample(triple(tm))
+    tm = _midpoint(t1, t2)
+    pm = _sample(par.triple_from_pair(tm))
     if pm is None:
         return [None]
-    sag = _point_segment_distance(pm, p1, p2)
-    if sag <= tol:
+    wm = _world(pm)
+    if _sag(wm, w1, w2) <= tol:
         return []
-    left = _refine(triple, t1, tm, p1, pm, frame, tol, depth - 1)
-    right = _refine(triple, tm, t2, pm, p2, frame, tol, depth - 1)
-    return left + [pm] + right
+    km = frame.inside(pm, frame.margin_box)
+    em = (pm, wm, km)
+    left = _refine(par, t1, tm, e1, em, frame, tol, depth - 1)
+    right = _refine(par, tm, t2, em, e2, frame, tol, depth - 1)
+    return left + [pm if km else None] + right
 
 
-def _point_segment_distance(p, a, b) -> float:
-    """The float distance of p from the segment ab; infinite when a coordinate is out of float range."""
+def _world(s: Vec3) -> tuple[float, float] | None:
+    """The float world position of the sample s; None when a coordinate is out of float range."""
     try:
-        px, py = p[0] / p[2], p[1] / p[2]
-        ax, ay = a[0] / a[2], a[1] / a[2]
-        bx, by = b[0] / b[2], b[1] / b[2]
+        return s[0] / s[2], s[1] / s[2]
+    except OverflowError:  # such a sample lies far outside the viewport
+        return None
+
+
+def _sag(p, a, b) -> float:
+    """The float distance of the position p from the segment ab; infinite when a position is None or the arithmetic overflows."""
+    if p is None or a is None or b is None:
+        return math.inf
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    try:
         dx, dy = bx - ax, by - ay
         length2 = dx * dx + dy * dy
         if length2 == 0:
             return ((px - ax) ** 2 + (py - ay) ** 2) ** 0.5
-        t = max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / length2))
+        t = ((px - ax) * dx + (py - ay) * dy) / length2
+        t = t if t < 1.0 else 1.0  # min(1.0, t), NaN included
+        t = t if t > 0.0 else 0.0  # max(0.0, t)
         qx, qy = ax + t * dx, ay + t * dy
         return ((px - qx) ** 2 + (py - qy) ** 2) ** 0.5
-    except OverflowError:  # such a sample lies far outside the viewport
+    except OverflowError:
         return math.inf
 
 
 def _polyline_runs(samples, frame: _Frame) -> list[list[tuple[float, float]]]:
-    """The SVG points of the kept samples, split at breaks; a point equal to the one before it is dropped."""
+    """The SVG points of the samples, split at breaks; a point equal to the one before it is dropped.
+
+    Each point is :meth:`_Frame.to_svg`, written out on the frame's unpacked ints.
+    """
+    den, width = frame.den, frame.width
+    a, _, c, e = frame.box
+    ca = c - a
     runs: list[list[tuple[float, float]]] = []
     current: list[tuple[float, float]] = []
     for s in samples:
-        if s is not None and frame.inside(s, frame.margin_box):
-            pt = frame.to_svg(s)
+        if s is not None:
+            x, y, z = s
+            span = z * ca
+            pt = ((x * den - a * z) * width / span, (e * z - y * den) * width / span)
             if not current or pt != current[-1]:
                 current.append(pt)
         elif current:
@@ -224,14 +297,14 @@ def render_svg(drawables, viewport: Viewport, width: int = 640) -> str:
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{frame.width}" '
-        f'height="{_fmt(frame.height)}" viewBox="0 0 {frame.width} {_fmt(frame.height)}">',
-        f'<rect width="{frame.width}" height="{_fmt(frame.height)}" fill="#ffffff"/>',
+        f'height="{frame.height!r}" viewBox="0 0 {frame.width} {frame.height!r}">',
+        f'<rect width="{frame.width}" height="{frame.height!r}" fill="#ffffff"/>',
     ]
     labels = []
     for d in drawables:
         if d.kind == "conic":
             for run in _polyline_runs(_conic_samples(d.obj, frame), frame):
-                pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in run)
+                pts = " ".join([f"{x!r},{y!r}" for x, y in run])
                 parts.append(f'<polyline {_CONIC_STYLE} points="{pts}"/>')
         elif d.kind in ("line", "accent-line"):
             seg = _clip_line(d.obj, frame)
@@ -240,21 +313,21 @@ def render_svg(drawables, viewport: Viewport, width: int = 640) -> str:
             (x1, y1), (x2, y2) = (frame.to_svg(seg[0]), frame.to_svg(seg[1]))
             style = _ACCENT_STYLE if d.kind == "accent-line" else _LINE_STYLE
             parts.append(
-                f'<line {style} x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>'
+                f'<line {style} x1="{x1!r}" y1="{y1!r}" x2="{x2!r}" y2="{y2!r}"/>'
             )
         elif d.kind == "point":
             s = _sample(d.obj.coords)
             if s is None or not frame.inside(s, frame.box):
                 continue
             cx, cy = frame.to_svg(s)
-            parts.append(f'<circle {_POINT_STYLE} cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="2.5"/>')
+            parts.append(f'<circle {_POINT_STYLE} cx="{cx!r}" cy="{cy!r}" r="2.5"/>')
             if d.label:
                 labels.append((cx, cy, d.label))
         else:
             raise ValueError(f"unknown drawable kind {d.kind!r}")
     for cx, cy, label in labels:
         parts.append(
-            f'<text {_TEXT_STYLE} x="{_fmt(cx + 5.0)}" y="{_fmt(cy - 5.0)}">{label}</text>'
+            f'<text {_TEXT_STYLE} x="{cx + 5.0!r}" y="{cy - 5.0!r}">{label}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

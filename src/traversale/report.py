@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 
+from .numbers import format_int
 from .value import Value
 
 
@@ -44,7 +45,7 @@ class VerificationReport(Value):
     def to_text(self) -> str:
         lines = [
             f"suite: {self.suite}",
-            f"seed: {self.seed}",
+            f"seed: {format_int(self.seed)}",  # TooManyDigits for a seed too long to print, before json.dumps fails
             f"cases: {self.cases}",
         ]
         for prop in self.properties:

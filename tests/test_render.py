@@ -1,15 +1,17 @@
 """SVG output: determinism, exact-to-float incidence, viewport handling."""
 
 import hashlib
+import math
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from traversale import Conic, EmptyViewport, Homography, PLine, PPoint, transform
+from traversale import Conic, EmptyViewport, Homography, PLine, PPoint, SingularMatrix, transform
 from traversale.conic import RationalParametrization, chord_parametrization
 from traversale.linalg import cross, dot, mat_vec
+from traversale.projective import LINE_AT_INFINITY
 from traversale.render import FIGURES, Drawable, _conic_samples, _Frame, _sample, _sweep, build_figure, render_figure, render_svg
 
 F = Fraction
@@ -97,14 +99,22 @@ def test_hyperbola_renders_in_branches():
     assert len(POLYLINE_RE.findall(svg)) >= 2  # separate branch polylines
 
 
+def _clipped(line, viewport):
+    svg = render_svg([Drawable("line", line)], tuple(map(Fraction, viewport)), width=100)
+    return [{(x1, y1), (x2, y2)} for x1, y1, x2, y2 in (tuple(map(float, m)) for m in LINE_RE.findall(svg))]
+
+
 def test_lines_clipped_exactly():
-    svg = render_svg(
-        [Drawable("line", PLine(1, -1, 0))],  # the diagonal y = x
-        (Fraction(0), Fraction(0), Fraction(1), Fraction(1)),
-        width=100,
-    )
-    ((x1, y1, x2, y2),) = [tuple(map(float, m)) for m in LINE_RE.findall(svg)]
-    assert {(x1, y1), (x2, y2)} == {(0.0, 100.0), (100.0, 0.0)}
+    # the diagonal y = x meets both borders at each corner at the same scale
+    assert _clipped(PLine(1, -1, 0), (0, 0, 1, 1)) == [{(0.0, 100.0), (100.0, 0.0)}]
+    # x = 2y meets x = 0 and y = 0 at (0, 0, 2) and (0, 0, 1), and x = 2 and
+    # y = 1 at (4, 2, 2) and (2, 1, 1): one corner each, however scaled
+    assert _clipped(PLine(1, -2, 0), (0, 0, 2, 1)) == [{(0.0, 50.0), (100.0, 0.0)}]
+    # a border line is drawn along its edge
+    assert _clipped(PLine(1, 0, 0), (0, 0, 2, 1)) == [{(0.0, 50.0), (0.0, 0.0)}]
+    assert _clipped(PLine(0, 1, -1), (0, 0, 2, 1)) == [{(0.0, 0.0), (100.0, 0.0)}]
+    # the line at infinity meets no border inside the viewport
+    assert _clipped(LINE_AT_INFINITY, (0, 0, 2, 1)) == []
 
 
 def _exact_svg(x, y, viewport, width):
@@ -199,24 +209,44 @@ def _sampled_conics():
 _SAMPLED = list(_sampled_conics())
 
 
+def _pair_of_frame_point(x):
+    """The pair (num, den), den >= 0, whose frame point (num^2, num*den, den^2) is x."""
+    nn, nd, dd = x
+    num, den = math.isqrt(nn), math.isqrt(dd)
+    if nd < 0:
+        num = -num
+    assert (num * num, num * den, den * den) == x
+    return (num, den)
+
+
 @pytest.mark.parametrize("name, conic, viewport", _SAMPLED, ids=[name for name, *_ in _SAMPLED])
 def test_sample_triples_are_scaled_points_of_the_conic(name, conic, viewport, monkeypatch):
-    # every pair the sweep and its refinement evaluate: the unreduced triple
-    # is nonzero, on the conic, and a multiple of the reduced point
-    pairs = []
-    real = RationalParametrization.triple_from_pair
+    # every pair the sweep and its refinement evaluate, in the bulk
+    # point_triples call (through _point_triple) or one at a time: the
+    # unreduced triple is nonzero, on the conic, and a multiple of the
+    # reduced point
+    evaluated = []
+    single, from_pair = RationalParametrization._point_triple, RationalParametrization.triple_from_pair
 
-    def recording(self, pair):
-        pairs.append(pair)
-        return real(self, pair)
+    def recording_single(self, x):
+        triple = single(self, x)
+        evaluated.append((_pair_of_frame_point(x), triple))
+        return triple
 
-    monkeypatch.setattr(RationalParametrization, "triple_from_pair", recording)
+    def recording_pair(self, pair):
+        triple = from_pair(self, pair)
+        evaluated.append((pair, triple))
+        return triple
+
+    monkeypatch.setattr(RationalParametrization, "_point_triple", recording_single)
+    monkeypatch.setattr(RationalParametrization, "triple_from_pair", recording_pair)
     samples = _conic_samples(conic, _Frame(viewport, 640))
     monkeypatch.undo()
     par = chord_parametrization(conic)
-    assert len(pairs) > len(_sweep()) + 1 or name == "deep"  # the refinement ran
-    for pair in pairs:
+    assert len(evaluated) > len(_sweep()[1]) or name == "deep"  # the refinement ran
+    for pair, triple in evaluated:
         v = par.triple_from_pair(pair)
+        assert v == triple
         assert v != (0, 0, 0)
         assert dot(mat_vec(conic.matrix, v), v) == 0
         assert cross(v, par.point_from_pair(pair).coords) == (0, 0, 0)
@@ -242,3 +272,164 @@ def test_render_bytes_pinned_for_deep_conic_and_hyperbola():
     hyperbola = render_svg([Drawable("conic", _HYPERBOLA)], (F(-4), F(-4), F(4), F(4)))
     assert hashlib.sha256(deep.encode()).hexdigest() == "4aff5d4f1d07836b4c57458602cc4cf5ee20f98acbf293ab416dd9e1fa353cda"
     assert hashlib.sha256(hyperbola.encode()).hexdigest() == "22af72f92595be294c5d47df5ca7a51a4003d0bc246054a8de53a3dbf10c421d"
+
+
+_FIGURE_SHA256 = {
+    "fig8": "ecfdd48cff36c41388eeed6c12f75f5ec7ca8a86c661f41243cd7c9a97e2ce16",
+    "fig10": "6e3c8688d79009b50d546c3beae079121f04d7e82891b59882715b37029417b1",
+    "fig13": "5560d5bb424ff072478a8a939a747341cdaab052f17ae420cd706bef461677ff",
+    "fig14": "a9f2c0a149cef379f4b0702d109b526da882d2afd4e7516f21d220b2b1bd1468",
+    "fig16": "426eca5b039935c43d6824433f5ea704367398bad4f0b65d3d6a90f8c65503b8",
+}
+
+
+def test_figure_bytes_pinned():
+    # the same digests as perfbench/reference.json, so a byte change of a
+    # figure fails here without running the benchmark
+    got = {name: hashlib.sha256(render_figure(name).encode()).hexdigest() for name in FIGURES}
+    assert got == _FIGURE_SHA256
+
+
+# -- the single-pass sampler against the recursive one it replaced --------------
+
+def _reference_sweep():
+    params = {F(k, 4) for k in range(-4 * 24, 4 * 24 + 1)}
+    params |= {F(96, k) for k in range(-23, 24) if k != 0}
+    return [(t.numerator, t.denominator) for t in sorted(params)]
+
+
+def _reference_samples(c, frame, seen):
+    """The recursive sampler: each interval of the sweep refined on its own, every pair mapped alone.
+
+    ``seen`` collects the rare paths taken: "depth 6" (a sixth bisection
+    level sagged too far), "infinite sag" and "midpoint at infinity".
+    """
+    triple = chord_parametrization(c).triple_from_pair
+    tol = frame.pixel * 0.75
+    out = []
+    prev_t = prev_pt = None
+    for t in _reference_sweep():
+        pt = _sample(triple(t))
+        if prev_t is not None:
+            out.extend(_reference_refine(triple, prev_t, t, prev_pt, pt, frame, tol, 6, seen))
+        out.append(pt)
+        prev_t, prev_pt = t, pt
+    out.append(_sample(triple((1, 0))))  # the wrap point of the sweep
+    out.append(out[0])  # close the loop
+    return out
+
+
+def _reference_refine(triple, t1, t2, p1, p2, frame, tol, depth, seen):
+    if depth == 0:
+        seen.add("depth 6")
+        return []
+    if p1 is None or p2 is None:
+        return []
+    if not (frame.inside(p1, frame.margin_box) or frame.inside(p2, frame.margin_box)):
+        return []
+    (n1, d1), (n2, d2) = t1, t2
+    tm = (n1 * d2 + n2 * d1, 2 * d1 * d2)
+    pm = _sample(triple(tm))
+    if pm is None:
+        seen.add("midpoint at infinity")
+        return [None]
+    sag = _reference_distance(pm, p1, p2)
+    if sag == math.inf:
+        seen.add("infinite sag")
+    if sag <= tol:
+        return []
+    left = _reference_refine(triple, t1, tm, p1, pm, frame, tol, depth - 1, seen)
+    right = _reference_refine(triple, tm, t2, pm, p2, frame, tol, depth - 1, seen)
+    return left + [pm] + right
+
+
+def _reference_distance(p, a, b):
+    try:
+        px, py = p[0] / p[2], p[1] / p[2]
+        ax, ay = a[0] / a[2], a[1] / a[2]
+        bx, by = b[0] / b[2], b[1] / b[2]
+        dx, dy = bx - ax, by - ay
+        length2 = dx * dx + dy * dy
+        if length2 == 0:
+            return ((px - ax) ** 2 + (py - ay) ** 2) ** 0.5
+        t = max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / length2))
+        qx, qy = ax + t * dx, ay + t * dy
+        return ((px - qx) ** 2 + (py - qy) ** 2) ** 0.5
+    except OverflowError:
+        return math.inf
+
+
+_PARABOLA = Conic(((2, 0, 0), (0, 0, -1), (0, -1, 0)), witness=PPoint(0, 0, 1))  # y = x^2
+
+
+def _steep_parabola(k):
+    """y = x^2 / k: from the vertex, every other sweep sample lies about k away."""
+    return Conic(((2, 0, 0), (0, 0, -k), (0, -k, 0)), witness=PPoint(0, 0, 1))
+
+
+_BIG = 2**1100  # past float range
+_EX, _EY = chord_parametrization(Conic.unit_circle()).point(F(1)).affine()  # the sample of the sweep pair (1, 1)
+_EDGE_CASES = [
+    ("parabola", _PARABOLA, (F(-3), F(-1), F(3), F(5))),
+    # the vertex's neighbours have coordinates whose squares, or themselves, overflow a float
+    ("square past float range", _steep_parabola(2**600), (F(-1), F(-1), F(1), F(1))),
+    ("sample past float range", _steep_parabola(_BIG), (F(-1), F(-1), F(1), F(1))),
+    # the circle's point (1, 0) goes to (_BIG, 0); every other sample stays near the viewport
+    ("one sample past float range", transform(Conic.unit_circle(), Homography(((_BIG, 0, 0), (0, _BIG, 0), (-_BIG, 0, _BIG + 1)))), (F(-2), F(-2), F(2), F(2))),
+    ("far viewport", Conic.unit_circle(), (F(1000), F(1000), F(1001), F(1001))),
+    ("tiny viewport", Conic.unit_circle(), (F(3, 5), F(4, 5), F(3, 5) + F(1, 2**24), F(4, 5) + F(1, 2**24))),
+    # asymptote slopes 1/8 and 1/16 from the vertex (1, 0): the midpoint of
+    # the sweep pairs 0 and 1/4, and of its left half, is at infinity
+    ("asymptote at a midpoint", Conic(((1, 0, 0), (0, -64, 0), (0, 0, -1)), witness=PPoint(1, 0, 1)), (F(-4), F(-4), F(4), F(4))),
+    ("asymptote at a bisection", Conic(((1, 0, 0), (0, -256, 0), (0, 0, -1)), witness=PPoint(1, 0, 1)), (F(-4), F(-4), F(4), F(4))),
+    # unit viewports whose margin box (grown by 2 on every side) has one
+    # edge through a sweep sample, which is kept
+    *[
+        (f"sample on the margin {side}", Conic.unit_circle(), (x0, y0, x0 + 1, y0 + 1))
+        for side, x0, y0 in (("left", _EX + 2, _EY), ("right", _EX - 3, _EY), ("bottom", _EX, _EY + 2), ("top", _EX, _EY - 3))
+    ],
+]
+
+
+def _random_cases(seed, count):
+    """Circles, parabolas and hyperbolas under up to six homographies, each seen through a viewport at a conic point, 1 to 2^-24 wide."""
+    rng = random.Random(seed)
+    bases = (Conic.unit_circle(), _PARABOLA, _HYPERBOLA)
+    for i in range(count):
+        c = bases[i % 3]
+        for _ in range(rng.randint(0, 6)):
+            try:
+                c = transform(c, Homography([[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]))
+            except SingularMatrix:
+                pass
+        par = chord_parametrization(c)
+        p = par.point(F(rng.randint(-50, 50), rng.randint(1, 9)))
+        while p.coords[2] == 0:
+            p = par.point(F(rng.randint(-50, 50), rng.randint(1, 9)))
+        x, y = p.affine()
+        size = F(rng.randint(1, 9), 2 ** rng.randint(0, 24))
+        x += size * F(rng.randint(-8, 8), 8)
+        y += size * F(rng.randint(-8, 8), 8)
+        yield f"random {i}", c, (x - size, y - size, x + size, y + size * F(rng.randint(1, 4), 2))
+
+
+_ORACLE_CASES = _SAMPLED + _EDGE_CASES + list(_random_cases(37, 30))
+
+
+def test_single_pass_sampler_matches_the_recursive_reference():
+    paths = {}
+    for name, conic, viewport in _ORACLE_CASES:
+        frame = _Frame(viewport, 640)
+        paths[name] = set()
+        expect = _reference_samples(conic, frame, paths[name])
+        # the single pass lists a sample outside the margin box as a break
+        kept = [s if s is not None and frame.inside(s, frame.margin_box) else None for s in expect]
+        assert _conic_samples(conic, frame) == kept, name
+        if name == "far viewport":
+            assert kept == [None] * len(expect)
+        if name.startswith("sample on the margin"):
+            assert _sample(chord_parametrization(conic).triple_from_pair((1, 1))) in kept
+    # the edge cases reach the rare paths of the refinement
+    assert "depth 6" in paths["tiny viewport"]
+    assert "infinite sag" in paths["square past float range"] & paths["sample past float range"]
+    assert "midpoint at infinity" in paths["asymptote at a midpoint"] & paths["asymptote at a bisection"]

@@ -7,10 +7,11 @@ import pytest
 
 from traversale import verify
 from traversale.conic import chord_parametrization
-from traversale.errors import GeometryError, InvalidCaseCount, UnknownSuite
+from traversale.errors import GeometryError, InvalidCaseCount, TooManyDigits, UnknownSuite
 from traversale.involution import InvolutionOnLine
 from traversale.numbers import INF, from_pair
 from traversale.projective import PLine, PPoint
+from traversale.report import VerificationReport
 from traversale.verify import (
     ALL_SUITES,
     Draws,
@@ -437,3 +438,14 @@ def test_failing_reports_are_pinned(monkeypatch, fault):
     suite, name, inject, pinned = _PINNED_FAILURES[fault]
     monkeypatch.setattr(verify, name, inject(getattr(verify, name)))
     assert verify_suite(suite, seed=3, cases=8).to_text() == pinned
+
+
+def test_a_seed_too_long_to_print_raises_too_many_digits():
+    # the seed keys the case streams and heads the report as text
+    seed = (10**3000) ** 2
+    with pytest.raises(TooManyDigits):
+        verify_suite("ramee", seed, 1)
+    with pytest.raises(TooManyDigits):
+        verify_suite("quadrangle-independence", seed, 1)
+    with pytest.raises(TooManyDigits):
+        VerificationReport("ramee", seed, 1).to_text()
