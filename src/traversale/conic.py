@@ -39,7 +39,7 @@ from .errors import (
 )
 from .involution import InvolutionOnLine, fixed_pairs
 from .linalg import (
-    Mat3, Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, primitive, primitive_rows, primitive_triple, transpose,
+    Mat2, Mat3, Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, primitive, primitive_rows, primitive_triple, transpose,
 )
 from .numbers import ExtRat, Pair, format_int, format_repr, small_pairs, to_pair
 from .projective import (
@@ -194,13 +194,12 @@ def polar(c: Conic, m: PPoint) -> PLine:
     If m lies on the conic this is the tangent at m.  The only excluded
     points are those annihilated by the form (the point double of a
     degenerate conic).  A point that carries a frame of this conic (see
-    :class:`RationalParametrization`) takes the model conic's polar
-    (-y2, 2*y1, -y0) of its frame vector y, as a framed line.
+    :class:`RationalParametrization`) takes the :func:`model_polar` of its
+    frame vector, as a framed line.
     """
     frame = m.frame
     if frame is not None and frame.conic is c:
-        y0, y1, y2 = m.frame_vector
-        return frame.line_from_frame((-y2, 2 * y1, -y0))
+        return frame.line_from_frame(model_polar(m.frame_vector))
     coeffs = mat_vec(c.matrix, m.coords)
     if all(x == 0 for x in coeffs):
         raise TotallyIsotropicPoint(f"{m} annihilates the form; no polar")
@@ -217,13 +216,12 @@ def _pole_coords(c: Conic, l: PLine) -> Vec3:
 def pole(c: Conic, l: PLine) -> PPoint:
     """The point whose polar is l; needs a rank-3 form.
 
-    A line that carries a frame of this conic takes the model conic's pole
-    (-2*lam2, lam1, -2*lam0) of its frame vector lam, as a framed point.
+    A line that carries a frame of this conic takes the :func:`model_pole`
+    of its frame vector, as a framed point.
     """
     frame = l.frame
     if frame is not None and frame.conic is c:
-        lam0, lam1, lam2 = l.frame_vector
-        return frame.point_from_frame((-2 * lam2, lam1, -2 * lam0))
+        return frame.point_from_frame(model_pole(l.frame_vector))
     return PPoint(*_pole_coords(c, l))
 
 
@@ -258,20 +256,17 @@ def line_intersect(c: Conic, l: PLine) -> tuple[PPoint, ...]:
     vanishes raises LineOnConic.
 
     A conic that already carries its :func:`chord_parametrization` is read
-    in that frame first.  With lam = l's frame line, the points of l on the
-    conic are those of the pairs s with lam0*s0^2 + lam1*s0*s1 + lam2*s1^2
-    = 0: the fixed pairs of [[lam1, 2*lam2], [-2*lam0, -lam1]], the
-    parameter involution of lam's frame pole (2*lam2, -lam1, 2*lam0).  For
-    a line through points of small parameter, lam is small while the plane
-    form is deep.  The parametrization is a bijection over Q and over R,
-    so both paths see the same points, rational or not; an irrational
-    trace is still reported by the plane path, with its canonical-basis
-    discriminant.
+    in that frame first: the points of l on the conic are the bornes of
+    the fixed pairs of the :func:`model_involution` of the
+    :func:`model_pole` of l's frame line lam.  For a line through points of
+    small parameter, lam is small while the plane form is deep.  The
+    parametrization is a bijection over Q and over R, so both paths see
+    the same points, rational or not; an irrational trace is still
+    reported by the plane path, with its canonical-basis discriminant.
     """
     par = c._parametrization
     if isinstance(par, RationalParametrization):
-        lam0, lam1, lam2 = par.frame_of_line(l)
-        pairs = fixed_pairs(((lam1, 2 * lam2), (-2 * lam0, -lam1)))
+        pairs = fixed_pairs(model_involution(model_pole(par.frame_of_line(l))))
         if pairs is not None:
             return tuple(sorted(map(par.point_from_pair, pairs), key=lambda p: p.coords))
     basis = canonical_basis(l)
@@ -407,6 +402,62 @@ def transform(c: Conic, h: Homography) -> Conic:
     return Conic(rows, witness=witness)
 
 
+# ---------------------------------------------------------------------------
+# The model conic x1^2 = x0*x2
+# ---------------------------------------------------------------------------
+# Every RationalParametrization maps the model conic onto its conic, so a
+# frame vector is a point or a line of the model, and a ruler construction
+# on the conic's points runs on these formulas.  The model's form has the
+# matrix [[0, 0, -1], [0, 2, 0], [-1, 0, 0]], whose adjugate is
+# [[0, 0, -2], [0, 1, 0], [-2, 0, 0]] up to sign.
+
+def model_point(s: Pair) -> Vec3:
+    """The borne (s0^2, s0*s1, s1^2) of the chart pair s, the frame point of s."""
+    s0, s1 = s
+    return (s0 * s0, s0 * s1, s1 * s1)
+
+
+def model_chord(s: Pair, t: Pair) -> Vec3:
+    """The frame line (s1*t1, -(s0*t1 + s1*t0), s0*t0) through the bornes of s and t; the tangent when s = t."""
+    (s0, s1), (t0, t1) = s, t
+    return (s1 * t1, -(s0 * t1 + s1 * t0), s0 * t0)
+
+
+def on_model_conic(x: Vec3) -> bool:
+    """Whether the frame point x is on the model conic: x1^2 = x0*x2."""
+    return x[1] * x[1] == x[0] * x[2]
+
+
+def model_polar(y: Vec3) -> Vec3:
+    """The polar (-y2, 2*y1, -y0) of the frame point y."""
+    y0, y1, y2 = y
+    return (-y2, 2 * y1, -y0)
+
+
+def model_pole(lam: Vec3) -> Vec3:
+    """The pole (-2*lam2, lam1, -2*lam0) of the frame line lam.
+
+    lam meets the model conic in the bornes of the pairs s with
+    lam0*s0^2 + lam1*s0*s1 + lam2*s1^2 = 0, so it is tangent when that
+    root is double, lam1^2 = 4*lam0*lam2: when its pole is on the conic.
+    """
+    lam0, lam1, lam2 = lam
+    return (-2 * lam2, lam1, -2 * lam0)
+
+
+def model_involution(x: Vec3) -> Mat2:
+    """The parameter involution [[-x1, x0], [-x2, x1]] of the frame point x.
+
+    It maps a pair s to the pair of the second borne on the line through x
+    and the borne of s.  Its trace is zero, which is Desargues' involution
+    theorem read in the parameter; its fixed pairs are the contacts of the
+    tangents from x, and it degenerates (determinant x0*x2 - x1^2) exactly
+    when x is on the model conic.
+    """
+    x0, x1, x2 = x
+    return ((-x1, x0), (-x2, x1))
+
+
 class RationalParametrization(Value):
     """All rational points of a conic from one of them, by the chord trick.
 
@@ -422,13 +473,14 @@ class RationalParametrization(Value):
     pair, whose integer vectors A, B, C are computed once here.
 
     (A, B, C) is the conic's own frame.  The homography x -> x0*A + x1*B +
-    x2*C maps the model conic x1^2 = x0*x2 onto the conic, the point
-    (s0^2, s0*s1, s1^2) of the pair s = (s0, s1) onto P(s).  It carries
-    joins to joins and meets to meets, so a ruler construction on points
-    of the conic can run on small frame vectors and enter the plane once
-    (see :mod:`traversale.synthetic`).  With the chord form (U, V, W) =
-    (AxB, AxC, BxC) divided by its content, UxV = rA, UxW = rB and VxW = rC
-    for one r = det(A, B, C)/content^2, which gives the four maps:
+    x2*C maps the model conic x1^2 = x0*x2 onto the conic, the borne
+    :func:`model_point` of the pair s onto P(s).  It carries joins to
+    joins and meets to meets, so a ruler construction on points of the
+    conic can run on small frame vectors, with the model conic's formulas
+    above, and enter the plane once (see :mod:`traversale.synthetic`).
+    With the chord form (U, V, W) = (AxB, AxC, BxC) divided by its
+    content, UxV = rA, UxW = rB and VxW = rC for one
+    r = det(A, B, C)/content^2, which gives the four maps:
 
     - a plane point p has frame coordinates (W.p, -V.p, U.p)
       (:meth:`frame_of_point`), and a frame point x is x0*A + x1*B + x2*C
@@ -489,11 +541,10 @@ class RationalParametrization(Value):
         return self.point_from_pair(to_pair(t))
 
     def point_from_pair(self, pair: Pair) -> PPoint:
-        """The point of the homogeneous chart pair (num, den), t = num/den, at frame vector (num^2, num*den, den^2)."""
+        """The point of the homogeneous chart pair (num, den), t = num/den, at the frame vector :func:`model_point`."""
         if not self._framed:
             return PPoint(*self.triple_from_pair(pair))
-        num, den = pair
-        return FramedPoint(self, primitive_triple(num * num, num * den, den * den))
+        return FramedPoint(self, primitive_triple(*model_point(pair)))
 
     def triple_from_pair(self, pair: Pair) -> Vec3:
         """The unreduced coordinates A*num^2 + B*num*den + C*den^2 of the point of the pair.
@@ -505,6 +556,8 @@ class RationalParametrization(Value):
         num, den = pair
         if num == 0 and den == 0:
             raise ValueError("zero pair")
+        # model_point(pair), written out for speed: each plain point of a pair
+        # and each sample the renderer refines is evaluated here
         nn, nd, dd = num * num, num * den, den * den
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = self._quadratic
         return (a0 * nn + b0 * nd + c0 * dd, a1 * nn + b1 * nd + c1 * dd, a2 * nn + b2 * nd + c2 * dd)
@@ -592,13 +645,16 @@ def second_intersection(c: Conic, base: PPoint, other: PPoint) -> PPoint:
 # A parametrization hands out framed points and lines only when A's entries
 # are wider than this many bits.  Below it the frame route's fixed cost (a
 # small cross product and gcd, and the framed value) outweighs what it saves.
-# Timeit of join, meet and polar, frame route over plane route, on the unit
-# circle under k random homographies with entries in [-4, 4] (6 conics per
-# k; Python 3.11.7, 2 vCPU): k = 1, 2, 4, 8 (A 5-58 bits) 1.5-1.9x,
-# k = 16 (94-125 bits) 1.2-1.4x, k = 24 (147-178 bits) 1.17x, k = 32
-# (205-230 bits) 0.96-1.16x, k = 48 (305-368 bits) 0.79-0.97x, k = 128
-# (834-902 bits) 0.47-0.51x, k = 256 (1,743-1,828 bits) 0.31x.  The whole
-# perfbench construction task crosses over at the same k = 32.
+# End to end, with framed values mapped lazily (perfbench, Python 3.11.7,
+# 2 vCPU, 8 s runs, 4 alternating pairs): with no gate, every
+# parametrization framed, `constructions` (entries of a few bits) read
+# wall_s 1.22x (0/4 pairs lower) and `deep-chain` 1.005x; a gate at 100 or
+# 400 bits read 1.006x and 0.996x on `deep-chain`, inside its spread.  So
+# the runs keep small conics plain but do not place the gate more closely.
+# 200 is the crossover of an earlier timeit of join, meet and polar, frame
+# route over plane route on the unit circle under k random homographies,
+# taken before framed values were lazy: 1.5-1.9x at 5-58 bits (k <= 8),
+# 0.96-1.16x at 205-230 bits (k = 32), 0.31x at about 1,800 bits (k = 256).
 _FRAME_BITS = 200
 
 

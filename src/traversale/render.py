@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .conic import Conic, chord_parametrization, polar, tangents_from
+from .conic import Conic, chord_parametrization, model_point, polar, tangents_from
 from .errors import EmptyViewport, UnknownReference, ViewportOutOfRange
 from .linalg import Vec3, cross
 from .numbers import Pair, format_extended, parse_rational
@@ -156,15 +156,15 @@ def _sweep() -> tuple[tuple[Pair, ...], tuple[Vec3, ...]]:
     """The fixed parameter sweep and the frame points of every pair it evaluates at level 0.
 
     The sweep is the sorted integer pairs (num, den), den > 0.  The frame
-    points (num^2, num*den, den^2) are those of the sweep pairs, then of
-    the midpoint of each interval between consecutive pairs, then of the
-    wrap pair (1, 0).
+    points (:func:`~traversale.conic.model_point`) are those of the sweep
+    pairs, then of the midpoint of each interval between consecutive
+    pairs, then of the wrap pair (1, 0).
     """
     params = {Fraction(k, 4) for k in range(-4 * 24, 4 * 24 + 1)}
     params |= {Fraction(96, k) for k in range(-23, 24) if k != 0}
     pairs = tuple((t.numerator, t.denominator) for t in sorted(params))
     mids = tuple(map(_midpoint, pairs, pairs[1:]))
-    return pairs, tuple((n * n, n * d, d * d) for n, d in pairs + mids + ((1, 0),))
+    return pairs, tuple(map(model_point, pairs + mids + ((1, 0),)))
 
 
 def _conic_samples(c: Conic, frame: _Frame) -> list[Vec3 | None]:
@@ -182,10 +182,14 @@ def _conic_samples(c: Conic, frame: _Frame) -> list[Vec3 | None]:
     par = chord_parametrization(c)
     pairs, vectors = _sweep()
     n = len(pairs)
+    # _sample and _Frame.inside are written out over these 458 samples, and
+    # _Frame.to_svg in _polyline_runs, because calling the three made
+    # `scenes` slower: wall_s 1.026x, 5/6 pairs higher (perfbench, 8 s
+    # runs, Python 3.11.7, 2 vCPU)
     samples = [None if z == 0 else (x, y, z) if z > 0 else (-x, -y, -z) for x, y, z in par.point_triples(vectors)]
     den = frame.den
     xmin, ymin, xmax, ymax = frame.margin_box
-    kept = [  # Frame.inside(s, margin_box) of each sweep sample
+    kept = [  # _Frame.inside(s, margin_box) of each sweep sample
         s is not None and xmin * s[2] <= s[0] * den <= xmax * s[2] and ymin * s[2] <= s[1] * den <= ymax * s[2]
         for s in samples[:n]
     ]
@@ -268,7 +272,8 @@ def _sag(p, a, b) -> float:
 def _polyline_runs(samples, frame: _Frame) -> list[list[tuple[float, float]]]:
     """The SVG points of the samples, split at breaks; a point equal to the one before it is dropped.
 
-    Each point is :meth:`_Frame.to_svg`, written out on the frame's unpacked ints.
+    Each point is :meth:`_Frame.to_svg`, written out on the frame's
+    unpacked ints for speed (see :func:`_conic_samples`).
     """
     den, width = frame.den, frame.width
     a, _, c, e = frame.box

@@ -13,12 +13,11 @@ never run into irrational intersections.
 
 The traversale and the pole by construction run in the frame (A, B, C) of
 the conic's chord parametrization (see RationalParametrization).  There the
-conic is the model conic x1^2 = x0*x2, the borne of a chart pair s is
-(s0^2, s0*s1, s1^2), the chord through s = (a, b) and t = (c, d) is the
-frame line (bd, -(ad + bc), ac), and joins and meets are cross products of
-small frame vectors.  A construction maps its input into the frame once,
-decides its precondition there (f off the conic: x1^2 != x0*x2; l not
-tangent: lam1^2 != 4*lam0*lam2) and maps only its result into the plane.
+conic is the model conic, whose bornes, chords and parameter involutions
+are the formulas of its section in :mod:`traversale.conic`, and joins and
+meets are cross products of small frame vectors.  A construction maps its
+input into the frame once, decides its precondition there (f off the
+conic, l not tangent) and maps only its result into the plane.
 """
 
 from __future__ import annotations
@@ -31,6 +30,11 @@ from .conic import (
     affine_features,
     chord_parametrization,
     line_intersect,
+    model_chord,
+    model_involution,
+    model_point,
+    model_pole,
+    on_model_conic,
     polar,
     polarity_involution_on_line,
     pole,
@@ -51,7 +55,7 @@ from .errors import (
     VertexOnTransversal,
 )
 from .involution import InvolutionOnLine, PointPair, involution_from_two_pairs
-from .linalg import Mat2, Vec3, cross, det3, dot
+from .linalg import Vec3, cross, det3, dot
 from .numbers import ExtRat, Pair, from_pair, lowest_terms, pair_cross, small_pairs
 from .projective import (
     LINE_AT_INFINITY,
@@ -168,35 +172,6 @@ class PencilBase(Value):
 _SWEEP_PAIRS = ((0, 1), (1, 0), *islice(small_pairs(), 1, 63))
 
 
-def _borne(s: Pair) -> Vec3:
-    """The frame point of the pair s on the model conic."""
-    a, b = s
-    return (a * a, a * b, b * b)
-
-
-def _chord(s: Pair, t: Pair) -> Vec3:
-    """The frame line through the bornes of s and t; the tangent when s = t."""
-    (a, b), (c, d) = s, t
-    return (b * d, -(a * d + b * c), a * c)
-
-
-def _involution(x: Vec3) -> Mat2:
-    """The parameter involution of the frame point x off the model conic.
-
-    It maps a pair s to the pair of the second borne on the line through x
-    and the borne of s.  Its trace is zero, which is Desargues' involution
-    theorem read in the parameter; its fixed pairs are the contacts of the
-    tangents from x, and it degenerates (determinant x0*x2 - x1^2) exactly
-    when x is on the conic.
-    """
-    x0, x1, x2 = x
-    return ((-x1, x0), (-x2, x1))
-
-
-def _on_model_conic(x: Vec3) -> bool:
-    return x[1] * x[1] == x[0] * x[2]
-
-
 def _sweep(
     par: RationalParametrization, x: Vec3, offset: int, known: tuple[Pair, Pair] | None = None
 ) -> tuple[Pair, Pair, Pair, Pair]:
@@ -216,7 +191,7 @@ def _sweep(
     distinct, and never three collinear, because RationalParametrization
     accepts only a nondegenerate conic.
     """
-    (m00, m01), (m10, m11) = _involution(x)
+    (m00, m01), (m10, m11) = model_involution(x)
     seen: set[Pair] = set()
     secants: list[tuple[Pair, Pair]] = []
     if known is not None:
@@ -243,19 +218,19 @@ def _frame_traversale(
 ) -> Vec3:
     """The frame line joining N = CD /\\ BE and G = BD /\\ CE of the quadrangle :func:`_sweep` names."""
     sb, sc, sd, se = _sweep(par, x, offset, known)
-    n = cross(_chord(sc, sd), _chord(sb, se))
-    g = cross(_chord(sb, sd), _chord(sc, se))
+    n = cross(model_chord(sc, sd), model_chord(sb, se))
+    g = cross(model_chord(sb, sd), model_chord(sc, se))
     return cross(g, n)
 
 
 def _frame_of_point_off_conic(c: Conic, f: PPoint) -> tuple[RationalParametrization, Vec3]:
-    """The conic's parametrization and the frame point x of f, raising OnConic when x1^2 = x0*x2.
+    """The conic's parametrization and the frame point x of f, raising OnConic when x is on the model conic.
 
     A conic the parametrization refuses names that error first, even for an f on it.
     """
     par = chord_parametrization(c)
     x = par.frame_of_point(f)
-    if _on_model_conic(x):
+    if on_model_conic(x):
         raise OnConic(f"{f} lies on the conic; no traversale quadrangle exists")
     return par, x
 
@@ -350,13 +325,13 @@ def pole_by_construction(c: Conic, l: PLine) -> PPoint:
     sweep never runs out: among its 64 parameters at most two bornes lie on
     l and at most two of the g are on the conic.  Like the traversale, the
     construction runs in the frame of the conic's parametrization and maps
-    only the pole into the plane.  Tangency is decided there first: the
-    model conic's points (s^2, s, 1) meet the frame line lam of l where
-    lam0 s^2 + lam1 s + lam2 = 0, a double root when lam1^2 = 4*lam0*lam2.
+    only the pole into the plane.  Tangency is decided there first: l's
+    frame line lam is tangent when its :func:`model_pole` is on the model
+    conic.
     """
     par = chord_parametrization(c)
     lam = par.frame_of_line(l)
-    if lam[1] * lam[1] == 4 * lam[0] * lam[2]:
+    if on_model_conic(model_pole(lam)):
         raise TangentLine(f"{l} is tangent; its pole lies on it and the construction degenerates")
     (g1, known1), (g2, known2) = islice(_frame_cuts(lam), 2)
     tau1, tau2 = _frame_traversale(par, g1, known=known1), _frame_traversale(par, g2, known=known2)
@@ -365,9 +340,9 @@ def pole_by_construction(c: Conic, l: PLine) -> PPoint:
 
 def _frame_cuts(lam: Vec3):
     """The cuts g of the frame line lam off the conic, in sweep order, each with its secant (hub, s) through g."""
-    hub = next(h for h in _SWEEP_PAIRS if dot(lam, _borne(h)))
-    cuts = ((cross(lam, _chord(hub, s)), (hub, s)) for s in _SWEEP_PAIRS if s != hub)
-    return ((g, known) for g, known in cuts if not _on_model_conic(g))
+    hub = next(h for h in _SWEEP_PAIRS if dot(lam, model_point(h)))
+    cuts = ((cross(lam, model_chord(hub, s)), (hub, s)) for s in _SWEEP_PAIRS if s != hub)
+    return ((g, known) for g, known in cuts if not on_model_conic(g))
 
 
 def incidence_lemma_check(c: Conic, f: PPoint, n: PPoint, d: PPoint, c_pt: PPoint) -> bool:

@@ -143,6 +143,27 @@ def one_object(bound: int) -> tuple[dict[str, set[str]], Counter]:
     return {name: names - {"result"} for name, names in raised.items()}, outcomes
 
 
+def random_homography(rng: random.Random) -> Homography:
+    """A homography whose nine entries are drawn from [-4, 4], redrawn while singular."""
+    while True:
+        try:
+            return Homography([[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)])
+        except SingularMatrix:
+            continue
+
+
+def homography_chain(seed, steps: int) -> tuple[Conic, Homography]:
+    """The unit circle (witness included) under `steps` composed homographies, and their composite.
+
+    Each step is one :func:`random_homography` draw from ``random.Random(seed)``,
+    composed after the steps before it; the seed may be any value ``random.Random`` takes.
+    """
+    rng, h = random.Random(seed), Homography.identity()
+    for _ in range(steps):
+        h = random_homography(rng).compose(h)
+    return transform(Conic.unit_circle(), h), h
+
+
 def equality_run(bound: int) -> dict[str, int]:
     """The traversale equals the polar and the pole by construction the pole, as given and moved; the case counts.
 
@@ -155,13 +176,7 @@ def equality_run(bound: int) -> dict[str, int]:
     triple; ``twins`` counts the twins that hold the very frame object of
     the result.
     """
-    rng, h, steps = random.Random("equality run"), Homography.identity(), 0
-    while steps < 64:
-        try:
-            h = Homography([[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]).compose(h)
-        except SingularMatrix:
-            continue
-        steps += 1
+    _, h = homography_chain("equality run", 64)
     given = (POINTS, LINES)
     moved = ([h.apply(p) for p in POINTS], [h.apply_line(l) for l in LINES])
     counts = {"conics": 0, "traversale": 0, "pole": 0, "framed": 0, "twins": 0}

@@ -52,6 +52,8 @@ from traversale import (
 from traversale.linalg import cross, det3, dot, mat_mul, mat_vec, primitive_rows2, transpose
 from traversale.numbers import parse_rational
 
+from oracles import homography_chain, random_homography
+
 
 def solve2(a, b, rhs):
     """The reference Cramer solve of [a b] (x, y) = rhs for 2-vectors a, b: (x, y, d) for (x/d, y/d), None when d = 0."""
@@ -63,16 +65,6 @@ def solve2(a, b, rhs):
 
 def F(*args):
     return Fraction(*args)
-
-
-def _random_circle_image(rng):
-    while True:
-        rows = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
-        try:
-            h = Homography(rows)
-        except Exception:
-            continue
-        return transform(Conic.unit_circle(), h), h
 
 
 # -- construction -----------------------------------------------------------
@@ -125,7 +117,8 @@ def _five_point_outcome(pts):
 def test_conic_from_five_points_recovers_circle_images():
     rng = random.Random(71)
     for _ in range(12):
-        c, h = _random_circle_image(rng)
+        h = random_homography(rng)
+        c = transform(Conic.unit_circle(), h)
         ts = rng.sample(range(-9, 10), 5)
         pts = [h.apply(PPoint(1 - t * t, 2 * t, 1 + t * t)) for t in ts]
         # the pencil takes p1..p4 as base points, so every ordering is a different computation
@@ -256,7 +249,7 @@ def test_pole_needs_rank_three():
 @pytest.mark.parametrize("seed, steps", [(90, 0), (91, 1), (92, 16), (93, 64), (94, 256)])
 def test_is_tangent_line_is_its_definition(seed, steps, monkeypatch):
     # l.adj(M).l = 0 against the definition: l contains its pole
-    c, h = _circle_image_chain(seed, steps)
+    c, h = homography_chain(seed, steps)
     rng = random.Random(seed)
     par = rational_parametrize(c, c.witness)
     tangents = [tangent_at(c, par.point(F(rng.randint(-9, 9), rng.randint(1, 7)))) for _ in range(4)]
@@ -278,7 +271,7 @@ def test_is_tangent_line_needs_rank_three(rows):
 def test_biduality_randomized():
     rng = random.Random(29)
     for _ in range(100):
-        c, _ = _random_circle_image(rng)
+        c = transform(Conic.unit_circle(), random_homography(rng))
         m = PPoint(F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(-9, 9), rng.randint(1, 9)), 1)
         if c.contains(m):
             continue
@@ -290,7 +283,7 @@ def test_biduality_randomized():
 def test_incidence_duality_randomized():
     rng = random.Random(31)
     for _ in range(100):
-        c, _ = _random_circle_image(rng)
+        c = transform(Conic.unit_circle(), random_homography(rng))
         p1 = PPoint(rng.randint(-5, 5), rng.randint(-5, 5), 1)
         p2 = PPoint(rng.randint(-5, 5), rng.randint(-5, 5), 1)
         if p1 == p2:
@@ -362,7 +355,7 @@ def test_line_intersect_reduced_roots_match_the_unreduced_formula(steps, monkeyp
     # conic's chord parametrization once the conic carries it
     import traversale.conic as conic_module
 
-    c, h = _circle_image_chain(300 + steps, steps)
+    c, h = homography_chain(300 + steps, steps)
     par = RationalParametrization(c, c.witness)  # a frame of its own, so the conic's memo stays empty
     on = [par.point(t) for t in (F(0), F(1, 3), F(-2), INF)]
     lines = {
@@ -479,22 +472,13 @@ def test_polarity_harmonic_section(circle):
         assert cross_ratio(lpt, mpt, f, h, chart) == -1
 
 
-def _circle_image_chain(seed, steps):
-    """The unit circle under `steps` seeded random homographies, with their composite."""
-    rng = random.Random(seed)
-    h = Homography.identity()
-    for _ in range(steps):
-        h = _random_circle_image(rng)[1].compose(h)
-    return transform(Conic.unit_circle(), h), h
-
-
 @pytest.mark.parametrize("seed, steps", [(0, 0), (76, 1), (77, 60), (78, 256)])
 def test_polarity_involution_matrix_is_unchanged_by_reduced_representatives(seed, steps):
     # [[phi(o,i), phi(o,o)], [-phi(i,i), -phi(o,i)]] on the representatives
     # before the gcd of the chart weights was divided out, made primitive.
     # The involution reads the matrix on the canonical basis, which holds
     # because the chart's representatives are the basis times one common +-1
-    c, h = _circle_image_chain(seed, steps)
+    c, h = homography_chain(seed, steps)
     rng = random.Random(seed)
     lines = [LINE_AT_INFINITY, PLine(1, 0, 0), PLine(2, 0, 5), PLine(0, 1, 0), PLine(0, 3, -7)]  # x = c, y = c
     lines += [PLine(*(rng.getrandbits(rng.choice((3, 40, 300))) * rng.choice((-1, 1)) for _ in range(3))) for _ in range(12)]
@@ -521,7 +505,7 @@ def test_polarity_involution_matrix_is_unchanged_by_reduced_representatives(seed
 )
 def test_polarity_involution_matches_polar_meet(seed, steps):
     # the closed-form matrix against the geometric definition m -> polar(m) /\ l
-    c, h = _circle_image_chain(seed, steps)
+    c, h = homography_chain(seed, steps)
     rng = random.Random(seed)
     par = rational_parametrize(c, c.witness)
     on_conic = [par.point(t) for t in (F(1, 3), F(-2), F(5, 7))]
@@ -664,7 +648,7 @@ def test_classify_follows_sylvester_inertia_under_congruence():
 def test_classify_congruence_invariant():
     rng = random.Random(43)
     for _ in range(40):
-        c, h = _random_circle_image(rng)
+        c = transform(Conic.unit_circle(), random_homography(rng))
         assert classify(c).kind == ConicClass.NONDEGENERATE_REAL
         assert classify(c).signature == (2, 1)
 
@@ -714,7 +698,7 @@ def test_transform_scaling(circle):
 def test_transform_polar_commutes(circle):
     rng = random.Random(47)
     for _ in range(50):
-        _, h = _random_circle_image(rng)
+        h = random_homography(rng)
         c2 = transform(circle, h)
         m = PPoint(rng.randint(-6, 6), rng.randint(-6, 6), 1)
         if circle.contains(m):
@@ -749,21 +733,12 @@ def test_parametrization_slope_formula(circle):
     assert par.point(INF) == PPoint(-1, 0, 1)  # the tangent direction
 
 
-def _deep_circle_image(seed, steps):
-    """The unit circle (witness included) under `steps` seeded random homographies."""
-    rng = random.Random(seed)
-    c = Conic.unit_circle()
-    for _ in range(steps):
-        c = transform(c, _random_circle_image(rng)[1])
-    return c
-
-
 @pytest.mark.parametrize(
     "conic, base",
     [
         (Conic.unit_circle(), PPoint(-1, 0, 1)),
         # matrix entries of about 6, 35 and 300 bits
-        *((c, c.witness) for c in (_deep_circle_image(s, k) for s, k in ((61, 1), (62, 6), (63, 60)))),
+        *((c, c.witness) for c in (homography_chain(s, k)[0] for s, k in ((61, 1), (62, 6), (63, 60)))),
         (Conic(((1, 0, 0), (0, -1, 0), (0, 0, -1)), witness=PPoint(1, 0, 1)), PPoint(1, 0, 1)),
         (Conic(((0, 1, 0), (1, 0, 0), (0, 0, -2))), PPoint(1, 0, 0)),  # xy = z^2, base at infinity
         (Conic(((2, 0, 0), (0, 0, -1), (0, -1, 0))), PPoint(0, 0, 1)),  # parabola x^2 = yz

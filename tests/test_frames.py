@@ -1,6 +1,5 @@
 """Points and lines that keep their frame coordinates: the frame route against the plane route."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -12,11 +11,9 @@ from traversale import (
     Conic,
     FramedLine,
     FramedPoint,
-    Homography,
     PLine,
     PPoint,
     RationalParametrization,
-    SingularMatrix,
     classify,
     join,
     line_intersect,
@@ -26,26 +23,14 @@ from traversale import (
     pole,
     rational_parametrize,
     tangent_at,
-    transform,
 )
 from traversale import conic, projective
 from traversale.conic import chord_parametrization
 from traversale.synthetic import inscribed_quadrangle_through, pole_by_construction, traversale_from_quadrangle
 
+from oracles import homography_chain
+
 PARAMETERS = [Fraction(n, d) for n, d in ((2, 3), (-5, 4), (1, 5), (7, 2), (-3, 7))]
-
-
-def _circle_image(seed, steps):
-    """The unit circle (witness included) under `steps` seeded random homographies with entries in [-4, 4]."""
-    rng = random.Random(seed)
-    h = Homography.identity()
-    while steps:
-        try:
-            h = Homography([[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]).compose(h)
-        except SingularMatrix:
-            continue
-        steps -= 1
-    return transform(Conic.unit_circle(), h)
 
 
 def _plain(value):
@@ -75,7 +60,7 @@ def maps(monkeypatch):
 
 @pytest.mark.parametrize("steps", [1, 2, 4, 16, 64, 256])
 def test_frame_route_gives_the_plane_route_triple(steps, every_frame_recorded):
-    c = _circle_image(2800 + steps, steps)
+    c, _ = homography_chain(2800 + steps, steps)
     par = chord_parametrization(c)
     pts = [par.point(t) for t in PARAMETERS]
     chords = [join(pts[0], pts[1]), join(pts[2], pts[3]), join(pts[1], pts[4])]
@@ -119,7 +104,7 @@ def test_frame_route_gives_the_plane_route_triple(steps, every_frame_recorded):
 
 
 def test_rational_parametrize_at_the_witness_is_the_conic_frame(every_frame_recorded):
-    c = _circle_image(2900, 8)
+    c, _ = homography_chain(2900, 8)
     par = rational_parametrize(c, c.witness)
     assert par is chord_parametrization(c) is c._parametrization
     p, q = par.point(PARAMETERS[0]), par.point(PARAMETERS[1])
@@ -132,7 +117,7 @@ def test_rational_parametrize_at_the_witness_is_the_conic_frame(every_frame_reco
 
 def test_equal_but_distinct_frames_and_conics_take_the_plane_route(every_frame_recorded):
     # twin has the maps of the conic's frame, built on an equal but distinct conic object
-    c = _circle_image(2900, 8)
+    c, _ = homography_chain(2900, 8)
     same = Conic(c.matrix, witness=c.witness)
     par, twin = chord_parametrization(c), RationalParametrization(same, same.witness)
     assert same == c and same is not c and twin._quadratic == par._quadratic
@@ -153,7 +138,7 @@ def test_equal_but_distinct_frames_and_conics_take_the_plane_route(every_frame_r
 
 
 def test_parametrizations_with_different_bases_fall_back_to_the_plane(every_frame_recorded):
-    c = _circle_image(2901, 64)
+    c, _ = homography_chain(2901, 64)
     first = rational_parametrize(c, c.witness)
     second = rational_parametrize(c, first.point(Fraction(3)))
     assert second is not first
@@ -171,7 +156,7 @@ def test_parametrizations_with_different_bases_fall_back_to_the_plane(every_fram
 
 
 def test_coincident_frame_operands_raise_the_plane_message(every_frame_recorded):
-    c = _circle_image(2902, 64)
+    c, _ = homography_chain(2902, 64)
     par = chord_parametrization(c)
     p = par.point(PARAMETERS[0])
     l = join(p, par.point(PARAMETERS[1]))
@@ -188,7 +173,7 @@ def test_coincident_frame_operands_raise_the_plane_message(every_frame_recorded)
 
 @pytest.mark.parametrize("steps, framed", [(1, False), (16, False), (64, True), (256, True)])
 def test_a_parametrization_under_the_gate_hands_out_plain_values(steps, framed):
-    c = _circle_image(3000 + steps, steps)
+    c, _ = homography_chain(3000 + steps, steps)
     par = rational_parametrize(c, c.witness)
     assert (max(map(abs, par._quadratic[0])).bit_length() > conic._FRAME_BITS) is framed
     point_type, line_type = (FramedPoint, FramedLine) if framed else (PPoint, PLine)
@@ -206,7 +191,7 @@ def test_a_parametrization_under_the_gate_hands_out_plain_values(steps, framed):
 def test_deep_frame_joins_meets_and_polars_cross_no_plane_vector(monkeypatch):
     # k = 256: the conic's entries have about 1,800 bits and its points
     # about 1,700; the frame vectors of the points and chords stay small
-    c = _circle_image(3100, 256)
+    c, _ = homography_chain(3100, 256)
     par = chord_parametrization(c)
     p, q, r, s = (par.point(t) for t in PARAMETERS[:4])
     par.line_from_frame((1, 2, 3))  # the chord form, built once per parametrization
@@ -228,7 +213,7 @@ def test_deep_frame_joins_meets_and_polars_cross_no_plane_vector(monkeypatch):
 
 
 def test_tangent_at_a_deep_framed_point_evaluates_no_plane_form(monkeypatch):
-    c = _circle_image(3100, 256)
+    c, _ = homography_chain(3100, 256)
     par = chord_parametrization(c)
     p, q, r, s = (par.point(t) for t in PARAMETERS[:4])
     off = meet(join(p, q), join(r, s))
@@ -265,7 +250,7 @@ def _frame_values(c, pars):
 
 @pytest.mark.parametrize("steps", [1, 2, 4, 16, 64, 256])
 def test_equality_in_one_frame_maps_no_triple_and_agrees_with_the_triples(steps, every_frame_recorded, maps):
-    c = _circle_image(3200 + steps, steps)
+    c, _ = homography_chain(3200 + steps, steps)
     par = chord_parametrization(c)
     values = _frame_values(c, (par, par))
     assert all(isinstance(v, (FramedPoint, FramedLine)) for v in values) and maps == []
@@ -281,7 +266,7 @@ def test_equality_in_one_frame_maps_no_triple_and_agrees_with_the_triples(steps,
 
 
 def test_framed_values_of_different_frames_compare_by_triple(every_frame_recorded, maps):
-    c = _circle_image(3300, 64)
+    c, _ = homography_chain(3300, 64)
     first = chord_parametrization(c)
     ours = _frame_values(c, (first,))
     # an equal but distinct object with the maps of the first, then a frame from another base
@@ -304,7 +289,7 @@ def test_a_construction_task_builds_one_parametrization(monkeypatch):
     # the steps of one construction task of the benchmark on a k = 64 circle
     # image: the parametrization at the witness is the frame that the ruler
     # constructions and line_intersect read, so it is built once
-    c = _circle_image(3400, 64)
+    c, _ = homography_chain(3400, 64)
     built = []
     real = RationalParametrization.__init__
     monkeypatch.setattr(RationalParametrization, "__init__", lambda *args: built.append(args[0]) or real(*args))

@@ -14,16 +14,13 @@ from traversale.linalg import cross, dot, mat_vec
 from traversale.projective import LINE_AT_INFINITY
 from traversale.render import FIGURES, Drawable, _conic_samples, _Frame, _sample, _sweep, build_figure, render_figure, render_svg
 
+from oracles import homography_chain
+
 F = Fraction
 
 CIRCLE_RE = re.compile(r'<circle [^>]*cx="([^"]+)" cy="([^"]+)"')
 LINE_RE = re.compile(r'<line [^>]*x1="([^"]+)" y1="([^"]+)" x2="([^"]+)" y2="([^"]+)"')
 POLYLINE_RE = re.compile(r'<polyline [^>]*points="([^"]+)"')
-
-
-def test_all_figures_render_identically_twice():
-    for name in FIGURES:
-        assert render_figure(name) == render_figure(name)
 
 
 def test_figure8_has_required_labels():
@@ -174,24 +171,9 @@ def test_points_render_at_exact_positions():
 
 # -- conic samples as unreduced triples ----------------------------------------
 
-def _deep_circle(seed, steps):
-    """The unit circle under `steps` seeded random homographies with entries in [-4, 4]."""
-    rng = random.Random(seed)
-    c = Conic.unit_circle()
-    while steps:
-        rows = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
-        try:
-            h = Homography(rows)
-        except Exception:
-            continue
-        c = transform(c, h)
-        steps -= 1
-    return c
-
-
 # the deep conic is a speck far below a pixel: every sample lands on one SVG
 # point, from triples of about 480 bits
-_DEEP = _deep_circle(1, 64)
+_DEEP, _ = homography_chain(1, 64)
 _DEEP_VIEWPORT = (F(-9, 8), F(-5, 8), F(7, 8), F(11, 8))
 _HYPERBOLA = Conic(((1, 0, 0), (0, -1, 0), (0, 0, -1)), witness=PPoint(1, 0, 1))
 
@@ -272,22 +254,6 @@ def test_render_bytes_pinned_for_deep_conic_and_hyperbola():
     hyperbola = render_svg([Drawable("conic", _HYPERBOLA)], (F(-4), F(-4), F(4), F(4)))
     assert hashlib.sha256(deep.encode()).hexdigest() == "4aff5d4f1d07836b4c57458602cc4cf5ee20f98acbf293ab416dd9e1fa353cda"
     assert hashlib.sha256(hyperbola.encode()).hexdigest() == "22af72f92595be294c5d47df5ca7a51a4003d0bc246054a8de53a3dbf10c421d"
-
-
-_FIGURE_SHA256 = {
-    "fig8": "ecfdd48cff36c41388eeed6c12f75f5ec7ca8a86c661f41243cd7c9a97e2ce16",
-    "fig10": "6e3c8688d79009b50d546c3beae079121f04d7e82891b59882715b37029417b1",
-    "fig13": "5560d5bb424ff072478a8a939a747341cdaab052f17ae420cd706bef461677ff",
-    "fig14": "a9f2c0a149cef379f4b0702d109b526da882d2afd4e7516f21d220b2b1bd1468",
-    "fig16": "426eca5b039935c43d6824433f5ea704367398bad4f0b65d3d6a90f8c65503b8",
-}
-
-
-def test_figure_bytes_pinned():
-    # the same digests as perfbench/reference.json, so a byte change of a
-    # figure fails here without running the benchmark
-    got = {name: hashlib.sha256(render_figure(name).encode()).hexdigest() for name in FIGURES}
-    assert got == _FIGURE_SHA256
 
 
 # -- the single-pass sampler against the recursive one it replaced --------------

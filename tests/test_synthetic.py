@@ -50,7 +50,9 @@ from traversale import (
     transform,
 )
 from traversale import cli, projective, synthetic
-from traversale.conic import _FRAME_BITS, chord_parametrization, find_rational_point
+from traversale.conic import (
+    _FRAME_BITS, chord_parametrization, find_rational_point, model_chord, model_involution, model_point, on_model_conic,
+)
 from traversale.linalg import cross, det2, det3, dot, mat2_mul, mat2_vec, primitive
 from traversale.numbers import from_pair, small_pairs, to_pair
 from traversale.render import Drawable, render_svg
@@ -73,19 +75,11 @@ from traversale.synthetic import (
     two_involutions,
 )
 
+from oracles import homography_chain, random_homography
+
 
 def F(*args):
     return Fraction(*args)
-
-
-def _random_conic(rng):
-    while True:
-        rows = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
-        try:
-            h = Homography(rows)
-        except Exception:
-            continue
-        return transform(Conic.unit_circle(), h), h
 
 
 def _random_quadrangle(rng, c):
@@ -137,21 +131,12 @@ def test_quadrangle_rejects_collinear(circle):
         )
 
 
-def _circle_image(seed, steps):
-    """The unit circle (witness included) under `steps` seeded random homographies, with their composite."""
-    rng = random.Random(seed)
-    h = Homography.identity()
-    for _ in range(steps):
-        h = _random_conic(rng)[1].compose(h)
-    return transform(Conic.unit_circle(), h), h
-
-
 _SWEEP_CONICS = {
     "circle": (Conic.unit_circle(), Homography.identity()),
     "twin": (Conic(Conic.unit_circle().matrix, witness=PPoint(1, 0, 1)), Homography.identity()),
-    **{f"small-{seed}": _circle_image(seed, steps) for seed, steps in ((81, 1), (82, 1), (83, 2))},
+    **{f"small-{seed}": homography_chain(seed, steps) for seed, steps in ((81, 1), (82, 1), (83, 2))},
     # matrix entries of about 300 bits
-    **{f"deep-{seed}": _circle_image(seed, 60) for seed in (84, 85)},
+    **{f"deep-{seed}": homography_chain(seed, 60) for seed in (84, 85)},
 }
 
 
@@ -204,7 +189,7 @@ def test_quadrangle_sweep_matches_second_intersection_reference(name):
 
 _HUB_CONICS = {
     **_SWEEP_CONICS,
-    **{f"chain-{steps}": _circle_image(300 + steps, steps) for steps in (1, 16, 64, 256)},
+    **{f"chain-{steps}": homography_chain(300 + steps, steps) for steps in (1, 16, 64, 256)},
 }
 
 
@@ -277,8 +262,8 @@ def test_frame_maps_points_and_lines_one_to_one(name):
     rng = random.Random(name)
     pairs = _frame_pairs(c, par, rng)
     for s in pairs:
-        x = synthetic._borne(s)
-        assert synthetic._on_model_conic(x), s
+        x = model_point(s)
+        assert on_model_conic(x), s
         assert par.frame_of_point(par.point_from_pair(s)) == primitive(x), s
         assert par.point_from_frame(x) == par.point_from_pair(s), s
     points = [*map(par.point_from_pair, pairs[:4]), *_sweep_points(c, h, par).values()]
@@ -288,7 +273,7 @@ def test_frame_maps_points_and_lines_one_to_one(name):
     for p in points:
         x = par.frame_of_point(p)
         assert par.point_from_frame(x) == p
-        assert synthetic._on_model_conic(x) == c.contains(p), p
+        assert on_model_conic(x) == c.contains(p), p
         for l in lines:
             assert (dot(par.frame_of_line(l), x) == 0) == l.contains(p), (p, l)
     for l in lines:
@@ -304,13 +289,13 @@ def test_chord_closed_form_matches_join(name):
     pairs = _frame_pairs(c, par, random.Random(name))
     for s in pairs:
         ps = par.point_from_pair(s)
-        assert par.line_from_frame(synthetic._chord(s, s)) == tangent_at(c, ps)
-        assert par.line_from_frame(synthetic._chord(s, (3 * s[0], 3 * s[1]))) == tangent_at(c, ps)  # scale-free
+        assert par.line_from_frame(model_chord(s, s)) == tangent_at(c, ps)
+        assert par.line_from_frame(model_chord(s, (3 * s[0], 3 * s[1]))) == tangent_at(c, ps)  # scale-free
         for t in pairs:
             pt = par.point_from_pair(t)
-            chord = synthetic._chord(s, t)
-            assert chord == synthetic._chord(t, s)
-            assert dot(chord, synthetic._borne(s)) == dot(chord, synthetic._borne(t)) == 0
+            chord = model_chord(s, t)
+            assert chord == model_chord(t, s)
+            assert dot(chord, model_point(s)) == dot(chord, model_point(t)) == 0
             if pt != ps:
                 assert par.line_from_frame(chord) == join(ps, pt), (s, t)
                 assert par.frame_of_line(join(ps, pt)) == primitive(chord), (s, t)
@@ -328,7 +313,7 @@ def test_frame_meets_and_cuts_match_the_plane(name):
     plane_chord = lambda s, t: tangent_at(c, point(s)) if s == t else join(point(s), point(t))
     for s, t, q, r in (rng.sample(pairs, 4) for _ in range(6)):
         for first, second in (((s, t), (q, r)), ((s, s), (q, r)), ((s, s), (t, t)), ((s, t), (s, q))):
-            x = cross(synthetic._chord(*first), synthetic._chord(*second))
+            x = cross(model_chord(*first), model_chord(*second))
             assert par.point_from_frame(x) == meet(plane_chord(*first), plane_chord(*second)), (first, second)
     lines = [LINE_AT_INFINITY, polar(c, h.apply(PPoint(0, 0, 1))), join(point(pairs[0]), point(pairs[1]))]
     lines += [PLine(*(rng.randint(-9, 9) for _ in range(2)), rng.randint(1, 9)) for _ in range(2)]
@@ -340,10 +325,10 @@ def test_frame_meets_and_cuts_match_the_plane(name):
             for s in pairs:
                 if s == hub:
                     continue
-                x = cross(lam, synthetic._chord(hub, s))
+                x = cross(lam, model_chord(hub, s))
                 g = meet(l, join(point(hub), point(s)))
                 assert par.point_from_frame(x) == g, (l, hub, s)
-                assert synthetic._on_model_conic(x) == c.contains(g) == (g == point(s)), (l, hub, s)
+                assert on_model_conic(x) == c.contains(g) == (g == point(s)), (l, hub, s)
 
 
 @pytest.mark.parametrize("name", list(_HUB_CONICS))
@@ -355,7 +340,7 @@ def test_parameter_involution_of_the_lines_through_f(name):
     params = [(1, 0), (0, 1), _tangent_parameter(c, par)]
     params += [(rng.randint(-30, 30), rng.randint(1, 20)) for _ in range(6)]
     for kind, f in _sweep_points(c, h, par).items():
-        m = synthetic._involution(par.frame_of_point(f))
+        m = model_involution(par.frame_of_point(f))
         m2 = mat2_mul(m, m)
         assert m2[0][1] == m2[1][0] == 0 and m2[0][0] == m2[1][1] != 0, kind  # M^2 is scalar
         for s in params:
@@ -370,13 +355,13 @@ def test_parameter_involution_of_the_lines_through_f(name):
     on = [par.point_from_pair(s) for s in params]
     off = [PPoint(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(10)]
     for f in on + [p for p in off if not c.contains(p)]:
-        assert (det2(synthetic._involution(par.frame_of_point(f))) == 0) == c.contains(f), f
+        assert (det2(model_involution(par.frame_of_point(f))) == 0) == c.contains(f), f
 
 
 @pytest.mark.parametrize("seed, steps", [(0, 0), (91, 1), (92, 2), (93, 60)])
 def test_distinct_points_on_a_nondegenerate_conic_are_never_collinear(seed, steps):
     # the theorem that lets InscribedQuadrangle skip the trio determinants
-    c, _ = _circle_image(seed, steps)
+    c, _ = homography_chain(seed, steps)
     assert c.is_nondegenerate
     par = chord_parametrization(c)
     rng = random.Random(seed)
@@ -497,7 +482,7 @@ def test_a_missed_rational_point_is_named_before_the_point_or_line_test():
     # the circle image keeps its witness; its bare twin's bounded search
     # finds no rational point, so a point on it or a tangent to it cannot
     # be tested in the frame
-    c, _ = _circle_image(84, 4)
+    c, _ = homography_chain(84, 4)
     bare = Conic(c.matrix)
     assert find_rational_point(bare) is None
     tangent = polar(c, c.witness)
@@ -614,7 +599,7 @@ def test_secant_budget_ends_the_offsets(circle):
 def test_traversale_quadrangle_independence_randomized():
     rng = random.Random(61)
     for _ in range(25):
-        c, _ = _random_conic(rng)
+        c = transform(Conic.unit_circle(), random_homography(rng))
         f = _random_exterior(rng, c)
         tau = traversale_from_quadrangle(c, f)
         tau2 = traversale_from_quadrangle(c, f, offset=2)
@@ -680,7 +665,7 @@ def _pole_lines(c, h, par, rng):
 def test_pole_by_construction_equals_pole_on_deep_conics(steps):
     # deep chains carry coefficients of up to about 1,300 bits; lines through
     # one or two swept points send the hub past the first parameters
-    c, h = _circle_image(1400 + steps, steps)
+    c, h = homography_chain(1400 + steps, steps)
     par = chord_parametrization(c)
     lines = _pole_lines(c, h, par, random.Random(steps))
     assert {"through P(s0)", "through P(s0) and P(s1)"} <= set(lines)
@@ -692,17 +677,17 @@ def test_pole_by_construction_equals_pole_on_deep_conics(steps):
 def test_pole_by_construction_tests_each_cut_against_the_conic_once(steps, monkeypatch):
     # the hub sweep tests every frame cut g on the model conic; the
     # traversale of g, handed its secant, does not test it again
-    c, _ = _circle_image(80 + steps, steps)
+    c, _ = homography_chain(80 + steps, steps)
     l = polar(c, PPoint(3, 5, 7))
     tested = []
-    real = synthetic._on_model_conic
+    real = synthetic.on_model_conic
 
     def recording(x):
         on = real(x)
         tested.append((x, on))
         return on
 
-    monkeypatch.setattr(synthetic, "_on_model_conic", recording)
+    monkeypatch.setattr(synthetic, "on_model_conic", recording)
     assert pole_by_construction(c, l) == pole(c, l)
     monkeypatch.undo()
     off = Counter(x for x, on in tested if not on)
@@ -714,7 +699,7 @@ def test_pole_by_construction_meets_at_most_nine_lines(steps, monkeypatch):
     # in the frame: two cuts of l, two meets per traversale and the final
     # meet, plus at most two cuts skipped on the conic; each traversale
     # also takes one join, its third cross product
-    c, h = _circle_image(1500 + steps, steps)
+    c, h = homography_chain(1500 + steps, steps)
     par = chord_parametrization(c)
     lams, firsts = [], []
     real_cuts, real_cross = synthetic._frame_cuts, synthetic.cross
@@ -742,7 +727,7 @@ def test_each_construction_builds_one_plane_object_after_its_gate(steps, monkeyp
     # Above it (steps = 64) the result is a FramedLine or FramedPoint and
     # no triple is mapped until the first read of coeffs or coords; a
     # second read maps nothing.
-    c, h = _circle_image(1500 + steps, steps)
+    c, h = homography_chain(1500 + steps, steps)
     par = chord_parametrization(c)
     f = _random_exterior(random.Random(steps), c)
     lines = _pole_lines(c, h, par, random.Random(steps))
@@ -878,7 +863,7 @@ def test_pencil_theorem_randomized():
     rng = random.Random(67)
     done = 0
     while done < 25:
-        c, _ = _random_conic(rng)
+        c = transform(Conic.unit_circle(), random_homography(rng))
         par = rational_parametrize(c, c.witness)
         ts = set()
         while len(ts) < 6:
@@ -1169,7 +1154,7 @@ def test_fgxy_square(circle):
 def test_fgxy_randomized():
     rng = random.Random(79)
     for _ in range(30):
-        c, _ = _random_conic(rng)
+        c = transform(Conic.unit_circle(), random_homography(rng))
         quad = _random_quadrangle(rng, c)
         assert harmonic_range_FGXY_check(quad)
         assert secteur_identity_check(quad)
@@ -1224,7 +1209,7 @@ def test_fgxy_checks_match_the_fraction_reference(steps, monkeypatch):
     # and on the circle moved by up to 256 homographies; the segment ratios
     # must be reached, not only the projective cross-ratio
     rng = random.Random(700 + steps)
-    conics = [_random_conic(rng)[0] for _ in range(12)] if steps == 0 else [_circle_image(700 + steps, steps)[0]] * 6
+    conics = [transform(Conic.unit_circle(), random_homography(rng)) for _ in range(12)] if steps == 0 else [homography_chain(700 + steps, steps)[0]] * 6
     ratios = []
     real_ratio = synthetic._segment_ratio
     monkeypatch.setattr(synthetic, "_segment_ratio", lambda *v: ratios.append(v) or real_ratio(*v))
@@ -1291,7 +1276,7 @@ def test_segment_ratio_is_the_fraction_ratio_on_every_ordered_triple():
 def test_self_polar_diagonal_triangle_randomized():
     rng = random.Random(83)
     for _ in range(25):
-        c, _ = _random_conic(rng)
+        c = transform(Conic.unit_circle(), random_homography(rng))
         quad = _random_quadrangle(rng, c)
         f, n, g = quad.diagonal_points()
         assert polar(c, f) == join(n, g)
@@ -1312,7 +1297,7 @@ def test_central_projection_randomized():
     rng = random.Random(89)
     done = 0
     while done < 20:
-        c, _ = _random_conic(rng)
+        c = transform(Conic.unit_circle(), random_homography(rng))
         r1 = [rng.randint(-3, 3) for _ in range(3)]
         r2 = [rng.randint(-3, 3) for _ in range(3)]
         lam_coeffs = [rng.randint(-3, 3) for _ in range(3)]
