@@ -39,7 +39,7 @@ from .errors import (
 )
 from .involution import InvolutionOnLine, fixed_pairs
 from .linalg import (
-    Mat2, Mat3, Vec3, adjugate, cross, det3, dot, mat_mul, mat_vec, primitive, primitive_rows, primitive_triple, transpose,
+    Mat2, Mat3, Vec3, adjugate, congruence, cross, det3, dot, mat_vec, primitive, primitive_rows, primitive_triple,
 )
 from .numbers import ExtRat, Pair, format_int, format_repr, small_pairs, to_pair
 from .projective import (
@@ -334,8 +334,9 @@ def _inertia(m) -> tuple[int, int]:
     are the sign changes of (1, -t, s, -d), the negative ones those of
     (1, t, s, d), zeros skipped.
     """
-    t = m[0][0] + m[1][1] + m[2][2]
-    s = m[0][0] * m[1][1] + m[0][0] * m[2][2] + m[1][1] * m[2][2] - m[0][1] ** 2 - m[0][2] ** 2 - m[1][2] ** 2
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = m
+    t = m00 + m11 + m22
+    s = m00 * m11 + m00 * m22 + m11 * m22 - m01 * m01 - m02 * m02 - m12 * m12
     d = det3(m)
     return _sign_changes((1, -t, s, -d)), _sign_changes((1, t, s, d))
 
@@ -394,10 +395,11 @@ def transform(c: Conic, h: Homography) -> Conic:
     """Image conic under a homography: the form H^-T M H^-1 up to scale.
 
     Membership and all incidence-flavoured structure (polars, poles, the
-    polarity involutions) move along with it.
+    polarity involutions) move along with it.  With adj(H) standing for
+    H^-1, the form is the symmetric :func:`~traversale.linalg.congruence`
+    adj(H)^T M adj(H).
     """
-    hinv = adjugate(h.matrix)
-    rows = mat_mul(mat_mul(transpose(hinv), c.matrix), hinv)
+    rows = congruence(c.matrix, adjugate(h.matrix))
     witness = h.apply(c.witness) if c.witness is not None else None
     return Conic(rows, witness=witness)
 
@@ -458,6 +460,15 @@ def model_involution(x: Vec3) -> Mat2:
     return ((-x1, x0), (-x2, x1))
 
 
+# The reference lines of a parametrization, in the order tried, each as
+# (j, k, basis): its :func:`~traversale.projective.canonical_basis` o, i is
+# the pair of unit vectors e_j, e_k.  z = 0 misses every base with z != 0,
+# x = 0 every other base with x != 0, and y = 0 the one base left, (0, 1, 0).
+_REF_AT_INFINITY = (0, 1, ((1, 0, 0), (0, 1, 0)))
+_REF_X_ZERO = (2, 1, ((0, 0, 1), (0, 1, 0)))
+_REF_Y_ZERO = (2, 0, ((0, 0, 1), (1, 0, 0)))
+
+
 class RationalParametrization(Value):
     """All rational points of a conic from one of them, by the chord trick.
 
@@ -515,24 +526,26 @@ class RationalParametrization(Value):
             raise DegenerateConic("rational parametrization needs a nondegenerate conic")
         if not conic.contains(base):
             raise BasePointNotOnConic(f"{base} is not on the conic")
-        ref = next(
-            l
-            for l in (LINE_AT_INFINITY, PLine(1, 0, 0), PLine(0, 1, 0))
-            if not l.contains(base)
-        )
-        m, b, (o, i) = conic.matrix, base.coords, canonical_basis(ref)
-        qo, qi, phi_oi = _restricted_form(m, o, i)
-        mb = mat_vec(m, b)
-        phi_bo, phi_bi = dot(mb, o), dot(mb, i)
+        m, (b0, b1, b2) = conic.matrix, base.coords
+        j, k, basis = _REF_AT_INFINITY if b2 else _REF_X_ZERO if b0 else _REF_Y_ZERO
+        (o0, o1, o2), (i0, i1, i2) = basis
+        mj, mk = m[j], m[k]
+        # q(o), q(i) and 2*phi(o, i), 2*phi(base, o), 2*phi(base, i): entries and rows of M, as o = e_j, i = e_k
+        qo, qi, two_oi = mj[j], mk[k], 2 * mj[k]
+        two_bo, two_bi = 2 * (mj[0] * b0 + mj[1] * b1 + mj[2] * b2), 2 * (mk[0] * b0 + mk[1] * b1 + mk[2] * b2)
+        a0, a1, a2 = qi * b0 - two_bi * i0, qi * b1 - two_bi * i1, qi * b2 - two_bi * i2
         quadratic = (
-            tuple(qi * bk - 2 * phi_bi * ik for bk, ik in zip(b, i)),
-            tuple(2 * (phi_oi * bk - phi_bi * ok - phi_bo * ik) for bk, ok, ik in zip(b, o, i)),
-            tuple(qo * bk - 2 * phi_bo * ok for bk, ok in zip(b, o)),
+            (a0, a1, a2),
+            (
+                two_oi * b0 - two_bi * o0 - two_bo * i0,
+                two_oi * b1 - two_bi * o1 - two_bo * i1,
+                two_oi * b2 - two_bi * o2 - two_bo * i2,
+            ),
+            (qo * b0 - two_bo * o0, qo * b1 - two_bo * o1, qo * b2 - two_bo * o2),
         )
-        a0, a1, a2 = quadratic[0]
         # the widest of A's entries has the bit length of their absolute values' or
         framed = (abs(a0) | abs(a1) | abs(a2)).bit_length() > _FRAME_BITS
-        self._set(conic, base, (o, i), quadratic, framed, None)
+        self._set(conic, base, basis, quadratic, framed, None)
 
     def direction(self, t: ExtRat) -> PPoint:
         return basis_point(self._basis, to_pair(t))
@@ -578,7 +591,7 @@ class RationalParametrization(Value):
             u, v, w = cross(a, b), cross(a, c), cross(b, c)
             g = math.gcd(*u, *v, *w)
             form = tuple([(x // g, y // g, z // g) for x, y, z in (u, v, w)])
-            self._set(_chord_form=form)
+            self._memo("_chord_form", form)
         return form
 
     def frame_of_point(self, p: PPoint) -> Vec3:
@@ -685,7 +698,7 @@ def chord_parametrization(c: Conic) -> RationalParametrization:
                 par = RationalParametrization(c, base)
             except DegenerateConic as exc:
                 par = exc.with_traceback(None)
-        c._set(_parametrization=par)
+        c._memo("_parametrization", par)
     if isinstance(par, GeometryError):
         raise type(par)(*par.args)
     return par

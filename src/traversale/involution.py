@@ -282,20 +282,23 @@ def desargues_condition_check(
     return len(statuses) <= 1
 
 
-def in_single_involution(pairs, chart: LineChart) -> bool:
+def in_single_involution(pairs) -> bool:
     """Homographic membership: do the couples belong to one involution?
 
     Decides it for any three couples, including the degenerate layouts
     where no two of them pin the involution down (then a whole family
     exists and the answer is yes) or where some two are outright
-    incompatible (no).
+    incompatible (no).  A couple u, v is exchanged when the image of u
+    crosses v to zero, which holds for the matrix at any scale, so the
+    couples are tested on the unreduced trace-zero matrix of
+    :func:`involution_from_two_pairs` and no involution is built.
     """
     rows = [_pair_row(p) for p in pairs]
     crosses = [cross(rows[i], rows[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
     for a, b, c in crosses:
         if a * a + b * c != 0:  # two couples pin down one invertible involution
-            inv = InvolutionOnLine(chart, ((a, b), (c, -a)))
-            return all(contains_pair(inv, p) for p in pairs)
+            m = ((a, b), (c, -a))
+            return all(pair_cross(mat2_vec(m, u), v) == 0 for u, v in (p.pairs for p in pairs))
     return not any(map(any, crosses))
 
 

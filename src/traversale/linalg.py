@@ -12,8 +12,8 @@ for points, lines and frame vectors, :func:`primitive_rows2` for the 2x2
 involution matrices and :func:`primitive_rows` for the 3x3 conic and
 homography matrices.  The generic :func:`primitive` serves other lengths,
 such as a conic's six coefficients.  Matrices are 3x3 or 2x2, and every
-operation on them is a closed form: cross products, determinants and
-adjugates.
+operation on them is a closed form: cross products, determinants,
+adjugates and the congruence N^T M N of a symmetric form.
 """
 
 from __future__ import annotations
@@ -89,6 +89,20 @@ def mat_mul(m, n):
         (a * p + b * s + c * v, a * q + b * t + c * w, a * r + b * u + c * x),
         (d * p + e * s + f * v, d * q + e * t + f * w, d * r + e * u + f * x),
         (g * p + h * s + i * v, g * q + h * t + i * w, g * r + h * u + i * x),
+    )
+
+
+def congruence(m, n) -> Mat3:
+    """N^T M N for a symmetric m, itself symmetric: six entries from the columns of n and of M N."""
+    (n00, n01, n02), (n10, n11, n12), (n20, n21, n22) = n
+    (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = mat_mul(m, n)
+    r01 = n00 * p01 + n10 * p11 + n20 * p21
+    r02 = n00 * p02 + n10 * p12 + n20 * p22
+    r12 = n01 * p02 + n11 * p12 + n21 * p22
+    return (
+        (n00 * p00 + n10 * p10 + n20 * p20, r01, r02),
+        (r01, n01 * p01 + n11 * p11 + n21 * p21, r12),
+        (r02, r12, n02 * p02 + n12 * p12 + n22 * p22),
     )
 
 

@@ -64,7 +64,7 @@ class PPoint(Value):
 
     def __init__(self, x, y, z):
         try:
-            object.__setattr__(self, "coords", primitive_triple(x, y, z))
+            self._set(primitive_triple(x, y, z))
         except ValueError:
             raise CoincidentPoints("(0, 0, 0) is not a projective point") from None
 
@@ -105,7 +105,7 @@ class PLine(Value):
 
     def __init__(self, u, v, w):
         try:
-            object.__setattr__(self, "coeffs", primitive_triple(u, v, w))
+            self._set(primitive_triple(u, v, w))
         except ValueError:
             raise CoincidentLines("[0, 0, 0] is not a line") from None
 
@@ -148,7 +148,7 @@ class _Framed:
         if name != self._triple:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         triple = primitive_triple(*getattr(self.frame, self._map)(self.frame_vector))
-        self._set(**{name: triple})
+        self._memo(name, triple)
         return triple
 
     def __eq__(self, other):

@@ -385,7 +385,7 @@ def _rectangle_vs_homographic(d: Draws):
     else:
         pairs = [PointPair.from_pairs(d.rational(-6, 6, 4), d.rational(-6, 6, 4)) for _ in range(3)]
     lhs = desargues_condition_check(pairs)
-    rhs = in_single_involution(pairs, X_CHART)
+    rhs = in_single_involution(pairs)
     return lhs == rhs and (lhs or not genuine), lambda: [
         f"couples {pairs[0]} {pairs[1]} {pairs[2]}", f"rectangle identities: {lhs}", f"homographic membership: {rhs}"
     ]
@@ -407,7 +407,7 @@ def _couples_with_souche(d: Draws):
 def _arbre_vs_involution(d: Draws):
     pairs, souche = d.until(_couples_with_souche)
     lhs = arbre_check_pair(souche, pairs)
-    rhs = in_single_involution(pairs, X_CHART)
+    rhs = in_single_involution(pairs)
     return lhs == rhs, lambda: [
         f"souche {format_pair(souche)}", f"couples {pairs[0]} {pairs[1]} {pairs[2]}", f"arbre: {lhs}", f"membership: {rhs}"
     ]
@@ -421,11 +421,11 @@ def _harmonic_bridge(d: Draws):
     x = harmonic_conjugate(pc, pa, pb, X_CHART)
     tx = lowest_terms(X_CHART.pair_of(x))
     fixed_ab = [PointPair.from_pairs(a, a), PointPair.from_pairs(b, b)]
-    member = in_single_involution([*fixed_ab, PointPair.from_pairs(c, tx)], X_CHART)
+    member = in_single_involution([*fixed_ab, PointPair.from_pairs(c, tx)])
     ratio = cross_ratio_pair(pa, pb, pc, x, X_CHART)
     off = lowest_terms((3 * c[0] + c[1], 3 * c[1]))  # c + 1/3
     member_off = (
-        in_single_involution([*fixed_ab, PointPair.from_pairs(c, off)], X_CHART)
+        in_single_involution([*fixed_ab, PointPair.from_pairs(c, off)])
         if off != tx and off != c
         else False
     )
@@ -439,9 +439,9 @@ def _midpoint_infinity(d: Draws):
     c, g = d.until(lambda d: (d.rational(-8, 8, 5), d.rational(-8, 8, 5)), lambda v: v[0] != v[1])
     b = lowest_terms((c[0] * g[1] + g[0] * c[1], 2 * c[1] * g[1]))  # (c + g)/2
     fixed_cg = [PointPair.from_pairs(c, c), PointPair.from_pairs(g, g)]
-    member = in_single_involution([PointPair.from_pairs(b, (1, 0)), *fixed_cg], X_CHART)
+    member = in_single_involution([PointPair.from_pairs(b, (1, 0)), *fixed_cg])
     shifted = (b[0] + b[1], b[1])  # b + 1, still in lowest terms
-    member_shifted = in_single_involution([PointPair.from_pairs(shifted, (1, 0)), *fixed_cg], X_CHART)
+    member_shifted = in_single_involution([PointPair.from_pairs(shifted, (1, 0)), *fixed_cg])
     return member and not member_shifted, lambda: [
         f"c={format_pair(c)} g={format_pair(g)} midpoint={format_pair(b)}", f"member: {member}", f"shifted member: {member_shifted}"
     ]

@@ -49,7 +49,8 @@ from traversale import (
     tangents_from,
     transform,
 )
-from traversale.linalg import cross, det3, dot, mat_mul, mat_vec, primitive_rows2, transpose
+from traversale import conic as conic_module
+from traversale.linalg import adjugate, cross, det3, dot, mat_mul, mat_vec, primitive_rows, primitive_rows2, transpose
 from traversale.numbers import parse_rational
 
 from oracles import homography_chain, random_homography
@@ -353,8 +354,6 @@ def _unreduced_line_intersect(c, l):
 def test_line_intersect_reduced_roots_match_the_unreduced_formula(steps, monkeypatch):
     # each line twice: on the plane path, then read in the frame of the
     # conic's chord parametrization once the conic carries it
-    import traversale.conic as conic_module
-
     c, h = homography_chain(300 + steps, steps)
     par = RationalParametrization(c, c.witness)  # a frame of its own, so the conic's memo stays empty
     on = [par.point(t) for t in (F(0), F(1, 3), F(-2), INF)]
@@ -718,6 +717,98 @@ def test_witness_is_a_cache_not_part_of_identity(circle):
     assert relabeled.witness == PPoint(0, 1, 1)
     with pytest.raises(BasePointNotOnConic):
         Conic(circle.matrix, witness=PPoint(2, 0, 1))
+
+
+# -- closed forms against the expressions they replaced ----------------------
+
+def _random_forms(rng, bits):
+    """Random symmetric forms of entries up to ``bits`` bits: one with each set of cross terms, then rank 2 and rank 1."""
+    def entry():
+        return rng.randint(-(2**bits), 2**bits)
+
+    forms = []
+    for mask in product((0, 1), repeat=3):
+        d01, d02, d12 = (entry() if on else 0 for on in mask)
+        forms.append(((entry(), d01, d02), (d01, entry(), d12), (d02, d12, entry())))
+    u, v = (entry(), 1, 0), (entry(), entry(), 1)
+    forms.append(tuple(tuple(u[i] * v[j] + v[i] * u[j] for j in range(3)) for i in range(3)))  # the line pair u, v
+    forms.append(tuple(tuple(u[i] * u[j] for j in range(3)) for i in range(3)))  # the double line u
+    return forms
+
+
+def _ref_transform_rows(c, h):
+    """The image form as the parent's two products: adj(H)^T M adj(H), reduced."""
+    adj = adjugate(h.matrix)
+    return primitive_rows(mat_mul(mat_mul(transpose(adj), c.matrix), adj))
+
+
+def _ref_inertia(m):
+    """The numbers of positive and negative eigenvalues, with the minors' squares written as powers."""
+    t = m[0][0] + m[1][1] + m[2][2]
+    s = m[0][0] * m[1][1] + m[0][0] * m[2][2] + m[1][1] * m[2][2] - m[0][1] ** 2 - m[0][2] ** 2 - m[1][2] ** 2
+    d = det3(m)
+    return conic_module._sign_changes((1, -t, s, -d)), conic_module._sign_changes((1, t, s, d))
+
+
+@pytest.mark.parametrize("bits", [2, 40, 600])
+def test_transform_and_inertia_match_their_reference_expressions(bits):
+    rng = random.Random(bits)
+    _, deep = homography_chain(71, 256)
+    homographies = [random_homography(rng) for _ in range(4)] + [deep]
+    forms = _random_forms(rng, bits)
+    assert [classify(Conic(rows)).rank for rows in forms[-2:]] == [2, 1]
+    for rows in forms + [homography_chain(72, 256)[0].matrix]:
+        c = Conic(rows)
+        assert conic_module._inertia(c.matrix) == _ref_inertia(c.matrix), rows
+        for h in homographies:
+            image = transform(c, h)
+            assert image.matrix == _ref_transform_rows(c, h), (rows, h)
+            assert conic_module._inertia(image.matrix) == _ref_inertia(image.matrix)
+
+
+def _ref_quadratic(conic, base):
+    """The parent's (A, B, C) and basis: the reference line found by search, its canonical basis, and tuples built by generators."""
+    ref = next(l for l in (LINE_AT_INFINITY, PLine(1, 0, 0), PLine(0, 1, 0)) if not l.contains(base))
+    m, b, (o, i) = conic.matrix, base.coords, canonical_basis(ref)
+    qo, qi, phi_oi = dot(mat_vec(m, o), o), dot(mat_vec(m, i), i), dot(mat_vec(m, o), i)
+    mb = mat_vec(m, b)
+    phi_bo, phi_bi = dot(mb, o), dot(mb, i)
+    quadratic = (
+        tuple(qi * bk - 2 * phi_bi * ik for bk, ik in zip(b, i)),
+        tuple(2 * (phi_oi * bk - phi_bi * ok - phi_bo * ik) for bk, ok, ik in zip(b, o, i)),
+        tuple(qo * bk - 2 * phi_bo * ok for bk, ok in zip(b, o)),
+    )
+    return (o, i), quadratic
+
+
+def _conics_through(rng, base, bits):
+    """Nondegenerate forms through ``base``: random forms scaled so one diagonal entry can cancel q(base)."""
+    j = next(k for k, x in enumerate(base.coords) if x)
+    bj = base.coords[j]
+    for rows in _random_forms(rng, bits)[:8]:
+        q = dot(mat_vec(rows, base.coords), base.coords)
+        m = [[bj * bj * x for x in row] for row in rows]
+        m[j][j] -= q
+        if det3(m):
+            yield Conic(m)
+
+
+@pytest.mark.parametrize("bits", [2, 40, 600])
+def test_parametrization_setup_matches_its_reference_expression_on_each_reference_line(bits):
+    rng = random.Random(bits)
+    bases = {
+        "z != 0": [PPoint(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)],
+        "z = 0, x != 0": [PPoint(rng.randint(1, 9), rng.randint(-9, 9), 0) for _ in range(3)],
+        "(0, 1, 0)": [PPoint(0, 1, 0)],
+    }
+    deep, _ = homography_chain(73, 256)
+    cases = {branch: [(c, b) for b in points for c in _conics_through(rng, b, bits)] for branch, points in bases.items()}
+    cases["z != 0"].append((deep, deep.witness))
+    for branch, pairs in cases.items():
+        assert len(pairs) >= 6, branch
+        for conic, base in pairs:
+            par = RationalParametrization(conic, base)
+            assert (par._basis, par._quadratic) == _ref_quadratic(conic, base), (branch, conic, base)
 
 
 # -- rational parametrization ------------------------------------------------

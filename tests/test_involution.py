@@ -208,15 +208,15 @@ def test_desargues_condition_refuses_infinity():
         desargues_condition_check(pairs)
 
 
-def test_three_fixed_nodes_are_in_no_involution(x_axis_chart):
+def test_three_fixed_nodes_are_in_no_involution():
     # the three products are all zero, so only the coincidence rule answers
     pairs = [PointPair(F(1), F(1)), PointPair(F(2), F(2)), PointPair(F(3), F(3))]
     assert not desargues_condition_check(pairs)
-    assert not in_single_involution(pairs, x_axis_chart)
+    assert not in_single_involution(pairs)
     # two fixed nodes and a couple that they separate harmonically: one involution
     pairs = [PointPair(F(1), F(1)), PointPair(F(3), F(3)), PointPair(F(0), F(3, 2))]
     assert desargues_condition_check(pairs)
-    assert in_single_involution(pairs, x_axis_chart)
+    assert in_single_involution(pairs)
 
 
 def test_interleaving():
@@ -314,7 +314,7 @@ def _outcome(fn, *args):
 _NODES = (INF, F(0), F(1), F(-1), F(2), F(1, 2), F(-1, 2))
 
 
-def test_segment_tests_match_the_fraction_reference_on_every_small_layout(x_axis_chart):
+def test_segment_tests_match_the_fraction_reference_on_every_small_layout():
     couples = [PointPair(s, t) for s, t in itertools.combinations_with_replacement(_NODES, 2)]
     assert len(couples) == 28
     outcomes = {}
@@ -328,7 +328,7 @@ def test_segment_tests_match_the_fraction_reference_on_every_small_layout(x_axis
             assert got == _outcome(_ref_desargues, pairs), pairs
             outcomes[got] = outcomes.get(got, 0) + 1
             if got is not InfiniteNode:
-                assert got == in_single_involution(pairs, x_axis_chart), pairs
+                assert got == in_single_involution(pairs), pairs
         for souche in (INF, F(0), F(1), F(-1, 2), F(3), F(-3, 4)):
             got = _outcome(arbre_check, souche, triple)
             assert got == _outcome(_ref_arbre, souche, triple), (souche, triple)
@@ -337,7 +337,7 @@ def test_segment_tests_match_the_fraction_reference_on_every_small_layout(x_axis
     assert min(outcomes.get(k, 0) for k in (True, False, InfiniteNode, InvalidSouche)) > 100, outcomes
 
 
-def test_equivalence_rectangle_vs_homographic(x_axis_chart):
+def test_equivalence_rectangle_vs_homographic():
     """Desargues' conditions agree with membership, coincidences included."""
     rng = random.Random(17)
     checked = 0
@@ -347,7 +347,7 @@ def test_equivalence_rectangle_vs_homographic(x_axis_chart):
             i, j = rng.randrange(6), rng.randrange(6)
             vals[i] = vals[j]
         pairs = [PointPair(vals[0], vals[1]), PointPair(vals[2], vals[3]), PointPair(vals[4], vals[5])]
-        assert desargues_condition_check(pairs) == in_single_involution(pairs, x_axis_chart)
+        assert desargues_condition_check(pairs) == in_single_involution(pairs)
         checked += 1
     assert checked == 800
 
@@ -378,24 +378,16 @@ def test_harmonic_bridge(x_axis_chart):
     a, b, c = F(-1), F(1), F(2)
     d = harmonic_conjugate_oracle(c, a, b)
     assert d == F(1, 2)
-    assert in_single_involution(
-        [PointPair(a, a), PointPair(b, b), PointPair(c, d)], x_axis_chart
-    )
+    assert in_single_involution([PointPair(a, a), PointPair(b, b), PointPair(c, d)])
     pts = [x_axis_chart.point_at(t) for t in (a, b, c, d)]
     assert cross_ratio(*pts, x_axis_chart) == -1
-    assert not in_single_involution(
-        [PointPair(a, a), PointPair(b, b), PointPair(c, F(3, 4))], x_axis_chart
-    )
+    assert not in_single_involution([PointPair(a, a), PointPair(b, b), PointPair(c, F(3, 4))])
 
 
-def test_midpoint_iff_partner_at_infinity(x_axis_chart):
+def test_midpoint_iff_partner_at_infinity():
     c, g = F(1), F(5)
-    assert in_single_involution(
-        [PointPair(F(3), INF), PointPair(c, c), PointPair(g, g)], x_axis_chart
-    )
-    assert not in_single_involution(
-        [PointPair(F(2), INF), PointPair(c, c), PointPair(g, g)], x_axis_chart
-    )
+    assert in_single_involution([PointPair(F(3), INF), PointPair(c, c), PointPair(g, g)])
+    assert not in_single_involution([PointPair(F(2), INF), PointPair(c, c), PointPair(g, g)])
 
 
 def test_ramee_projection_example(x_axis_chart):

@@ -8,7 +8,7 @@ import pytest
 
 from traversale import CoincidentLines, CoincidentPoints, Conic, Homography, PLine, PPoint, ZeroForm
 from traversale.linalg import (
-    adjugate, det3, mat_mul, mat_vec, primitive, primitive_rows, primitive_rows2, primitive_triple, transpose,
+    adjugate, congruence, det3, mat_mul, mat_vec, primitive, primitive_rows, primitive_rows2, primitive_triple, transpose,
 )
 
 R = range(3)
@@ -52,6 +52,8 @@ def test_closed_forms_match_the_index_sums(bits):
         assert det3(a) == _det3(a)
         v = b[0]
         assert mat_vec(a, v) == tuple(sum(a[i][k] * v[k] for k in R) for i in R)
+        sym = tuple(tuple(a[i][j] + a[j][i] for j in R) for i in R)
+        assert congruence(sym, b) == _mat_mul(_mat_mul(_transpose(b), sym), b)
 
 
 @pytest.mark.parametrize("bits", [2, 8, 64, 1000])

@@ -1,5 +1,6 @@
 """The immutable-value contract of every class built on ``Value``, and a lean cold start."""
 
+import gc
 import subprocess
 import sys
 from pathlib import Path
@@ -228,14 +229,56 @@ def test_cold_polar_call_does_not_import_dataclasses():
     assert run.stdout.splitlines() == ["[1, 0, -1/2]", "False", "[]"]
 
 
-def test_set_fills_the_slots_in_order_and_a_memo_by_name():
-    c = Conic(((1, 0, 0), (0, 1, 0), (0, 0, -1)), witness=PPoint(-1, 0, 1))
-    fields = {name: getattr(c, name) for name in Conic.__slots__}
-    assert fields == {
-        "matrix": ((1, 0, 0), (0, 1, 0), (0, 0, -1)),
-        "witness": PPoint(-1, 0, 1),
-        "is_nondegenerate": True,
-        "_parametrization": None,
-    }
-    c._set(_parametrization="memo")
-    assert (c.matrix, c._parametrization) == (fields["matrix"], "memo")
+def _filled(value, cls):
+    """The slots of ``cls`` and its bases that hold a value, read through their descriptors (no lazy mapping)."""
+    names = []
+    for klass in cls.__mro__:
+        for name in vars(klass).get("__slots__", ()):
+            try:
+                vars(klass)[name].__get__(value)
+            except AttributeError:
+                continue
+            names.append(name)
+    return names
+
+
+def _check_setter(cls):
+    """``_set`` fills exactly the class's own slots, in order; a wrong count fills none; ``_memo`` fills one."""
+    names = cls.__slots__
+    fields = [object() for _ in names]
+    value = cls.__new__(cls)
+    value._set(*fields)
+    assert [getattr(value, name) for name in names] == fields, cls
+    assert _filled(value, cls) == list(names), cls
+    for wrong in (fields[:-1], [*fields, object()]):
+        value = cls.__new__(cls)
+        with pytest.raises(TypeError):
+            value._set(*wrong)
+        assert _filled(value, cls) == [], cls
+    value = cls.__new__(cls)
+    value._memo(names[-1], fields[-1])
+    assert _filled(value, cls) == [names[-1]] and getattr(value, names[-1]) is fields[-1], cls
+
+
+def test_each_class_sets_its_own_slots_in_order_and_memos_one_by_name():
+    classes = [cls for cls in _subclasses(Value) if cls.__slots__]
+    assert {cls.__name__ for cls in classes} == set(SAMPLES) - {"_Infinity"}
+    assert {1, 2, 3} <= {len(cls.__slots__) for cls in classes}  # both direct setters and the loop
+    for cls in classes:
+        _check_setter(cls)
+
+    # a class made after import gets its own setter too, and a subclass does not reuse its base's
+    class Late(Value):
+        __slots__ = ("x", "y", "z")
+
+    class Later(Late):
+        __slots__ = ("w",)
+
+    try:
+        _check_setter(Late)
+        _check_setter(Later)
+        assert Later._set is not Late._set
+    finally:
+        # drop them from Value's subclasses, which the sample tests above walk
+        del Late, Later
+        gc.collect()

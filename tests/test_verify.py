@@ -369,7 +369,7 @@ def _swap_unless_negative(real):
 
 
 def _flip_membership_if_first_couple_negative(real):
-    return lambda pairs, chart: real(pairs, chart) != _negative(pairs[0].first)
+    return lambda pairs: real(pairs) != _negative(pairs[0].first)
 
 
 def _never_joins(real):
