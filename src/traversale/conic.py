@@ -8,9 +8,11 @@ non-tangent line and its fixed points (the conic's meet with the line, by
 Desargues' involution theorem), both read off one restricted form (q(o),
 q(i), phi(o, i)) on the line's canonical basis o, i (the fixed points are
 read in the chord parametrization's frame instead once the conic carries
-it, see :func:`line_intersect`), affine features (center, asymptotes, the
-ellipse/hyperbola/parabola trichotomy) and transport under homographies
-are all computed without ever leaving the rationals.  When an
+it, see :func:`line_intersect`, and a secant of that frame gets its
+involution from its two bornes, see :func:`polarity_involution_on_line`),
+affine features (center, asymptotes, the ellipse/hyperbola/parabola
+trichotomy) and transport under homographies are all computed without
+ever leaving the rationals.  When an
 intersection exists over the reals but not over Q the operation says so
 exactly (IrrationalIntersection with the offending discriminant) instead
 of approximating.  A conic without a witness gets its first rational point
@@ -41,7 +43,7 @@ from .involution import InvolutionOnLine, fixed_pairs
 from .linalg import (
     Mat2, Mat3, Vec3, adjugate, congruence, cross, det3, dot, mat_vec, primitive, primitive_rows, primitive_triple,
 )
-from .numbers import ExtRat, Pair, format_int, format_repr, small_pairs, to_pair
+from .numbers import ExtRat, Pair, format_int, format_repr, lowest_terms, small_pairs, to_pair
 from .projective import (
     LINE_AT_INFINITY,
     FramedLine,
@@ -52,6 +54,7 @@ from .projective import (
     basis_point,
     canonical_basis,
     canonical_chart,
+    canonical_pair,
     join,
 )
 from .value import Value
@@ -292,9 +295,28 @@ def polarity_involution_on_line(c: Conic, l: PLine) -> InvolutionOnLine:
     = 0, which is linear in (num, den): the matrix is [[phi(o,i), phi(o,o)],
     [-phi(i,i), -phi(o,i)]], and its vanishing determinant is tangency.  The
     chart's representatives are o and i up to a sign, which q and phi drop.
+
+    A secant of the conic's own frame is built from its ends.  When l is a
+    framed line of a parametrization of c and the :func:`model_involution`
+    of its :func:`model_pole` has two rational fixed pairs s, t, l meets
+    the conic in the bornes P(s) and P(t), which by Desargues' involution
+    theorem are the involution's double points.  Their canonical-chart
+    pairs are read off their unreduced coordinates
+    (:func:`~traversale.projective.canonical_pair`) and the involution is
+    built from them (:meth:`InvolutionOnLine.from_fixed_pairs`), with no
+    restricted form and no gcd of its matrix; it keeps them for
+    :func:`classify_and_fixed_points`.  Any other line, a framed tangent
+    or a framed line with no rational meets included, takes the plane
+    route.
     """
     if not c.is_nondegenerate:
         raise DegenerateConic("the polarity involution needs a nondegenerate conic")
+    frame = l.frame
+    if frame is not None and frame.conic is c:
+        pairs = fixed_pairs(model_involution(model_pole(l.frame_vector)))
+        if pairs is not None and len(pairs) == 2:
+            u, v = (lowest_terms(canonical_pair(l, frame.triple_from_pair(s))) for s in pairs)
+            return InvolutionOnLine.from_fixed_pairs(canonical_chart(l), u, v)
     qo, qi, phi_oi = _restricted_form(c.matrix, *canonical_basis(l))
     if qo * qi == phi_oi * phi_oi:
         raise TangentLine(f"{l} is tangent; the polarity involution degenerates")

@@ -103,9 +103,15 @@ class InvolutionOnLine(Value):
     being equal to its own inverse) and nonzero determinant; a nilpotent
     "involution" is rejected, matching the classical position that there is
     no parabolic involution.
+
+    ``_fixed`` is a cache of the involution's two rational fixed pairs, in
+    the order :func:`fixed_pairs` gives them, held by an involution built
+    from them (:meth:`from_fixed_pairs`) and read by
+    :func:`classify_and_fixed_points`; it is None from ``__init__``.
+    Equality, hashing and text ignore it.
     """
 
-    __slots__ = ("chart", "matrix")
+    __slots__ = ("chart", "matrix", "_fixed")
 
     def __init__(self, chart: LineChart, matrix):
         m = primitive_rows2(matrix)
@@ -113,7 +119,32 @@ class InvolutionOnLine(Value):
             raise UnderdeterminedInvolution(f"matrix {format_repr(m)} is not involutive (trace != 0)")
         if det2(m) == 0:
             raise UnderdeterminedInvolution(f"matrix {format_repr(m)} is degenerate, not an involution")
-        self._set(chart, m)
+        self._set(chart, m, None)
+
+    @classmethod
+    def from_fixed_pairs(cls, chart: LineChart, u: Pair, v: Pair) -> InvolutionOnLine:
+        """The involution of the chart with the distinct fixed pairs u, v, given in :func:`lowest_terms`.
+
+        Its fixed pairs are the zeros of (d1*num - n1*den)(d2*num - n2*den)
+        for u = (n1, d1), v = (n2, d2), so its matrix is [[t, -2*n1*n2],
+        [2*d1*d2, -t]] with t = n1*d2 + n2*d1.  A prime p dividing n1*n2
+        and d1*d2 divides the num of one coprime pair and the den of the
+        other, say n1 and d2, and then t = n2*d1 mod p is not 0.  So the
+        content is 2 when t is even and 1 when it is odd, and no gcd runs.
+        The trace is 0 and the determinant -(n1*d2 - n2*d1)^2 is not, as
+        ``__init__`` would check.
+        """
+        (n1, d1), (n2, d2) = u, v
+        t = n1 * d2 + n2 * d1
+        if t & 1:
+            a, b, c = t, -2 * n1 * n2, 2 * d1 * d2
+        else:
+            a, b, c = t >> 1, -n1 * n2, d1 * d2
+        if a < 0:  # the first nonzero entry positive: with both dens >= 0, t = 0 makes n1*n2 negative
+            a, b, c = -a, -b, -c
+        inv = cls.__new__(cls)
+        inv._set(chart, ((a, b), (c, -a)), (v, u) if pair_cross(u, v) > 0 else (u, v))
+        return inv
 
     def __eq__(self, other):
         return (self.chart, self.matrix) == (other.chart, other.matrix) if type(other) is InvolutionOnLine else NotImplemented
@@ -195,9 +226,14 @@ def classify_and_fixed_points(
     """Kind of the involution, with both fixed points (its :func:`fixed_pairs`) when they are rational.
 
     Two real fixed points for a negative determinant, none for a positive
-    one; irrational ones are reported as HYPERBOLIC_IRRATIONAL.
+    one; irrational ones are reported as HYPERBOLIC_IRRATIONAL.  An
+    involution built from its fixed pairs (a secant's polarity involution,
+    see :func:`~traversale.conic.polarity_involution_on_line`) hands them
+    back from its ``_fixed`` cache, with no square root of the discriminant.
     """
-    pairs = fixed_pairs(inv.matrix)
+    pairs = inv._fixed
+    if pairs is None:
+        pairs = fixed_pairs(inv.matrix)
     if pairs is None:
         return (InvolutionKind.HYPERBOLIC_IRRATIONAL, None)
     if not pairs:

@@ -335,6 +335,21 @@ def canonical_basis(line: PLine) -> tuple[Vec3, Vec3]:
     return (1, 0, 0), (0, 1, 0)
 
 
+def canonical_pair(line: PLine, x: Vec3) -> Pair:
+    """The canonical chart's pair of the vector x on the line, up to scale, read off two of its entries.
+
+    On the :func:`canonical_basis` o, i the point den*o + num*i has x0 : x2
+    = num : den on a non-vertical line, x1 : x2 on a vertical one and
+    x1 : x0 on the line at infinity.  x is not checked against the line.
+    """
+    u, v, _ = line.coeffs
+    if v != 0:
+        return (x[0], x[2])
+    if u != 0:
+        return (x[1], x[2])
+    return (x[1], x[0])
+
+
 def canonical_chart(line: PLine) -> LineChart:
     """The chart on :func:`canonical_basis`, giving the everyday coordinate on the line."""
     chart = LineChart.__new__(LineChart)

@@ -7,11 +7,11 @@ compare by identity unless the subclass defines ``__eq__`` and ``__hash__``.
 
 Each class gets its own ``_set`` when it is created, taking exactly its own
 ``__slots__`` positionally, in order, and storing them through the slots'
-descriptors, past the ``__setattr__`` that forbids it.  The one- and
-two-field setters, those of the most-built values (points, lines, couples,
-involutions, homographies, framed values, scene tokens), store each field
-directly; a longer one loops over the descriptors.  A wrong number of
-fields raises TypeError.
+descriptors, past the ``__setattr__`` that forbids it.  The one-, two- and
+three-field setters, those of the most-built values (points, lines,
+couples, involutions, line charts, homographies, framed values, drawables,
+scene tokens), store each field directly; a longer one loops over the
+descriptors.  A wrong number of fields raises TypeError.
 """
 
 
@@ -48,6 +48,14 @@ def _setter(cls):
         def _set(self, value0, value1):
             store0(self, value0)
             store1(self, value1)
+
+    elif len(stores) == 3:
+        store0, store1, store2 = stores
+
+        def _set(self, value0, value1, value2):
+            store0(self, value0)
+            store1(self, value1)
+            store2(self, value2)
 
     else:
 

@@ -30,6 +30,7 @@ full run exercises the complete acceptance surface.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -119,23 +120,20 @@ class Draws:
     A fresh draw is the one ``rng.randint(lo, hi)`` makes, taken straight
     from ``rng.getrandbits`` by the rejection loop of CPython's
     ``Random._randbelow_with_getrandbits`` (3.10 to 3.13): k = n.bit_length()
-    bits for n = hi - lo + 1 values, redrawn until below n.
+    bits for n = hi - lo + 1 values, redrawn until below n.  Draws made
+    with ``replay`` read that list instead, each value clamped into its
+    range.  Only the shrinker replays: such an instance binds the
+    replaying draw over the fresh one, so a fresh draw makes no replay test.
     """
 
     def __init__(self, rng: random.Random | None = None, replay: list[int] | None = None):
         self._bits = None if rng is None else rng.getrandbits
-        self.replay = replay
         self.record: list[int] = []
-        self._i = 0
+        if replay is not None:
+            self.draw_int = _replaying(replay)
 
     def draw_int(self, lo: int, hi: int) -> int:
         n = hi - lo + 1
-        if self.replay is not None:
-            if self._i >= len(self.replay):
-                raise _ReplayExhausted()
-            v = self.replay[self._i]
-            self._i += 1
-            return lo + (v - lo) % n
         k = n.bit_length()
         r = self._bits(k)
         while r >= n:
@@ -145,8 +143,13 @@ class Draws:
         return v
 
     def rational(self, lo: int = -9, hi: int = 9, dmax: int = 9) -> Pair:
-        """The pair of ``Fraction(draw_int(lo, hi), draw_int(1, dmax))``, in :func:`lowest_terms`."""
-        return lowest_terms((self.draw_int(lo, hi), self.draw_int(1, dmax)))
+        """The pair of ``Fraction(draw_int(lo, hi), draw_int(1, dmax))``, in :func:`lowest_terms`.
+
+        The denominator is at least 1, so dividing out the gcd leaves it positive.
+        """
+        num, den = self.draw_int(lo, hi), self.draw_int(1, dmax)
+        g = math.gcd(num, den)
+        return (num // g, den // g)
 
     def until(self, draw, accept=lambda v: v is not None, tries: int = 30, catch=()):
         """The first ``draw(self)`` that ``accept`` takes (by default: not None).
@@ -176,6 +179,20 @@ class Draws:
                 if len(kept) == n:
                     return kept
         raise _CaseUnbuildable(f"{len(kept)} of {n} distinct values in {tries} tries")
+
+
+def _replaying(replay: list[int]):
+    """The draw of :class:`Draws` that reads ``replay`` in turn, each value clamped into [lo, hi]."""
+    values = iter(replay)
+
+    def draw_int(lo: int, hi: int) -> int:
+        try:
+            v = next(values)
+        except StopIteration:
+            raise _ReplayExhausted() from None
+        return lo + (v - lo) % (hi - lo + 1)
+
+    return draw_int
 
 
 def _shrink(case_fn, genome: list[int], transcript: list[str]) -> str:

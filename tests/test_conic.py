@@ -36,6 +36,7 @@ from traversale import (
     concurrent,
     conic_from_five_points,
     find_rational_point,
+    fixed_pairs,
     is_tangent_line,
     join,
     line_intersect,
@@ -51,7 +52,8 @@ from traversale import (
 )
 from traversale import conic as conic_module
 from traversale.linalg import adjugate, cross, det3, dot, mat_mul, mat_vec, primitive_rows, primitive_rows2, transpose
-from traversale.numbers import parse_rational
+from traversale.numbers import lowest_terms, parse_rational
+from traversale.projective import canonical_pair
 
 from oracles import homography_chain, random_homography
 
@@ -536,6 +538,77 @@ def test_polarity_involution_matches_polar_meet(seed, steps):
     assert kinds == {"secant": InvolutionKind.HYPERBOLIC, "missing": InvolutionKind.ELLIPTIC}
     with pytest.raises(TangentLine):
         polarity_involution_on_line(c, tangent_at(c, on_conic[2]))
+
+
+def _plane_twin(l):
+    """The plain line of l's triple: it takes the plane route wherever l could take a frame route."""
+    return PLine(*l.coeffs)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 64, 256])
+def test_polarity_involution_secant_route_matches_the_plane_route(steps):
+    # chords of the conic's own frames, through pairs with den = 0 among others:
+    # a framed chord is built from its bornes, a plain one takes the plane route
+    framed = 0
+    for seed in (3100, 3101):
+        c, _ = homography_chain(seed, steps)
+        rng = random.Random(seed)
+        own = rational_parametrize(c, c.witness)
+        frames = (own, rational_parametrize(c, own.point_from_pair((3, 2))))
+        pairs = [(1, 0), (0, 1), (1, 1), (-1, 1), (5, 0)] + [(rng.randint(-9, 9), rng.randint(0, 4)) for _ in range(4)]
+        for par in frames:
+            points = {par.point_from_pair(s) for s in pairs if s != (0, 0)}
+            for p, q in combinations(sorted(points, key=lambda p: p.coords), 2):
+                l = join(p, q)
+                inv, plane = polarity_involution_on_line(c, l), polarity_involution_on_line(c, _plane_twin(l))
+                assert inv == plane and inv.matrix == plane.matrix and inv.chart == plane.chart
+                assert plane._fixed is None
+                if l.frame is not None:
+                    framed += 1
+                    assert inv._fixed == fixed_pairs(inv.matrix)
+                assert classify_and_fixed_points(inv) == classify_and_fixed_points(plane)
+    assert (framed > 0) == (steps >= 64)
+
+
+def test_canonical_pair_reads_the_canonical_chart():
+    # the three chart kinds: non-vertical, vertical and the line at infinity
+    rng = random.Random(42)
+    lines = [PLine(3, -7, 2), PLine(0, 5, -1), PLine(4, 0, -9), PLine(1, 0, 0), LINE_AT_INFINITY]
+    lines += [PLine(rng.getrandbits(300), rng.getrandbits(300) - 2**299, rng.getrandbits(300)) for _ in range(3)]
+    for l in lines:
+        chart, basis = canonical_chart(l), canonical_basis(l)
+        for _ in range(12):
+            num, den = rng.randint(-50, 50), rng.randint(-50, 50) if rng.random() < 0.8 else 0
+            if num == den == 0:
+                continue
+            scale = rng.choice((1, -3, 2**200))
+            x = tuple(scale * (den * a + num * b) for a, b in zip(*basis))
+            assert lowest_terms(canonical_pair(l, x)) == lowest_terms(chart.vector_pair(x)), (l, x)
+
+
+def test_polarity_involution_framed_lines_off_the_secant_route():
+    c, _ = homography_chain(3100, 256)
+    par = rational_parametrize(c, c.witness)
+    # a framed tangent raises TangentLine with the plane route's message
+    tangent = par.line_from_frame(conic_module.model_chord((2, 1), (2, 1)))
+    assert tangent.frame is par
+    with pytest.raises(TangentLine) as framed_error:
+        polarity_involution_on_line(c, tangent)
+    with pytest.raises(TangentLine) as plane_error:
+        polarity_involution_on_line(c, _plane_twin(tangent))
+    assert str(framed_error.value) == str(plane_error.value) == f"{tangent} is tangent; the polarity involution degenerates"
+    # frame lines s0^2 + s1^2 = 0 and s0^2 - 2*s1^2 = 0 have no rational meets
+    for lam, kind in (((1, 0, 1), InvolutionKind.ELLIPTIC), ((1, 0, -2), InvolutionKind.HYPERBOLIC_IRRATIONAL)):
+        l = par.line_from_frame(lam)
+        inv = polarity_involution_on_line(c, l)
+        assert l.frame is par and inv._fixed is None
+        assert inv == polarity_involution_on_line(c, _plane_twin(l))
+        assert classify_and_fixed_points(inv) == (kind, None)
+    # a framed chord on an equal conic object that does not own the frame
+    chord = join(par.point_from_pair((1, 2)), par.point_from_pair((-3, 1)))
+    twin = Conic(c.matrix)
+    inv = polarity_involution_on_line(twin, chord)
+    assert inv._fixed is None and inv == polarity_involution_on_line(c, chord)
 
 
 # -- tangents ---------------------------------------------------------------

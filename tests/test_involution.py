@@ -35,6 +35,7 @@ from traversale import (
     souche_of,
 )
 from traversale.involution import in_single_involution
+from traversale.linalg import primitive_rows2
 
 
 def F(*args):
@@ -185,6 +186,36 @@ def test_fixed_pairs_over_every_small_trace_zero_matrix(x_axis_chart):
         if disc != 0:  # -det: the invertible matrices are involutions
             inv = InvolutionOnLine(x_axis_chart, ((a, b), (c, -a)))
             assert classify_and_fixed_points(inv) == _fixed_points_by_fractions(a, b, c), (a, b, c)
+
+
+def _lowest_terms_pairs(rng, n):
+    """(1, 0), (0, 1), (1, 1), (-1, 1) and n random coprime pairs with den > 0, of 3, 8 or 200 bits."""
+    pairs = {(1, 0), (0, 1), (1, 1), (-1, 1)}
+    while len(pairs) < n + 4:
+        bits = rng.choice((3, 8, 200))
+        num, den = rng.getrandbits(bits) * rng.choice((-1, 1)), rng.getrandbits(bits)
+        if den > 0 and math.gcd(num, den) == 1:
+            pairs.add((num, den))
+    return sorted(pairs)
+
+
+def test_from_fixed_pairs_is_the_primitive_matrix_of_its_fixed_pairs(x_axis_chart):
+    # content 1 or 2 in closed form against primitive_rows2 of the same formula
+    parities = set()
+    for u, v in itertools.permutations(_lowest_terms_pairs(random.Random(40), 14), 2):
+        (n1, d1), (n2, d2) = u, v
+        t = n1 * d2 + n2 * d1
+        parities.add(t % 2 if t else "zero")
+        expected = primitive_rows2(((t, -2 * n1 * n2), (2 * d1 * d2, -t)))
+        inv = InvolutionOnLine.from_fixed_pairs(x_axis_chart, u, v)
+        assert inv.matrix == expected, (u, v)
+        checked = InvolutionOnLine(x_axis_chart, expected)
+        assert checked._fixed is None and inv._fixed == fixed_pairs(expected), (u, v)
+        # the cache is invisible to equality, hashing and text
+        assert inv == checked and hash(inv) == hash(checked), (u, v)
+        assert (repr(inv), str(inv)) == (repr(checked), str(checked)), (u, v)
+        assert classify_and_fixed_points(inv) == classify_and_fixed_points(checked), (u, v)
+    assert parities == {0, 1, "zero"}
 
 
 def test_desargues_condition_explicit_triple():
